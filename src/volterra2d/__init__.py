@@ -47,7 +47,6 @@ from .system import (
     SystemSpec,
     check_asymptotic_hypotheses,
     check_periodic_hypotheses,
-    eval_nonlinearity,
     parse_system,
     spec_to_config,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "check_asymptotic_hypotheses",
     "check_periodic_hypotheses",
     "cycle_gain",
-    "eval_nonlinearity",
     "growth_profile",
     "inner_sum",
     "parse_system",

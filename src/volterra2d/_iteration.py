@@ -1,10 +1,11 @@
-"""Shared fixed-point driver: damped Picard with stall detection, falling
-back to Newton on F(z) = z - map(z) with a central-difference Jacobian."""
+"""Shared fixed-point driver for maps of one shape, z = c + K phi(z): damped
+Picard with stall detection, falling back to Newton on F(z) = z - map(z)
+with the map's closed-form Jacobian."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Any, Callable, Tuple
 
 import numpy as np
 
@@ -13,8 +14,33 @@ STRATEGIES = ("picard_then_newton", "picard_only", "newton_only")
 #: Picard stalls after this many iterations without a new best update norm.
 STALL_PATIENCE = 10
 
-#: Relative step for central-difference Jacobian columns.
-FD_STEP = 1e-6
+
+@dataclass(frozen=True, eq=False)
+class CoupledMap:
+    """z = [x; y] -> c + [K_x f(y); K_y g(x)] with a fixed vector c, fixed
+    square blocks K_x, K_y and nonlinearities f, g (each with a
+    ``derivative``) applied entry by entry: the form of both the periodic
+    cycle map and the asymptotic tail map."""
+
+    c: np.ndarray
+    k_x: np.ndarray
+    k_y: np.ndarray
+    f: Any
+    g: Any
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        n = len(self.k_x)
+        return self.c + np.concatenate([self.k_x @ self.f(z[n:]),
+                                        self.k_y @ self.g(z[:n])])
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """I - K diag(phi'(z)): the Jacobian of F(z) = z - map(z)."""
+        n = len(self.k_x)
+        jac = np.eye(2 * n)
+        # The identity's off-diagonal blocks are zero: write -K diag(phi') in.
+        np.multiply(self.k_x, -self.f.derivative(z[n:]), out=jac[:n, n:])
+        np.multiply(self.k_y, -self.g.derivative(z[:n]), out=jac[n:, :n])
+        return jac
 
 
 @dataclass(frozen=True)
@@ -26,7 +52,8 @@ class IterationResult:
     converged: bool
 
 
-def _newton(apply_map: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
+def _newton(apply_map: Callable[[np.ndarray], np.ndarray],
+            jacobian: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
             tol: float, budget: int) -> Tuple[np.ndarray, int, float, bool]:
     update = math.inf
     used = 0
@@ -34,16 +61,7 @@ def _newton(apply_map: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
         residual = z - apply_map(z)
         if not np.all(np.isfinite(residual)):
             break
-        dim = len(z)
-        jac = np.empty((dim, dim))
-        for k in range(dim):
-            step = FD_STEP * max(1.0, abs(z[k]))
-            plus = z.copy()
-            plus[k] += step
-            minus = z.copy()
-            minus[k] -= step
-            jac[:, k] = ((plus - apply_map(plus)) - (minus - apply_map(minus))
-                         ) / (2.0 * step)
+        jac = jacobian(z)
         try:
             delta = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError:
@@ -62,15 +80,18 @@ def _newton(apply_map: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
 
 
 def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
-                      z0: np.ndarray, *, tol: float, max_iter: int,
-                      damping: float, strategy: str) -> IterationResult:
+                      z0: np.ndarray, *,
+                      jacobian: Callable[[np.ndarray], np.ndarray],
+                      tol: float, max_iter: int, damping: float,
+                      strategy: str) -> IterationResult:
     """Find z with z = apply_map(z).
 
     Picard phase: z <- (1-damping) z + damping * map(z) until the update
     norm drops below tol, stalling (no new minimum update norm for
     STALL_PATIENCE iterations, which also catches sustained oscillation)
-    or exhausting max_iter.  On stall the best iterate seen seeds Newton.
-    Non-convergence is reported, not raised.
+    or exhausting max_iter.  On stall the best iterate seen seeds Newton,
+    whose linear systems use ``jacobian(z)``, the Jacobian of
+    z - apply_map(z).  Non-convergence is reported, not raised.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -109,8 +130,8 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
 
     budget = (max_iter - iterations if strategy == "picard_then_newton"
               else max_iter)
-    z_newton, used, update_newton, converged = _newton(apply_map, z, tol,
-                                                       budget)
+    z_newton, used, update_newton, converged = _newton(apply_map, jacobian, z,
+                                                       tol, budget)
     iterations += used
     if used > 0 or strategy == "newton_only":
         z = z_newton

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ._iteration import solve_fixed_point
+from ._iteration import CoupledMap, solve_fixed_point
 from .kernels import Kernel, TailNotCertified, TruncationPolicy
 from .periodic_solver import SolverOptions
 from .sequences import (
@@ -25,7 +25,7 @@ from .sequences import (
     reciprocal_growth,
 )
 from .simulate import residual as recurrence_residual
-from .system import SystemSpec
+from .system import Nonlinearity, SystemSpec
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,25 @@ class GrowthProfile:
     max_x: float
     min_y: float
     max_y: float
+
+    @property
+    def ratio_x(self) -> float:
+        return self.max_x / self.min_x
+
+    @property
+    def ratio_y(self) -> float:
+        return self.max_y / self.min_y
+
+
+def decay_envelope(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
+                   n: int) -> float:
+    """ratio * bound * double_tail(n): the certified bound at n on the
+    deviation from the free response of the component driven through
+    ``kernel`` and ``nonlin``, with ``ratio`` its growth ratio max/min.  A
+    zero nonlinearity bound kills the whole drive, so the infinite double
+    tail of a non-summable kernel never multiplies a nonzero factor."""
+    bound = nonlin.bound
+    return ratio * bound * kernel.double_tail(n) if bound > 0.0 else 0.0
 
 
 def growth_profile(spec: SystemSpec) -> GrowthProfile:
@@ -123,46 +142,41 @@ class AsymptoticSolveReport:
         }
 
 
-def _outer_cut(kernel: Kernel, horizon: int, coeff: float,
-               policy: TruncationPolicy) -> int:
-    """Smallest N >= horizon with coeff * double_tail(N+1) <= tail_tol/2."""
-    if coeff == 0.0:
-        return horizon
-    target = policy.tail_tol / 2.0
-    if not math.isfinite(kernel.double_tail(horizon + 1)):
-        raise TailNotCertified("kernel double tail is infinite; the tail map "
-                               "cannot be truncated with a certified error")
+def _outer_cut(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
+               horizon: int, policy: TruncationPolicy) -> Tuple[int, float]:
+    """Smallest N >= horizon whose decay envelope at N+1 is <= tail_tol/2,
+    and that envelope."""
     n = horizon
-    limit = horizon + policy.max_terms
-    while coeff * kernel.double_tail(n + 1) > target:
+    while ((envelope := decay_envelope(ratio, nonlin, kernel, n + 1))
+           > policy.tail_tol / 2.0):
+        if math.isinf(envelope):
+            raise TailNotCertified("kernel double tail is infinite; the tail "
+                                   "map cannot be truncated with a certified "
+                                   "error")
         n += 1
-        if n > limit:
+        if n > horizon + policy.max_terms:
             raise TailNotCertified(
                 f"outer cut exceeded the {policy.max_terms}-term cap")
-    return n
+    return n, envelope
 
 
 class _TailMapComponent:
-    """Precomputed finite reduction of one tail-map component.
+    """One tail-map component reduced to the window 0..horizon in the
+    coupled form out = c + K @ nonlin(partner window).
 
-    Everything independent of the iterate (growth factors, kernel weight
-    windows, certified error budget) is built once; apply() is then two
-    vector products.  The iterate enters only through the nonlinearity of
-    the partner window.
+    Everything independent of the iterate is built once: the certified
+    error budget; K, the growth-weighted suffix sums of the kernel weight
+    rows; and c, which folds the drive from outside the window in with the
+    amplitude.
     """
 
     def __init__(self, kernel, nonlin, growth: PeriodicSequence,
                  ratio: float, c_out: float, c_partner: float,
                  partner_growth: PeriodicSequence, horizon: int,
                  policy: TruncationPolicy):
-        self.nonlin = nonlin
-        self.c_out = c_out
-        self.horizon = horizon
         bound = nonlin.bound
-        cut = _outer_cut(kernel, horizon, ratio * bound, policy)
-        self.cut = cut
-        self.outer_error = (ratio * bound * kernel.double_tail(cut + 1)
-                            if bound > 0.0 else 0.0)
+        cut, self.outer_error = _outer_cut(ratio, nonlin, kernel, horizon,
+                                           policy)
 
         # Per-row inner truncation: budget the remaining tail_tol/2 evenly
         # over the rows, deflated by the worst growth ratio.
@@ -180,30 +194,28 @@ class _TailMapComponent:
             inner_error += (abs(growth.get(i + 1))
                             * bound * kernel.tail_beyond(i, depth))
         self.inner_error = inner_error / min_growth
-        self.m_lo = min(i - d for i, d in enumerate(depths)) if depths else 0
+        m_lo = min(i - d for i, d in enumerate(depths))
 
-        width = cut + 1 - self.m_lo
-        weights = np.zeros((cut + 1, width))
+        # w[n, m - m_lo] = sum_{i=n}^{cut} r_{i+1} a_{i,m}, built in place:
+        # scale the weight rows by the growth, then take suffix sums.
+        w = np.zeros((cut + 1, cut + 1 - m_lo))
         for i, depth in enumerate(depths):
             for m in range(i - depth, i + 1):
-                weights[i, m - self.m_lo] = kernel.weight(i, m)
-        self.weights = weights
-        self.growth_row = np.array([growth.get(i + 1) for i in range(cut + 1)])
+                w[i, m - m_lo] = kernel.weight(i, m)
+        w *= np.array([[growth.get(i + 1)] for i in range(cut + 1)])
+        np.cumsum(w[::-1], axis=0, out=w[::-1])
         self.growth_out = np.array([growth.get(n) for n in range(horizon + 1)])
+        rows = w[:horizon + 1]
+        lo, hi = -m_lo, horizon + 1 - m_lo  # columns of the window 0..horizon
         # Partner values outside the window: zero history before 0, the
         # periodic free response beyond the horizon.
-        self.partner_pre = np.zeros(max(0, -self.m_lo))
-        self.partner_post = np.array(
-            [c_partner / partner_growth.get(m)
-             for m in range(horizon + 1, cut + 1)])
-
-    def apply(self, partner_window: np.ndarray) -> np.ndarray:
-        values = np.concatenate(
-            [self.partner_pre, partner_window, self.partner_post])
-        drive = self.weights @ self.nonlin(values)
-        weighted = self.growth_row * drive
-        suffix = np.cumsum(weighted[::-1])[::-1]
-        return (self.c_out - suffix[:self.horizon + 1]) / self.growth_out
+        post = np.array([c_partner / partner_growth.get(m)
+                         for m in range(horizon + 1, cut + 1)])
+        drive_outside = (rows[:, :lo] @ nonlin(np.zeros(lo))
+                         + rows[:, hi:] @ nonlin(post))
+        self.c = (c_out - drive_outside) / self.growth_out
+        self.k = rows[:, lo:hi]
+        self.k /= -self.growth_out[:, None]
 
     @property
     def certified_error(self) -> float:
@@ -230,29 +242,25 @@ class TailMapOperator:
         self.c2 = c2
         self.horizon = horizon
         self.policy = policy
-        self.profile = growth_profile(spec)
-        prof = self.profile
-        ratio_x = prof.max_x / prof.min_x
-        ratio_y = prof.max_y / prof.min_y
+        self.profile = prof = growth_profile(spec)
         self.component_x = _TailMapComponent(
-            spec.kernel_a, spec.f, prof.x, ratio_x, c1, c2, prof.y,
+            spec.kernel_a, spec.f, prof.x, prof.ratio_x, c1, c2, prof.y,
             horizon, policy)
         self.component_y = _TailMapComponent(
-            spec.kernel_b, spec.g, prof.y, ratio_y, c2, c1, prof.x,
+            spec.kernel_b, spec.g, prof.y, prof.ratio_y, c2, c1, prof.x,
             horizon, policy)
+        self.map = CoupledMap(
+            np.concatenate([self.component_x.c, self.component_y.c]),
+            self.component_x.k, self.component_y.k, spec.f, spec.g)
         # Closing the partner with its free response ignores the partner's
         # own decaying part beyond the horizon; first-order bound via the
-        # partner envelope and the kernel tail past the horizon.  A zero
-        # nonlinearity bound kills the whole drive, so the infinite double
-        # tail of a non-summable kernel never multiplies a nonzero factor.
-        env_x = (ratio_x * spec.f.bound * spec.kernel_a.double_tail(horizon + 1)
-                 if spec.f.bound > 0.0 else 0.0)
-        env_y = (ratio_y * spec.g.bound * spec.kernel_b.double_tail(horizon + 1)
-                 if spec.g.bound > 0.0 else 0.0)
-        closure_x = (ratio_x * spec.f.lipschitz * env_y
+        # partner envelope and the kernel tail past the horizon.
+        env_x = decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, horizon + 1)
+        env_y = decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, horizon + 1)
+        closure_x = (prof.ratio_x * spec.f.lipschitz * env_y
                      * spec.kernel_a.double_tail(horizon + 1)
                      if spec.f.bound > 0.0 and env_y > 0.0 else 0.0)
-        closure_y = (ratio_y * spec.g.lipschitz * env_x
+        closure_y = (prof.ratio_y * spec.g.lipschitz * env_x
                      * spec.kernel_b.double_tail(horizon + 1)
                      if spec.g.bound > 0.0 and env_x > 0.0 else 0.0)
         self.closure_error = max(closure_x, closure_y)
@@ -264,21 +272,17 @@ class TailMapOperator:
 
     def apply(self, x_window: np.ndarray,
               y_window: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return (self.component_x.apply(y_window),
-                self.component_y.apply(x_window))
+        z = self.map(np.concatenate([x_window, y_window]))
+        return z[:self.horizon + 1], z[self.horizon + 1:]
 
     def envelope(self) -> Tuple[np.ndarray, np.ndarray]:
         """Pointwise decay bounds for the deviation from the free response."""
-        prof = self.profile
-        coeff_x = prof.max_x / prof.min_x * self.spec.f.bound
-        coeff_y = prof.max_y / prof.min_y * self.spec.g.bound
-        bx = np.array([coeff_x * self.spec.kernel_a.double_tail(n)
-                       if coeff_x > 0.0 else 0.0
-                       for n in range(self.horizon + 1)])
-        by = np.array([coeff_y * self.spec.kernel_b.double_tail(n)
-                       if coeff_y > 0.0 else 0.0
-                       for n in range(self.horizon + 1)])
-        return bx, by
+        prof, spec = self.profile, self.spec
+        window = range(self.horizon + 1)
+        return (np.array([decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, n)
+                          for n in window]),
+                np.array([decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, n)
+                          for n in window]))
 
 
 def apply_tail_map(spec: SystemSpec, c1: float, c2: float,
@@ -303,13 +307,16 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     """Drive the tail map to a window fixed point and extract the
     decomposition x = u + v.
 
-    Starts from the free response (v = 0); damped Picard with a Newton
-    closer, as in the periodic solver.  ``converged`` requires the update
-    norm below opts.tol, the recurrence residual below opts.residual_tol
-    on the whole window, and every |v[n]| within its certified envelope
-    plus 10x the tail tolerance.  Non-convergence is a report state.
+    Starts from the free response (v = 0), so opts.initial_guess must be
+    unset; damped Picard with a Newton closer, as in the periodic solver.
+    ``converged`` requires the update norm below opts.tol, the recurrence
+    residual below opts.residual_tol on the whole window, and every |v[n]|
+    within its certified envelope plus 10x the tail tolerance.
+    Non-convergence is a report state.
     """
     T = spec.period
+    if opts.initial_guess is not None:
+        raise ValueError("initial_guess: not supported by solve_asymptotic")
     if horizon < 4 * T:
         raise ValueError(f"horizon must be at least 4 periods ({4 * T})")
     warnings = []
@@ -324,15 +331,10 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     width = horizon + 1
     u1_window = c1 / op.component_x.growth_out
     u2_window = c2 / op.component_y.growth_out
-
-    def apply_map(z: np.ndarray) -> np.ndarray:
-        nx, ny = op.apply(z[:width], z[width:])
-        return np.concatenate([nx, ny])
-
     z0 = np.concatenate([u1_window, u2_window])
-    result = solve_fixed_point(apply_map, z0, tol=opts.tol,
-                               max_iter=opts.max_iter, damping=opts.damping,
-                               strategy=opts.strategy)
+    result = solve_fixed_point(op.map, z0, jacobian=op.map.jacobian,
+                               tol=opts.tol, max_iter=opts.max_iter,
+                               damping=opts.damping, strategy=opts.strategy)
     xw = result.z[:width]
     yw = result.z[width:]
 
@@ -390,6 +392,7 @@ __all__ = [
     "TailMapOperator",
     "ZeroFactor",
     "apply_tail_map",
+    "decay_envelope",
     "growth_profile",
     "solve_asymptotic",
 ]

@@ -13,9 +13,7 @@ import csv
 import json
 import math
 import sys
-from typing import Any, Dict, List, Optional
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import asymptotic_solver, periodic_solver, verify
 from .kernels import NotDiagonalPeriodic, TailNotCertified, TruncationPolicy
@@ -30,6 +28,7 @@ from .simulate import residual, simulate
 from .system import (
     ConfigError,
     SystemSpec,
+    _as_finite_float,
     check_asymptotic_hypotheses,
     check_periodic_hypotheses,
     parse_system,
@@ -62,14 +61,12 @@ def _load_config(path: str) -> Dict[str, Any]:
     return doc
 
 
-def _get_number(doc: Dict[str, Any], key: str, default: float,
-                path: str = "") -> float:
-    if key not in doc or doc[key] is None:
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}{key}: expected a number")
-    return float(value)
+def _amplitudes(args, doc: Dict[str, Any]) -> Tuple[float, float]:
+    """(c1, c2): each flag if given, else the config value, else 1."""
+    return tuple(
+        _as_finite_float(getattr(args, key) if getattr(args, key) is not None
+                         else doc.get(key, 1.0), key)
+        for key in ("c1", "c2"))
 
 
 def _parse_history(doc: Dict[str, Any]) -> History:
@@ -81,23 +78,18 @@ def _parse_history(doc: Dict[str, Any]) -> History:
     raw_window = obj.get("window", [[0.0, 0.0]])
     if not isinstance(raw_window, list) or not raw_window:
         raise ConfigError("history.window: expected a nonempty list of pairs")
-    def number(value, path):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        return float(value)
-
     window = []
     for j, pair in enumerate(raw_window):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"history.window[{j}]: expected a pair [x, y]")
-        window.append((number(pair[0], f"history.window[{j}][0]"),
-                       number(pair[1], f"history.window[{j}][1]")))
+        window.append((_as_finite_float(pair[0], f"history.window[{j}][0]"),
+                       _as_finite_float(pair[1], f"history.window[{j}][1]")))
     tail = obj.get("tail")
     if tail in (None, "zero"):
         parsed_tail = None
     elif isinstance(tail, dict) and "x" in tail and "y" in tail:
-        parsed_tail = (number(tail["x"], "history.tail.x"),
-                       number(tail["y"], "history.tail.y"))
+        parsed_tail = (_as_finite_float(tail["x"], "history.tail.x"),
+                       _as_finite_float(tail["y"], "history.tail.y"))
     else:
         raise ConfigError(
             'history.tail: expected null, "zero", or {"x": .., "y": ..}')
@@ -112,8 +104,8 @@ def _parse_truncation(doc: Dict[str, Any],
     obj = doc.get("truncation") or {}
     if not isinstance(obj, dict):
         raise ConfigError("truncation: expected an object")
-    tail_tol = tail_tol_flag if tail_tol_flag is not None else _get_number(
-        obj, "tail_tol", 1e-10, "truncation.")
+    tail_tol = tail_tol_flag if tail_tol_flag is not None else _as_finite_float(
+        obj.get("tail_tol", 1e-10), "truncation.tail_tol")
     max_terms = obj.get("max_terms", 100_000)
     if isinstance(max_terms, bool) or not isinstance(max_terms, int):
         raise ConfigError("truncation.max_terms: expected an integer")
@@ -147,11 +139,13 @@ def _parse_solver(doc: Dict[str, Any], spec: SystemSpec,
         raise ConfigError("solver.max_iter: expected an integer")
     try:
         return periodic_solver.SolverOptions(
-            tol=tol_flag if tol_flag is not None else _get_number(
-                obj, "tol", 1e-12, "solver."),
-            residual_tol=_get_number(obj, "residual_tol", 1e-8, "solver."),
+            tol=tol_flag if tol_flag is not None else _as_finite_float(
+                obj.get("tol", 1e-12), "solver.tol"),
+            residual_tol=_as_finite_float(obj.get("residual_tol", 1e-8),
+                                          "solver.residual_tol"),
             max_iter=max_iter,
-            damping=_get_number(obj, "damping", 0.5, "solver."),
+            damping=_as_finite_float(obj.get("damping", 0.5),
+                                     "solver.damping"),
             strategy=strategy,
             initial_guess=parsed_guess,
         )
@@ -207,13 +201,12 @@ def _default_horizon(spec: SystemSpec, floor: float = 1e-12) -> int:
     """Smallest horizon whose decay envelope is below ``floor``; at least
     four periods."""
     prof = asymptotic_solver.growth_profile(spec)
-    coeff_x = prof.max_x / prof.min_x * spec.f.bound
-    coeff_y = prof.max_y / prof.min_y * spec.g.bound
+    envelope = asymptotic_solver.decay_envelope
     n = 4 * spec.period
     limit = n + 100_000
     while n < limit:
-        env_x = coeff_x * spec.kernel_a.double_tail(n) if coeff_x else 0.0
-        env_y = coeff_y * spec.kernel_b.double_tail(n) if coeff_y else 0.0
+        env_x = envelope(prof.ratio_x, spec.f, spec.kernel_a, n)
+        env_y = envelope(prof.ratio_y, spec.g, spec.kernel_b, n)
         if env_x <= floor and env_y <= floor:
             return n
         if math.isinf(env_x) or math.isinf(env_y):
@@ -226,8 +219,7 @@ def _default_horizon(spec: SystemSpec, floor: float = 1e-12) -> int:
 def _cmd_check(args) -> int:
     doc = _load_config(args.config)
     spec = parse_system(doc)
-    c1 = args.c1 if args.c1 is not None else _get_number(doc, "c1", 1.0)
-    c2 = args.c2 if args.c2 is not None else _get_number(doc, "c2", 1.0)
+    c1, c2 = _amplitudes(args, doc)
     if args.mode == "periodic":
         report = check_periodic_hypotheses(spec)
     else:
@@ -329,8 +321,7 @@ def _cmd_solve_asymptotic(args) -> int:
     spec = parse_system(doc)
     policy = _parse_truncation(doc, args.tail_tol)
     opts = _parse_solver(doc, spec, args.tol)
-    c1 = args.c1 if args.c1 is not None else _get_number(doc, "c1", 1.0)
-    c2 = args.c2 if args.c2 is not None else _get_number(doc, "c2", 1.0)
+    c1, c2 = _amplitudes(args, doc)
     horizon = _resolve_horizon(args, doc, spec)
     report = asymptotic_solver.solve_asymptotic(spec, c1, c2, horizon, opts,
                                                 policy)
@@ -355,8 +346,7 @@ def _cmd_verify(args) -> int:
                 "verification": verification.as_dict()}
     else:
         opts = _parse_solver(doc, spec, args.tol)
-        c1 = args.c1 if args.c1 is not None else _get_number(doc, "c1", 1.0)
-        c2 = args.c2 if args.c2 is not None else _get_number(doc, "c2", 1.0)
+        c1, c2 = _amplitudes(args, doc)
         horizon = _resolve_horizon(args, doc, spec)
         solve_report = asymptotic_solver.solve_asymptotic(
             spec, c1, c2, horizon, opts, policy)
@@ -396,8 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="tail_tol", help="certified tail tolerance")
         p.add_argument("--c1", type=float, default=None)
         p.add_argument("--c2", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized strategies (reserved)")
         if with_mode:
             p.add_argument("--mode", choices=["periodic", "asymptotic"],
                            required=True)
@@ -435,8 +423,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.seed is not None:
-        np.random.seed(args.seed)
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

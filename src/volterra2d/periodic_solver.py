@@ -11,17 +11,12 @@ posteriori through the verify module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ._iteration import STRATEGIES, solve_fixed_point
-from .sequences import (
-    PeriodicSequence,
-    PeriodProductIsOne,
-    cycle_gain,
-    product_one_plus,
-)
+from ._iteration import STRATEGIES, CoupledMap, solve_fixed_point
+from .sequences import PeriodicSequence, cycle_gain, product_one_plus
 from .system import SystemSpec
 
 State = Tuple[PeriodicSequence, PeriodicSequence]
@@ -72,46 +67,32 @@ class PeriodicSolveReport:
         }
 
 
-def _cycle_map_vec(spec: SystemSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Build the cycle map on stacked period vectors [x_0..x_{T-1}, y_0..y_{T-1}].
+def _cycle_map_vec(spec: SystemSpec) -> CoupledMap:
+    """Build the cycle map on stacked period vectors [x_0..x_{T-1}, y_0..y_{T-1}]
+    as z -> [M_a f(y); M_b g(x)].
 
     The inner infinite sums are evaluated exactly through the folded lag
     tables (inputs are T-periodic), so the map output is T-periodic by
-    construction.
+    construction.  M[n, s] = gain * sum_{i=n}^{n+T-1}
+    prod_{l=i+1}^{n+T-1} (1 + seq_l) * table[i mod T, (i - s) mod T].
     """
     T = spec.period
-    gain_x = cycle_gain(spec.h)
-    gain_y = cycle_gain(spec.p)
-    table_a = spec.kernel_a.folded_weights(T)
-    table_b = spec.kernel_b.folded_weights(T)
-    # prods[n, j] = prod_{l = n+j+1}^{n+T-1} (1 + seq_l), the weight carried
-    # by the drive at i = n + j.
-    prods_h = np.array([[product_one_plus(spec.h, n + j + 1, n + T - 1)
-                         for j in range(T)] for n in range(T)])
-    prods_p = np.array([[product_one_plus(spec.p, n + j + 1, n + T - 1)
-                         for j in range(T)] for n in range(T)])
-    f, g = spec.f, spec.g
+    gain_h, gain_p = cycle_gain(spec.h), cycle_gain(spec.p)
+    idx = np.arange(T)
+    lag = (idx[:, None] - idx[None, :]) % T  # lag[k, s] = (k - s) mod T
 
-    def apply_map(z: np.ndarray) -> np.ndarray:
-        x, y = z[:T], z[T:]
-        fy = [f(v) for v in y]
-        gx = [g(v) for v in x]
-        out = np.empty_like(z)
-        for n in range(T):
-            acc_x = 0.0
-            acc_y = 0.0
-            for j in range(T):
-                i = n + j
-                k = i % T
-                drive_a = sum(table_a[k, r] * fy[(i - r) % T] for r in range(T))
-                drive_b = sum(table_b[k, r] * gx[(i - r) % T] for r in range(T))
-                acc_x += prods_h[n, j] * drive_a
-                acc_y += prods_p[n, j] * drive_b
-            out[n] = gain_x * acc_x
-            out[T + n] = gain_y * acc_y
-        return out
+    def matrix(seq, kernel):
+        table = kernel.folded_weights(T)
+        # prods[n, j] = prod_{l = n+j+1}^{n+T-1} (1 + seq_l), the weight
+        # carried by the drive at i = n + j.
+        prods = np.array([[product_one_plus(seq, n + j + 1, n + T - 1)
+                           for j in range(T)] for n in range(T)])
+        # prods[n, (k - n) mod T] weighs the drive at the i == k (mod T),
+        # and table[k, (k - s) mod T] weighs the value at s in that drive.
+        return prods[idx[:, None], lag.T] @ table[idx[:, None], lag]
 
-    return apply_map
+    return CoupledMap(np.zeros(2 * T), gain_h * matrix(spec.h, spec.kernel_a),
+                      gain_p * matrix(spec.p, spec.kernel_b), spec.f, spec.g)
 
 
 def apply_cycle_map(spec: SystemSpec, state: State) -> State:
@@ -147,7 +128,7 @@ def solve_periodic(spec: SystemSpec,
     from .verify import periodic_residual_max
 
     T = spec.period
-    apply_map = _cycle_map_vec(spec)
+    cycle_map = _cycle_map_vec(spec)
     if opts.initial_guess is None:
         z0 = np.zeros(2 * T)
     else:
@@ -156,9 +137,9 @@ def solve_periodic(spec: SystemSpec,
             raise ValueError("initial guess period does not match the system")
         z0 = np.array(gx.values + gy.values)
 
-    result = solve_fixed_point(apply_map, z0, tol=opts.tol,
-                               max_iter=opts.max_iter, damping=opts.damping,
-                               strategy=opts.strategy)
+    result = solve_fixed_point(cycle_map, z0, jacobian=cycle_map.jacobian,
+                               tol=opts.tol, max_iter=opts.max_iter,
+                               damping=opts.damping, strategy=opts.strategy)
     solution = (PeriodicSequence(T, tuple(result.z[:T])),
                 PeriodicSequence(T, tuple(result.z[T:])))
     residual_max = periodic_residual_max(spec, solution, n_checks=5 * T)
@@ -176,7 +157,6 @@ def solve_periodic(spec: SystemSpec,
 
 
 __all__ = [
-    "PeriodProductIsOne",
     "PeriodicSolveReport",
     "SolverOptions",
     "apply_cycle_map",

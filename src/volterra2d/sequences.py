@@ -3,7 +3,7 @@ and the running-product conventions the rest of the library is built on."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -167,7 +167,6 @@ class Trajectory:
     y: Tuple[float, ...]
     history: History
     tail_tolerance_used: float
-    start: int = field(default=0)
 
     def __post_init__(self):
         if len(self.x) != len(self.y):

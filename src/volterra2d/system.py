@@ -63,6 +63,22 @@ class Nonlinearity:
             out = self.amplitude * u / (1.0 + u * u)
         return float(out) if np.ndim(out) == 0 else out
 
+    def derivative(self, x):
+        """d/dx of the value, entry by entry; |derivative| <= lipschitz."""
+        u = self.frequency * np.asarray(x, dtype=float)
+        if self.kind == "sin":
+            slope = np.cos(u)
+        elif self.kind == "cos":
+            slope = -np.sin(u)
+        elif self.kind == "tanh":
+            slope = 1.0 - np.tanh(u) ** 2
+        else:
+            # (1 - u^2) / (1 + u^2)^2, written so that huge |u| gives 0
+            w = 1.0 / (1.0 + u * u)
+            slope = 2.0 * w * w - w
+        out = self.amplitude * self.frequency * slope
+        return float(out) if np.ndim(out) == 0 else out
+
     @property
     def bound(self) -> float:
         """Certified sup of |value| over the reals."""
@@ -84,10 +100,6 @@ class Nonlinearity:
         |k*x| = 1, so it cannot be routed through the monotone theorems.
         """
         return self.kind == "tanh" and self.amplitude * self.frequency > 0.0
-
-
-def eval_nonlinearity(f: Nonlinearity, x: float) -> float:
-    return f(x)
 
 
 @dataclass(frozen=True)

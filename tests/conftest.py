@@ -99,3 +99,18 @@ def random_summable_spec(rng) -> v.SystemSpec:
     return v.SystemSpec(T, coeffs(), coeffs(), kernel(), kernel(),
                         random_nonlinearity(rng, 1.5),
                         random_nonlinearity(rng, 1.5))
+
+
+def central_difference_jacobian(apply_map, z, step=1e-6):
+    """Reference Jacobian of F(z) = z - apply_map(z), one column at a time
+    by central differences with relative step ``step``."""
+    jac = np.empty((len(z), len(z)))
+    for k in range(len(z)):
+        h = step * max(1.0, abs(z[k]))
+        plus = z.copy()
+        plus[k] += h
+        minus = z.copy()
+        minus[k] -= h
+        jac[:, k] = ((plus - apply_map(plus)) - (minus - apply_map(minus))
+                     ) / (2.0 * h)
+    return jac

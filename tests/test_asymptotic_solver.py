@@ -20,7 +20,7 @@ from volterra2d import (
     solve_asymptotic,
 )
 
-from conftest import random_summable_spec
+from conftest import central_difference_jacobian, random_summable_spec
 
 POLICY = TruncationPolicy(1e-10, 100_000)
 TAIL_MASS_A = 2.502650301077119
@@ -190,6 +190,13 @@ class TestSolveAsymptotic:
         with pytest.raises(ValueError):
             solve_asymptotic(example2_spec, 1.0, 1.0, 7, policy=POLICY)
 
+    def test_initial_guess_rejected(self, example2_spec):
+        guess = (PeriodicSequence(2, (1.0, 0.5)),
+                 PeriodicSequence(2, (1.0, 0.5)))
+        with pytest.raises(ValueError, match="initial_guess"):
+            solve_asymptotic(example2_spec, 1.0, 1.0, 8,
+                             SolverOptions(initial_guess=guess), POLICY)
+
     def test_random_summable_systems(self):
         rng = np.random.default_rng(77)
         converged = 0
@@ -215,3 +222,11 @@ class TestOperatorReuse:
         bx, by, _ = apply_tail_map(example2_spec, 1.0, 1.0, xw, yw, POLICY)
         assert np.array_equal(ax, bx)
         assert np.array_equal(ay, by)
+
+    def test_jacobian_matches_central_differences(self, example2_spec):
+        rng = np.random.default_rng(14)
+        tail_map = TailMapOperator(example2_spec, 1.0, 1.0, 15, POLICY).map
+        z = rng.uniform(-3, 3, 32)
+        assert np.allclose(tail_map.jacobian(z),
+                           central_difference_jacobian(tail_map, z),
+                           rtol=0.0, atol=1e-7)

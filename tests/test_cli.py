@@ -167,10 +167,20 @@ class TestInputErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
 
-    def test_seed_flag_accepted(self, example1_path, tmp_path):
-        assert run(["check", "--config", str(example1_path),
-                    "--mode", "periodic", "--seed", "7",
-                    "--out", str(tmp_path / "r.json")]) == 0
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_nonfinite_amplitude_names_field(self, example2_path, tmp_path,
+                                             capsys, where):
+        config = json.loads(example2_path.read_text())
+        argv = ["solve-asymptotic", "--out", str(tmp_path / "r.json")]
+        if where == "config":
+            config["c1"] = float("inf")  # written as Infinity
+        else:
+            argv += ["--c1", "inf"]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(config))
+        assert run(argv + ["--config", str(path)]) == 1
+        assert "c1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_finite_lag_config_end_to_end(tmp_path):

@@ -19,7 +19,9 @@ from volterra2d import (
     solve_periodic,
 )
 
-from conftest import random_periodic_spec
+from volterra2d.periodic_solver import _cycle_map_vec
+
+from conftest import central_difference_jacobian, random_periodic_spec
 
 CONSTANT_DRIVE_EVEN = -1.5819767068693265   # frozen: -(1/2) * 2 * e/(e-1)
 CONSTANT_DRIVE_ODD = -3.163953413738653     # frozen: -(1/2) * 4 * e/(e-1)
@@ -109,6 +111,16 @@ class TestCycleMap:
             scale = max(1.0, max(abs(u) for u in folded[0].values + folded[1].values))
             for a, b in zip(folded, direct):
                 assert a.values == pytest.approx(b.values, abs=1e-10 * scale)
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            spec = random_periodic_spec(rng)
+            cycle_map = _cycle_map_vec(spec)
+            z = rng.uniform(-2, 2, 2 * spec.period)
+            assert np.allclose(cycle_map.jacobian(z),
+                               central_difference_jacobian(cycle_map, z),
+                               rtol=0.0, atol=1e-7)
 
     def test_self_map_bound(self):
         rng = np.random.default_rng(21)

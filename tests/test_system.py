@@ -12,7 +12,6 @@ from volterra2d import (
     SystemSpec,
     check_asymptotic_hypotheses,
     check_periodic_hypotheses,
-    eval_nonlinearity,
     parse_system,
     spec_to_config,
 )
@@ -26,12 +25,12 @@ TAIL_MASS_B = 1.8295839719133922
 
 class TestNonlinearity:
     def test_point_values(self):
-        assert eval_nonlinearity(Nonlinearity("sin", 1.0, 2.0), math.pi / 4) \
+        assert Nonlinearity("sin", 1.0, 2.0)(math.pi / 4) \
             == pytest.approx(1.0, rel=1e-15)
-        assert eval_nonlinearity(Nonlinearity("cos", 1.0, 1.0), 0.0) == 1.0
-        assert eval_nonlinearity(Nonlinearity("rational_bounded", 1.0, 1.0),
-                                 1.0) == pytest.approx(0.5, rel=1e-15)
-        assert eval_nonlinearity(Nonlinearity("tanh", 2.0, 1.0), 100.0) \
+        assert Nonlinearity("cos", 1.0, 1.0)(0.0) == 1.0
+        assert Nonlinearity("rational_bounded", 1.0, 1.0)(1.0) \
+            == pytest.approx(0.5, rel=1e-15)
+        assert Nonlinearity("tanh", 2.0, 1.0)(100.0) \
             == pytest.approx(2.0, rel=1e-12)
 
     def test_vectorized_evaluation(self):
@@ -57,6 +56,23 @@ class TestNonlinearity:
         y = x + rng.uniform(-0.5, 0.5, 5000)
         assert np.all(np.abs(f(x) - f(y))
                       <= f.lipschitz * np.abs(x - y) + 1e-12)
+
+    @pytest.mark.parametrize(
+        "seed, kind", enumerate(["sin", "cos", "tanh", "rational_bounded"]))
+    def test_derivative_matches_central_differences(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            f = Nonlinearity(kind, float(rng.uniform(-2, 2)),
+                             float(rng.uniform(-2, 2)))
+            x = rng.uniform(-20, 20, 5000)
+            step = 1e-6
+            central = (f(x + step) - f(x - step)) / (2.0 * step)
+            slope = f.derivative(x)
+            assert np.allclose(slope, central, rtol=0.0, atol=1e-8)
+            assert np.all(np.abs(slope) <= f.lipschitz)
+            assert isinstance(f.derivative(0.5), float)
+        with np.errstate(over="ignore"):  # huge arguments stay finite
+            assert np.all(np.isfinite(f.derivative(np.array([1e200, -1e200]))))
 
     def test_monotone_flags(self):
         assert Nonlinearity("tanh", 1.0, 1.0).monotone
