@@ -18,61 +18,10 @@ import numpy as np
 from ._iteration import CoupledMap, solve_fixed_point
 from .kernels import Kernel, TailNotCertified, TruncationPolicy
 from .periodic_solver import SolverOptions
-from .sequences import (
-    PeriodicSequence,
-    PeriodProductNotOne,
-    ZeroFactor,
-    reciprocal_growth,
-)
+from .sequences import PeriodicSequence, PeriodProductNotOne, ZeroFactor
 from .simulate import residual as recurrence_residual
-from .system import Nonlinearity, SystemSpec
-
-
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Reciprocal running products of (1+h) and (1+p) over one period,
-    with the extremes of their absolute values (all positive, so the tail
-    map's growth factors are bounded both ways)."""
-
-    x: PeriodicSequence
-    y: PeriodicSequence
-    min_x: float
-    max_x: float
-    min_y: float
-    max_y: float
-
-    @property
-    def ratio_x(self) -> float:
-        return self.max_x / self.min_x
-
-    @property
-    def ratio_y(self) -> float:
-        return self.max_y / self.min_y
-
-
-def decay_envelope(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
-                   n: int) -> float:
-    """ratio * bound * double_tail(n): the certified bound at n on the
-    deviation from the free response of the component driven through
-    ``kernel`` and ``nonlin``, with ``ratio`` its growth ratio max/min.  A
-    zero nonlinearity bound kills the whole drive, so the infinite double
-    tail of a non-summable kernel never multiplies a nonzero factor."""
-    bound = nonlin.bound
-    return ratio * bound * kernel.double_tail(n) if bound > 0.0 else 0.0
-
-
-def growth_profile(spec: SystemSpec) -> GrowthProfile:
-    """Compute the reciprocal growth sequences for both components.
-
-    Raises PeriodProductNotOne outside the unit-product regime and
-    ZeroFactor when some 1+h_n or 1+p_n vanishes.
-    """
-    rx = reciprocal_growth(spec.h)
-    ry = reciprocal_growth(spec.p)
-    return GrowthProfile(
-        rx, ry,
-        min(abs(v) for v in rx.values), max(abs(v) for v in rx.values),
-        min(abs(v) for v in ry.values), max(abs(v) for v in ry.values))
+from .system import (GrowthProfile, Nonlinearity, SystemSpec,
+                     amplitude_warnings, decay_envelope, growth_profile)
 
 
 @dataclass(frozen=True)
@@ -112,6 +61,7 @@ class AsymptoticSolveReport:
     method_used: str
     final_update_norm: float
     residual_max: float
+    defects: Tuple[Tuple[float, float], ...]  # (x, y) defect at n < horizon
     truncation_error: float
     closure_error: float
     converged: bool
@@ -319,14 +269,6 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
         raise ValueError("initial_guess: not supported by solve_asymptotic")
     if horizon < 4 * T:
         raise ValueError(f"horizon must be at least 4 periods ({4 * T})")
-    warnings = []
-    if c1 <= 0.0:
-        warnings.append("c1 <= 0: the existence theory assumes positive "
-                        "asymptote amplitudes")
-    if c2 <= 0.0:
-        warnings.append("c2 <= 0: the existence theory assumes positive "
-                        "asymptote amplitudes")
-
     op = TailMapOperator(spec, c1, c2, horizon, policy)
     width = horizon + 1
     u1_window = c1 / op.component_x.growth_out
@@ -351,10 +293,9 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     def y_value(m: int) -> float:
         return yw[m] if m >= 0 else 0.0
 
-    residual_max = 0.0
-    for n in range(horizon):
-        dx, dy = recurrence_residual(spec, x_value, y_value, n, policy)
-        residual_max = max(residual_max, dx, dy)
+    defects = tuple(recurrence_residual(spec, x_value, y_value, n, policy)
+                    for n in range(horizon))
+    residual_max = max(max(pair) for pair in defects)
 
     slack = 10.0 * policy.tail_tol
     envelope_ok = (np.all(np.abs(v1) <= bound_x + slack)
@@ -377,10 +318,11 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
         method_used=result.method_used,
         final_update_norm=result.final_update_norm,
         residual_max=residual_max,
+        defects=defects,
         truncation_error=op.certified_error,
         closure_error=op.closure_error,
         converged=converged,
-        warnings=tuple(warnings),
+        warnings=amplitude_warnings(c1, c2),
     )
 
 

@@ -24,7 +24,7 @@ from .sequences import (
     PeriodProductNotOne,
     ZeroFactor,
 )
-from .simulate import residual, simulate
+from .simulate import simulate
 from .system import (
     ConfigError,
     SystemSpec,
@@ -242,16 +242,9 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--steps: must be nonnegative")
     trajectory = simulate(spec, history, args.steps, policy)
 
-    rows = []
-    for n in range(len(trajectory)):
-        row: Dict[str, Any] = {"n": n, "x": trajectory.x[n],
-                               "y": trajectory.y[n]}
-        if n < args.steps:
-            dx, dy = residual(spec, trajectory.x_at, trajectory.y_at, n,
-                              policy)
-            row["res_x"] = dx
-            row["res_y"] = dy
-        rows.append(row)
+    rows = [{"n": n, "x": trajectory.x[n], "y": trajectory.y[n]}
+            for n in range(len(trajectory))]
+    _add_defects(rows, trajectory.defects)
     _write_csv(rows, args.csv)
     _write_report({
         "command": "simulate",
@@ -268,23 +261,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _solve_periodic_report(spec, doc, args):
+def _add_defects(rows: List[Dict[str, Any]], defects) -> None:
+    """Fill res_x/res_y of rows[n] from the recurrence defect at step n."""
+    for row, (dx, dy) in zip(rows, defects):
+        row.update(res_x=dx, res_y=dy)
+
+
+def _solve_periodic_report(spec, doc, args, policy):
     opts = _parse_solver(doc, spec, args.tol)
-    report = periodic_solver.solve_periodic(spec, opts)
-    policy = _parse_truncation(doc, args.tail_tol)
-    rows = []
+    report = periodic_solver.solve_periodic(spec, opts, policy)
     sol_x, sol_y = report.solution
-    for n in range(spec.period):
-        dx, dy = residual(spec, sol_x.get, sol_y.get, n, policy)
-        rows.append({"n": n, "x": sol_x.get(n), "y": sol_y.get(n),
-                     "res_x": dx, "res_y": dy})
+    rows = [{"n": n, "x": sol_x.get(n), "y": sol_y.get(n)}
+            for n in range(spec.period)]
+    _add_defects(rows, report.defects)
     return report, rows
 
 
 def _cmd_solve_periodic(args) -> int:
     doc = _load_config(args.config)
     spec = parse_system(doc)
-    report, rows = _solve_periodic_report(spec, doc, args)
+    policy = _parse_truncation(doc, args.tail_tol)
+    report, rows = _solve_periodic_report(spec, doc, args, policy)
     _write_csv(rows, args.csv)
     _write_report({
         "command": "solve-periodic",
@@ -294,25 +291,14 @@ def _cmd_solve_periodic(args) -> int:
     return 0 if report.converged else 2
 
 
-def _asymptotic_rows(spec, report, policy) -> List[Dict[str, Any]]:
+def _asymptotic_rows(report) -> List[Dict[str, Any]]:
     dec = report.decomposition
-    rows = []
-    for n in range(dec.horizon + 1):
-        row: Dict[str, Any] = {
-            "n": n, "x": report.x[n], "y": report.y[n],
-            "u1": dec.u1.get(n), "v1": dec.v1[n],
-            "u2": dec.u2.get(n), "v2": dec.v2[n],
-            "bound_v1": dec.v1_bound[n], "bound_v2": dec.v2_bound[n],
-        }
-        if n < dec.horizon:
-            dx, dy = residual(
-                spec,
-                lambda m: report.x[m] if m >= 0 else 0.0,
-                lambda m: report.y[m] if m >= 0 else 0.0,
-                n, policy)
-            row["res_x"] = dx
-            row["res_y"] = dy
-        rows.append(row)
+    rows = [{"n": n, "x": report.x[n], "y": report.y[n],
+             "u1": dec.u1.get(n), "v1": dec.v1[n],
+             "u2": dec.u2.get(n), "v2": dec.v2[n],
+             "bound_v1": dec.v1_bound[n], "bound_v2": dec.v2_bound[n]}
+            for n in range(dec.horizon + 1)]
+    _add_defects(rows, report.defects)
     return rows
 
 
@@ -325,7 +311,7 @@ def _cmd_solve_asymptotic(args) -> int:
     horizon = _resolve_horizon(args, doc, spec)
     report = asymptotic_solver.solve_asymptotic(spec, c1, c2, horizon, opts,
                                                 policy)
-    _write_csv(_asymptotic_rows(spec, report, policy), args.csv)
+    _write_csv(_asymptotic_rows(report), args.csv)
     _write_report({
         "command": "solve-asymptotic",
         "config": _echo_config(spec, c1=c1, c2=c2, horizon=horizon),
@@ -339,7 +325,7 @@ def _cmd_verify(args) -> int:
     spec = parse_system(doc)
     policy = _parse_truncation(doc, args.tail_tol)
     if args.mode == "periodic":
-        solve_report, rows = _solve_periodic_report(spec, doc, args)
+        solve_report, rows = _solve_periodic_report(spec, doc, args, policy)
         verification = verify.verify_periodic(spec, solve_report.solution)
         ok = solve_report.converged and verification.passed
         body = {"solve": solve_report.as_dict(),
@@ -353,7 +339,7 @@ def _cmd_verify(args) -> int:
         verification = verify.verify_decomposition(
             spec, solve_report.decomposition, tail_tol=policy.tail_tol)
         ok = solve_report.converged and verification.passed
-        rows = _asymptotic_rows(spec, solve_report, policy)
+        rows = _asymptotic_rows(solve_report)
         body = {"solve": solve_report.as_dict(),
                 "verification": verification.as_dict()}
     _write_csv(rows, args.csv)

@@ -161,12 +161,14 @@ class History:
 class Trajectory:
     """Forward solution values on n = 0..len-1; negative indices delegate
     to the attached history.  ``tail_tolerance_used`` is the certified
-    per-step truncation tolerance of the infinite sums."""
+    per-step truncation tolerance of the infinite sums; ``defects[n]`` is
+    the (x, y) recurrence defect of the step from n to n+1."""
 
     x: Tuple[float, ...]
     y: Tuple[float, ...]
     history: History
     tail_tolerance_used: float
+    defects: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if len(self.x) != len(self.y):

@@ -17,7 +17,9 @@ def simulate(spec: SystemSpec, history: History, steps: int,
 
     (and its y counterpart) for n = 0..steps-1, starting from the history
     at n = 0.  Each infinite sum is truncated with a certified tail at most
-    the policy's tail_tol; the trajectory records that tolerance.  Given
+    the policy's tail_tol; the trajectory records that tolerance and, for
+    each step, the round-off defect of the recurrence against the drive it
+    just summed (what ``residual`` reports for the same values).  Given
     the history, the solution is unique, and identical inputs reproduce
     bitwise-identical trajectories.
     """
@@ -34,14 +36,19 @@ def simulate(spec: SystemSpec, history: History, steps: int,
         return ys[m] if m >= 0 else history.value_at(m)[1]
 
     f, g = spec.f, spec.g
+    defects = []
     for n in range(steps):
         drive_x, _ = inner_sum(spec.kernel_a, n, lambda m: f(y_value(m)),
                                f.bound, policy)
         drive_y, _ = inner_sum(spec.kernel_b, n, lambda m: g(x_value(m)),
                                g.bound, policy)
-        xs.append((1.0 + spec.h.get(n)) * xs[n] + drive_x)
-        ys.append((1.0 + spec.p.get(n)) * ys[n] + drive_y)
-    return Trajectory(tuple(xs), tuple(ys), history, policy.tail_tol)
+        gain_x, gain_y = 1.0 + spec.h.get(n), 1.0 + spec.p.get(n)
+        xs.append(gain_x * xs[n] + drive_x)
+        ys.append(gain_y * ys[n] + drive_y)
+        defects.append((abs(xs[n + 1] - gain_x * xs[n] - drive_x),
+                        abs(ys[n + 1] - gain_y * ys[n] - drive_y)))
+    return Trajectory(tuple(xs), tuple(ys), history, policy.tail_tol,
+                      tuple(defects))
 
 
 def residual(spec: SystemSpec, values_x: Callable[[int], float],

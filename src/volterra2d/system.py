@@ -129,6 +129,60 @@ class SystemSpec:
 
 
 @dataclass(frozen=True)
+class GrowthProfile:
+    """Reciprocal running products of (1+h) and (1+p) over one period,
+    with the extremes of their absolute values (all positive, so the tail
+    map's growth factors are bounded both ways)."""
+
+    x: PeriodicSequence
+    y: PeriodicSequence
+    min_x: float
+    max_x: float
+    min_y: float
+    max_y: float
+
+    @property
+    def ratio_x(self) -> float:
+        return self.max_x / self.min_x
+
+    @property
+    def ratio_y(self) -> float:
+        return self.max_y / self.min_y
+
+
+def decay_envelope(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
+                   n: int) -> float:
+    """ratio * bound * double_tail(n): the certified bound at n on the
+    deviation from the free response of the component driven through
+    ``kernel`` and ``nonlin``, with ``ratio`` its growth ratio max/min.  A
+    zero nonlinearity bound kills the whole drive, so the infinite double
+    tail of a non-summable kernel never multiplies a nonzero factor."""
+    bound = nonlin.bound
+    return ratio * bound * kernel.double_tail(n) if bound > 0.0 else 0.0
+
+
+def growth_profile(spec: SystemSpec) -> GrowthProfile:
+    """Compute the reciprocal growth sequences for both components.
+
+    Raises PeriodProductNotOne outside the unit-product regime and
+    ZeroFactor when some 1+h_n or 1+p_n vanishes.
+    """
+    rx = reciprocal_growth(spec.h)
+    ry = reciprocal_growth(spec.p)
+    return GrowthProfile(
+        rx, ry,
+        min(abs(v) for v in rx.values), max(abs(v) for v in rx.values),
+        min(abs(v) for v in ry.values), max(abs(v) for v in ry.values))
+
+
+def amplitude_warnings(c1: float, c2: float) -> Tuple[str, ...]:
+    """One warning per asymptote amplitude outside the theory's c > 0."""
+    return tuple(f"{name} <= 0: the existence theory assumes positive "
+                 "asymptote amplitudes"
+                 for name, c in (("c1", c1), ("c2", c2)) if c <= 0.0)
+
+
+@dataclass(frozen=True)
 class CheckItem:
     key: str
     passed: bool
@@ -279,7 +333,6 @@ def check_asymptotic_hypotheses(spec: SystemSpec, c1: float = 1.0,
     warning (the existence theory assumes positive constants)."""
     items = []
     quantities: Dict[str, float] = {}
-    warnings = []
 
     prod_h = spec.h.full_period_product_one_plus()
     prod_p = spec.p.full_period_product_one_plus()
@@ -310,27 +363,26 @@ def check_asymptotic_hypotheses(spec: SystemSpec, c1: float = 1.0,
 
     growth_ok = False
     if eq and min_h > 0.0 and min_p > 0.0:
-        rx = reciprocal_growth(spec.h)
-        ry = reciprocal_growth(spec.p)
-        min_x = min(abs(v) for v in rx.values)
-        max_x = max(abs(v) for v in rx.values)
-        min_y = min(abs(v) for v in ry.values)
-        max_y = max(abs(v) for v in ry.values)
-        growth_ok = min_x > 0.0 and min_y > 0.0
-        quantities.update(recip_growth_min_x=min_x, recip_growth_max_x=max_x,
-                          recip_growth_min_y=min_y, recip_growth_max_y=max_y)
+        prof = growth_profile(spec)
+        growth_ok = prof.min_x > 0.0 and prof.min_y > 0.0
+        extremes = {"min_x": prof.min_x, "max_x": prof.max_x,
+                    "min_y": prof.min_y, "max_y": prof.max_y}
+        quantities.update({"recip_growth_" + k: v for k, v in extremes.items()})
         items.append(CheckItem(
             "growth_extremes", growth_ok,
             "min/max over a period of the absolute reciprocal growth",
-            {"min_x": min_x, "max_x": max_x, "min_y": min_y, "max_y": max_y}))
+            extremes))
     else:
         items.append(CheckItem(
             "growth_extremes", False,
             "requires unit products and nonvanishing factors", {}))
 
     if growth_ok and math.isfinite(tail_a) and math.isfinite(tail_b):
-        radius = max(max_x / min_x * spec.f.bound * tail_a + abs(c1) / min_x,
-                     max_y / min_y * spec.g.bound * tail_b + abs(c2) / min_y)
+        radius = max(
+            decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, 0)
+            + abs(c1) / prof.min_x,
+            decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, 0)
+            + abs(c2) / prof.min_y)
         quantities["radius"] = radius
         items.append(CheckItem(
             "self_map_radius", math.isfinite(radius),
@@ -341,16 +393,9 @@ def check_asymptotic_hypotheses(spec: SystemSpec, c1: float = 1.0,
             "self_map_radius", False,
             "requires growth extremes and summable kernels", {}))
 
-    if c1 <= 0.0:
-        warnings.append("c1 <= 0: the existence theory assumes positive "
-                        "asymptote amplitudes")
-    if c2 <= 0.0:
-        warnings.append("c2 <= 0: the existence theory assumes positive "
-                        "asymptote amplitudes")
-
     passed = all(it.passed for it in items)
     return CheckReport("asymptotic", passed, tuple(items), quantities,
-                       None, tuple(warnings))
+                       None, amplitude_warnings(c1, c2))
 
 
 # ---------------------------------------------------------------------------

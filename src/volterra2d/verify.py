@@ -3,7 +3,9 @@
 Residuals here are computed by direct fixed-depth kernel summation with an
 explicit geometric remainder, written without the folded tables or the
 adaptive truncation the solvers use, so the verifier and the solvers share
-no nontrivial code path.
+no nontrivial code path.  The solvers gate ``converged`` on their own
+certified-tail recurrence residual (the periodic one over one period);
+this module is the independent fixed-depth check on top of that.
 """
 from __future__ import annotations
 

@@ -1,11 +1,22 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from volterra2d import parse_system
+from volterra2d import (
+    History,
+    PeriodicSequence,
+    TruncationPolicy,
+    parse_system,
+    residual,
+)
 from volterra2d.cli import CSV_HEADER, run
+
+# ``python -m`` puts the working directory on sys.path, so a subprocess run
+# from here imports the checkout without PYTHONPATH.
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv(path):
@@ -71,6 +82,64 @@ class TestSimulateCommand:
     def test_negative_steps_rejected(self, example2_path):
         assert run(["simulate", "--config", str(example2_path),
                     "--steps", "-1", "--out", "/dev/null"]) == 1
+
+
+class TestTableDefects:
+    """The res_x/res_y columns of every table are the recurrence defects of
+    the reported values, and a solve reports their maximum."""
+
+    COS_NONLINEARITIES = {"f": {"kind": "cos", "amplitude": 1.0,
+                                "frequency": 1.0},
+                          "g": {"kind": "cos", "amplitude": 1.0,
+                                "frequency": 2.0}}
+
+    @pytest.mark.parametrize("command", ["simulate", "solve-periodic",
+                                         "solve-asymptotic"])
+    def test_defect_columns_match_residual(self, command, example1_path,
+                                           example2_path, tmp_path):
+        if command == "solve-periodic":
+            config = json.loads(example1_path.read_text())
+            config.update(self.COS_NONLINEARITIES)
+            extra, steps = [], config["period"]
+        elif command == "simulate":
+            config = json.loads(example2_path.read_text())
+            config["history"] = {"window": [[0.3, -0.2], [0.1, 0.4]],
+                                 "tail": {"x": 0.05, "y": -0.1}}
+            extra, steps = ["--steps", "12"], 12
+        else:
+            config = json.loads(example2_path.read_text())
+            extra, steps = ["--horizon", "20"], 20
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out, csv_path = tmp_path / "r.json", tmp_path / "table.csv"
+        run([command, "--config", str(path), "--out", str(out),
+             "--csv", str(csv_path), *extra])
+        report = json.loads(out.read_text())["report"]
+        spec = parse_system(config)
+        policy = TruncationPolicy(**config["truncation"])
+
+        xs, ys = report["x"], report["y"]
+        if command == "solve-periodic":
+            values_x = PeriodicSequence(spec.period, xs).get
+            values_y = PeriodicSequence(spec.period, ys).get
+        else:
+            history = (History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
+                       if command == "simulate" else History.zero())
+
+            def values_x(m):
+                return xs[m] if m >= 0 else history.value_at(m)[0]
+
+            def values_y(m):
+                return ys[m] if m >= 0 else history.value_at(m)[1]
+
+        header, rows = read_csv(csv_path)
+        col_x, col_y = header.index("res_x"), header.index("res_y")
+        table = [(float(row[col_x]), float(row[col_y]))
+                 for row in rows if row[col_x] != ""]
+        assert table == [residual(spec, values_x, values_y, n, policy)
+                         for n in range(steps)]
+        if command != "simulate":
+            assert report["residual_max"] == max(max(pair) for pair in table)
 
 
 class TestSolveCommands:
@@ -219,6 +288,6 @@ def test_console_entry_point(example1_path, tmp_path):
         [sys.executable, "-m", "volterra2d.cli", "check",
          "--config", str(example1_path), "--mode", "periodic",
          "--out", str(tmp_path / "r.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=SRC_DIR)
     assert result.returncode == 0
     assert json.loads((tmp_path / "r.json").read_text())["report"]["passed"]

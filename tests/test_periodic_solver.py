@@ -8,6 +8,7 @@ from volterra2d import (
     Nonlinearity,
     PeriodicSequence,
     PeriodProductIsOne,
+    SeparableExponential,
     SolverOptions,
     SystemSpec,
     TruncationPolicy,
@@ -207,6 +208,25 @@ class TestSolvePeriodic:
                 solved += 1
                 assert report.residual_max <= 1e-8
         assert solved >= 4  # most random systems have reachable fixed points
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_slow_kernel_solution_converges(self, period):
+        """Slow kernels (coef 0.05, rate 0.05) on example1 with cos
+        nonlinearities and constant h = 0.5, p = 0.3.  The gate is the
+        certified-tail residual over one period, about 4.4e-11 here; a
+        fixed 256-term kernel sum drops a tail of about 1.2e-6 and would
+        fail this correct solution.  verify_periodic still fails it, because
+        its own fixed depth cuts both its sums and its round-trip history
+        short; that verdict is the verifier's and is left alone here."""
+        kernel = SeparableExponential(0.05, 0.05, 0.05)
+        spec = SystemSpec(
+            period, PeriodicSequence(period, (0.5,) * period),
+            PeriodicSequence(period, (0.3,) * period), kernel, kernel,
+            Nonlinearity("cos", 1.0, 1.0), Nonlinearity("cos", 1.0, 2.0))
+        report = solve_periodic(spec)
+        assert report.converged
+        assert report.residual_max <= 1e-8
+        assert len(report.defects) == period
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

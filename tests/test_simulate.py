@@ -66,6 +66,13 @@ class TestResidual:
             assert dx <= 10 * POLICY.tail_tol * max(1.0, scale)
             assert dy <= 10 * POLICY.tail_tol * max(1.0, scale)
 
+    def test_trajectory_keeps_the_residual_of_each_step(self, example1_spec):
+        hist = History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
+        t = simulate(example1_spec, hist, 12, POLICY)
+        assert t.defects == tuple(
+            residual(example1_spec, t.x_at, t.y_at, n, POLICY)
+            for n in range(12))
+
     def test_zero_everything_gives_exact_zero(self, zero_amplitude_spec):
         zero = lambda m: 0.0
         for n in range(5):
