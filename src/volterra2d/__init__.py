@@ -44,9 +44,11 @@ from .system import (
     CheckReport,
     ConfigError,
     Nonlinearity,
+    Scenario,
     SystemSpec,
     check_asymptotic_hypotheses,
     check_periodic_hypotheses,
+    parse_scenario,
     parse_system,
     spec_to_config,
 )
@@ -78,6 +80,7 @@ __all__ = [
     "PeriodicSequence",
     "PeriodicSolveReport",
     "PeriodicVerification",
+    "Scenario",
     "SeparableExponential",
     "SolverOptions",
     "SystemSpec",
@@ -93,6 +96,7 @@ __all__ = [
     "cycle_gain",
     "growth_profile",
     "inner_sum",
+    "parse_scenario",
     "parse_system",
     "periodic_residual_max",
     "product_one_plus",

@@ -5,14 +5,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
+
+from .sequences import PeriodicSequence
 
 STRATEGIES = ("picard_then_newton", "picard_only", "newton_only")
 
 #: Picard stalls after this many iterations without a new best update norm.
 STALL_PATIENCE = 10
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    tol: float = 1e-12
+    residual_tol: float = 1e-8
+    max_iter: int = 200
+    damping: float = 0.5
+    strategy: str = "picard_then_newton"
+    initial_guess: Optional[Tuple[PeriodicSequence, PeriodicSequence]] = None
+
+    def __post_init__(self):
+        if not (self.tol > 0.0 and self.residual_tol > 0.0):
+            raise ValueError("tol and residual_tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if not (0.0 < self.damping <= 1.0):
+            raise ValueError("damping must be in (0, 1]")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,39 +104,36 @@ def _newton(apply_map: Callable[[np.ndarray], np.ndarray],
 def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
                       z0: np.ndarray, *,
                       jacobian: Callable[[np.ndarray], np.ndarray],
-                      tol: float, max_iter: int, damping: float,
-                      strategy: str) -> IterationResult:
+                      opts: SolverOptions) -> IterationResult:
     """Find z with z = apply_map(z).
 
     Picard phase: z <- (1-damping) z + damping * map(z) until the update
-    norm drops below tol, stalling (no new minimum update norm for
+    norm drops below opts.tol, stalling (no new minimum update norm for
     STALL_PATIENCE iterations, which also catches sustained oscillation)
-    or exhausting max_iter.  On stall the best iterate seen seeds Newton,
-    whose linear systems use ``jacobian(z)``, the Jacobian of
+    or exhausting opts.max_iter.  On stall the best iterate seen seeds
+    Newton, whose linear systems use ``jacobian(z)``, the Jacobian of
     z - apply_map(z).  Non-convergence is reported, not raised.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     z = np.asarray(z0, dtype=float).copy()
     iterations = 0
     update = math.inf
     method = "newton"
 
-    if strategy != "newton_only":
-        method = "picard" if damping == 1.0 else "damped_picard"
+    if opts.strategy != "newton_only":
+        method = "picard" if opts.damping == 1.0 else "damped_picard"
         best_update = math.inf
         best_z = z.copy()
         since_best = 0
-        while iterations < max_iter:
+        while iterations < opts.max_iter:
             mapped = apply_map(z)
-            z_next = (1.0 - damping) * z + damping * mapped
+            z_next = (1.0 - opts.damping) * z + opts.damping * mapped
             iterations += 1
             if not np.all(np.isfinite(z_next)):
                 z = best_z
                 break
             update = float(np.max(np.abs(z_next - z)))
             z = z_next
-            if update < tol:
+            if update < opts.tol:
                 return IterationResult(z, iterations, method, update, True)
             if update < best_update:
                 best_update = update
@@ -125,15 +144,15 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
                 if since_best >= STALL_PATIENCE:
                     z = best_z
                     break
-        if strategy == "picard_only":
+        if opts.strategy == "picard_only":
             return IterationResult(z, iterations, method, update, False)
 
-    budget = (max_iter - iterations if strategy == "picard_then_newton"
-              else max_iter)
+    budget = (opts.max_iter - iterations
+              if opts.strategy == "picard_then_newton" else opts.max_iter)
     z_newton, used, update_newton, converged = _newton(apply_map, jacobian, z,
-                                                       tol, budget)
+                                                       opts.tol, budget)
     iterations += used
-    if used > 0 or strategy == "newton_only":
+    if used > 0 or opts.strategy == "newton_only":
         z = z_newton
         update = update_newton
         method = "newton"

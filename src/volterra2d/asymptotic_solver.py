@@ -15,9 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ._iteration import CoupledMap, solve_fixed_point
+from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import Kernel, TailNotCertified, TruncationPolicy
-from .periodic_solver import SolverOptions
 from .sequences import PeriodicSequence, PeriodProductNotOne, ZeroFactor
 from .simulate import residual as recurrence_residual
 from .system import (GrowthProfile, Nonlinearity, SystemSpec,
@@ -275,8 +274,7 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     u2_window = c2 / op.component_y.growth_out
     z0 = np.concatenate([u1_window, u2_window])
     result = solve_fixed_point(op.map, z0, jacobian=op.map.jacobian,
-                               tol=opts.tol, max_iter=opts.max_iter,
-                               damping=opts.damping, strategy=opts.strategy)
+                               opts=opts)
     xw = result.z[:width]
     yw = result.z[width:]
 

@@ -12,37 +12,17 @@ The fixed-depth check in the verify module stays independent of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ._iteration import STRATEGIES, CoupledMap, solve_fixed_point
+from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import TruncationPolicy
 from .sequences import PeriodicSequence, cycle_gain, product_one_plus
 from .simulate import residual as recurrence_residual
 from .system import SystemSpec
 
 State = Tuple[PeriodicSequence, PeriodicSequence]
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-12
-    residual_tol: float = 1e-8
-    max_iter: int = 200
-    damping: float = 0.5
-    strategy: str = "picard_then_newton"
-    initial_guess: Optional[State] = None
-
-    def __post_init__(self):
-        if not (self.tol > 0.0 and self.residual_tol > 0.0):
-            raise ValueError("tol and residual_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must be in (0, 1]")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +124,7 @@ def solve_periodic(spec: SystemSpec,
         z0 = np.array(gx.values + gy.values)
 
     result = solve_fixed_point(cycle_map, z0, jacobian=cycle_map.jacobian,
-                               tol=opts.tol, max_iter=opts.max_iter,
-                               damping=opts.damping, strategy=opts.strategy)
+                               opts=opts)
     solution = (PeriodicSequence(T, tuple(result.z[:T])),
                 PeriodicSequence(T, tuple(result.z[T:])))
     defects = tuple(recurrence_residual(spec, solution[0].get,

@@ -1,19 +1,27 @@
 """The full problem statement: coefficient sequences, kernels, a closed
-family of nonlinearities with certified bounds, config parsing, and the
-hypothesis checkers that route a system to the periodic or asymptotic
-solver."""
+family of nonlinearities with certified bounds, the hypothesis checkers
+that route a system to the periodic or asymptotic solver, and the one
+config layer that turns a scenario document into validated values."""
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .kernels import FiniteLag, Kernel, SeparableExponential
+from ._iteration import SolverOptions
+from .kernels import (
+    FiniteLag,
+    Kernel,
+    SeparableExponential,
+    TailNotCertified,
+    TruncationPolicy,
+)
 from .sequences import (
     PRODUCT_ONE_TOL,
+    History,
     PeriodicSequence,
     product_one_plus,
     reciprocal_growth,
@@ -159,6 +167,25 @@ def decay_envelope(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
     tail of a non-summable kernel never multiplies a nonzero factor."""
     bound = nonlin.bound
     return ratio * bound * kernel.double_tail(n) if bound > 0.0 else 0.0
+
+
+def default_horizon(spec: SystemSpec, floor: float = 1e-12) -> int:
+    """Smallest horizon whose decay envelope is below ``floor``; at least
+    four periods.  Raises PeriodProductNotOne outside the unit-product
+    regime."""
+    prof = growth_profile(spec)
+    n = 4 * spec.period
+    limit = n + 100_000
+    while n < limit:
+        env_x = decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, n)
+        env_y = decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, n)
+        if env_x <= floor and env_y <= floor:
+            return n
+        if math.isinf(env_x) or math.isinf(env_y):
+            raise TailNotCertified(
+                "decay envelope is infinite; pick the horizon explicitly")
+        n += 1
+    raise TailNotCertified("no horizon with envelope below the floor")
 
 
 def growth_profile(spec: SystemSpec) -> GrowthProfile:
@@ -408,6 +435,22 @@ def _require(obj: Dict[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
+def _section(config: Dict[str, Any], key: str) -> Dict[str, Any]:
+    """The optional object ``config[key]``; absent or null reads as {}."""
+    obj = config.get(key)
+    if obj is None:
+        return {}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key}: expected an object")
+    return obj
+
+
+def _as_int(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer")
+    return value
+
+
 def _as_finite_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -415,6 +458,25 @@ def _as_finite_float(value: Any, path: str) -> float:
     if not math.isfinite(out):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     return out
+
+
+def _override(value: Any, flag: Any, check: Callable[[Any, str], Any],
+              name: str) -> Any:
+    """A command-line ``flag``, checked under its own ``name``, in place of
+    the already validated config ``value``; the value when no flag is set."""
+    return value if flag is None else check(flag, name)
+
+
+def _period_values(raw: Any, path: str, period: int) -> PeriodicSequence:
+    """One value per slot of the period, from a list of finite numbers."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}: expected a list of numbers")
+    vals = tuple(_as_finite_float(v, f"{path}[{j}]") for j, v in enumerate(raw))
+    if len(vals) != period:
+        raise ConfigError(
+            f"{path}: expected {period} entries to match period, "
+            f"got {len(vals)}")
+    return PeriodicSequence(period, vals)
 
 
 def _parse_kernel(obj: Any, path: str) -> Kernel:
@@ -460,10 +522,7 @@ def _parse_nonlinearity(obj: Any, path: str) -> Nonlinearity:
     return Nonlinearity(kind, amp, freq)
 
 
-def parse_system(config: Union[str, Dict[str, Any]]) -> SystemSpec:
-    """Build a validated SystemSpec from a config document (JSON text or an
-    already-decoded object).  Violations raise ConfigError naming the
-    offending field path."""
+def _document(config: Union[str, Dict[str, Any]]) -> Dict[str, Any]:
     if isinstance(config, str):
         try:
             config = json.loads(config)
@@ -471,33 +530,132 @@ def parse_system(config: Union[str, Dict[str, Any]]) -> SystemSpec:
             raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("top level: expected an object")
+    return config
 
-    period = _require(config, "period", "")
-    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
+
+def parse_system(config: Union[str, Dict[str, Any]]) -> SystemSpec:
+    """Build a validated SystemSpec from a config document (JSON text or an
+    already-decoded object).  Violations raise ConfigError naming the
+    offending field path."""
+    config = _document(config)
+    period = _as_int(_require(config, "period", ""), "period")
+    if period < 1:
         raise ConfigError(f"period: expected a positive integer, got {period!r}")
-
-    seqs = {}
-    for key in ("h", "p"):
-        raw = _require(config, key, "")
-        if not isinstance(raw, list):
-            raise ConfigError(f"{key}: expected a list of numbers")
-        vals = tuple(_as_finite_float(v, f"{key}[{j}]")
-                     for j, v in enumerate(raw))
-        if len(vals) != period:
-            raise ConfigError(
-                f"{key}: expected {period} entries to match period, "
-                f"got {len(vals)}")
-        seqs[key] = PeriodicSequence(period, vals)
-
     return SystemSpec(
         period=period,
-        h=seqs["h"],
-        p=seqs["p"],
+        h=_period_values(_require(config, "h", ""), "h", period),
+        p=_period_values(_require(config, "p", ""), "p", period),
         kernel_a=_parse_kernel(_require(config, "kernel_a", ""), "kernel_a"),
         kernel_b=_parse_kernel(_require(config, "kernel_b", ""), "kernel_b"),
         f=_parse_nonlinearity(_require(config, "f", ""), "f"),
         g=_parse_nonlinearity(_require(config, "g", ""), "g"),
     )
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A whole config document, validated: the system, the simulation
+    history, the truncation policy, the solver options, the asymptote
+    amplitudes and the horizon (None when unset; asymptotic runs then use
+    ``default_horizon``)."""
+
+    spec: SystemSpec
+    history: History
+    policy: TruncationPolicy
+    solver: SolverOptions
+    c1: float
+    c2: float
+    horizon: Optional[int]
+
+
+def _parse_history(obj: Dict[str, Any]) -> History:
+    raw_window = obj.get("window", [[0.0, 0.0]])
+    if not isinstance(raw_window, list) or not raw_window:
+        raise ConfigError("history.window: expected a nonempty list of pairs")
+    window = []
+    for j, pair in enumerate(raw_window):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"history.window[{j}]: expected a pair [x, y]")
+        window.append((_as_finite_float(pair[0], f"history.window[{j}][0]"),
+                       _as_finite_float(pair[1], f"history.window[{j}][1]")))
+    tail = obj.get("tail")
+    if tail in (None, "zero"):
+        parsed_tail = None
+    elif isinstance(tail, dict) and "x" in tail and "y" in tail:
+        parsed_tail = (_as_finite_float(tail["x"], "history.tail.x"),
+                       _as_finite_float(tail["y"], "history.tail.y"))
+    else:
+        raise ConfigError(
+            'history.tail: expected null, "zero", or {"x": .., "y": ..}')
+    try:
+        return History(tuple(window), parsed_tail)
+    except ValueError as exc:
+        raise ConfigError(f"history: {exc}") from exc
+
+
+def _parse_solver(obj: Dict[str, Any], period: int,
+                  tol: Optional[float]) -> SolverOptions:
+    guess = obj.get("initial_guess")
+    parsed_guess = None
+    if guess is not None and guess != "zero":
+        if (not isinstance(guess, dict)
+                or "x" not in guess or "y" not in guess):
+            raise ConfigError(
+                'solver.initial_guess: expected "zero" or {"x": [..], "y": [..]}')
+        parsed_guess = tuple(
+            _period_values(guess[key], f"solver.initial_guess.{key}", period)
+            for key in ("x", "y"))
+    tol = _override(_as_finite_float(obj.get("tol", 1e-12), "solver.tol"),
+                    tol, _as_finite_float, "--tol")
+    residual_tol = _as_finite_float(obj.get("residual_tol", 1e-8),
+                                    "solver.residual_tol")
+    max_iter = _as_int(obj.get("max_iter", 200), "solver.max_iter")
+    damping = _as_finite_float(obj.get("damping", 0.5), "solver.damping")
+    try:
+        return SolverOptions(
+            tol=tol, residual_tol=residual_tol, max_iter=max_iter,
+            damping=damping,
+            strategy=obj.get("strategy", "picard_then_newton"),
+            initial_guess=parsed_guess)
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from exc
+
+
+def _parse_truncation(obj: Dict[str, Any],
+                      tail_tol: Optional[float]) -> TruncationPolicy:
+    tail_tol = _override(_as_finite_float(obj.get("tail_tol", 1e-10),
+                                          "truncation.tail_tol"),
+                         tail_tol, _as_finite_float, "--tail-tol")
+    max_terms = _as_int(obj.get("max_terms", 100_000), "truncation.max_terms")
+    try:
+        return TruncationPolicy(tail_tol, max_terms)
+    except ValueError as exc:
+        raise ConfigError(f"truncation: {exc}") from exc
+
+
+def parse_scenario(config: Union[str, Dict[str, Any]], *,
+                   tol: Optional[float] = None,
+                   tail_tol: Optional[float] = None,
+                   c1: Optional[float] = None, c2: Optional[float] = None,
+                   horizon: Optional[int] = None) -> Scenario:
+    """Validate a whole config document at once: the system, then the
+    optional ``history``, ``truncation`` and ``solver`` sections, ``c1``,
+    ``c2`` (default 1) and ``horizon``.  Each keyword, when given, is a
+    command-line override of the config value and is validated under its
+    flag's name.  Violations raise ConfigError naming the field path."""
+    config = _document(config)
+    spec = parse_system(config)
+    history = _parse_history(_section(config, "history"))
+    policy = _parse_truncation(_section(config, "truncation"), tail_tol)
+    solver = _parse_solver(_section(config, "solver"), spec.period, tol)
+    amplitudes = [_override(_as_finite_float(config.get(key, 1.0), key),
+                            flag, _as_finite_float, f"--{key}")
+                  for key, flag in (("c1", c1), ("c2", c2))]
+    config_horizon = config.get("horizon")
+    if config_horizon is not None:
+        config_horizon = _as_int(config_horizon, "horizon")
+    horizon = _override(config_horizon, horizon, _as_int, "--horizon")
+    return Scenario(spec, history, policy, solver, *amplitudes, horizon)
 
 
 def _kernel_to_config(kernel: Kernel) -> Dict[str, Any]:

@@ -251,6 +251,54 @@ class TestInputErrors:
         assert "c1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "inf"),
+                                             ("--tail-tol", "nan")])
+    def test_nonfinite_flag_names_flag(self, example2_path, tmp_path, capsys,
+                                       flag, value):
+        out = tmp_path / "r.json"
+        assert run(["solve-asymptotic", "--config", str(example2_path),
+                    "--out", str(out), flag, value]) == 1
+        assert f"{flag}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("solver", [], "solver: expected an object"),
+        ("solver", 0, "solver: expected an object"),
+        ("solver", "", "solver: expected an object"),
+        ("truncation", [], "truncation: expected an object"),
+        ("truncation", 0, "truncation: expected an object"),
+        ("truncation", "", "truncation: expected an object"),
+        ("solver", {"initial_guess": {"x": ["0.5", True], "y": [0.0, 0.0]}},
+         "solver.initial_guess.x[0]: expected a number"),
+    ])
+    def test_malformed_section_rejected(self, example1_path, tmp_path, capsys,
+                                        key, value, message):
+        config = json.loads(example1_path.read_text())
+        config[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        assert run(["solve-periodic", "--config", str(path),
+                    "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, field", [
+        ({"solver": {"max_iter": "many"}}, "solver.max_iter"),
+        ({"horizon": "x"}, "horizon"),
+    ])
+    def test_check_validates_whole_document(self, example1_path, tmp_path,
+                                            capsys, change, field):
+        config = json.loads(example1_path.read_text())
+        config.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run(["check", "--config", str(path), "--mode", "periodic",
+                    "--out", str(tmp_path / "r.json")]) == 1
+        assert f"error: {field}: expected an integer" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
+
 
 def test_finite_lag_config_end_to_end(tmp_path):
     config = {

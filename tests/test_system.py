@@ -1,17 +1,23 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from volterra2d import (
     ConfigError,
+    History,
     Nonlinearity,
     PeriodicSequence,
     SeparableExponential,
+    SolverOptions,
     SystemSpec,
+    TruncationPolicy,
     check_asymptotic_hypotheses,
     check_periodic_hypotheses,
+    parse_scenario,
     parse_system,
     spec_to_config,
 )
@@ -139,6 +145,59 @@ class TestParse:
         for spec in (example1_spec, example2_spec):
             echo = spec_to_config(spec)
             assert parse_system(json.loads(json.dumps(echo))) == spec
+
+
+class TestParseScenario:
+    def test_readme_schema_block_parses(self):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        section = readme.split("## Config schema", 1)[1]
+        block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+        scenario = parse_scenario(re.sub(r"//[^\n]*", "", block))
+        assert (scenario.c1, scenario.c2, scenario.horizon) == (1.0, 1.0, 60)
+        assert scenario.spec.period == 2
+        assert scenario.history == History.zero()
+        assert scenario.policy == TruncationPolicy(1e-10, 100000)
+        assert scenario.solver == SolverOptions()
+
+    def test_defaults_and_overrides(self, example1_path, example2_path):
+        bare = parse_scenario(spec_to_config(parse_system(
+            example1_path.read_text())))
+        assert (bare.c1, bare.c2, bare.horizon) == (1.0, 1.0, None)
+        assert bare.history == History.zero()
+        assert bare.policy == TruncationPolicy()
+        assert bare.solver == SolverOptions()
+        flagged = parse_scenario(example2_path.read_text(), tol=1e-9,
+                                 tail_tol=1e-8, c1=0.5, c2=2, horizon=30)
+        assert flagged.solver.tol == 1e-9
+        assert flagged.policy.tail_tol == 1e-8
+        assert (flagged.c1, flagged.c2, flagged.horizon) == (0.5, 2.0, 30)
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("solver", {"tol": math.inf}, "solver.tol: must be finite"),
+        ("solver", {"max_iter": 1.5}, "solver.max_iter: expected an integer"),
+        ("truncation", {"max_terms": "all"},
+         "truncation.max_terms: expected an integer"),
+        ("history", [], "history: expected an object"),
+    ])
+    def test_field_errors_keep_their_path(self, example2_path, key, value,
+                                          field):
+        config = json.loads(example2_path.read_text())
+        config[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(config)
+        assert str(info.value).startswith(field)
+
+    @pytest.mark.parametrize("flag, kwargs", [
+        ("--tol", {"tol": math.inf}),
+        ("--tail-tol", {"tail_tol": math.nan}),
+        ("--c2", {"c2": -math.inf}),
+        ("--horizon", {"horizon": 2.5}),
+    ])
+    def test_flags_checked_under_their_names(self, example2_path, flag,
+                                             kwargs):
+        with pytest.raises(ConfigError, match=f"^{flag}: "):
+            parse_scenario(example2_path.read_text(), **kwargs)
 
 
 class TestPeriodicCheck:
