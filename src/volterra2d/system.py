@@ -34,6 +34,11 @@ class ConfigError(ValueError):
 
 NONLINEARITY_KINDS = ("sin", "cos", "tanh", "rational_bounded")
 
+#: Cycle gains 1/(1 - product) larger than this in magnitude pass the
+#: periodic check with a conditioning warning: the product is so close to
+#: 1 that the cycle map amplifies every error by the gain.
+ILL_CONDITIONED_GAIN = 1e6
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -273,7 +278,8 @@ def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:
     vanishes; full-period products separated from 1; the cycle gains; the
     weight bounds; and the self-map radius with the theorem route
     (both_bounded, monotone_g, or monotone_f).  Failures are report items,
-    never exceptions.
+    never exceptions.  A cycle gain above ILL_CONDITIONED_GAIN in magnitude
+    passes with a warning that names it.
     """
     T = spec.period
     items = []
@@ -305,11 +311,18 @@ def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:
     quantities["product_p"] = prod_p
 
     route = None
+    warnings: Tuple[str, ...] = ()
     if sep:
         gain_x = 1.0 / (1.0 - prod_h)
         gain_y = 1.0 / (1.0 - prod_p)
         quantities["gain_x"] = gain_x
         quantities["gain_y"] = gain_y
+        warnings = tuple(
+            f"{name} = {gain:.3g}: the full-period product of 1+{seq} is "
+            f"{prod!r}, so the cycle map is ill-conditioned"
+            for name, seq, gain, prod in (("gain_x", "h", gain_x, prod_h),
+                                          ("gain_y", "p", gain_y, prod_p))
+            if abs(gain) > ILL_CONDITIONED_GAIN)
         items.append(CheckItem(
             "gains", math.isfinite(gain_x) and math.isfinite(gain_y),
             "cycle gains 1/(1 - product)",
@@ -348,7 +361,8 @@ def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:
             "self_map_radius", False, "requires products separated from one", {}))
 
     passed = all(it.passed for it in items)
-    return CheckReport("periodic", passed, tuple(items), quantities, route)
+    return CheckReport("periodic", passed, tuple(items), quantities, route,
+                       warnings)
 
 
 def check_asymptotic_hypotheses(spec: SystemSpec, c1: float = 1.0,

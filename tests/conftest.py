@@ -114,3 +114,14 @@ def central_difference_jacobian(apply_map, z, step=1e-6):
         jac[:, k] = ((plus - apply_map(plus)) - (minus - apply_map(minus))
                      ) / (2.0 * h)
     return jac
+
+
+def direct_sum_reference(kernel, i, values, depth):
+    """Reference fixed-depth sum over m = i-depth..i of a_{i,m} * values(m),
+    one term at a time, skipping zero weights."""
+    total = 0.0
+    for m in range(i - depth, i + 1):
+        w = kernel.weight(i, m)
+        if w != 0.0:
+            total += w * values(m)
+    return total

@@ -203,6 +203,13 @@ class TestSolveCommands:
         body = json.loads((tmp_path / "r.json").read_text())["report"]
         assert body["verification"]["passed"]
 
+    def test_verify_asymptotic_reports_remainder(self, example2_path,
+                                                 tmp_path):
+        run(["verify", "--config", str(example2_path),
+             "--mode", "asymptotic", "--out", str(tmp_path / "r.json")])
+        body = json.loads((tmp_path / "r.json").read_text())["report"]
+        assert 0.0 <= body["verification"]["remainder_bound"] < 1e-12
+
     def test_verify_periodic(self, example1_path, tmp_path):
         code = run(["verify", "--config", str(example1_path),
                     "--mode", "periodic", "--out", str(tmp_path / "r.json")])

@@ -260,6 +260,22 @@ class TestPeriodicCheck:
         assert report.quantities["radius"] == pytest.approx(
             max(b2, b1 * 2.0 * math.tanh(0.5 * b2)), rel=1e-12)
 
+    def test_demo_configs_give_no_warnings(self, example1_spec,
+                                           example2_spec):
+        assert check_periodic_hypotheses(example1_spec).warnings == ()
+        assert check_asymptotic_hypotheses(example2_spec).warnings == ()
+
+    def test_product_near_one_warns(self, cosine_spec):
+        # 3 * (1 + h_1) = 1 + 1e-8: separated from 1, but gain_x ~ -1e8
+        h = PeriodicSequence(2, (2.0, (1.0 + 1e-8) / 3.0 - 1.0))
+        spec = SystemSpec(2, h, cosine_spec.p, cosine_spec.kernel_a,
+                          cosine_spec.kernel_b, cosine_spec.f, cosine_spec.g)
+        report = check_periodic_hypotheses(spec)
+        assert report.item("products_separated_from_one").passed
+        assert abs(report.quantities["gain_x"]) > 1e6
+        assert len(report.warnings) == 1
+        assert "gain_x" in report.warnings[0]
+
     def test_zero_factor_detected(self, example1_spec):
         spec = SystemSpec(2, PeriodicSequence(2, (-1.0, 5.0)),
                           example1_spec.p, example1_spec.kernel_a,

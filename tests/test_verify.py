@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from volterra2d import (
+    Decomposition,
+    FiniteLag,
     Nonlinearity,
     PeriodicSequence,
     SystemSpec,
@@ -16,6 +18,10 @@ from volterra2d import (
     verify_decomposition,
     verify_periodic,
 )
+from volterra2d.verify import DIRECT_DEPTH
+
+from conftest import (direct_sum_reference, random_periodic_spec,
+                      random_summable_spec)
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +110,87 @@ class TestVerifyDecomposition:
         ver = verify_decomposition(spec, report.decomposition)
         assert ver.passed
         assert ver.max_defect == 0.0
+
+    def test_remainder_bound_reported(self, example2_spec, demo2_report):
+        ver = verify_decomposition(example2_spec, demo2_report.decomposition)
+        assert 0.0 <= ver.remainder_bound < 1e-12
+        assert ver.as_dict()["remainder_bound"] == ver.remainder_bound
+
+
+def _scalar_defect(spec, x, y, n_rows, depth):
+    """(max defect, scale) of the recurrence over n < n_rows, recomputed
+    term by term; scale bounds the size of every quantity in a defect."""
+    worst = scale = 0.0
+    for n in range(n_rows):
+        for kernel, phi, seq, own, partner in (
+                (spec.kernel_a, spec.f, spec.h, x, y),
+                (spec.kernel_b, spec.g, spec.p, y, x)):
+            drive = direct_sum_reference(
+                kernel, n, lambda m: phi(partner(m)), depth)
+            step = (1.0 + seq.get(n)) * own(n)
+            worst = max(worst, abs(own(n + 1) - step - drive))
+            scale = max(scale, abs(own(n + 1)) + abs(step)
+                        + phi.bound * kernel.abs_row_sum(n))
+    return worst, scale
+
+
+def _long_lag_spec(rng):
+    """FiniteLag kernels with 3 weight rows and lags 0..5 on a period-2
+    system: lag_period > 1, and max_lag beyond a depth of 3."""
+    def kernel():
+        return FiniteLag(tuple(tuple(float(w) for w in rng.uniform(-1, 1, 6))
+                               for _ in range(3)))
+    seq = PeriodicSequence(2, (0.4, -0.3))
+    return SystemSpec(2, seq, PeriodicSequence(2, (-0.2, 0.7)),
+                      kernel(), kernel(), Nonlinearity("cos", 1.3, 0.7),
+                      Nonlinearity("tanh", -0.8, 1.9))
+
+
+def _candidate(rng, spec):
+    return tuple(PeriodicSequence(spec.period, tuple(
+        float(v) for v in rng.uniform(-2.0, 2.0, spec.period)))
+        for _ in range(2))
+
+
+SPEC_BUILDERS = {"periodic": random_periodic_spec,
+                 "summable": random_summable_spec,
+                 "long_lag": _long_lag_spec}
+
+
+def _cases(kind):
+    """(kind, seed, depth): four random specs of ``kind`` at the default
+    depth, and two long-lag specs at depth 3."""
+    return ([(kind, seed, DIRECT_DEPTH) for seed in range(4)]
+            + [("long_lag", seed, 3) for seed in range(2)])
+
+
+class TestArraySums:
+    """The verifier's array sums against a term-by-term recompute."""
+
+    @pytest.mark.parametrize("n_checks", [0, 1, 21])
+    @pytest.mark.parametrize("kind, seed, depth", _cases("periodic"))
+    def test_periodic_residual_matches_scalar_sums(self, kind, seed, depth,
+                                                   n_checks):
+        rng = np.random.default_rng(seed)
+        spec = SPEC_BUILDERS[kind](rng)
+        sol_x, sol_y = _candidate(rng, spec)
+        expected, scale = _scalar_defect(spec, sol_x.get, sol_y.get,
+                                         n_checks, depth)
+        got = periodic_residual_max(spec, (sol_x, sol_y), n_checks, depth)
+        assert abs(got - expected) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("horizon", [0, 1, 21])
+    @pytest.mark.parametrize("kind, seed, depth", _cases("summable"))
+    def test_decomposition_defect_matches_scalar_sums(self, kind, seed, depth,
+                                                      horizon):
+        rng = np.random.default_rng(seed)
+        spec = SPEC_BUILDERS[kind](rng)
+        u1, u2 = _candidate(rng, spec)
+        v1, v2 = (tuple(float(v) for v in rng.uniform(-1.0, 1.0, horizon + 1))
+                  for _ in range(2))
+        dec = Decomposition(1.0, 1.0, u1, u2, v1, v2, v1, v2, horizon, True)
+        expected, scale = _scalar_defect(
+            spec, lambda m: dec.x_at(m) if m >= 0 else 0.0,
+            lambda m: dec.y_at(m) if m >= 0 else 0.0, horizon, depth)
+        got = verify_decomposition(spec, dec, depth=depth).max_defect
+        assert abs(got - expected) <= 1e-14 * scale
