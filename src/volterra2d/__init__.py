@@ -38,7 +38,7 @@ from .sequences import (
     product_one_plus,
     reciprocal_growth,
 )
-from .simulate import residual, simulate
+from .simulate import defects, drive_depth, simulate
 from .system import (
     CheckItem,
     CheckReport,
@@ -94,6 +94,8 @@ __all__ = [
     "check_asymptotic_hypotheses",
     "check_periodic_hypotheses",
     "cycle_gain",
+    "defects",
+    "drive_depth",
     "growth_profile",
     "inner_sum",
     "parse_scenario",
@@ -101,7 +103,6 @@ __all__ = [
     "periodic_residual_max",
     "product_one_plus",
     "reciprocal_growth",
-    "residual",
     "simulate",
     "solve_asymptotic",
     "solve_periodic",

@@ -16,9 +16,10 @@ from typing import Tuple
 import numpy as np
 
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
-from .kernels import Kernel, TailNotCertified, TruncationPolicy
+from .kernels import (Kernel, TailNotCertified, TruncationPolicy,
+                      certified_depth)
 from .sequences import PeriodicSequence, PeriodProductNotOne, ZeroFactor
-from .simulate import residual as recurrence_residual
+from .simulate import defects, drive_depth
 from .system import (GrowthProfile, Nonlinearity, SystemSpec,
                      amplitude_warnings, decay_envelope, growth_profile)
 
@@ -131,26 +132,18 @@ class _TailMapComponent:
         # over the rows, deflated by the worst growth ratio.
         inner_tol = (policy.tail_tol / 2.0) / (ratio * (cut + 1))
         min_growth = min(abs(v) for v in growth.values)
-        depths = []
-        inner_error = 0.0
-        for i in range(cut + 1):
-            depth = kernel.truncation_depth(i, bound, inner_tol)
-            if depth + 1 > policy.max_terms:
-                raise TailNotCertified(
-                    f"inner depth {depth + 1} exceeds the "
-                    f"{policy.max_terms}-term cap")
-            depths.append(depth)
-            inner_error += (abs(growth.get(i + 1))
-                            * bound * kernel.tail_beyond(i, depth))
-        self.inner_error = inner_error / min_growth
+        depths, tails = zip(*(certified_depth(kernel, i, bound, inner_tol,
+                                              policy.max_terms)
+                              for i in range(cut + 1)))
+        self.inner_error = sum(abs(growth.get(i + 1)) * tail
+                               for i, tail in enumerate(tails)) / min_growth
         m_lo = min(i - d for i, d in enumerate(depths))
 
         # w[n, m - m_lo] = sum_{i=n}^{cut} r_{i+1} a_{i,m}, built in place:
         # scale the weight rows by the growth, then take suffix sums.
         w = np.zeros((cut + 1, cut + 1 - m_lo))
         for i, depth in enumerate(depths):
-            for m in range(i - depth, i + 1):
-                w[i, m - m_lo] = kernel.weight(i, m)
+            w[i, i - depth - m_lo:i + 1 - m_lo] = kernel.weight_row(i, depth)
         w *= np.array([[growth.get(i + 1)] for i in range(cut + 1)])
         np.cumsum(w[::-1], axis=0, out=w[::-1])
         self.growth_out = np.array([growth.get(n) for n in range(horizon + 1)])
@@ -285,15 +278,10 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     v2 = yw - u2_window
     bound_x, bound_y = op.envelope()
 
-    def x_value(m: int) -> float:
-        return xw[m] if m >= 0 else 0.0
-
-    def y_value(m: int) -> float:
-        return yw[m] if m >= 0 else 0.0
-
-    defects = tuple(recurrence_residual(spec, x_value, y_value, n, policy)
-                    for n in range(horizon))
-    residual_max = max(max(pair) for pair in defects)
+    history = np.zeros(drive_depth(spec, horizon, policy))
+    pairs = defects(spec, np.concatenate([history, xw]),
+                    np.concatenate([history, yw]), horizon, policy)
+    residual_max = max(max(pair) for pair in pairs)
 
     slack = 10.0 * policy.tail_tol
     envelope_ok = (np.all(np.abs(v1) <= bound_x + slack)
@@ -316,7 +304,7 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
         method_used=result.method_used,
         final_update_norm=result.final_update_norm,
         residual_max=residual_max,
-        defects=defects,
+        defects=pairs,
         truncation_error=op.certified_error,
         closure_error=op.closure_error,
         converged=converged,

@@ -134,9 +134,11 @@ def _add_defects(rows: List[Dict[str, Any]], defects) -> None:
         row.update(res_x=dx, res_y=dy)
 
 
-def _solve(mode: str, scenario: Scenario) -> Tuple[Any, List[Dict[str, Any]]]:
-    """Run the ``mode`` solver on the scenario: its report and table rows."""
-    spec = scenario.spec
+def _solve(mode: str, scenario: Scenario
+           ) -> Tuple[Any, List[Dict[str, Any]], Dict[str, Any]]:
+    """Run the ``mode`` solver on the scenario: its report, table rows and
+    the config echo that reproduces the run."""
+    spec, extras = scenario.spec, {}
     if mode == "periodic":
         report = periodic_solver.solve_periodic(spec, scenario.solver,
                                                 scenario.policy)
@@ -155,26 +157,24 @@ def _solve(mode: str, scenario: Scenario) -> Tuple[Any, List[Dict[str, Any]]]:
                  "u2": dec.u2.get(n), "v2": dec.v2[n],
                  "bound_v1": dec.v1_bound[n], "bound_v2": dec.v2_bound[n]}
                 for n in range(horizon + 1)]
+        extras = {"c1": scenario.c1, "c2": scenario.c2, "horizon": horizon}
     _add_defects(rows, report.defects)
-    return report, rows
+    return report, rows, _echo_config(spec, **extras)
 
 
 def _cmd_solve(args, scenario: Scenario) -> int:
-    report, rows = _solve(args.mode, scenario)
-    extras = ({} if args.mode == "periodic" else
-              {"c1": scenario.c1, "c2": scenario.c2,
-               "horizon": report.decomposition.horizon})
+    report, rows, echo = _solve(args.mode, scenario)
     _write_csv(rows, args.csv)
     _write_report({
         "command": args.command,
-        "config": _echo_config(scenario.spec, **extras),
+        "config": echo,
         "report": report.as_dict(),
     }, args.out)
     return 0 if report.converged else 2
 
 
 def _cmd_verify(args, scenario: Scenario) -> int:
-    solve_report, rows = _solve(args.mode, scenario)
+    solve_report, rows, echo = _solve(args.mode, scenario)
     if args.mode == "periodic":
         verification = verify.verify_periodic(scenario.spec,
                                               solve_report.solution)
@@ -186,7 +186,7 @@ def _cmd_verify(args, scenario: Scenario) -> int:
     _write_report({
         "command": "verify",
         "mode": args.mode,
-        "config": _echo_config(scenario.spec),
+        "config": echo,
         "report": {"solve": solve_report.as_dict(),
                    "verification": verification.as_dict()},
     }, args.out)

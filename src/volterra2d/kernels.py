@@ -1,6 +1,7 @@
 """Two-index kernel weight families a_{n,i} (defined for i <= n) with exact
 absolute row sums, exact double-tail sums, diagonal-periodic folding, and
-bound-driven truncated inner sums that carry a certified tail error.
+bound-driven truncated inner sums that carry a certified tail error, each
+one weight row dotted with already-mapped values.
 
 Two variants are supported:
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -69,6 +70,11 @@ class SeparableExponential:
         if i > n:
             raise ValueError(f"kernel defined for i <= n only, got i={i} > n={n}")
         return self.coef * math.exp(self.row_rate * i - self.col_rate * n)
+
+    def weight_row(self, i: int, depth: int) -> np.ndarray:
+        """a_{i,m} for m = i-depth..i as an array."""
+        m = np.arange(i - depth, i + 1)
+        return self.coef * np.exp(self.row_rate * m - self.col_rate * i)
 
     def abs_row_sum(self, i: int) -> float:
         """sum_{m<=i} |a_{i,m}| = |coef| e^{(row-col) i} / (1 - e^{-row})."""
@@ -153,6 +159,11 @@ class FiniteLag:
             return 0.0
         return self.weights[n % self.lag_period][lag]
 
+    def weight_row(self, i: int, depth: int) -> np.ndarray:
+        """a_{i,m} for m = i-depth..i as an array (zero past max_lag)."""
+        lags = self.weights[i % self.lag_period][depth::-1]
+        return np.pad(lags, (depth + 1 - len(lags), 0))
+
     def abs_row_sum(self, i: int) -> float:
         return sum(abs(w) for w in self.weights[i % self.lag_period])
 
@@ -180,43 +191,44 @@ class FiniteLag:
         if not self.is_diagonal_periodic(period):
             raise NotDiagonalPeriodic(
                 f"weight rows are not invariant under a shift of {period}")
-        table = np.zeros((period, period))
-        for k in range(period):
-            row = self.weights[k % self.lag_period]
-            for r in range(period):
-                table[k, r] = sum(row[r + j * period]
-                                  for j in range((self.max_lag - r) // period + 1))
-        return table
+        # lag j*period + r of row k lands in column r
+        width = (self.max_lag // period + 1) * period
+        return np.array([self.weight_row(k, width - 1)[::-1]
+                         .reshape(-1, period).sum(axis=0)
+                         for k in range(period)])
 
 
 Kernel = Union[SeparableExponential, FiniteLag]
 
 
-def inner_sum(kernel: Kernel, i: int, values: Callable[[int], float],
-              bound: float, policy: TruncationPolicy) -> Tuple[float, float]:
-    """Truncated sum_{m<=i} a_{i,m} * values(m) with a certified tail.
-
-    ``bound`` is the caller's declared bound on |values(m)|; the window
-    depth is the smallest making bound * (absolute kernel tail) <= tail_tol,
-    capped at max_terms (TailNotCertified if the cap is hit first).  Terms
-    are accumulated from the smallest-magnitude weights upward to limit
-    cancellation.  Returns (sum, certified tail bound).
-    """
+def certified_depth(kernel: Kernel, i: int, bound: float, tol: float,
+                    max_terms: int) -> Tuple[int, float]:
+    """Window depth of the row sum at i over values bounded by ``bound``:
+    the smallest depth making bound * (absolute kernel tail) <= tol, capped
+    at max_terms terms (TailNotCertified if the cap is hit first).
+    Returns (depth, certified tail bound)."""
     if bound < 0.0 or not math.isfinite(bound):
         raise ValueError("bound must be finite and nonnegative")
-    depth = kernel.truncation_depth(i, bound, policy.tail_tol)
-    if depth + 1 > policy.max_terms:
-        depth = policy.max_terms - 1
-        tail = bound * kernel.tail_beyond(i, depth)
-        if tail > policy.tail_tol:
-            raise TailNotCertified(
-                f"tail bound {tail:.3e} > {policy.tail_tol:.3e} "
-                f"at the {policy.max_terms}-term cap")
-    else:
-        tail = bound * kernel.tail_beyond(i, depth)
-    total = 0.0
-    for m in range(i - depth, i + 1):
-        w = kernel.weight(i, m)
-        if w != 0.0:
-            total += w * values(m)
-    return total, tail
+    depth = min(kernel.truncation_depth(i, bound, tol), max_terms - 1)
+    tail = bound * kernel.tail_beyond(i, depth)
+    if tail > tol:
+        raise TailNotCertified(f"tail bound {tail:.3e} > {tol:.3e} "
+                               f"at the {max_terms}-term cap")
+    return depth, tail
+
+
+def inner_sum(kernel: Kernel, i: int, values: np.ndarray,
+              bound: float, policy: TruncationPolicy) -> Tuple[float, float]:
+    """Truncated sum_{m<=i} a_{i,m} * values_m with a certified tail.
+
+    ``values`` holds already-mapped values whose last entry is at m = i,
+    and ``bound`` is the caller's declared bound on their magnitude; the
+    window is the last depth+1 entries, with the depth from
+    ``certified_depth`` at policy.tail_tol.  A shorter array raises
+    ValueError.  Returns (sum, certified tail bound).
+    """
+    depth, tail = certified_depth(kernel, i, bound, policy.tail_tol,
+                                  policy.max_terms)
+    if len(values) < depth + 1:
+        raise ValueError(f"inner sum at {i} needs {depth + 1} values")
+    return float(kernel.weight_row(i, depth) @ values[-(depth + 1):]), tail

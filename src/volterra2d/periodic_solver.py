@@ -6,8 +6,9 @@ scaling by the cycle gains; its fixed points are exactly the T-periodic
 solutions of the underlying system.  Existence theory guarantees a fixed
 point inside the self-map ball but gives no algorithm, so the solver here
 runs damped Picard with a Newton closer and gates the result on the
-certified-tail recurrence residual (``simulate.residual``) over one period.
-The fixed-depth check in the verify module stays independent of it.
+certified-tail recurrence defects (``simulate.defects``) of the periodic
+extension over one period.  The fixed-depth check in the verify module
+stays independent of it.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import TruncationPolicy
-from .sequences import PeriodicSequence, cycle_gain, product_one_plus
-from .simulate import residual as recurrence_residual
+from .sequences import PeriodicSequence, cycle_gain, running_products
+from .simulate import defects, drive_depth
 from .system import SystemSpec
 
 State = Tuple[PeriodicSequence, PeriodicSequence]
@@ -67,13 +68,10 @@ def _cycle_map_vec(spec: SystemSpec) -> CoupledMap:
 
     def matrix(seq, kernel):
         table = kernel.folded_weights(T)
-        # prods[n, j] = prod_{l = n+j+1}^{n+T-1} (1 + seq_l), the weight
-        # carried by the drive at i = n + j.
-        prods = np.array([[product_one_plus(seq, n + j + 1, n + T - 1)
-                           for j in range(T)] for n in range(T)])
-        # prods[n, (k - n) mod T] weighs the drive at the i == k (mod T),
-        # and table[k, (k - s) mod T] weighs the value at s in that drive.
-        return prods[idx[:, None], lag.T] @ table[idx[:, None], lag]
+        # running products [n, (k - n) mod T] weigh the drive at i == k
+        # (mod T), and table[k, (k - s) mod T] the value at s in that drive.
+        return (running_products(seq)[idx[:, None], lag.T]
+                @ table[idx[:, None], lag])
 
     return CoupledMap(np.zeros(2 * T), gain_h * matrix(spec.h, spec.kernel_a),
                       gain_p * matrix(spec.p, spec.kernel_b), spec.f, spec.g)
@@ -127,10 +125,10 @@ def solve_periodic(spec: SystemSpec,
                                opts=opts)
     solution = (PeriodicSequence(T, tuple(result.z[:T])),
                 PeriodicSequence(T, tuple(result.z[T:])))
-    defects = tuple(recurrence_residual(spec, solution[0].get,
-                                        solution[1].get, n, policy)
-                    for n in range(T))
-    residual_max = max(max(pair) for pair in defects)
+    extension = np.arange(-drive_depth(spec, T, policy), T + 1) % T
+    pairs = defects(spec, result.z[:T][extension], result.z[T:][extension],
+                    T, policy)
+    residual_max = max(max(pair) for pair in pairs)
     converged = result.converged and residual_max <= opts.residual_tol
     return PeriodicSolveReport(
         solution=solution,
@@ -140,7 +138,7 @@ def solve_periodic(spec: SystemSpec,
         method_used=result.method_used,
         final_update_norm=result.final_update_norm,
         residual_max=residual_max,
-        defects=defects,
+        defects=pairs,
         converged=converged,
     )
 

@@ -1,12 +1,25 @@
-"""Forward iteration of the initial-value problem and residual (defect)
-evaluation of candidate solutions."""
+"""Forward iteration of the initial-value problem and recurrence defects of
+candidate solutions, both on arrays: f(y) and g(x) are mapped once per
+value, and each drive is ``inner_sum`` over a prefix of them."""
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Tuple
 
-from .kernels import TruncationPolicy, inner_sum
+import numpy as np
+
+from .kernels import TruncationPolicy, certified_depth, inner_sum
 from .sequences import History, Trajectory
 from .system import SystemSpec
+
+
+def drive_depth(spec: SystemSpec, rows: int, policy: TruncationPolicy) -> int:
+    """How far before m = 0 the drives of steps n = 0..rows-1 reach: the
+    deepest inner-sum window of either kernel over those rows."""
+    return max((certified_depth(kernel, n, phi.bound, policy.tail_tol,
+                                policy.max_terms)[0]
+                for kernel, phi in ((spec.kernel_a, spec.f),
+                                    (spec.kernel_b, spec.g))
+                for n in range(rows)), default=0)
 
 
 def simulate(spec: SystemSpec, history: History, steps: int,
@@ -19,57 +32,55 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     at n = 0.  Each infinite sum is truncated with a certified tail at most
     the policy's tail_tol; the trajectory records that tolerance and, for
     each step, the round-off defect of the recurrence against the drive it
-    just summed (what ``residual`` reports for the same values).  Given
-    the history, the solution is unique, and identical inputs reproduce
+    just summed (what ``defects`` reports for the same values).  Given the
+    history, the solution is unique, and identical inputs reproduce
     bitwise-identical trajectories.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    x0, y0 = history.value_at(0)
-    xs = [x0]
-    ys = [y0]
-
-    def x_value(m: int) -> float:
-        return xs[m] if m >= 0 else history.value_at(m)[0]
-
-    def y_value(m: int) -> float:
-        return ys[m] if m >= 0 else history.value_at(m)[1]
-
+    depth = drive_depth(spec, steps, policy)
+    xs, ys = np.zeros((2, depth + steps + 1))  # entry m + depth
+    xs[:depth + 1], ys[:depth + 1] = np.array(
+        [history.value_at(m) for m in range(-depth, 1)]).T
     f, g = spec.f, spec.g
-    defects = []
-    for n in range(steps):
-        drive_x, _ = inner_sum(spec.kernel_a, n, lambda m: f(y_value(m)),
-                               f.bound, policy)
-        drive_y, _ = inner_sum(spec.kernel_b, n, lambda m: g(x_value(m)),
-                               g.bound, policy)
+    fy, gx = f(ys), g(xs)  # entries past m = 0 are set as the march goes
+    pairs = []
+    for n, k in enumerate(range(depth, depth + steps)):
+        drive_x, _ = inner_sum(spec.kernel_a, n, fy[:k + 1], f.bound, policy)
+        drive_y, _ = inner_sum(spec.kernel_b, n, gx[:k + 1], g.bound, policy)
         gain_x, gain_y = 1.0 + spec.h.get(n), 1.0 + spec.p.get(n)
-        xs.append(gain_x * xs[n] + drive_x)
-        ys.append(gain_y * ys[n] + drive_y)
-        defects.append((abs(xs[n + 1] - gain_x * xs[n] - drive_x),
-                        abs(ys[n + 1] - gain_y * ys[n] - drive_y)))
-    return Trajectory(tuple(xs), tuple(ys), history, policy.tail_tol,
-                      tuple(defects))
+        x, y = float(xs[k]), float(ys[k])
+        x_next, y_next = gain_x * x + drive_x, gain_y * y + drive_y
+        xs[k + 1], ys[k + 1] = x_next, y_next
+        fy[k + 1], gx[k + 1] = f(y_next), g(x_next)
+        pairs.append((abs(x_next - gain_x * x - drive_x),
+                      abs(y_next - gain_y * y - drive_y)))
+    return Trajectory(tuple(xs[depth:]), tuple(ys[depth:]), history,
+                      policy.tail_tol, tuple(pairs))
 
 
-def residual(spec: SystemSpec, values_x: Callable[[int], float],
-             values_y: Callable[[int], float], n: int,
-             policy: TruncationPolicy) -> Tuple[float, float]:
-    """Absolute defects of the recurrence at step n for full-line value
-    callbacks (total on m <= n+1):
+def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,
+            policy: TruncationPolicy) -> Tuple[Tuple[float, float], ...]:
+    """Absolute defects of the recurrence at n = 0..rows-1,
 
         |x_{n+1} - (1 + h_n) x_n - sum_{m<=n} a_{n,m} f(y_m)|
 
-    and the y counterpart.  Sums are truncated with certified tail at most
-    tail_tol, so an exact solution shows a defect of at most the tail plus
-    accumulated round-off.
+    and the y counterpart, for x and y given as equal-length arrays whose
+    last entry is at m = rows and whose entries before m = 0 reach back
+    ``drive_depth(spec, rows, policy)`` steps (ValueError otherwise).
+    Sums are truncated with certified tail at most tail_tol, so an exact
+    solution shows a defect of at most the tail plus accumulated round-off.
     """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) <= rows:
+        raise ValueError(f"x and y must be equal-length arrays on m <= {rows}")
     f, g = spec.f, spec.g
-    drive_x, _ = inner_sum(spec.kernel_a, n, lambda m: f(values_y(m)),
-                           f.bound, policy)
-    drive_y, _ = inner_sum(spec.kernel_b, n, lambda m: g(values_x(m)),
-                           g.bound, policy)
-    defect_x = abs(values_x(n + 1) - (1.0 + spec.h.get(n)) * values_x(n)
-                   - drive_x)
-    defect_y = abs(values_y(n + 1) - (1.0 + spec.p.get(n)) * values_y(n)
-                   - drive_y)
-    return defect_x, defect_y
+    fy, gx = f(ys), g(xs)
+    pairs = []
+    for n, k in enumerate(range(len(xs) - 1 - rows, len(xs) - 1)):
+        drive_x, _ = inner_sum(spec.kernel_a, n, fy[:k + 1], f.bound, policy)
+        drive_y, _ = inner_sum(spec.kernel_b, n, gx[:k + 1], g.bound, policy)
+        pairs.append(
+            (abs(xs[k + 1] - (1.0 + spec.h.get(n)) * xs[k] - drive_x),
+             abs(ys[k + 1] - (1.0 + spec.p.get(n)) * ys[k] - drive_y)))
+    return tuple((float(dx), float(dy)) for dx, dy in pairs)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._iteration import SolverOptions
 from .kernels import (
@@ -23,8 +24,8 @@ from .sequences import (
     PRODUCT_ONE_TOL,
     History,
     PeriodicSequence,
-    product_one_plus,
     reciprocal_growth,
+    running_products,
 )
 
 
@@ -260,14 +261,10 @@ def _weight_bound(gain: float, seq: PeriodicSequence, kernel: Kernel) -> float:
     * (absolute row sum of the kernel at i): the constant bounding the
     periodic cycle map componentwise."""
     T = seq.period
-    best = 0.0
-    for n in range(T):
-        total = 0.0
-        for i in range(n, n + T):
-            prod = product_one_plus(seq, i + 1, n + T - 1)
-            total += abs(prod) * kernel.abs_row_sum(i)
-        best = max(best, abs(gain) * total)
-    return best
+    row_sums = np.array([kernel.abs_row_sum(i) for i in range(2 * T - 1)])
+    totals = np.sum(np.abs(running_products(seq))
+                    * sliding_window_view(row_sums, T), axis=1)
+    return abs(gain) * float(np.max(totals))
 
 
 def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:

@@ -7,9 +7,11 @@ no nontrivial code path.  The sums are array work: each kernel's weights
 a_{n,m} for m = n-depth..n come from the verifier's own formula as one
 (rows x depth+1) array, and each drive is its row-wise product with
 sliding windows of f or g applied once to the value sequence.  The
-solvers gate ``converged`` on their own certified-tail recurrence
-residual (the periodic one over one period); this module is the
-independent fixed-depth check on top of that.
+solvers gate ``converged`` on their own certified-tail recurrence defects
+(``simulate.defects``; the periodic one over one period); this module is
+the independent fixed-depth check on top of that.  The decay of an
+asymptotic deviation is judged over whole periods, since it may
+alternate within one.
 """
 from __future__ import annotations
 
@@ -177,15 +179,17 @@ def _decay_ratio(kernel: Kernel) -> float:
     return 1.0
 
 
-def _decay_check(v, bound, ratio: float) -> bool:
-    """The last decade of resolvable v values must decay at least at the
-    envelope's per-step ratio, within a factor of 10 (plus a round-off
+def _decay_check(v, bound, ratio: float, period: int) -> bool:
+    """Where the (decreasing) envelope is above 1e-12, the peak |v| of each
+    whole period must shrink against the period before it at least at the
+    envelope's ratio per period, within a factor of 10 (plus a round-off
     floor: v hits the noise floor of its periodic part eventually)."""
-    resolvable = [n for n in range(len(v) - 1) if bound[n] > 1e-12]
-    for n in resolvable[-10:]:
-        if abs(v[n + 1]) > 10.0 * ratio * abs(v[n]) + 1e-15:
-            return False
-    return True
+    resolvable = int(np.count_nonzero(np.asarray(bound) > 1e-12))
+    if resolvable < 2 * period:
+        return True
+    peaks = sliding_window_view(np.abs(v[:resolvable]), period).max(axis=1)
+    return bool(np.all(peaks[period:]
+                       <= 10.0 * ratio ** period * peaks[:-period] + 1e-15))
 
 
 def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
@@ -221,9 +225,10 @@ def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
     # exceeds defect_tol even for a correct decomposition.
     remainder = _remainder_bound(spec, dec.horizon, depth)
 
-    decay_ok = (_decay_check(dec.v1, dec.v1_bound, _decay_ratio(spec.kernel_a))
+    decay_ok = (_decay_check(dec.v1, dec.v1_bound, _decay_ratio(spec.kernel_a),
+                             spec.period)
                 and _decay_check(dec.v2, dec.v2_bound,
-                                 _decay_ratio(spec.kernel_b)))
+                                 _decay_ratio(spec.kernel_b), spec.period))
 
     passed = (periodic_part_ok and envelope_ok and decay_ok
               and max_defect <= defect_tol)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import volterra2d as v
+from volterra2d.kernels import certified_depth
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -125,3 +126,12 @@ def direct_sum_reference(kernel, i, values, depth):
         if w != 0.0:
             total += w * values(m)
     return total
+
+
+def inner_sum_reference(kernel, i, values, bound, policy):
+    """Reference truncated sum_{m<=i} a_{i,m} * values(m) over a value
+    callback, one term at a time with zero weights skipped, at the window
+    depth and certified tail of ``kernels.certified_depth``."""
+    depth, tail = certified_depth(kernel, i, bound, policy.tail_tol,
+                                  policy.max_terms)
+    return direct_sum_reference(kernel, i, values, depth), tail

@@ -20,6 +20,9 @@ from volterra2d import (
     solve_asymptotic,
 )
 
+from volterra2d.asymptotic_solver import _outer_cut
+from volterra2d.kernels import certified_depth
+
 from conftest import central_difference_jacobian, random_summable_spec
 
 POLICY = TruncationPolicy(1e-10, 100_000)
@@ -47,6 +50,23 @@ def brute_tail_component(spec, c1, yw, n, outer=200, inner=300):
             inner_total += spec.kernel_a.weight(i, m) * spec.f(y_m)
         total += r.get(i + 1) * inner_total
     return (c1 - total) / r.get(n)
+
+
+def per_term_weight_block(kernel, nonlin, growth, ratio, horizon, policy):
+    """Reference K of one tail-map component, built one kernel.weight term
+    at a time: the growth-weighted suffix sums of the weight rows over the
+    window 0..horizon, divided by -growth."""
+    cut, _ = _outer_cut(ratio, nonlin, kernel, horizon, policy)
+    inner_tol = (policy.tail_tol / 2.0) / (ratio * (cut + 1))
+    w = np.zeros((cut + 1, cut + 1))  # columns m = 0..cut
+    for i in range(cut + 1):
+        depth, _ = certified_depth(kernel, i, nonlin.bound, inner_tol,
+                                   policy.max_terms)
+        for m in range(max(0, i - depth), i + 1):
+            w[i, m] = growth.get(i + 1) * kernel.weight(i, m)
+    suffix = np.cumsum(w[::-1], axis=0)[::-1]
+    return np.array([suffix[n, :horizon + 1] / -growth.get(n)
+                     for n in range(horizon + 1)])
 
 
 class TestGrowthProfile:
@@ -140,6 +160,21 @@ class TestTailMap:
         _, _, tight = apply_tail_map(example2_spec, 1.0, 1.0, np.zeros(9),
                                      np.zeros(9), TruncationPolicy(1e-12))
         assert tight < loose <= 1e-6
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weight_block_matches_per_term_build(self, seed):
+        spec = random_summable_spec(np.random.default_rng(seed))
+        op = TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
+        prof = op.profile
+        for component, kernel, nonlin, growth, ratio in (
+                (op.component_x, spec.kernel_a, spec.f, prof.x, prof.ratio_x),
+                (op.component_y, spec.kernel_b, spec.g, prof.y, prof.ratio_y)):
+            expected = per_term_weight_block(kernel, nonlin, growth, ratio,
+                                             12, POLICY)
+            assert component.k.shape == expected.shape
+            assert np.max(np.abs(component.k - expected)) <= 1e-15 * max(
+                1.0, np.max(np.abs(expected)))
 
 
 class TestSolveAsymptotic:

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from volterra2d import (
     History,
-    PeriodicSequence,
     TruncationPolicy,
+    defects,
+    parse_scenario,
     parse_system,
-    residual,
 )
 from volterra2d.cli import CSV_HEADER, run
 
@@ -118,26 +120,25 @@ class TestTableDefects:
         spec = parse_system(config)
         policy = TruncationPolicy(**config["truncation"])
 
+        depth = 400  # deeper than any window of these kernels
         xs, ys = report["x"], report["y"]
         if command == "solve-periodic":
-            values_x = PeriodicSequence(spec.period, xs).get
-            values_y = PeriodicSequence(spec.period, ys).get
+            extension = np.arange(-depth, steps + 1) % spec.period
+            values_x = np.array(xs)[extension]
+            values_y = np.array(ys)[extension]
         else:
             history = (History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
                        if command == "simulate" else History.zero())
-
-            def values_x(m):
-                return xs[m] if m >= 0 else history.value_at(m)[0]
-
-            def values_y(m):
-                return ys[m] if m >= 0 else history.value_at(m)[1]
+            past = np.array([history.value_at(m) for m in range(-depth, 0)])
+            values_x = np.concatenate([past[:, 0], xs[:steps + 1]])
+            values_y = np.concatenate([past[:, 1], ys[:steps + 1]])
 
         header, rows = read_csv(csv_path)
         col_x, col_y = header.index("res_x"), header.index("res_y")
         table = [(float(row[col_x]), float(row[col_y]))
                  for row in rows if row[col_x] != ""]
-        assert table == [residual(spec, values_x, values_y, n, policy)
-                         for n in range(steps)]
+        assert table == list(defects(spec, values_x, values_y, steps,
+                                     policy))
         if command != "simulate":
             assert report["residual_max"] == max(max(pair) for pair in table)
 
@@ -209,6 +210,20 @@ class TestSolveCommands:
              "--mode", "asymptotic", "--out", str(tmp_path / "r.json")])
         body = json.loads((tmp_path / "r.json").read_text())["report"]
         assert 0.0 <= body["verification"]["remainder_bound"] < 1e-12
+
+    def test_verify_echo_reproduces_the_solve(self, example2_path, tmp_path):
+        reports = {}
+        for command in (["solve-asymptotic"],
+                        ["verify", "--mode", "asymptotic"]):
+            out = tmp_path / f"{command[0]}.json"
+            run([*command, "--config", str(example2_path), "--c1", "1",
+                 "--c2", "2", "--horizon", "40", "--out", str(out)])
+            reports[command[0]] = json.loads(out.read_text())
+        solve = reports["solve-asymptotic"]["report"]
+        for report in reports.values():
+            scenario = parse_scenario(report["config"])
+            assert (scenario.c1, scenario.c2, scenario.horizon) == (
+                solve["c1"], solve["c2"], solve["horizon"])
 
     def test_verify_periodic(self, example1_path, tmp_path):
         code = run(["verify", "--config", str(example1_path),

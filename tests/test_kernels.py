@@ -12,6 +12,8 @@ from volterra2d import (
     inner_sum,
 )
 
+from conftest import inner_sum_reference
+
 # Frozen from the geometric-series oracles below (brute-force partial sums
 # agree to 1e-14 relative).
 ROW_SUM_UNIT_RATE = 1.5819767068693265          # e / (e - 1)
@@ -190,38 +192,88 @@ class TestFoldedWeights:
 
 
 class TestInnerSum:
+    # Mapped values on m = i-DEPTH..i, longer than any window used here.
+    DEPTH = 2000
+
     def test_constant_callback_recovers_row_sum(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
         policy = TruncationPolicy(1e-10, 100_000)
-        total, tail = inner_sum(k, 0, lambda m: 1.0, 1.0, policy)
+        total, tail = inner_sum(k, 0, np.ones(self.DEPTH), 1.0, policy)
         assert tail <= 1e-10
         assert total == pytest.approx(ROW_SUM_UNIT_RATE, abs=2e-10)
 
     def test_zero_callback(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
-        total, tail = inner_sum(k, 5, lambda m: 0.0, 0.0, TruncationPolicy())
+        total, tail = inner_sum(k, 5, np.zeros(self.DEPTH), 0.0,
+                                TruncationPolicy())
         assert total == 0.0
         assert tail <= 1e-10
 
     def test_finite_lag_is_exact(self):
         k = FiniteLag(((2.0, -1.0, 0.5),))
-        values = {0: 1.0, -1: 2.0, -2: -3.0}
-        total, tail = inner_sum(k, 0, values.__getitem__, 3.0,
-                                TruncationPolicy())
+        values = np.array([-3.0, 2.0, 1.0])  # m = -2, -1, 0
+        total, tail = inner_sum(k, 0, values, 3.0, TruncationPolicy())
         assert tail == 0.0
         assert total == 2.0 * 1.0 + (-1.0) * 2.0 + 0.5 * (-3.0)
 
     def test_cap_raises_when_tail_uncertified(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
         with pytest.raises(TailNotCertified):
-            inner_sum(k, 0, lambda m: 1.0, 1.0, TruncationPolicy(1e-30, 3))
+            inner_sum(k, 0, np.ones(self.DEPTH), 1.0,
+                      TruncationPolicy(1e-30, 3))
 
     def test_cap_tolerated_when_weights_vanish(self):
         k = FiniteLag(((2.0, 0.0, 0.0),))
-        total, tail = inner_sum(k, 0, lambda m: 1.0, 1.0,
+        total, tail = inner_sum(k, 0, np.ones(self.DEPTH), 1.0,
                                 TruncationPolicy(1e-12, 1))
         assert total == 2.0
         assert tail == 0.0
+
+    def test_cap_counts_terms(self):
+        k = FiniteLag(((1.0, 1.0, 1.0),))
+        total, tail = inner_sum(k, 0, np.ones(3), 1.0,
+                                TruncationPolicy(1e-12, 3))
+        assert (total, tail) == (3.0, 0.0)
+        with pytest.raises(TailNotCertified, match="2-term cap"):
+            inner_sum(k, 0, np.ones(3), 1.0, TruncationPolicy(1e-12, 2))
+
+    def test_too_few_values_rejected(self):
+        k = FiniteLag(((2.0, -1.0, 0.5),))
+        assert inner_sum(k, 0, np.ones(3), 1.0, TruncationPolicy())[1] == 0.0
+        with pytest.raises(ValueError, match="needs 3 values"):
+            inner_sum(k, 0, np.ones(2), 1.0, TruncationPolicy())
+
+    def test_matches_per_term_reference(self):
+        rng = np.random.default_rng(8)
+        policy = TruncationPolicy(1e-9)
+        kernels = [SeparableExponential(float(rng.uniform(-2, 2)),
+                                        float(rng.uniform(0.05, 2.0)),
+                                        float(rng.uniform(0.05, 2.0)))
+                   for _ in range(10)]
+        kernels += [FiniteLag(tuple(tuple(float(w) for w in
+                                          rng.uniform(-1, 1, 60))
+                                    for _ in range(3))) for _ in range(3)]
+        for k in kernels:
+            i = int(rng.integers(-3, 8))
+            values = np.sin(np.arange(i - self.DEPTH + 1, i + 1))
+            total, tail = inner_sum(k, i, values, 1.0, policy)
+            ref, ref_tail = inner_sum_reference(
+                k, i, lambda m: values[m - i - 1], 1.0, policy)
+            assert tail == ref_tail
+            assert abs(total - ref) <= 1e-13 * max(1.0, k.abs_row_sum(i))
+
+    @pytest.mark.parametrize("kernel", [
+        SeparableExponential(-0.7, 0.05, 0.3),
+        SeparableExponential(1.2, 0.9, 0.4),
+        FiniteLag(((1.0, -2.0, 0.5), (0.25, 0.0, 3.0))),
+    ])
+    def test_weight_row_matches_weight(self, kernel):
+        for i in (-4, 0, 3, 7):
+            for depth in (0, 1, 2, 5, 40):
+                row = kernel.weight_row(i, depth)
+                ref = [kernel.weight(i, m) for m in range(i - depth, i + 1)]
+                assert row.shape == (depth + 1,)
+                assert np.allclose(row, ref, rtol=1e-15, atol=0.0)
 
     def test_tail_bound_honest_against_untruncated_sum(self):
         rng = np.random.default_rng(55)
@@ -232,8 +284,9 @@ class TestInnerSum:
                                      float(rng.uniform(0.2, 2.0)))
             i = int(rng.integers(-2, 3))
             phase = float(rng.uniform(0, 6))
-            total, tail = inner_sum(k, i, lambda m: math.sin(m + phase), 1.0,
-                                    policy)
+            total, tail = inner_sum(
+                k, i, np.sin(np.arange(i - self.DEPTH + 1, i + 1) + phase),
+                1.0, policy)
             exact = float(sum(
                 k.weight(i, m) * math.sin(m + phase)
                 for m in range(i - max(64, math.ceil(40 / k.row_rate)), i + 1)))
@@ -251,7 +304,7 @@ class TestInnerSum:
                                     for _ in range(2))) for _ in range(5)]
         for k in kernels:
             i = int(rng.integers(-2, 3))
-            total, tail = inner_sum(k, i, lambda m: 1.0, 1.0, policy)
+            total, tail = inner_sum(k, i, np.ones(self.DEPTH), 1.0, policy)
             assert abs(total) <= k.abs_row_sum(i) + policy.tail_tol
 
     def test_unit_callback_converges_to_row_sum(self):
@@ -259,7 +312,7 @@ class TestInnerSum:
         k = SeparableExponential(-1.3, 0.7, 1.1)
         gaps = []
         for tol in (1e-4, 1e-8, 1e-12):
-            total, _ = inner_sum(k, 2, lambda m: 1.0, 1.0,
+            total, _ = inner_sum(k, 2, np.ones(self.DEPTH), 1.0,
                                  TruncationPolicy(tol))
             gaps.append(abs(abs(total) - k.abs_row_sum(2)))
         assert gaps[0] <= 1e-4 and gaps[2] <= 1e-12
@@ -271,5 +324,5 @@ class TestInnerSum:
         with pytest.raises(ValueError):
             TruncationPolicy(1e-10, 0)
         with pytest.raises(ValueError):
-            inner_sum(SeparableExponential(1.0, 1.0, 1.0), 0, lambda m: 1.0,
-                      -1.0, TruncationPolicy())
+            inner_sum(SeparableExponential(1.0, 1.0, 1.0), 0,
+                      np.ones(TestInnerSum.DEPTH), -1.0, TruncationPolicy())

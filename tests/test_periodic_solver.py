@@ -15,14 +15,14 @@ from volterra2d import (
     apply_cycle_map,
     check_periodic_hypotheses,
     cycle_gain,
-    inner_sum,
     simulate,
     solve_periodic,
 )
 
 from volterra2d.periodic_solver import _cycle_map_vec
 
-from conftest import central_difference_jacobian, random_periodic_spec
+from conftest import (central_difference_jacobian, inner_sum_reference,
+                      random_periodic_spec)
 
 CONSTANT_DRIVE_EVEN = -1.5819767068693265   # frozen: -(1/2) * 2 * e/(e-1)
 CONSTANT_DRIVE_ODD = -3.163953413738653     # frozen: -(1/2) * 4 * e/(e-1)
@@ -46,12 +46,12 @@ def direct_map(spec, state, tail_tol=1e-12):
             for l in range(i + 1, n + T):
                 prod_h *= 1.0 + spec.h.get(l)
                 prod_p *= 1.0 + spec.p.get(l)
-            drive_a, _ = inner_sum(spec.kernel_a, i,
-                                   lambda m: spec.f(y.get(m)), spec.f.bound,
-                                   policy)
-            drive_b, _ = inner_sum(spec.kernel_b, i,
-                                   lambda m: spec.g(x.get(m)), spec.g.bound,
-                                   policy)
+            drive_a, _ = inner_sum_reference(
+                spec.kernel_a, i, lambda m: spec.f(y.get(m)), spec.f.bound,
+                policy)
+            drive_b, _ = inner_sum_reference(
+                spec.kernel_b, i, lambda m: spec.g(x.get(m)), spec.g.bound,
+                policy)
             acc_x += prod_h * drive_a
             acc_y += prod_p * drive_b
         out_x.append(gain_x * acc_x)

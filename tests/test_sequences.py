@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from volterra2d import (
     product_one_plus,
     reciprocal_growth,
 )
+from volterra2d.sequences import running_products
 
 ULP = 2.220446049250313e-16
 
@@ -76,6 +78,24 @@ class TestProductOnePlus:
         right = product_one_plus(s, b + 1, c)
         whole = product_one_plus(s, a, c)
         assert left * right == pytest.approx(whole, rel=4 * ULP, abs=1e-300)
+
+
+class TestRunningProducts:
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, 16, 64])
+    def test_matches_product_one_plus(self, period):
+        rng = np.random.default_rng(period)
+        values = rng.uniform(-0.9, 1.5, period)
+        values[period // 2] = -1.0  # a zero factor
+        s = PeriodicSequence(period, tuple(values))
+        prods = running_products(s)
+        expected = np.array([[product_one_plus(s, n + j + 1, n + period - 1)
+                              for j in range(period)]
+                             for n in range(period)])
+        # both multiply the same factors, in opposite orders
+        assert np.array_equal(prods == 0.0, expected == 0.0)
+        assert np.allclose(prods, expected, atol=0.0,
+                           rtol=period * np.finfo(float).eps)
+        assert np.all(prods[:, -1] == 1.0)
 
 
 class TestCycleGain:

@@ -1,14 +1,28 @@
+import numpy as np
 import pytest
 
 from volterra2d import (
+    FiniteLag,
     History,
+    PeriodicSequence,
+    SeparableExponential,
+    SystemSpec,
     TruncationPolicy,
     check_asymptotic_hypotheses,
-    residual,
+    defects,
     simulate,
 )
 
+from conftest import inner_sum_reference, random_nonlinearity
+
 POLICY = TruncationPolicy(1e-10, 100_000)
+
+
+def trajectory_values(t, depth=200):
+    """x and y of a trajectory on m = -depth..len-1, history included."""
+    ms = range(-depth, len(t))
+    return (np.array([t.x_at(m) for m in ms]),
+            np.array([t.y_at(m) for m in ms]))
 
 
 class TestSimulate:
@@ -52,8 +66,8 @@ class TestSimulate:
 class TestResidual:
     def test_simulated_trajectory_is_consistent(self, example2_spec):
         t = simulate(example2_spec, History.zero(), 30, POLICY)
-        for n in range(30):
-            dx, dy = residual(example2_spec, t.x_at, t.y_at, n, POLICY)
+        for dx, dy in defects(example2_spec, *trajectory_values(t), 30,
+                              POLICY):
             assert dx <= 10 * POLICY.tail_tol
             assert dy <= 10 * POLICY.tail_tol
 
@@ -61,20 +75,100 @@ class TestResidual:
         hist = History(((0.2, -0.1),), None)
         t = simulate(example1_spec, hist, 12, POLICY)
         scale = max(abs(v) for v in t.x)
-        for n in range(12):
-            dx, dy = residual(example1_spec, t.x_at, t.y_at, n, POLICY)
+        for dx, dy in defects(example1_spec, *trajectory_values(t), 12,
+                              POLICY):
             assert dx <= 10 * POLICY.tail_tol * max(1.0, scale)
             assert dy <= 10 * POLICY.tail_tol * max(1.0, scale)
 
     def test_trajectory_keeps_the_residual_of_each_step(self, example1_spec):
         hist = History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
         t = simulate(example1_spec, hist, 12, POLICY)
-        assert t.defects == tuple(
-            residual(example1_spec, t.x_at, t.y_at, n, POLICY)
-            for n in range(12))
+        assert t.defects == defects(example1_spec, *trajectory_values(t), 12,
+                                    POLICY)
 
     def test_zero_everything_gives_exact_zero(self, zero_amplitude_spec):
-        zero = lambda m: 0.0
-        for n in range(5):
-            assert residual(zero_amplitude_spec, zero, zero, n, POLICY) \
-                == (0.0, 0.0)
+        zero = np.zeros(6)
+        assert defects(zero_amplitude_spec, zero, zero, 5, POLICY) \
+            == ((0.0, 0.0),) * 5
+
+
+def random_drive_kernel(rng):
+    """Slow (rate down to 0.05) separable kernels with row sums growing or
+    decaying in n, or finite-lag kernels with up to 60 lags.  Row sums stay
+    near 1 or below: with much stronger coupling some of these systems are
+    chaotic, and any two summation orders then part ways exponentially."""
+    if rng.random() < 0.6:
+        rate = float(rng.uniform(0.05, 1.0))
+        gap = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.1))
+        coef = float(rng.uniform(0.002, 0.05) * rng.choice([-1.0, 1.0]))
+        return SeparableExponential(coef, rate, rate + gap)
+    lags = int(rng.integers(1, 61))
+    rows = int(rng.integers(1, 4))
+    return FiniteLag(tuple(tuple(float(w) / lags
+                                 for w in rng.uniform(-1, 1, lags))
+                           for _ in range(rows)))
+
+
+def random_drive_case(rng):
+    T = int(rng.integers(1, 4))
+
+    def coeffs():
+        return PeriodicSequence(T, tuple(float(v) for v in
+                                         rng.uniform(-0.6, 0.0, T)))
+
+    spec = SystemSpec(T, coeffs(), coeffs(), random_drive_kernel(rng),
+                      random_drive_kernel(rng), random_nonlinearity(rng),
+                      random_nonlinearity(rng))
+    window = tuple(tuple(float(v) for v in rng.uniform(-1, 1, 2))
+                   for _ in range(int(rng.integers(1, 6))))
+    tail = (None if rng.random() < 0.3
+            else tuple(float(v) for v in rng.uniform(-1, 1, 2)))
+    return spec, History(window, tail)
+
+
+def reference_march(spec, history, steps, policy):
+    """simulate's recurrence marched one step at a time on per-term sums."""
+    xs, ys = [history.value_at(0)[0]], [history.value_at(0)[1]]
+
+    def value(seq, m, c):
+        return seq[m] if m >= 0 else history.value_at(m)[c]
+
+    for n in range(steps):
+        drive_x, _ = inner_sum_reference(
+            spec.kernel_a, n, lambda m: spec.f(value(ys, m, 1)),
+            spec.f.bound, policy)
+        drive_y, _ = inner_sum_reference(
+            spec.kernel_b, n, lambda m: spec.g(value(xs, m, 0)),
+            spec.g.bound, policy)
+        xs.append((1.0 + spec.h.get(n)) * xs[n] + drive_x)
+        ys.append((1.0 + spec.p.get(n)) * ys[n] + drive_y)
+    return np.array(xs), np.array(ys)
+
+
+class TestArrayDrive:
+    """simulate's array drives against a per-term march."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_term_march(self, seed):
+        rng = np.random.default_rng(seed)
+        spec, history = random_drive_case(rng)
+        t = simulate(spec, history, 40, POLICY)
+        ref_x, ref_y = reference_march(spec, history, 40, POLICY)
+        scale = max(1.0, np.max(np.abs(ref_x)), np.max(np.abs(ref_y)))
+        assert np.max(np.abs(np.array(t.x) - ref_x)) <= 1e-13 * scale
+        assert np.max(np.abs(np.array(t.y) - ref_y)) <= 1e-13 * scale
+        assert max(max(pair) for pair in t.defects) <= POLICY.tail_tol
+
+    def test_generators_reach_the_hard_regimes(self):
+        cases = [random_drive_case(np.random.default_rng(seed))
+                 for seed in range(12)]
+        kernels = [k for spec, _ in cases for k in (spec.kernel_a,
+                                                     spec.kernel_b)]
+        separable = [k for k in kernels
+                     if isinstance(k, SeparableExponential)]
+        assert min(k.row_rate for k in separable) < 0.1
+        assert any(k.col_rate < k.row_rate for k in separable)
+        assert any(k.col_rate > k.row_rate for k in separable)
+        assert max(k.max_lag for k in kernels
+                   if isinstance(k, FiniteLag)) >= 40
+        assert any(history.tail is not None for _, history in cases)

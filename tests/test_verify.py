@@ -11,8 +11,8 @@ from volterra2d import (
     PeriodicSequence,
     SystemSpec,
     TruncationPolicy,
+    defects,
     periodic_residual_max,
-    residual,
     solve_asymptotic,
     solve_periodic,
     verify_decomposition,
@@ -65,9 +65,11 @@ class TestVerifyPeriodic:
         sol_x, sol_y = cosine_solution
         policy = TruncationPolicy(1e-12)
         brute = periodic_residual_max(cosine_spec, cosine_solution, 10)
+        ms = range(-DIRECT_DEPTH, 11)
         adaptive = max(
-            max(residual(cosine_spec, sol_x.get, sol_y.get, n, policy))
-            for n in range(10))
+            max(pair) for pair in defects(
+                cosine_spec, np.array([sol_x.get(m) for m in ms]),
+                np.array([sol_y.get(m) for m in ms]), 10, policy))
         assert abs(brute - adaptive) <= 1e-9
 
 
@@ -92,6 +94,27 @@ class TestVerifyDecomposition:
         first_bad = next(n for n, b in enumerate(dec.v1_bound)
                          if 1e-2 > b + 1e-9)
         assert first_bad == 7
+
+    def test_alternating_deviation_decays_per_period(self, example2_spec):
+        """With (c1, c2) = (1, 2) at H = 40, v alternates within each period
+        (single steps grow), while whole periods shrink at the envelope
+        rate: the decomposition is correct and must pass."""
+        report = solve_asymptotic(example2_spec, 1.0, 2.0, 40,
+                                  policy=TruncationPolicy(1e-10))
+        assert report.converged
+        ver = verify_decomposition(example2_spec, report.decomposition)
+        assert ver.decay_ok
+        assert ver.passed
+
+    def test_deviation_growing_per_period_fails_decay(self, example2_spec,
+                                                      demo2_report):
+        dec = demo2_report.decomposition
+        # 2x per period T = 2; every single step is within 10x the ratio
+        grown = tuple(1e-9 * 2.0 ** (n / 2) for n in range(len(dec.v1)))
+        ver = verify_decomposition(example2_spec,
+                                   dataclasses.replace(dec, v1=grown))
+        assert not ver.decay_ok
+        assert not ver.passed
 
     def test_tampered_periodic_part_fails(self, example2_spec, demo2_report):
         dec = demo2_report.decomposition
