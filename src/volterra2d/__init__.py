@@ -13,12 +13,14 @@ from .asymptotic_solver import (
     solve_asymptotic,
 )
 from .kernels import (
+    DrivePlan,
     FiniteLag,
     Kernel,
     NotDiagonalPeriodic,
     SeparableExponential,
     TailNotCertified,
     TruncationPolicy,
+    drive_plan,
     inner_sum,
 )
 from .periodic_solver import (
@@ -69,6 +71,7 @@ __all__ = [
     "ConfigError",
     "Decomposition",
     "DecompositionVerification",
+    "DrivePlan",
     "FiniteLag",
     "GrowthProfile",
     "History",
@@ -96,6 +99,7 @@ __all__ = [
     "cycle_gain",
     "defects",
     "drive_depth",
+    "drive_plan",
     "growth_profile",
     "inner_sum",
     "parse_scenario",

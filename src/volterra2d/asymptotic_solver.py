@@ -16,8 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
-from .kernels import (Kernel, TailNotCertified, TruncationPolicy,
-                      certified_depth)
+from .kernels import Kernel, TailNotCertified, TruncationPolicy, drive_plan
 from .sequences import PeriodicSequence, PeriodProductNotOne, ZeroFactor
 from .simulate import defects, drive_depth
 from .system import (GrowthProfile, Nonlinearity, SystemSpec,
@@ -132,19 +131,17 @@ class _TailMapComponent:
         # over the rows, deflated by the worst growth ratio.
         inner_tol = (policy.tail_tol / 2.0) / (ratio * (cut + 1))
         min_growth = min(abs(v) for v in growth.values)
-        depths, tails = zip(*(certified_depth(kernel, i, bound, inner_tol,
-                                              policy.max_terms)
-                              for i in range(cut + 1)))
-        self.inner_error = sum(abs(growth.get(i + 1)) * tail
-                               for i, tail in enumerate(tails)) / min_growth
-        m_lo = min(i - d for i, d in enumerate(depths))
+        plan = drive_plan(kernel, cut + 1, bound, inner_tol, policy.max_terms)
+        ns = np.arange(cut + 1)
+        r_next = np.array(growth.values)[(ns + 1) % growth.period]
+        self.inner_error = float(np.abs(r_next) @ plan.tail) / min_growth
+        m_lo = int(np.min(ns - plan.depth))
 
         # w[n, m - m_lo] = sum_{i=n}^{cut} r_{i+1} a_{i,m}, built in place:
         # scale the weight rows by the growth, then take suffix sums.
         w = np.zeros((cut + 1, cut + 1 - m_lo))
-        for i, depth in enumerate(depths):
-            w[i, i - depth - m_lo:i + 1 - m_lo] = kernel.weight_row(i, depth)
-        w *= np.array([[growth.get(i + 1)] for i in range(cut + 1)])
+        plan.fill(w, m_lo)
+        w *= r_next[:, None]
         np.cumsum(w[::-1], axis=0, out=w[::-1])
         self.growth_out = np.array([growth.get(n) for n in range(horizon + 1)])
         rows = w[:horizon + 1]

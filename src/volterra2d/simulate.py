@@ -1,25 +1,34 @@
 """Forward iteration of the initial-value problem and recurrence defects of
 candidate solutions, both on arrays: f(y) and g(x) are mapped once per
-value, and each drive is ``inner_sum`` over a prefix of them."""
+value, each kernel's rows are planned once per call (``drive_plan``: the
+certified depth of every row from one array pass, the weights in compact
+form), and each drive is one scale * (profile window @ value window)."""
 from __future__ import annotations
 
+from itertools import count
 from typing import Tuple
 
 import numpy as np
 
-from .kernels import TruncationPolicy, certified_depth, inner_sum
+from .kernels import DrivePlan, TruncationPolicy, drive_plan
 from .sequences import History, Trajectory
 from .system import SystemSpec
 
 
+def _plans(spec: SystemSpec, rows: int,
+           policy: TruncationPolicy) -> Tuple[DrivePlan, DrivePlan]:
+    """Drive plans of the x drive (kernel a over f(y)) and the y drive
+    (kernel b over g(x)) at rows n = 0..rows-1."""
+    return tuple(drive_plan(kernel, rows, phi.bound, policy.tail_tol,
+                            policy.max_terms)
+                 for kernel, phi in ((spec.kernel_a, spec.f),
+                                     (spec.kernel_b, spec.g)))
+
+
 def drive_depth(spec: SystemSpec, rows: int, policy: TruncationPolicy) -> int:
     """How far before m = 0 the drives of steps n = 0..rows-1 reach: the
-    deepest inner-sum window of either kernel over those rows."""
-    return max((certified_depth(kernel, n, phi.bound, policy.tail_tol,
-                                policy.max_terms)[0]
-                for kernel, phi in ((spec.kernel_a, spec.f),
-                                    (spec.kernel_b, spec.g))
-                for n in range(rows)), default=0)
+    deepest window of either kernel's drive plan over those rows."""
+    return max(plan.max_depth for plan in _plans(spec, rows, policy))
 
 
 def simulate(spec: SystemSpec, history: History, steps: int,
@@ -38,16 +47,17 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    depth = drive_depth(spec, steps, policy)
+    plan_x, plan_y = _plans(spec, steps, policy)
+    depth = max(plan_x.max_depth, plan_y.max_depth)
     xs, ys = np.zeros((2, depth + steps + 1))  # entry m + depth
     xs[:depth + 1], ys[:depth + 1] = np.array(
         [history.value_at(m) for m in range(-depth, 1)]).T
     f, g = spec.f, spec.g
     fy, gx = f(ys), g(xs)  # entries past m = 0 are set as the march goes
     pairs = []
-    for n, k in enumerate(range(depth, depth + steps)):
-        drive_x, _ = inner_sum(spec.kernel_a, n, fy[:k + 1], f.bound, policy)
-        drive_y, _ = inner_sum(spec.kernel_b, n, gx[:k + 1], g.bound, policy)
+    for n, k, drive_x, drive_y in zip(range(steps), count(depth),
+                                      plan_x.drives(fy, depth),
+                                      plan_y.drives(gx, depth)):
         gain_x, gain_y = 1.0 + spec.h.get(n), 1.0 + spec.p.get(n)
         x, y = float(xs[k]), float(ys[k])
         x_next, y_next = gain_x * x + drive_x, gain_y * y + drive_y
@@ -74,13 +84,15 @@ def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or len(xs) <= rows:
         raise ValueError(f"x and y must be equal-length arrays on m <= {rows}")
-    f, g = spec.f, spec.g
-    fy, gx = f(ys), g(xs)
-    pairs = []
-    for n, k in enumerate(range(len(xs) - 1 - rows, len(xs) - 1)):
-        drive_x, _ = inner_sum(spec.kernel_a, n, fy[:k + 1], f.bound, policy)
-        drive_y, _ = inner_sum(spec.kernel_b, n, gx[:k + 1], g.bound, policy)
-        pairs.append(
-            (abs(xs[k + 1] - (1.0 + spec.h.get(n)) * xs[k] - drive_x),
-             abs(ys[k + 1] - (1.0 + spec.p.get(n)) * ys[k] - drive_y)))
-    return tuple((float(dx), float(dy)) for dx, dy in pairs)
+    plan_x, plan_y = _plans(spec, rows, policy)
+    start = len(xs) - 1 - rows  # entry of m = 0
+    depth = max(plan_x.max_depth, plan_y.max_depth)
+    if start < depth:
+        raise ValueError(f"x and y must reach {depth} steps before m = 0")
+    fy, gx = spec.f(ys), spec.g(xs)
+    return tuple(
+        (float(abs(xs[k + 1] - (1.0 + spec.h.get(n)) * xs[k] - drive_x)),
+         float(abs(ys[k + 1] - (1.0 + spec.p.get(n)) * ys[k] - drive_y)))
+        for n, k, drive_x, drive_y in zip(range(rows), count(start),
+                                          plan_x.drives(fy, start),
+                                          plan_y.drives(gx, start)))

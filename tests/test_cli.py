@@ -85,6 +85,26 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", str(example2_path),
                     "--steps", "-1", "--out", "/dev/null"]) == 1
 
+    @pytest.mark.parametrize("rate", [1e-12, 1e-200, 1e-300])
+    def test_vanishing_rate_stops_at_the_cap(self, rate, example2_path,
+                                             tmp_path):
+        # The depth estimate for these rates is about 5e202 terms at 1e-200
+        # and overflows at 1e-300; both must stop at max_terms with exit 2.
+        # Run in a subprocess with a timeout so that a hang fails the test.
+        config = json.loads(example2_path.read_text())
+        config["kernel_a"].update(row_rate=rate, col_rate=rate)
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(config))
+        result = subprocess.run(
+            [sys.executable, "-m", "volterra2d.cli", "simulate",
+             "--config", str(path), "--steps", "5",
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, cwd=SRC_DIR, timeout=60)
+        assert result.returncode == 2
+        assert "TailNotCertified" in result.stderr
+        assert "100000-term cap" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestTableDefects:
     """The res_x/res_y columns of every table are the recurrence defects of

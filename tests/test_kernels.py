@@ -11,8 +11,9 @@ from volterra2d import (
     TruncationPolicy,
     inner_sum,
 )
+from volterra2d.kernels import certified_depth, drive_plan
 
-from conftest import inner_sum_reference
+from conftest import inner_sum_reference, truncation_depth_reference
 
 # Frozen from the geometric-series oracles below (brute-force partial sums
 # agree to 1e-14 relative).
@@ -326,3 +327,131 @@ class TestInnerSum:
         with pytest.raises(ValueError):
             inner_sum(SeparableExponential(1.0, 1.0, 1.0), 0,
                       np.ones(TestInnerSum.DEPTH), -1.0, TruncationPolicy())
+
+
+def random_plan_case(rng):
+    """A kernel, bound, tail_tol and term cap for a drive plan: separable
+    rates 1e-3..3 with col - row of either sign, or finite-lag kernels of
+    1..60 lags (some trailing weights zero) and lag period 1..3; bounds
+    include 0 and caps are sometimes small enough to be hit."""
+    if rng.random() < 0.6:
+        rate = float(10.0 ** rng.uniform(-3.0, math.log10(3.0)))
+        gap = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 0.1))
+        kernel = SeparableExponential(
+            float(rng.uniform(0.01, 3.0) * rng.choice([-1.0, 1.0])),
+            rate, rate + gap)
+    else:
+        lags = int(rng.integers(1, 61))
+        weights = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), lags))
+        weights[:, lags - int(rng.integers(0, 3)):] = 0.0
+        kernel = FiniteLag(tuple(tuple(float(w) for w in row)
+                                 for row in weights))
+    bound = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.1, 3.0))
+    tol = float(10.0 ** rng.uniform(-14.0, -6.0))
+    max_terms = (int(rng.integers(1, 40)) if rng.random() < 0.3
+                 else 100_000)
+    return kernel, bound, tol, max_terms
+
+
+class TestDrivePlan:
+    """The array depth rule and the compact weights against the scalar
+    per-row loop and the per-term weight."""
+
+    ROWS = 120
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_depths_match_scalar_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        kernel, bound, tol, max_terms = random_plan_case(rng)
+        try:
+            expected = [truncation_depth_reference(kernel, n, bound, tol,
+                                                   max_terms)
+                        for n in range(self.ROWS)]
+        except TailNotCertified as exc:
+            with pytest.raises(TailNotCertified) as caught:
+                drive_plan(kernel, self.ROWS, bound, tol, max_terms)
+            assert str(caught.value) == str(exc)  # the same first row
+            return
+        plan = drive_plan(kernel, self.ROWS, bound, tol, max_terms)
+        depths, tails = zip(*expected)
+        assert plan.depth.tolist() == list(depths)
+        # numpy's exp and the summation order of the lag tails may differ
+        # from the scalar loop in the last bits
+        assert plan.tail.tolist() == pytest.approx(tails, rel=1e-13, abs=0.0)
+        assert plan.max_depth == max(depths)
+        for n in (0, self.ROWS // 2, self.ROWS - 1):
+            assert certified_depth(kernel, n, bound, tol, max_terms) == (
+                plan.depth[n], plan.tail[n])
+            assert kernel.truncation_depth(n, bound, tol, max_terms) \
+                == plan.depth[n]
+
+    def test_cases_reach_the_hard_regimes(self):
+        cases = [random_plan_case(np.random.default_rng(seed))
+                 for seed in range(60)]
+        separable = [k for k, *_ in cases
+                     if isinstance(k, SeparableExponential)]
+        lagged = [k for k, *_ in cases if isinstance(k, FiniteLag)]
+        assert min(k.row_rate for k in separable) < 3e-3
+        assert max(k.row_rate for k in separable) > 1.5
+        assert any(k.col_rate < k.row_rate for k in separable)
+        assert any(k.col_rate > k.row_rate for k in separable)
+        assert max(k.max_lag for k in lagged) >= 40
+        assert {k.lag_period for k in lagged} == {1, 2, 3}
+        assert any(bound == 0.0 for _, bound, _, _ in cases)
+        uncertified = 0
+        for kernel, bound, tol, max_terms in cases:
+            try:
+                drive_plan(kernel, self.ROWS, bound, tol, max_terms)
+            except TailNotCertified:
+                uncertified += 1
+        assert 0 < uncertified < len(cases)
+
+    def test_tail_equal_to_tol_is_certified(self):
+        plan = drive_plan(FiniteLag(((0.5, 0.25),)), 2, 1.0, 0.25, 10)
+        assert plan.depth.tolist() == [0, 0]
+        assert plan.tail.tolist() == [0.25, 0.25]
+
+    def test_compact_weights_match_per_term_weight(self):
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(300):
+            rate = float(10.0 ** rng.uniform(math.log10(0.05),
+                                             math.log10(3.0)))
+            kernel = SeparableExponential(
+                float(rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])),
+                rate, rate + float(rng.uniform(-0.01, 0.5)))
+            first = int(rng.integers(0, 1998))
+            plan = drive_plan(kernel, 2, 1.0, 1e-8, 100_000, first=first)
+            m_lo = first - plan.max_depth
+            block = np.zeros((2, plan.max_depth + 2))
+            plan.fill(block, m_lo)
+            ref = np.zeros_like(block)
+            for r, depth in enumerate(plan.depth.tolist()):
+                n = first + r
+                for m in range(n - depth, n + 1):
+                    ref[r, m - m_lo] = kernel.weight(n, m)
+            assert np.array_equal(block != 0.0, ref != 0.0)
+            nonzero = ref != 0.0
+            worst = max(worst, float(np.max(
+                np.abs(block - ref)[nonzero] / np.abs(ref)[nonzero],
+                initial=0.0)))
+        assert worst <= 2e-12
+
+    def test_finite_lag_weights_are_the_table(self):
+        kernel = FiniteLag(((1.0, -2.0, 0.5), (0.25, 0.0, 3.0)))
+        plan = drive_plan(kernel, 5, 1.0, 1e-12, 100)
+        block = np.zeros((5, 7))
+        plan.fill(block, -2)
+        ref = np.array([[kernel.weight(n, m) if m <= n else 0.0
+                         for m in range(-2, 5)] for n in range(5)])
+        assert np.array_equal(block, ref)
+
+    def test_drives_match_inner_sum(self):
+        kernel = SeparableExponential(0.7, 0.3, 0.25)
+        policy = TruncationPolicy(1e-12)
+        plan = drive_plan(kernel, 30, 1.0, policy.tail_tol, policy.max_terms)
+        values = np.sin(np.arange(-plan.max_depth, 30))
+        drives = list(plan.drives(values, plan.max_depth))
+        assert drives == [inner_sum(kernel, n, values[:plan.max_depth + n + 1],
+                                    1.0, policy)[0] for n in range(30)]
+        assert all(type(d) is float for d in drives)

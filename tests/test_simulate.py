@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from volterra2d import (
     SystemSpec,
     TruncationPolicy,
     check_asymptotic_hypotheses,
+    Nonlinearity,
     defects,
+    drive_depth,
     simulate,
 )
 
@@ -85,6 +89,15 @@ class TestResidual:
         t = simulate(example1_spec, hist, 12, POLICY)
         assert t.defects == defects(example1_spec, *trajectory_values(t), 12,
                                     POLICY)
+
+    def test_defects_are_python_floats(self, example1_spec, example2_spec):
+        hist = History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
+        for spec in (example1_spec, example2_spec):
+            t = simulate(spec, hist, 12, POLICY)
+            for pairs in (t.defects, defects(spec, *trajectory_values(t), 12,
+                                             POLICY)):
+                assert len(pairs) == 12
+                assert all(type(d) is float for pair in pairs for d in pair)
 
     def test_zero_everything_gives_exact_zero(self, zero_amplitude_spec):
         zero = np.zeros(6)
@@ -172,3 +185,24 @@ class TestArrayDrive:
         assert max(k.max_lag for k in kernels
                    if isinstance(k, FiniteLag)) >= 40
         assert any(history.tail is not None for _, history in cases)
+
+
+class TestMemory:
+    def test_long_slow_march_keeps_storage_linear(self):
+        # Depth about 2,550 over 3,000 steps: a dense (steps x depth) weight
+        # band would take about 61 MB; the compact plan, the value arrays
+        # and the trajectory take well under 8 MB.
+        kernel = SeparableExponential(0.12, 0.01, 0.01)
+        half = PeriodicSequence(1, (-0.5,))
+        spec = SystemSpec(1, half, half, kernel, kernel,
+                          Nonlinearity("cos", 1.0, 1.0),
+                          Nonlinearity("sin", 1.0, 2.0))
+        assert 2500 <= drive_depth(spec, 3000, POLICY) <= 2600
+        tracemalloc.start()
+        try:
+            t = simulate(spec, History(((0.2, -0.1),), None), 3000, POLICY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t) == 3001
+        assert peak < 8 * 2**20
