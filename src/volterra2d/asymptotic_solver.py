@@ -18,7 +18,7 @@ import numpy as np
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import Kernel, TailNotCertified, TruncationPolicy, drive_plan
 from .sequences import PeriodicSequence, PeriodProductNotOne, ZeroFactor
-from .simulate import defects, drive_depth
+from .simulate import _depth, _planned_defects, _plans
 from .system import (GrowthProfile, Nonlinearity, SystemSpec,
                      amplitude_warnings, decay_envelope, growth_profile)
 
@@ -275,9 +275,10 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     v2 = yw - u2_window
     bound_x, bound_y = op.envelope()
 
-    history = np.zeros(drive_depth(spec, horizon, policy))
-    pairs = defects(spec, np.concatenate([history, xw]),
-                    np.concatenate([history, yw]), horizon, policy)
+    plans = _plans(spec, horizon, policy)
+    history = np.zeros(_depth(plans))
+    pairs = _planned_defects(spec, np.concatenate([history, xw]),
+                             np.concatenate([history, yw]), plans)
     residual_max = max(max(pair) for pair in pairs)
 
     slack = 10.0 * policy.tail_tol

@@ -5,15 +5,19 @@ Every run parses one JSON scenario config, executes one pipeline, writes a
 JSON report (stdout or --out) plus an optional CSV table, and exits:
 0 on success/convergence, 2 on hypothesis-check failure or
 non-convergence, 1 on input errors (reported to stderr with field paths).
+
+The report is one line of strict JSON from json's C encoder, with every
+non-finite float written as null.  The table is handed over as columns
+(the report's own tuples) and formatted one column at a time.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import math
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from . import asymptotic_solver, periodic_solver, verify
 from .kernels import NotDiagonalPeriodic, TailNotCertified
@@ -38,12 +42,11 @@ from .system import (
 CSV_HEADER = ["n", "x", "y", "u1", "v1", "u2", "v2",
               "res_x", "res_y", "bound_v1", "bound_v2"]
 
+#: A table by column name, each column from row n = 0 on.
+Columns = Dict[str, Sequence[float]]
+
 _DOMAIN_ERRORS = (PeriodProductIsOne, PeriodProductNotOne, ZeroFactor,
                   NotDiagonalPeriodic, TailNotCertified)
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(float(value), ".17g")
 
 
 def _load_config(path: str) -> Any:
@@ -68,8 +71,24 @@ def _echo_config(spec: SystemSpec, **extras: Any) -> Dict[str, Any]:
     return echo
 
 
+def _finite_or_none(value: Any) -> Any:
+    """``value`` with every non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 def _write_report(report: Dict[str, Any], out_path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2)
+    """Write the report as one line of strict JSON: a non-finite float,
+    which JSON cannot hold, is written as null."""
+    try:
+        text = json.dumps(report, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_none(report), allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -77,15 +96,26 @@ def _write_report(report: Dict[str, Any], out_path: Optional[str]) -> None:
         print(text)
 
 
-def _write_csv(rows: List[Dict[str, Any]], csv_path: Optional[str]) -> None:
+def _write_csv(length: int, columns: Columns,
+               csv_path: Optional[str]) -> None:
+    """Write the table of rows n = 0..length-1 under CSV_HEADER, each
+    value to 17 significant digits; a column that is missing or shorter
+    than the table leaves empty cells."""
     if not csv_path:
         return
+    fmt = "{:.17g}".format
+    cells = [map(str, range(length))]
+    for name in CSV_HEADER[1:]:
+        column = columns.get(name, ())
+        cells.append([*map(fmt, column), *[""] * (length - len(column))])
+    lines = [",".join(CSV_HEADER), *map(",".join, zip(*cells)), ""]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([row.get("n", ""),
-                             *[_fmt(row.get(col)) for col in CSV_HEADER[1:]]])
+        fh.write("\r\n".join(lines))
+
+
+def _defect_columns(pairs) -> Columns:
+    """The res_x/res_y columns of the (x, y) defects at n = 0, 1, ..."""
+    return dict(zip(("res_x", "res_y"), zip(*pairs)))
 
 
 def _cmd_check(args, scenario: Scenario) -> int:
@@ -109,10 +139,9 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     spec, history, policy = scenario.spec, scenario.history, scenario.policy
     trajectory = simulate(spec, history, args.steps, policy)
 
-    rows = [{"n": n, "x": trajectory.x[n], "y": trajectory.y[n]}
-            for n in range(len(trajectory))]
-    _add_defects(rows, trajectory.defects)
-    _write_csv(rows, args.csv)
+    _write_csv(len(trajectory), {"x": trajectory.x, "y": trajectory.y,
+                                 **_defect_columns(trajectory.defects)},
+               args.csv)
     _write_report({
         "command": "simulate",
         "steps": args.steps,
@@ -128,23 +157,16 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     return 0
 
 
-def _add_defects(rows: List[Dict[str, Any]], defects) -> None:
-    """Fill res_x/res_y of rows[n] from the recurrence defect at step n."""
-    for row, (dx, dy) in zip(rows, defects):
-        row.update(res_x=dx, res_y=dy)
-
-
 def _solve(mode: str, scenario: Scenario
-           ) -> Tuple[Any, List[Dict[str, Any]], Dict[str, Any]]:
-    """Run the ``mode`` solver on the scenario: its report, table rows and
-    the config echo that reproduces the run."""
+           ) -> Tuple[Any, Tuple[int, Columns], Dict[str, Any]]:
+    """Run the ``mode`` solver on the scenario: its report, table (length
+    and columns) and the config echo that reproduces the run."""
     spec, extras = scenario.spec, {}
     if mode == "periodic":
         report = periodic_solver.solve_periodic(spec, scenario.solver,
                                                 scenario.policy)
         sol_x, sol_y = report.solution
-        rows = [{"n": n, "x": sol_x.get(n), "y": sol_y.get(n)}
-                for n in range(spec.period)]
+        length, columns = spec.period, {"x": sol_x.values, "y": sol_y.values}
     else:
         horizon = (default_horizon(spec) if scenario.horizon is None
                    else scenario.horizon)
@@ -152,19 +174,19 @@ def _solve(mode: str, scenario: Scenario
             spec, scenario.c1, scenario.c2, horizon, scenario.solver,
             scenario.policy)
         dec = report.decomposition
-        rows = [{"n": n, "x": report.x[n], "y": report.y[n],
-                 "u1": dec.u1.get(n), "v1": dec.v1[n],
-                 "u2": dec.u2.get(n), "v2": dec.v2[n],
-                 "bound_v1": dec.v1_bound[n], "bound_v2": dec.v2_bound[n]}
-                for n in range(horizon + 1)]
+        length = horizon + 1
+        columns = {"x": report.x, "y": report.y,
+                   "u1": [*map(dec.u1.get, range(length))], "v1": dec.v1,
+                   "u2": [*map(dec.u2.get, range(length))], "v2": dec.v2,
+                   "bound_v1": dec.v1_bound, "bound_v2": dec.v2_bound}
         extras = {"c1": scenario.c1, "c2": scenario.c2, "horizon": horizon}
-    _add_defects(rows, report.defects)
-    return report, rows, _echo_config(spec, **extras)
+    columns.update(_defect_columns(report.defects))
+    return report, (length, columns), _echo_config(spec, **extras)
 
 
 def _cmd_solve(args, scenario: Scenario) -> int:
-    report, rows, echo = _solve(args.mode, scenario)
-    _write_csv(rows, args.csv)
+    report, table, echo = _solve(args.mode, scenario)
+    _write_csv(*table, args.csv)
     _write_report({
         "command": args.command,
         "config": echo,
@@ -174,7 +196,7 @@ def _cmd_solve(args, scenario: Scenario) -> int:
 
 
 def _cmd_verify(args, scenario: Scenario) -> int:
-    solve_report, rows, echo = _solve(args.mode, scenario)
+    solve_report, table, echo = _solve(args.mode, scenario)
     if args.mode == "periodic":
         verification = verify.verify_periodic(scenario.spec,
                                               solve_report.solution)
@@ -182,7 +204,7 @@ def _cmd_verify(args, scenario: Scenario) -> int:
         verification = verify.verify_decomposition(
             scenario.spec, solve_report.decomposition,
             tail_tol=scenario.policy.tail_tol)
-    _write_csv(rows, args.csv)
+    _write_csv(*table, args.csv)
     _write_report({
         "command": "verify",
         "mode": args.mode,

@@ -20,7 +20,7 @@ import numpy as np
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import TruncationPolicy
 from .sequences import PeriodicSequence, cycle_gain, running_products
-from .simulate import defects, drive_depth
+from .simulate import _depth, _planned_defects, _plans
 from .system import SystemSpec
 
 State = Tuple[PeriodicSequence, PeriodicSequence]
@@ -125,9 +125,10 @@ def solve_periodic(spec: SystemSpec,
                                opts=opts)
     solution = (PeriodicSequence(T, tuple(result.z[:T])),
                 PeriodicSequence(T, tuple(result.z[T:])))
-    extension = np.arange(-drive_depth(spec, T, policy), T + 1) % T
-    pairs = defects(spec, result.z[:T][extension], result.z[T:][extension],
-                    T, policy)
+    plans = _plans(spec, T, policy)
+    extension = np.arange(-_depth(plans), T + 1) % T
+    pairs = _planned_defects(spec, result.z[:T][extension],
+                             result.z[T:][extension], plans)
     residual_max = max(max(pair) for pair in pairs)
     converged = result.converged and residual_max <= opts.residual_tol
     return PeriodicSolveReport(

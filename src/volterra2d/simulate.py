@@ -5,7 +5,7 @@ certified depth of every row from one array pass, the weights in compact
 form), and each drive is one scale * (profile window @ value window)."""
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, cycle
 from typing import Tuple
 
 import numpy as np
@@ -25,10 +25,14 @@ def _plans(spec: SystemSpec, rows: int,
                                      (spec.kernel_b, spec.g)))
 
 
+def _depth(plans: Tuple[DrivePlan, DrivePlan]) -> int:
+    return max(plan.max_depth for plan in plans)
+
+
 def drive_depth(spec: SystemSpec, rows: int, policy: TruncationPolicy) -> int:
     """How far before m = 0 the drives of steps n = 0..rows-1 reach: the
     deepest window of either kernel's drive plan over those rows."""
-    return max(plan.max_depth for plan in _plans(spec, rows, policy))
+    return _depth(_plans(spec, rows, policy))
 
 
 def simulate(spec: SystemSpec, history: History, steps: int,
@@ -47,26 +51,30 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    plan_x, plan_y = _plans(spec, steps, policy)
-    depth = max(plan_x.max_depth, plan_y.max_depth)
-    xs, ys = np.zeros((2, depth + steps + 1))  # entry m + depth
-    xs[:depth + 1], ys[:depth + 1] = np.array(
+    plan_x, plan_y = plans = _plans(spec, steps, policy)
+    depth = _depth(plans)
+    past_x, past_y = np.array(
         [history.value_at(m) for m in range(-depth, 1)]).T
     f, g = spec.f, spec.g
-    fy, gx = f(ys), g(xs)  # entries past m = 0 are set as the march goes
-    pairs = []
-    for n, k, drive_x, drive_y in zip(range(steps), count(depth),
-                                      plan_x.drives(fy, depth),
-                                      plan_y.drives(gx, depth)):
-        gain_x, gain_y = 1.0 + spec.h.get(n), 1.0 + spec.p.get(n)
-        x, y = float(xs[k]), float(ys[k])
+    # f(y_m) and g(x_m) at entry m + depth; past m = 0 the march fills
+    # them in, one f and one g call per step
+    fy, gx = np.zeros((2, depth + steps + 1))
+    fy[:depth + 1], gx[:depth + 1] = f(past_y), g(past_x)
+    x, y = float(past_x[-1]), float(past_y[-1])
+    traj_x, traj_y, pairs = [x], [y], []
+    gains = zip(cycle([1.0 + h for h in spec.h.values]),
+                cycle([1.0 + p for p in spec.p.values]))
+    for k, (gain_x, gain_y), drive_x, drive_y in zip(
+            count(depth + 1), gains, plan_x.drives(fy, depth),
+            plan_y.drives(gx, depth)):
         x_next, y_next = gain_x * x + drive_x, gain_y * y + drive_y
-        xs[k + 1], ys[k + 1] = x_next, y_next
-        fy[k + 1], gx[k + 1] = f(y_next), g(x_next)
+        fy[k], gx[k] = f(y_next), g(x_next)
         pairs.append((abs(x_next - gain_x * x - drive_x),
                       abs(y_next - gain_y * y - drive_y)))
-    return Trajectory(tuple(xs[depth:]), tuple(ys[depth:]), history,
-                      policy.tail_tol, tuple(pairs))
+        x, y = x_next, y_next
+        traj_x.append(x)
+        traj_y.append(y)
+    return Trajectory(traj_x, traj_y, history, policy.tail_tol, tuple(pairs))
 
 
 def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,
@@ -81,12 +89,21 @@ def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,
     Sums are truncated with certified tail at most tail_tol, so an exact
     solution shows a defect of at most the tail plus accumulated round-off.
     """
+    return _planned_defects(spec, xs, ys, _plans(spec, rows, policy))
+
+
+def _planned_defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray,
+                     plans: Tuple[DrivePlan, DrivePlan]
+                     ) -> Tuple[Tuple[float, float], ...]:
+    """``defects`` at the rows of the x and y drive plans ``plans`` (from
+    ``_plans``), so that a caller sizing its arrays by them plans once."""
+    plan_x, plan_y = plans
+    rows = len(plan_x.depth)
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or len(xs) <= rows:
         raise ValueError(f"x and y must be equal-length arrays on m <= {rows}")
-    plan_x, plan_y = _plans(spec, rows, policy)
     start = len(xs) - 1 - rows  # entry of m = 0
-    depth = max(plan_x.max_depth, plan_y.max_depth)
+    depth = _depth(plans)
     if start < depth:
         raise ValueError(f"x and y must reach {depth} steps before m = 0")
     fy, gx = spec.f(ys), spec.g(xs)

@@ -66,7 +66,11 @@ class Nonlinearity:
             raise ValueError("amplitude and frequency must be finite")
 
     def __call__(self, x):
-        u = self.frequency * np.asarray(x, dtype=float)
+        # A Python number stays a float: the same ufunc or IEEE arithmetic
+        # as on an array entry, without the cost of a 0-d array.
+        scalar = isinstance(x, (float, int))
+        u = self.frequency * (float(x) if scalar
+                              else np.asarray(x, dtype=float))
         if self.kind == "sin":
             out = self.amplitude * np.sin(u)
         elif self.kind == "cos":
@@ -75,7 +79,7 @@ class Nonlinearity:
             out = self.amplitude * np.tanh(u)
         else:
             out = self.amplitude * u / (1.0 + u * u)
-        return float(out) if np.ndim(out) == 0 else out
+        return float(out) if scalar or np.ndim(out) == 0 else out
 
     def derivative(self, x):
         """d/dx of the value, entry by entry; |derivative| <= lipschitz."""

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import volterra2d as v
+from volterra2d.cli import CSV_HEADER
 from volterra2d.kernels import TailNotCertified, certified_depth
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -175,3 +177,18 @@ def truncation_depth_reference(kernel, i, bound, tol, max_terms):
         raise TailNotCertified(f"tail bound {tail:.3e} > {tol:.3e} "
                                f"at the {max_terms}-term cap")
     return depth, tail
+
+
+def csv_reference(rows, path):
+    """Reference table writer, row by row: one dict per row n, each value
+    through format(float(v), ".17g"), a missing key an empty cell, written
+    by the csv module (so lines end in CRLF)."""
+    def fmt(value):
+        return "" if value is None else format(float(value), ".17g")
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for row in rows:
+            writer.writerow([row.get("n", ""),
+                             *[fmt(row.get(col)) for col in CSV_HEADER[1:]]])

@@ -13,8 +13,14 @@ from volterra2d import (
     defects,
     parse_scenario,
     parse_system,
+    simulate,
+    solve_asymptotic,
+    solve_periodic,
 )
-from volterra2d.cli import CSV_HEADER, run
+from volterra2d.cli import _DOMAIN_ERRORS, CSV_HEADER, _write_report, run
+from volterra2d.system import default_horizon
+
+from conftest import csv_reference
 
 # ``python -m`` puts the working directory on sys.path, so a subprocess run
 # from here imports the checkout without PYTHONPATH.
@@ -381,3 +387,132 @@ def test_console_entry_point(example1_path, tmp_path):
         capture_output=True, text=True, cwd=SRC_DIR)
     assert result.returncode == 0
     assert json.loads((tmp_path / "r.json").read_text())["report"]["passed"]
+
+
+def _demo_config(name, example1_path, example2_path):
+    """A demo config, or a variant of it with nonzero values everywhere:
+    cos nonlinearities (a periodic solution away from 0) or a nonzero
+    history with a nonzero tail."""
+    base, _, variant = name.partition("-")
+    path = example1_path if base == "example1" else example2_path
+    config = json.loads(path.read_text())
+    if variant == "cos":
+        config.update(TestTableDefects.COS_NONLINEARITIES)
+    elif variant == "history":
+        config["history"] = {"window": [[0.3, -0.2], [0.1, 0.4]],
+                             "tail": {"x": 0.05, "y": -0.1}}
+    return config
+
+
+def reference_rows(argv, scenario):
+    """The table of the command ``argv`` as one dict per row n, built from
+    the library's results the way the row-wise writer took it."""
+    spec = scenario.spec
+    if argv[0] == "simulate":
+        report = simulate(spec, scenario.history, int(argv[2]),
+                          scenario.policy)
+        rows = [{"n": n, "x": report.x[n], "y": report.y[n]}
+                for n in range(len(report))]
+    elif argv[0] == "solve-periodic" or argv[-1] == "periodic":
+        report = solve_periodic(spec, scenario.solver, scenario.policy)
+        sol_x, sol_y = report.solution
+        rows = [{"n": n, "x": sol_x.get(n), "y": sol_y.get(n)}
+                for n in range(spec.period)]
+    else:
+        horizon = (default_horizon(spec) if scenario.horizon is None
+                   else scenario.horizon)
+        report = solve_asymptotic(spec, scenario.c1, scenario.c2, horizon,
+                                  scenario.solver, scenario.policy)
+        dec = report.decomposition
+        rows = [{"n": n, "x": report.x[n], "y": report.y[n],
+                 "u1": dec.u1.get(n), "v1": dec.v1[n],
+                 "u2": dec.u2.get(n), "v2": dec.v2[n],
+                 "bound_v1": dec.v1_bound[n], "bound_v2": dec.v2_bound[n]}
+                for n in range(horizon + 1)]
+    for row, (dx, dy) in zip(rows, report.defects):
+        row.update(res_x=dx, res_y=dy)
+    return rows
+
+
+DEMO_CONFIGS = ["example1", "example2", "example1-cos", "example2-history"]
+
+COMMANDS = {
+    "check-periodic": ["check", "--mode", "periodic"],
+    "check-asymptotic": ["check", "--mode", "asymptotic"],
+    "simulate-0": ["simulate", "--steps", "0"],
+    "simulate-1": ["simulate", "--steps", "1"],
+    "simulate-25": ["simulate", "--steps", "25"],
+    "solve-periodic": ["solve-periodic"],
+    "solve-asymptotic": ["solve-asymptotic"],
+    "verify-periodic": ["verify", "--mode", "periodic"],
+    "verify-asymptotic": ["verify", "--mode", "asymptotic"],
+}
+
+
+class TestWriters:
+    """The column-wise CSV writer gives the row-wise writer's bytes, and
+    every report is strict JSON (RFC 8259: no NaN or Infinity)."""
+
+    @pytest.mark.parametrize("config_name", DEMO_CONFIGS)
+    @pytest.mark.parametrize("command", [
+        name for name in COMMANDS if not name.startswith("check")])
+    def test_csv_bytes_match_row_writer(self, command, config_name,
+                                        example1_path, example2_path,
+                                        tmp_path):
+        config = _demo_config(config_name, example1_path, example2_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = COMMANDS[command]
+        csv_path, expected = tmp_path / "table.csv", tmp_path / "expected.csv"
+        code = run([*argv, "--config", str(path), "--csv", str(csv_path),
+                    "--out", str(tmp_path / "r.json")])
+        try:
+            rows = reference_rows(argv, parse_scenario(config))
+        except _DOMAIN_ERRORS:
+            assert code == 2 and not csv_path.exists()
+            return
+        csv_reference(rows, expected)
+        assert csv_path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("config_name", ["example1", "example2"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_reports_are_strict_json(self, command, config_name,
+                                     example1_path, example2_path, capsys):
+        path = example1_path if config_name == "example1" else example2_path
+        code = run([*COMMANDS[command], "--config", str(path)])
+        out, err = capsys.readouterr()
+        if not out:  # the solver refused the regime: no report
+            assert code == 2 and err
+            return
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        assert out.count("\n") == 1
+        report = json.loads(out, parse_constant=reject)
+        assert report["command"] == COMMANDS[command][0]
+
+    def test_nonfinite_values_are_written_as_null(self, tmp_path):
+        out = tmp_path / "r.json"
+        inf, nan = float("inf"), float("nan")
+        _write_report({"a": inf, "b": [1.5, -inf, (nan, 2.0)],
+                       "c": {"d": np.float64(nan), "e": "inf"}, "f": 3},
+                      str(out))
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text) == {"a": None, "b": [1.5, None, [None, 2.0]],
+                                    "c": {"d": None, "e": "inf"}, "f": 3}
+
+    def test_demo1_tail_mass_is_null(self, example1_path, tmp_path):
+        # The demo-1 kernels have col_rate = row_rate, so their double tail
+        # sums are infinite: JSON cannot hold the value, null stands in.
+        out = tmp_path / "r.json"
+        assert run(["check", "--mode", "asymptotic", "--config",
+                    str(example1_path), "--out", str(out)]) == 2
+        report = json.loads(out.read_text())["report"]
+        assert report["quantities"]["tail_mass_a"] is None
+        assert report["quantities"]["tail_mass_b"] is None
+        summable = [item for item in report["items"]
+                    if item["key"] == "summable_kernels"]
+        assert summable[0]["values"] == {"tail_mass_a": None,
+                                         "tail_mass_b": None}

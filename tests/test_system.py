@@ -44,6 +44,31 @@ class TestNonlinearity:
         x = np.linspace(-1, 1, 7)
         assert np.allclose(f(x), 2.0 * np.sin(3.0 * x))
 
+    @pytest.mark.parametrize(
+        "seed, kind", enumerate(["sin", "cos", "tanh", "rational_bounded"]))
+    def test_scalar_call_equals_array_entry(self, seed, kind):
+        # A Python number takes the scalar path: it must give the array
+        # entry's value bit for bit, as a Python float.
+        rng = np.random.default_rng(50 + seed)
+        for amplitude, frequency in [(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                                     (1, 2), (-3.0, 1e-3)]:
+            f = Nonlinearity(kind, amplitude, frequency)
+            # |k x| from 1e-300 up to 1e8, both signs, signed zeros and
+            # integer values
+            u = (rng.choice([-1.0, 1.0], 600)
+                 * 10.0 ** rng.uniform(-300, 8, 600))
+            x = np.concatenate([u / abs(frequency), [0.0, -0.0],
+                                np.round(u[:100] / abs(frequency))])
+            values = f(x)
+            for arguments in ([float(v) for v in x], list(x)):
+                scalars = [f(v) for v in arguments]  # float, np.float64
+                assert all(type(s) is float for s in scalars)
+                assert np.array(scalars).tobytes() == values.tobytes()
+            ints = [int(v) for v in x[-100:]]
+            assert np.array([f(v) for v in ints]).tobytes() \
+                == f(np.array(ints, dtype=float)).tobytes()
+            assert type(f(3)) is float
+
     @pytest.mark.parametrize("kind", ["sin", "cos", "tanh", "rational_bounded"])
     def test_declared_bound_holds_on_dense_sample(self, kind):
         rng = np.random.default_rng(hash(kind) % 2**32)
