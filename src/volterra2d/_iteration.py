@@ -128,10 +128,11 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
             mapped = apply_map(z)
             z_next = (1.0 - opts.damping) * z + opts.damping * mapped
             iterations += 1
-            if not np.all(np.isfinite(z_next)):
+            # z is finite, so a NaN or inf in z_next shows up in the max
+            update = float(np.max(np.abs(z_next - z)))
+            if not math.isfinite(update):
                 z = best_z
                 break
-            update = float(np.max(np.abs(z_next - z)))
             z = z_next
             if update < opts.tol:
                 return IterationResult(z, iterations, method, update, True)

@@ -44,7 +44,7 @@ ILL_CONDITIONED_GAIN = 1e6
 @dataclass(frozen=True)
 class Nonlinearity:
     """One of a closed family of bounded nonlinearities with analytically
-    known bounds and Lipschitz constants:
+    known bounds, Lipschitz constants and curvatures:
 
     * sin:               A * sin(k*x)
     * cos:               A * cos(k*x)
@@ -108,6 +108,17 @@ class Nonlinearity:
     def lipschitz(self) -> float:
         """Certified Lipschitz constant (sup of |derivative|)."""
         return abs(self.amplitude * self.frequency)
+
+    @property
+    def curvature(self) -> float:
+        """Certified sup of |second derivative|: |A| k^2 times the sup over
+        u of |d^2/du^2| of the shape, 1 for sin and cos, 4/(3 sqrt 3) for
+        tanh (at tanh u = 1/sqrt 3) and (3 + 2 sqrt 2)/4 for the rational
+        kind (at |u| = sqrt 2 - 1)."""
+        shape = {"tanh": 4.0 / (3.0 * math.sqrt(3.0)),
+                 "rational_bounded": (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
+                 }.get(self.kind, 1.0)
+        return abs(self.amplitude) * self.frequency ** 2 * shape
 
     @property
     def monotone(self) -> bool:

@@ -19,6 +19,7 @@ from volterra2d import (
     solve_periodic,
 )
 
+from volterra2d._iteration import solve_fixed_point
 from volterra2d.periodic_solver import _cycle_map_vec
 
 from conftest import (central_difference_jacobian, inner_sum_reference,
@@ -215,9 +216,9 @@ class TestSolvePeriodic:
         nonlinearities and constant h = 0.5, p = 0.3.  The gate is the
         certified-tail residual over one period, about 4.4e-11 here; a
         fixed 256-term kernel sum drops a tail of about 1.2e-6 and would
-        fail this correct solution.  verify_periodic still fails it, because
-        its own fixed depth cuts both its sums and its round-trip history
-        short; that verdict is the verifier's and is left alone here."""
+        fail this correct solution.  verify_periodic sums these kernels
+        deeper than 256 terms, to a remainder of at most defect_tol / 10,
+        and certifies the solution (tests/test_verify.py)."""
         kernel = SeparableExponential(0.05, 0.05, 0.05)
         spec = SystemSpec(
             period, PeriodicSequence(period, (0.5,) * period),
@@ -227,6 +228,17 @@ class TestSolvePeriodic:
         assert report.converged
         assert report.residual_max <= 1e-8
         assert len(report.defects) == period
+
+    @pytest.mark.parametrize("blowup", [math.inf, math.nan])
+    def test_picard_stops_at_a_non_finite_step(self, blowup):
+        """A step to inf or NaN ends Picard at once on the last finite
+        iterate, instead of stalling through STALL_PATIENCE more steps."""
+        opts = SolverOptions(strategy="picard_only", damping=1.0)
+        result = solve_fixed_point(lambda z: z * blowup, np.ones(2),
+                                   jacobian=None, opts=opts)
+        assert result.iterations == 1
+        assert result.z.tolist() == [1.0, 1.0]
+        assert not result.converged
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from volterra2d import (
     parse_system,
     spec_to_config,
 )
+from volterra2d.system import NONLINEARITY_KINDS
 
 from conftest import random_periodic_spec
 
@@ -69,18 +70,18 @@ class TestNonlinearity:
                 == f(np.array(ints, dtype=float)).tobytes()
             assert type(f(3)) is float
 
-    @pytest.mark.parametrize("kind", ["sin", "cos", "tanh", "rational_bounded"])
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_declared_bound_holds_on_dense_sample(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**32)
+        rng = np.random.default_rng(NONLINEARITY_KINDS.index(kind))
         for _ in range(3):
             f = Nonlinearity(kind, float(rng.uniform(-3, 3)),
                              float(rng.uniform(-3, 3)))
             x = rng.uniform(-1e6, 1e6, 100_000)
             assert np.max(np.abs(f(x))) <= f.bound + 1e-12
 
-    @pytest.mark.parametrize("kind", ["sin", "cos", "tanh", "rational_bounded"])
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_declared_lipschitz_holds_on_dense_sample(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**31)
+        rng = np.random.default_rng(NONLINEARITY_KINDS.index(kind))
         f = Nonlinearity(kind, float(rng.uniform(-2, 2)),
                          float(rng.uniform(-2, 2)))
         x = rng.uniform(-20, 20, 5000)
@@ -104,6 +105,23 @@ class TestNonlinearity:
             assert isinstance(f.derivative(0.5), float)
         with np.errstate(over="ignore"):  # huge arguments stay finite
             assert np.all(np.isfinite(f.derivative(np.array([1e200, -1e200]))))
+
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_declared_curvature_holds_on_dense_sample(self, kind):
+        """Central differences of ``derivative`` stay within the declared
+        curvature and, on a grid through the worst point, reach it."""
+        rng = np.random.default_rng(10 + NONLINEARITY_KINDS.index(kind))
+        for _ in range(3):
+            f = Nonlinearity(kind, float(rng.uniform(-2, 2)),
+                             float(rng.uniform(-2, 2)))
+            x = np.concatenate([rng.uniform(-20, 20, 5000),
+                                np.linspace(-3, 3, 200_001) / f.frequency])
+            step = 1e-5
+            central = (f.derivative(x + step)
+                       - f.derivative(x - step)) / (2.0 * step)
+            assert np.max(np.abs(central)) <= f.curvature * (1 + 1e-6) + 1e-8
+            assert np.max(np.abs(central)) >= f.curvature * (1 - 1e-6) - 1e-8
+        assert Nonlinearity(kind, 0.0, 1.0).curvature == 0.0
 
     def test_monotone_flags(self):
         assert Nonlinearity("tanh", 1.0, 1.0).monotone

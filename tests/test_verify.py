@@ -9,6 +9,7 @@ from volterra2d import (
     FiniteLag,
     Nonlinearity,
     PeriodicSequence,
+    SeparableExponential,
     SystemSpec,
     TruncationPolicy,
     defects,
@@ -20,7 +21,8 @@ from volterra2d import (
 )
 from volterra2d.verify import DIRECT_DEPTH
 
-from conftest import (direct_sum_reference, random_periodic_spec,
+from conftest import (direct_sum_reference, periodic_reference,
+                      random_hard_periodic_spec, random_periodic_spec,
                       random_summable_spec)
 
 
@@ -44,7 +46,7 @@ class TestVerifyPeriodic:
         ver = verify_periodic(cosine_spec, cosine_solution)
         assert ver.passed
         assert ver.max_defect <= 1e-8
-        assert ver.drift <= 1e-6
+        assert ver.radius <= 1e-8
         assert ver.remainder_bound < 1e-8
 
     def test_zero_solution_is_exact(self, zero_amplitude_spec):
@@ -52,7 +54,7 @@ class TestVerifyPeriodic:
         ver = verify_periodic(zero_amplitude_spec, zero)
         assert ver.passed
         assert ver.max_defect == 0.0
-        assert ver.drift == 0.0
+        assert ver.radius == 0.0
 
     def test_perturbed_solution_is_caught(self, cosine_spec, cosine_solution):
         sol_x, sol_y = cosine_solution
@@ -60,6 +62,16 @@ class TestVerifyPeriodic:
         ver = verify_periodic(cosine_spec, (bad_x, sol_y))
         assert ver.max_defect >= 1e-4
         assert not ver.passed
+
+    def test_report_carries_the_radius_terms(self, cosine_spec,
+                                             cosine_solution):
+        ver = verify_periodic(cosine_spec, cosine_solution)
+        assert list(ver.as_dict()) == [
+            "max_defect", "remainder_bound", "radius", "y0", "z1", "z2",
+            "depth", "n_checks", "defect_tol", "radius_tol", "passed"]
+        assert 0.0 < ver.y0 <= ver.radius <= 2.0 * ver.y0
+        assert 0.0 <= ver.z1 < 1e-12 and ver.z2 > 0.0
+        assert ver.depth == DIRECT_DEPTH and ver.radius_tol == 1e-8
 
     def test_two_residual_paths_agree(self, cosine_spec, cosine_solution):
         sol_x, sol_y = cosine_solution
@@ -71,6 +83,175 @@ class TestVerifyPeriodic:
                 cosine_spec, np.array([sol_x.get(m) for m in ms]),
                 np.array([sol_y.get(m) for m in ms]), 10, policy))
         assert abs(brute - adaptive) <= 1e-9
+
+
+def _example1_cos(period, kernel=SeparableExponential(1.0, 1.0, 1.0)):
+    """example1's kernels with cos nonlinearities and constant h = 0.5,
+    p = 0.3: full-period products 1.5^T and 1.3^T, so the orbit is
+    unstable and marching it forward amplifies round-off."""
+    return SystemSpec(
+        period, PeriodicSequence(period, (0.5,) * period),
+        PeriodicSequence(period, (0.3,) * period), kernel, kernel,
+        Nonlinearity("cos", 1.0, 1.0), Nonlinearity("cos", 1.0, 2.0))
+
+
+SLOW = SeparableExponential(0.05, 0.05, 0.05)
+
+#: Correct solutions that a 10-period round trip (unstable orbits) or a
+#: fixed 256-term depth (slow kernels) used to fail.
+FORMER_FALSE_FAILS = {
+    "example1-cos-T4": _example1_cos(4),
+    "example1-cos-T12": _example1_cos(12),
+    "example1-cos-T16": _example1_cos(16),
+    "slow-T1": _example1_cos(1, SLOW),
+    "slow-T2": _example1_cos(2, SLOW),
+}
+
+
+def _shifted(solution, shift):
+    return tuple(PeriodicSequence(seq.period,
+                                  tuple(v + shift for v in seq.values))
+                 for seq in solution)
+
+
+class TestExistenceRadius:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        out = {}
+        for name, spec in FORMER_FALSE_FAILS.items():
+            report = solve_periodic(spec)
+            assert report.converged
+            out[name] = (spec, report.solution)
+        return out
+
+    @pytest.mark.parametrize("name", FORMER_FALSE_FAILS)
+    def test_former_false_fail_now_passes(self, solved, name):
+        spec, solution = solved[name]
+        ver = verify_periodic(spec, solution)
+        assert ver.passed
+        assert ver.radius <= 1e-8
+        assert ver.max_defect + ver.remainder_bound <= 1e-8
+        if name.startswith("slow"):
+            # 256 terms leave a remainder of about 2.7e-6 at rate 0.05
+            assert ver.depth > DIRECT_DEPTH
+            assert ver.remainder_bound <= 1e-9
+            assert ver.y0 >= ver.remainder_bound  # the tail enters Y0
+        else:
+            assert ver.radius <= 1e-14
+
+    @pytest.mark.parametrize("name", FORMER_FALSE_FAILS)
+    def test_shifted_candidate_fails_on_radius_alone(self, solved, name):
+        spec, solution = solved[name]
+        ver = verify_periodic(spec, _shifted(solution, 1e-6), defect_tol=1.0)
+        assert not ver.passed
+        assert ver.radius >= 1e-7
+        assert verify_periodic(spec, solution, defect_tol=1.0).passed
+
+    @pytest.mark.parametrize("name", FORMER_FALSE_FAILS)
+    def test_shifted_candidate_fails_on_defect_alone(self, solved, name):
+        spec, solution = solved[name]
+        ver = verify_periodic(spec, _shifted(solution, 1e-6), radius_tol=1.0)
+        assert not ver.passed
+        assert ver.max_defect >= 1e-7
+        assert verify_periodic(spec, solution, radius_tol=1.0).passed
+
+    @pytest.mark.parametrize("name", ["example1-cos-T4", "slow-T2"])
+    def test_fixed_point_of_another_system_fails(self, name):
+        spec = FORMER_FALSE_FAILS[name]
+        f = spec.f
+        other = dataclasses.replace(
+            spec, f=Nonlinearity(f.kind, 1.01 * f.amplitude, f.frequency))
+        report = solve_periodic(other)
+        assert report.converged
+        assert verify_periodic(other, report.solution).passed
+        ver = verify_periodic(spec, report.solution)
+        assert not ver.passed
+        assert ver.radius > 1e-8 and ver.max_defect > 1e-8
+
+    def test_radius_bounds_the_distance_to_the_solution(self, solved):
+        """The candidate shifted by 1e-6 lies 1e-6 from the true solution;
+        the radius must say so, within its own rounding."""
+        for spec, solution in solved.values():
+            ver = verify_periodic(spec, _shifted(solution, 1e-6),
+                                  radius_tol=1.0)
+            assert 1e-6 * (1 - 1e-6) <= ver.radius <= 1.1e-6
+            # too far off for the quadratic term: no radius at all
+            far = verify_periodic(spec, _shifted(solution, 0.3),
+                                  defect_tol=1.0, radius_tol=1.0)
+            assert far.y0 >= 0.3 and far.radius == math.inf
+
+    def test_non_diagonal_periodic_kernel_is_not_certified(self,
+                                                           zero_amplitude_spec):
+        spec = dataclasses.replace(
+            zero_amplitude_spec, kernel_a=SeparableExponential(1.0, 1.0, 2.0))
+        zero = (PeriodicSequence(2, (0.0, 0.0)),) * 2
+        ver = verify_periodic(spec, zero)
+        assert ver.max_defect == 0.0
+        assert ver.radius == math.inf
+        assert not ver.passed
+
+
+#: Hard regimes of the periodic property generator: everything drawn, and
+#: each extreme pinned (T = 32, rate 0.01, products 1e-6 from one).
+HARD_REGIMES = {"drawn": {}, "period-32": {"period": 32},
+                "rate-0.01": {"rate": 0.01}, "gap-1e-6": {"gap": 1e-6}}
+
+
+#: (regime, seed, draw) of converged solves that double precision cannot
+#: resolve: their long-double reference lies more than radius_tol away,
+#: while |A F| alone, without F's rounding, would give a radius below it.
+UNRESOLVED = [("period-32", 3, 14), ("gap-1e-6", 2, 2)]
+
+
+class TestHardRegimes:
+    """Every converged solve in the hard regimes, against a reference
+    solution refined in long double with untruncated kernels.  A pass
+    must be right: the reference lies within radius_tol.  And a
+    candidate within radius_tol / 10 of the reference must pass unless
+    double precision cannot resolve it to that: its resolution
+    |DF^-1| * 2^-52 * (1 + |z|), how far one rounding of F can move the
+    solution, is above radius_tol / 10."""
+
+    @pytest.mark.parametrize("regime", HARD_REGIMES)
+    def test_converged_solves_verify(self, regime):
+        rng = np.random.default_rng(list(HARD_REGIMES).index(regime))
+        tol = 1e-8
+        converged = passed = required = 0
+        for _ in range(25):
+            spec = random_hard_periodic_spec(rng, **HARD_REGIMES[regime])
+            report = solve_periodic(spec)
+            if not report.converged:
+                continue
+            converged += 1
+            z = np.array(report.solution[0].values + report.solution[1].values)
+            reference, jac = periodic_reference(spec, z)
+            error = float(np.max(np.abs(reference - z)))
+            resolution = (np.abs(np.linalg.inv(jac)).sum(axis=1).max()
+                          * 2.0 ** -52 * (1.0 + np.max(np.abs(z))))
+            ver = verify_periodic(spec, report.solution, radius_tol=tol)
+            passed += ver.passed
+            if ver.passed:
+                assert error <= tol, (spec, ver, error)
+            if error <= tol / 10 and resolution <= tol / 10:
+                required += 1
+                assert ver.passed, (spec, ver, error, resolution)
+        assert converged >= 15 and passed >= 2
+        # Products 1e-6 from one put |DF^-1| at 1e7 to 1e8, so double
+        # precision resolves almost none of those solutions to 1e-9.
+        assert required >= 5 or regime == "gap-1e-6"
+
+    @pytest.mark.parametrize("regime, seed, draw", UNRESOLVED)
+    def test_unresolved_candidate_is_refused(self, regime, seed, draw):
+        rng = np.random.default_rng(seed)
+        for _ in range(draw + 1):
+            spec = random_hard_periodic_spec(rng, **HARD_REGIMES[regime])
+        report = solve_periodic(spec)
+        assert report.converged
+        z = np.array(report.solution[0].values + report.solution[1].values)
+        reference, _ = periodic_reference(spec, z)
+        assert np.max(np.abs(reference - z)) > 1e-8
+        ver = verify_periodic(spec, report.solution)
+        assert not ver.passed and ver.radius > 1e-8
 
 
 class TestVerifyDecomposition:
