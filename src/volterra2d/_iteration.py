@@ -1,6 +1,6 @@
 """Shared fixed-point driver for maps of one shape, z = c + K phi(z): damped
-Picard with stall detection, falling back to Newton on F(z) = z - map(z)
-with the map's closed-form Jacobian."""
+Picard with stall detection, falling back to Newton on F(z) = z - map(z),
+whose steps eliminate one component of the map's closed-form Jacobian."""
 from __future__ import annotations
 
 import math
@@ -64,6 +64,22 @@ class CoupledMap:
         np.multiply(self.k_y, -self.g.derivative(z[:n]), out=jac[n:, :n])
         return jac
 
+    def newton_step(self, z: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """The delta with jacobian(z) @ delta = -residual, by eliminating
+        the y block: with A = K_x diag(f'(y)) and B = K_y diag(g'(x)), one
+        n x n solve of (I - A B) dx = -r_x - A r_y, then dy = B dx - r_y.
+        A singular Schur complement falls back to least squares on the
+        dense Jacobian."""
+        n = len(self.k_x)
+        a = self.k_x * self.f.derivative(z[n:])
+        b = self.k_y * self.g.derivative(z[:n])
+        r_x, r_y = residual[:n], residual[n:]
+        try:
+            dx = np.linalg.solve(np.eye(n) - a @ b, -r_x - a @ r_y)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(self.jacobian(z), -residual, rcond=None)[0]
+        return np.concatenate([dx, b @ dx - r_y])
+
 
 @dataclass(frozen=True)
 class IterationResult:
@@ -74,20 +90,20 @@ class IterationResult:
     converged: bool
 
 
+#: (z, residual) -> the Newton correction delta, J(z) delta = -residual.
+NewtonStep = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 def _newton(apply_map: Callable[[np.ndarray], np.ndarray],
-            jacobian: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-            tol: float, budget: int) -> Tuple[np.ndarray, int, float, bool]:
+            newton_step: NewtonStep, z: np.ndarray, tol: float,
+            budget: int) -> Tuple[np.ndarray, int, float, bool]:
     update = math.inf
     used = 0
     for _ in range(budget):
         residual = z - apply_map(z)
         if not np.all(np.isfinite(residual)):
             break
-        jac = jacobian(z)
-        try:
-            delta = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+        delta = newton_step(z, residual)
         if not np.all(np.isfinite(delta)):
             break
         stepped = z + delta
@@ -103,7 +119,7 @@ def _newton(apply_map: Callable[[np.ndarray], np.ndarray],
 
 def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
                       z0: np.ndarray, *,
-                      jacobian: Callable[[np.ndarray], np.ndarray],
+                      newton_step: NewtonStep,
                       opts: SolverOptions) -> IterationResult:
     """Find z with z = apply_map(z).
 
@@ -111,8 +127,9 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
     norm drops below opts.tol, stalling (no new minimum update norm for
     STALL_PATIENCE iterations, which also catches sustained oscillation)
     or exhausting opts.max_iter.  On stall the best iterate seen seeds
-    Newton, whose linear systems use ``jacobian(z)``, the Jacobian of
-    z - apply_map(z).  Non-convergence is reported, not raised.
+    Newton, whose corrections ``newton_step(z, residual)`` solves against
+    the Jacobian of z - apply_map(z) (``CoupledMap.newton_step``).
+    Non-convergence is reported, not raised.
     """
     z = np.asarray(z0, dtype=float).copy()
     iterations = 0
@@ -150,8 +167,8 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
 
     budget = (opts.max_iter - iterations
               if opts.strategy == "picard_then_newton" else opts.max_iter)
-    z_newton, used, update_newton, converged = _newton(apply_map, jacobian, z,
-                                                       opts.tol, budget)
+    z_newton, used, update_newton, converged = _newton(
+        apply_map, newton_step, z, opts.tol, budget)
     iterations += used
     if used > 0 or opts.strategy == "newton_only":
         z = z_newton

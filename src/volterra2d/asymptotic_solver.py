@@ -9,7 +9,6 @@ a finite window with every discarded tail bounded analytically.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -20,7 +19,8 @@ from .kernels import Kernel, TailNotCertified, TruncationPolicy, drive_plan
 from .sequences import PeriodicSequence, PeriodProductNotOne, ZeroFactor
 from .simulate import _depth, _planned_defects, _plans
 from .system import (GrowthProfile, Nonlinearity, SystemSpec,
-                     amplitude_warnings, decay_envelope, growth_profile)
+                     amplitude_warnings, decay_envelope, envelope_cut,
+                     growth_profile)
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,12 @@ def _outer_cut(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
                horizon: int, policy: TruncationPolicy) -> Tuple[int, float]:
     """Smallest N >= horizon whose decay envelope at N+1 is <= tail_tol/2,
     and that envelope."""
-    n = horizon
-    while ((envelope := decay_envelope(ratio, nonlin, kernel, n + 1))
-           > policy.tail_tol / 2.0):
-        if math.isinf(envelope):
-            raise TailNotCertified("kernel double tail is infinite; the tail "
-                                   "map cannot be truncated with a certified "
-                                   "error")
-        n += 1
-        if n > horizon + policy.max_terms:
-            raise TailNotCertified(
-                f"outer cut exceeded the {policy.max_terms}-term cap")
-    return n, envelope
+    end = envelope_cut(ratio, nonlin, kernel, horizon + 1,
+                       policy.tail_tol / 2.0, policy.max_terms)
+    if end > horizon + 1 + policy.max_terms:
+        raise TailNotCertified(
+            f"outer cut exceeded the {policy.max_terms}-term cap")
+    return end - 1, float(decay_envelope(ratio, nonlin, kernel, end))
 
 
 class _TailMapComponent:
@@ -133,7 +127,7 @@ class _TailMapComponent:
         min_growth = min(abs(v) for v in growth.values)
         plan = drive_plan(kernel, cut + 1, bound, inner_tol, policy.max_terms)
         ns = np.arange(cut + 1)
-        r_next = np.array(growth.values)[(ns + 1) % growth.period]
+        r_next = growth.take(ns + 1)
         self.inner_error = float(np.abs(r_next) @ plan.tail) / min_growth
         m_lo = int(np.min(ns - plan.depth))
 
@@ -143,13 +137,12 @@ class _TailMapComponent:
         plan.fill(w, m_lo)
         w *= r_next[:, None]
         np.cumsum(w[::-1], axis=0, out=w[::-1])
-        self.growth_out = np.array([growth.get(n) for n in range(horizon + 1)])
+        self.growth_out = growth.take(np.arange(horizon + 1))
         rows = w[:horizon + 1]
         lo, hi = -m_lo, horizon + 1 - m_lo  # columns of the window 0..horizon
         # Partner values outside the window: zero history before 0, the
         # periodic free response beyond the horizon.
-        post = np.array([c_partner / partner_growth.get(m)
-                         for m in range(horizon + 1, cut + 1)])
+        post = c_partner / partner_growth.take(np.arange(horizon + 1, cut + 1))
         drive_outside = (rows[:, :lo] @ nonlin(np.zeros(lo))
                          + rows[:, hi:] @ nonlin(post))
         self.c = (c_out - drive_outside) / self.growth_out
@@ -217,11 +210,9 @@ class TailMapOperator:
     def envelope(self) -> Tuple[np.ndarray, np.ndarray]:
         """Pointwise decay bounds for the deviation from the free response."""
         prof, spec = self.profile, self.spec
-        window = range(self.horizon + 1)
-        return (np.array([decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, n)
-                          for n in window]),
-                np.array([decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, n)
-                          for n in window]))
+        window = np.arange(self.horizon + 1)
+        return (decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, window),
+                decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, window))
 
 
 def apply_tail_map(spec: SystemSpec, c1: float, c2: float,
@@ -263,8 +254,8 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     u1_window = c1 / op.component_x.growth_out
     u2_window = c2 / op.component_y.growth_out
     z0 = np.concatenate([u1_window, u2_window])
-    result = solve_fixed_point(op.map, z0, jacobian=op.map.jacobian,
-                               opts=opts)
+    result = solve_fixed_point(op.map, z0,
+                               newton_step=op.map.newton_step, opts=opts)
     xw = result.z[:width]
     yw = result.z[width:]
 

@@ -19,6 +19,8 @@ import math
 import sys
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import asymptotic_solver, periodic_solver, verify
 from .kernels import NotDiagonalPeriodic, TailNotCertified
 from .sequences import (
@@ -175,9 +177,10 @@ def _solve(mode: str, scenario: Scenario
             scenario.policy)
         dec = report.decomposition
         length = horizon + 1
+        window = np.arange(length)
         columns = {"x": report.x, "y": report.y,
-                   "u1": [*map(dec.u1.get, range(length))], "v1": dec.v1,
-                   "u2": [*map(dec.u2.get, range(length))], "v2": dec.v2,
+                   "u1": dec.u1.take(window).tolist(), "v1": dec.v1,
+                   "u2": dec.u2.take(window).tolist(), "v2": dec.v2,
                    "bound_v1": dec.v1_bound, "bound_v2": dec.v2_bound}
         extras = {"c1": scenario.c1, "c2": scenario.c2, "horizon": horizon}
     columns.update(_defect_columns(report.defects))

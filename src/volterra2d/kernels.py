@@ -36,6 +36,12 @@ class TailNotCertified(RuntimeError):
     requested tolerance."""
 
 
+def _constant(n, value: float):
+    """``value`` in the shape of ``n``: a scalar for one index, an array
+    for an array of them."""
+    return np.full(np.shape(n), value)[()]
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How infinite sums are cut off: certified tail at most ``tail_tol``,
@@ -99,14 +105,13 @@ class SeparableExponential:
         return (abs(self.coef) * np.exp((self.row_rate - self.col_rate) * i)
                 / -math.expm1(-self.row_rate))
 
-    def double_tail(self, n: int) -> float:
-        """sum_{i>=n} abs_row_sum(i); +inf unless col_rate > row_rate."""
-        if self.coef == 0.0:
-            return 0.0
+    def double_tail(self, n):
+        """sum_{i>=n} abs_row_sum(i), for one n or an array of them; +inf
+        unless col_rate > row_rate."""
         gap = self.row_rate - self.col_rate
-        if gap >= 0.0:
-            return math.inf
-        return (abs(self.coef) * math.exp(gap * n)
+        if self.coef == 0.0 or gap >= 0.0:
+            return _constant(n, 0.0 if self.coef == 0.0 else math.inf)
+        return (abs(self.coef) * np.exp(gap * np.asarray(n))
                 / (-math.expm1(-self.row_rate) * -math.expm1(gap)))
 
     def tail_beyond(self, i, depth):
@@ -214,10 +219,10 @@ class FiniteLag:
     def abs_row_sum(self, i: int) -> float:
         return sum(abs(w) for w in self.weights[i % self.lag_period])
 
-    def double_tail(self, n: int) -> float:
-        if all(w == 0.0 for row in self.weights for w in row):
-            return 0.0
-        return math.inf
+    def double_tail(self, n):
+        """0 for an all-zero kernel, else +inf, for one n or an array."""
+        zero = all(w == 0.0 for row in self.weights for w in row)
+        return _constant(n, 0.0 if zero else math.inf)
 
     def depths(self, rows: np.ndarray, bound: float, tol: float,
                cap: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -121,8 +121,8 @@ def solve_periodic(spec: SystemSpec,
             raise ValueError("initial guess period does not match the system")
         z0 = np.array(gx.values + gy.values)
 
-    result = solve_fixed_point(cycle_map, z0, jacobian=cycle_map.jacobian,
-                               opts=opts)
+    result = solve_fixed_point(cycle_map, z0,
+                               newton_step=cycle_map.newton_step, opts=opts)
     solution = (PeriodicSequence(T, tuple(result.z[:T])),
                 PeriodicSequence(T, tuple(result.z[T:])))
     plans = _plans(spec, T, policy)

@@ -57,6 +57,10 @@ class PeriodicSequence:
     def get(self, n: int) -> float:
         return self.values[n % self.period]
 
+    def take(self, n: np.ndarray) -> np.ndarray:
+        """``get`` at every integer of the array ``n``."""
+        return np.array(self.values)[n % self.period]
+
     def full_period_product_one_plus(self) -> float:
         """prod over one period of (1 + value)."""
         return math.prod(1.0 + v for v in self.values)
@@ -187,8 +191,8 @@ class Trajectory:
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have equal length")
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
+        object.__setattr__(self, "x", tuple(map(float, self.x)))
+        object.__setattr__(self, "y", tuple(map(float, self.y)))
 
     def __len__(self) -> int:
         return len(self.x)

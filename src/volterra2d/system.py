@@ -4,6 +4,7 @@ that route a system to the periodic or asymptotic solver, and the one
 config layer that turns a scenario document into validated values."""
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -179,15 +180,44 @@ class GrowthProfile:
         return self.max_y / self.min_y
 
 
-def decay_envelope(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
-                   n: int) -> float:
-    """ratio * bound * double_tail(n): the certified bound at n on the
-    deviation from the free response of the component driven through
-    ``kernel`` and ``nonlin``, with ``ratio`` its growth ratio max/min.  A
-    zero nonlinearity bound kills the whole drive, so the infinite double
-    tail of a non-summable kernel never multiplies a nonzero factor."""
+def decay_envelope(ratio: float, nonlin: Nonlinearity, kernel: Kernel, n):
+    """ratio * bound * double_tail(n): the certified bound at n (one index
+    or an array of them) on the deviation from the free response of the
+    component driven through ``kernel`` and ``nonlin``, with ``ratio`` its
+    growth ratio max/min.  A zero nonlinearity bound kills the whole drive,
+    so the infinite double tail of a non-summable kernel never multiplies a
+    nonzero factor."""
     bound = nonlin.bound
-    return ratio * bound * kernel.double_tail(n) if bound > 0.0 else 0.0
+    if bound > 0.0:
+        return ratio * bound * kernel.double_tail(n)
+    return np.zeros(np.shape(n))[()]
+
+
+def envelope_cut(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
+                 start: int, tol: float, cap: int) -> int:
+    """Smallest n in start..start+cap with decay_envelope(n) <= tol, or
+    start+cap+1 when there is none.  The envelope is geometric in n, so the
+    estimate is the log of tol against its ratio from start to start+1; a
+    fix-up through decay_envelope itself then makes it exact despite
+    round-off.  An infinite envelope raises TailNotCertified."""
+    envelope = functools.partial(decay_envelope, ratio, nonlin, kernel)
+    first = envelope(start)
+    if not first > tol:
+        return start
+    if math.isinf(first):
+        raise TailNotCertified("decay envelope is infinite: the kernel "
+                               "double tail diverges, so no truncation of "
+                               "the tail map is certified")
+    stop = start + cap + 1
+    with np.errstate(divide="ignore"):  # a step ratio of 1 or of inf
+        rate = np.log(np.divide(first, envelope(start + 1)))
+        steps = np.log(first / tol) / rate
+    n = start + int(np.ceil(np.clip(steps, 1.0, cap + 1.0)))
+    while n < stop and envelope(n) > tol:  # round-off fix-up, both ways
+        n += 1
+    while n - 1 > start and not envelope(n - 1) > tol:
+        n -= 1
+    return n
 
 
 def default_horizon(spec: SystemSpec, floor: float = 1e-12) -> int:
@@ -195,18 +225,14 @@ def default_horizon(spec: SystemSpec, floor: float = 1e-12) -> int:
     four periods.  Raises PeriodProductNotOne outside the unit-product
     regime."""
     prof = growth_profile(spec)
-    n = 4 * spec.period
-    limit = n + 100_000
-    while n < limit:
-        env_x = decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, n)
-        env_y = decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, n)
-        if env_x <= floor and env_y <= floor:
-            return n
-        if math.isinf(env_x) or math.isinf(env_y):
-            raise TailNotCertified(
-                "decay envelope is infinite; pick the horizon explicitly")
-        n += 1
-    raise TailNotCertified("no horizon with envelope below the floor")
+    start, cap = 4 * spec.period, 99_999
+    horizon = max(
+        envelope_cut(ratio, nonlin, kernel, start, floor, cap)
+        for ratio, nonlin, kernel in ((prof.ratio_x, spec.f, spec.kernel_a),
+                                      (prof.ratio_y, spec.g, spec.kernel_b)))
+    if horizon > start + cap:
+        raise TailNotCertified("no horizon with envelope below the floor")
+    return horizon
 
 
 def growth_profile(spec: SystemSpec) -> GrowthProfile:

@@ -355,9 +355,9 @@ def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
         abs(v) <= b + slack for v, b in zip(dec.v1, dec.v1_bound)) and all(
         abs(v) <= b + slack for v, b in zip(dec.v2, dec.v2_bound))
 
-    ms = range(dec.horizon + 1)
-    xs, ys = (np.concatenate((np.zeros(depth), [at(m) for m in ms]))
-              for at in (dec.x_at, dec.y_at))
+    ms = np.arange(dec.horizon + 1)
+    xs, ys = (np.concatenate((np.zeros(depth), u.take(ms) + np.array(v)))
+              for u, v in ((dec.u1, dec.v1), (dec.u2, dec.v2)))
     max_defect = _max_defect(spec, xs, ys, depth)
     # Reported, not gated: at the fixed depth a slow kernel's remainder
     # exceeds defect_tol even for a correct decomposition.

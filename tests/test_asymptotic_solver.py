@@ -22,6 +22,7 @@ from volterra2d import (
 
 from volterra2d.asymptotic_solver import _outer_cut
 from volterra2d.kernels import certified_depth
+from volterra2d.system import decay_envelope, default_horizon
 
 from conftest import central_difference_jacobian, random_summable_spec
 
@@ -265,3 +266,116 @@ class TestOperatorReuse:
         assert np.allclose(tail_map.jacobian(z),
                            central_difference_jacobian(tail_map, z),
                            rtol=0.0, atol=1e-7)
+
+    def test_newton_step_matches_dense_solve(self):
+        """The eliminated step solves the same system as an LU of the dense
+        2(H+1) x 2(H+1) Jacobian, on random tail maps of H = 10..200."""
+        rng = np.random.default_rng(15)
+        for horizon in (10, 37, 80, 141, 200):
+            spec = random_summable_spec(rng)
+            tail_map = TailMapOperator(spec, 1.0, 1.0, horizon, POLICY).map
+            z = rng.uniform(-3, 3, 2 * (horizon + 1))
+            residual = rng.uniform(-1, 1, 2 * (horizon + 1))
+            dense = np.linalg.solve(tail_map.jacobian(z), -residual)
+            step = tail_map.newton_step(z, residual)
+            assert (np.max(np.abs(step - dense))
+                    <= 1e-13 * np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("horizon", [60, 150])
+    def test_example2_iteration_counts(self, example2_spec, horizon):
+        """Pinned at the dense-Jacobian Newton's counts: eliminating the y
+        block changes no step."""
+        report = solve_asymptotic(example2_spec, 1.0, 1.0, horizon,
+                                  policy=POLICY)
+        assert report.converged
+        assert (report.iterations, report.method_used) == (22, "newton")
+
+
+def outer_cut_reference(ratio, nonlin, kernel, horizon, policy):
+    """The outer cut one envelope evaluation at a time: N grows from the
+    horizon until the envelope at N+1 is <= tail_tol/2, at most max_terms
+    times."""
+    n = horizon
+    while ((envelope := decay_envelope(ratio, nonlin, kernel, n + 1))
+           > policy.tail_tol / 2.0):
+        n += 1
+        if n > horizon + policy.max_terms:
+            raise TailNotCertified("cap")
+    return n, envelope
+
+
+def default_horizon_reference(spec, floor):
+    """default_horizon one horizon at a time from four periods on."""
+    prof = growth_profile(spec)
+    for n in range(4 * spec.period, 4 * spec.period + 100_000):
+        if (decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, n) <= floor
+                and decay_envelope(prof.ratio_y, spec.g, spec.kernel_b,
+                                   n) <= floor):
+            return n
+    raise TailNotCertified("no horizon")
+
+
+class TestEnvelopeCut:
+    """The outer cut and the default horizon come from the log of the
+    envelope's ratio and a round-off fix-up; they must equal the one-step
+    search exactly."""
+
+    def random_case(self, rng):
+        rate = float(rng.uniform(0.05, 2.0))
+        gap = 10.0 ** rng.uniform(-2.0, 0.5)
+        kernel = SeparableExponential(
+            float(rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])), rate,
+            rate + gap)
+        nonlin = Nonlinearity(str(rng.choice(["sin", "cos", "tanh"])),
+                              float(rng.uniform(0.1, 3.0)), 1.0)
+        return float(rng.uniform(1.0, 6.0)), nonlin, kernel
+
+    def test_outer_cut_matches_one_step_search(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            ratio, nonlin, kernel = self.random_case(rng)
+            horizon = int(rng.integers(0, 200))
+            tail_tol = 10.0 ** rng.uniform(-15.0, -3.0)
+            on_envelope = 2.0 * float(decay_envelope(
+                ratio, nonlin, kernel, horizon + 1 + int(rng.integers(0, 40))))
+            if rng.random() < 0.5 and on_envelope > 0.0:
+                # tol/2 exactly on the envelope at some n, where <= holds
+                # with equality, or one ulp below it, where it just fails
+                tail_tol = (on_envelope if rng.random() < 0.5
+                            else np.nextafter(on_envelope, 0.0))
+            policy = TruncationPolicy(tail_tol, int(rng.choice([40, 100_000])))
+            try:
+                expected = outer_cut_reference(ratio, nonlin, kernel,
+                                               horizon, policy)
+            except TailNotCertified:
+                with pytest.raises(TailNotCertified):
+                    _outer_cut(ratio, nonlin, kernel, horizon, policy)
+                continue
+            assert _outer_cut(ratio, nonlin, kernel, horizon,
+                              policy) == expected
+
+    def test_outer_cut_rejects_an_infinite_envelope(self):
+        with pytest.raises(TailNotCertified, match="infinite"):
+            _outer_cut(1.0, Nonlinearity("sin", 1.0, 1.0),
+                       SeparableExponential(1.0, 1.0, 1.0), 10, POLICY)
+
+    def test_default_horizon_matches_one_step_search(self):
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            spec = random_summable_spec(rng)
+            floor = 10.0 ** rng.uniform(-16.0, -6.0)
+            assert default_horizon(spec, floor) == default_horizon_reference(
+                spec, floor)
+
+    def test_envelope_is_the_scalar_envelope_on_the_window(self,
+                                                           example2_spec):
+        op = TailMapOperator(example2_spec, 1.0, 1.0, 40, POLICY)
+        prof = op.profile
+        for bounds, ratio, nonlin, kernel in zip(
+                op.envelope(), (prof.ratio_x, prof.ratio_y),
+                (example2_spec.f, example2_spec.g),
+                (example2_spec.kernel_a, example2_spec.kernel_b)):
+            assert bounds.shape == (41,)
+            assert bounds == pytest.approx(
+                [decay_envelope(ratio, nonlin, kernel, n) for n in range(41)],
+                rel=1e-15, abs=0.0)

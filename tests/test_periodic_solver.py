@@ -19,11 +19,11 @@ from volterra2d import (
     solve_periodic,
 )
 
-from volterra2d._iteration import solve_fixed_point
+from volterra2d._iteration import CoupledMap, solve_fixed_point
 from volterra2d.periodic_solver import _cycle_map_vec
 
 from conftest import (central_difference_jacobian, inner_sum_reference,
-                      random_periodic_spec)
+                      random_hard_periodic_spec, random_periodic_spec)
 
 CONSTANT_DRIVE_EVEN = -1.5819767068693265   # frozen: -(1/2) * 2 * e/(e-1)
 CONSTANT_DRIVE_ODD = -3.163953413738653     # frozen: -(1/2) * 4 * e/(e-1)
@@ -123,6 +123,36 @@ class TestCycleMap:
             assert np.allclose(cycle_map.jacobian(z),
                                central_difference_jacobian(cycle_map, z),
                                rtol=0.0, atol=1e-7)
+
+    def test_newton_step_matches_dense_solve(self):
+        """The eliminated step solves the same system as an LU of the dense
+        2T x 2T Jacobian, on random cycle maps of T = 1..16.  Rate 1 and
+        products 0.3 from one keep cond(J) below about 1e3, so the two
+        solves agree to round-off."""
+        rng = np.random.default_rng(13)
+        for period in range(1, 17):
+            cycle_map = _cycle_map_vec(random_hard_periodic_spec(
+                rng, period=period, rate=1.0, gap=0.3))
+            z = rng.uniform(-2, 2, 2 * period)
+            residual = rng.uniform(-1, 1, 2 * period)
+            dense = np.linalg.solve(cycle_map.jacobian(z), -residual)
+            step = cycle_map.newton_step(z, residual)
+            assert (np.max(np.abs(step - dense))
+                    <= 1e-13 * np.max(np.abs(dense)))
+
+    def test_singular_jacobian_falls_back_to_least_squares(self):
+        """With K_x = K_y = I and f' = g' = 1 at z = 0, J = [[I, -I], [-I,
+        I]] and its Schur complement I - I are singular: the step is the
+        least-squares solution on the dense Jacobian, as before."""
+        sin = Nonlinearity("sin", 1.0, 1.0)
+        coupled = CoupledMap(np.zeros(6), np.eye(3), np.eye(3), sin, sin)
+        z = np.zeros(6)
+        residual = np.array([1.0, -2.0, 0.5, 3.0, 0.0, -1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(coupled.jacobian(z), -residual)
+        expected = np.linalg.lstsq(coupled.jacobian(z), -residual,
+                                   rcond=None)[0]
+        assert np.array_equal(coupled.newton_step(z, residual), expected)
 
     def test_self_map_bound(self):
         rng = np.random.default_rng(21)
@@ -235,10 +265,23 @@ class TestSolvePeriodic:
         iterate, instead of stalling through STALL_PATIENCE more steps."""
         opts = SolverOptions(strategy="picard_only", damping=1.0)
         result = solve_fixed_point(lambda z: z * blowup, np.ones(2),
-                                   jacobian=None, opts=opts)
+                                   newton_step=None, opts=opts)
         assert result.iterations == 1
         assert result.z.tolist() == [1.0, 1.0]
         assert not result.converged
+
+    @pytest.mark.parametrize("period", [4, 12, 16])
+    def test_example1_cos_iteration_counts(self, period):
+        """example1's kernels with cos nonlinearities, h = 0.5 and p = 0.3:
+        pinned at the dense-Jacobian Newton's counts."""
+        kernel = SeparableExponential(1.0, 1.0, 1.0)
+        spec = SystemSpec(
+            period, PeriodicSequence(period, (0.5,) * period),
+            PeriodicSequence(period, (0.3,) * period), kernel, kernel,
+            Nonlinearity("cos", 1.0, 1.0), Nonlinearity("cos", 1.0, 2.0))
+        report = solve_periodic(spec)
+        assert report.converged
+        assert (report.iterations, report.method_used) == (38, "newton")
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
