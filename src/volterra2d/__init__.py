@@ -13,15 +13,12 @@ from .asymptotic_solver import (
     solve_asymptotic,
 )
 from .kernels import (
-    DrivePlan,
     FiniteLag,
     Kernel,
     NotDiagonalPeriodic,
     SeparableExponential,
     TailNotCertified,
     TruncationPolicy,
-    drive_plan,
-    inner_sum,
 )
 from .periodic_solver import (
     PeriodicSolveReport,
@@ -40,7 +37,7 @@ from .sequences import (
     product_one_plus,
     reciprocal_growth,
 )
-from .simulate import defects, drive_depth, simulate
+from .simulate import defects, simulate
 from .system import (
     CheckItem,
     CheckReport,
@@ -71,7 +68,6 @@ __all__ = [
     "ConfigError",
     "Decomposition",
     "DecompositionVerification",
-    "DrivePlan",
     "FiniteLag",
     "GrowthProfile",
     "History",
@@ -98,10 +94,7 @@ __all__ = [
     "check_periodic_hypotheses",
     "cycle_gain",
     "defects",
-    "drive_depth",
-    "drive_plan",
     "growth_profile",
-    "inner_sum",
     "parse_scenario",
     "parse_system",
     "periodic_residual_max",

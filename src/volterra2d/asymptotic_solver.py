@@ -9,15 +9,17 @@ a finite window with every discarded tail bounded analytically.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
-from .kernels import Kernel, TailNotCertified, TruncationPolicy, drive_plan
+from .kernels import FiniteLag, Kernel, TailNotCertified, TruncationPolicy
 from .sequences import PeriodicSequence, PeriodProductNotOne, ZeroFactor
-from .simulate import _depth, _planned_defects, _plans
+from .simulate import defects
 from .system import (GrowthProfile, Nonlinearity, SystemSpec,
                      amplitude_warnings, decay_envelope, envelope_cut,
                      growth_profile)
@@ -91,6 +93,10 @@ class AsymptoticSolveReport:
         }
 
 
+#: Magnitude below which tail-map block entries are set to zero.
+_NEGLIGIBLE = math.sqrt(np.finfo(float).tiny)
+
+
 def _outer_cut(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
                horizon: int, policy: TruncationPolicy) -> Tuple[int, float]:
     """Smallest N >= horizon whose decay envelope at N+1 is <= tail_tol/2,
@@ -107,51 +113,56 @@ class _TailMapComponent:
     """One tail-map component reduced to the window 0..horizon in the
     coupled form out = c + K @ nonlin(partner window).
 
-    Everything independent of the iterate is built once: the certified
-    error budget; K, the growth-weighted suffix sums of the kernel weight
-    rows; and c, which folds the drive from outside the window in with the
-    amplitude.
+    Built once: the outer cut and the certified error; K, the suffix sums
+    w[n, m] = sum_{i=max(n,m)}^{cut} r_{i+1} a_{i,m} over -r_n; and c,
+    which folds the drive from outside the window in with the amplitude.
+    For a separable kernel, with lam = e^{-row_rate}, w[n, m] =
+    U[max(n, m)] lam^{max(n-m, 0)} by the stable backward recursion
+    U[j] = r_{j+1} coef e^{(row_rate-col_rate) j} + lam U[j+1] from
+    U[cut+1] = 0.  The zero history before 0 adds f(0) U[n] lam^{n+1} /
+    (1 - lam) to row n, and each column m past the horizon U[m]
+    f(partner_m) to every row: the sums over m are exact, and only the
+    outer cut truncates.
     """
 
     def __init__(self, kernel, nonlin, growth: PeriodicSequence,
                  ratio: float, c_out: float, c_partner: float,
                  partner_growth: PeriodicSequence, horizon: int,
                  policy: TruncationPolicy):
-        bound = nonlin.bound
-        cut, self.outer_error = _outer_cut(ratio, nonlin, kernel, horizon,
-                                           policy)
-
-        # Per-row inner truncation: budget the remaining tail_tol/2 evenly
-        # over the rows, deflated by the worst growth ratio.
-        inner_tol = (policy.tail_tol / 2.0) / (ratio * (cut + 1))
-        min_growth = min(abs(v) for v in growth.values)
-        plan = drive_plan(kernel, cut + 1, bound, inner_tol, policy.max_terms)
-        ns = np.arange(cut + 1)
-        r_next = growth.take(ns + 1)
-        self.inner_error = float(np.abs(r_next) @ plan.tail) / min_growth
-        m_lo = int(np.min(ns - plan.depth))
-
-        # w[n, m - m_lo] = sum_{i=n}^{cut} r_{i+1} a_{i,m}, built in place:
-        # scale the weight rows by the growth, then take suffix sums.
-        w = np.zeros((cut + 1, cut + 1 - m_lo))
-        plan.fill(w, m_lo)
-        w *= r_next[:, None]
-        np.cumsum(w[::-1], axis=0, out=w[::-1])
-        self.growth_out = growth.take(np.arange(horizon + 1))
-        rows = w[:horizon + 1]
-        lo, hi = -m_lo, horizon + 1 - m_lo  # columns of the window 0..horizon
-        # Partner values outside the window: zero history before 0, the
-        # periodic free response beyond the horizon.
-        post = c_partner / partner_growth.take(np.arange(horizon + 1, cut + 1))
-        drive_outside = (rows[:, :lo] @ nonlin(np.zeros(lo))
-                         + rows[:, hi:] @ nonlin(post))
+        cut, self.error = _outer_cut(ratio, nonlin, kernel, horizon, policy)
+        width = horizon + 1
+        self.growth_out = growth.take(np.arange(width))
+        if isinstance(kernel, FiniteLag):
+            # A nonzero finite-lag kernel has an infinite double tail, so
+            # _outer_cut lets one through only with a zero drive: K = 0.
+            self.k, self.c = np.zeros((width, width)), c_out / self.growth_out
+            return
+        rate = np.longdouble(kernel.row_rate)  # U is summed in long double
+        j = np.arange(cut + 1)
+        terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
+                 * np.exp((rate - kernel.col_rate) * j))
+        decay, acc, u = np.exp(-rate), np.longdouble(0.0), np.empty(cut + 1)
+        for i in range(cut, -1, -1):
+            acc = terms[i] + decay * acc
+            u[i] = acc
+        powers = np.exp(-kernel.row_rate * np.arange(width + 1))  # lam^k
+        # lam^{n-m} on and below the diagonal, as a Toeplitz view
+        lower = sliding_window_view(np.concatenate(
+            [powers[width - 1::-1], np.zeros(horizon)]), width)[::-1]
+        w = np.triu(np.broadcast_to(u[:width], (width, width)), 1)
+        w += u[:width, None] * lower
+        post = c_partner / partner_growth.take(np.arange(width, cut + 1))
+        drive_outside = (nonlin(0.0) * u[:width] * powers[1:]
+                         / -math.expm1(-kernel.row_rate)
+                         + u[width:] @ nonlin(post))
         self.c = (c_out - drive_outside) / self.growth_out
-        self.k = rows[:, lo:hi]
-        self.k /= -self.growth_out[:, None]
-
-    @property
-    def certified_error(self) -> float:
-        return self.outer_error + self.inner_error
+        w /= -self.growth_out[:, None]
+        # Entries below sqrt(tiny) become zero, so that the products of
+        # two entries in a Newton step stay out of the slow subnormal
+        # range; that moves no entry of K @ phi by more than this:
+        w[np.abs(w) < _NEGLIGIBLE] = 0.0
+        self.error += width * _NEGLIGIBLE * nonlin.bound
+        self.k = w
 
 
 class TailMapOperator:
@@ -160,9 +171,10 @@ class TailMapOperator:
     x-component: (c1 - sum_{i>=n} r_{i+1} * drive_a(i)) / r_n with r the
     reciprocal growth of h and drive_a(i) the kernel-a weighted f(y) row
     sum; symmetric for y.  Outer sums stop where the analytic envelope
-    falls below half the tail tolerance; inner sums are budgeted the other
-    half.  Beyond the window the partner is closed with its periodic free
-    response; before 0 the history is zero.
+    falls below half the tail tolerance, and that envelope is the certified
+    error; the inner sums are exact (closed form).  Beyond the window the
+    partner is closed with its periodic free response; before 0 the
+    history is zero.
     """
 
     def __init__(self, spec: SystemSpec, c1: float, c2: float, horizon: int,
@@ -199,8 +211,7 @@ class TailMapOperator:
 
     @property
     def certified_error(self) -> float:
-        return max(self.component_x.certified_error,
-                   self.component_y.certified_error)
+        return max(self.component_x.error, self.component_y.error)
 
     def apply(self, x_window: np.ndarray,
               y_window: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -266,10 +277,8 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     v2 = yw - u2_window
     bound_x, bound_y = op.envelope()
 
-    plans = _plans(spec, horizon, policy)
-    history = np.zeros(_depth(plans))
-    pairs = _planned_defects(spec, np.concatenate([history, xw]),
-                             np.concatenate([history, yw]), plans)
+    pairs = defects(spec, np.concatenate([[0.0], xw]),
+                    np.concatenate([[0.0], yw]), horizon, policy)
     residual_max = max(max(pair) for pair in pairs)
 
     slack = 10.0 * policy.tail_tol

@@ -6,7 +6,7 @@ scaling by the cycle gains; its fixed points are exactly the T-periodic
 solutions of the underlying system.  Existence theory guarantees a fixed
 point inside the self-map ball but gives no algorithm, so the solver here
 runs damped Picard with a Newton closer and gates the result on the
-certified-tail recurrence defects (``simulate.defects``) of the periodic
+exact-memory recurrence defects (``simulate.defects``) of the periodic
 extension over one period.  The fixed-depth check in the verify module
 stays independent of it.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import TruncationPolicy
 from .sequences import PeriodicSequence, cycle_gain, running_products
-from .simulate import _depth, _planned_defects, _plans
+from .simulate import defects
 from .system import SystemSpec
 
 State = Tuple[PeriodicSequence, PeriodicSequence]
@@ -105,11 +105,12 @@ def solve_periodic(spec: SystemSpec,
     lets damped Picard run until it converges or stalls and finishes with
     Newton.  ``converged`` requires both the final update norm below
     opts.tol and the recurrence residual of the periodic extension below
-    opts.residual_tol at n = 0..T-1, its inner sums cut at a certified tail
-    of at most policy.tail_tol; under a diagonal-periodic kernel the defect
-    is T-periodic, so one period covers every n.  Non-convergence is a
-    report state, never an exception.  With several fixed points present
-    the result depends on the initial guess; no uniqueness is claimed.
+    opts.residual_tol at n = 0..T-1, its inner sums exact over the whole
+    periodic past up to a certified round-off of at most policy.tail_tol;
+    under a diagonal-periodic kernel the defect is T-periodic, so one
+    period covers every n.  Non-convergence is a report state, never an
+    exception.  With several fixed points present the result depends on
+    the initial guess; no uniqueness is claimed.
     """
     T = spec.period
     cycle_map = _cycle_map_vec(spec)
@@ -125,10 +126,9 @@ def solve_periodic(spec: SystemSpec,
                                newton_step=cycle_map.newton_step, opts=opts)
     solution = (PeriodicSequence(T, tuple(result.z[:T])),
                 PeriodicSequence(T, tuple(result.z[T:])))
-    plans = _plans(spec, T, policy)
-    extension = np.arange(-_depth(plans), T + 1) % T
-    pairs = _planned_defects(spec, result.z[:T][extension],
-                             result.z[T:][extension], plans)
+    extension = np.arange(T + 1) % T
+    pairs = defects(spec, result.z[:T][extension], result.z[T:][extension],
+                    T, policy, past=T)
     residual_max = max(max(pair) for pair in pairs)
     converged = result.converged and residual_max <= opts.residual_tol
     return PeriodicSolveReport(

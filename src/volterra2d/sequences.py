@@ -178,9 +178,9 @@ class History:
 @dataclass(frozen=True)
 class Trajectory:
     """Forward solution values on n = 0..len-1; negative indices delegate
-    to the attached history.  ``tail_tolerance_used`` is the certified
-    per-step truncation tolerance of the infinite sums; ``defects[n]`` is
-    the (x, y) recurrence defect of the step from n to n+1."""
+    to the attached history.  ``tail_tolerance_used`` is the tolerance
+    every infinite sum is certified to (its round-off bound); ``defects[n]``
+    is the (x, y) recurrence defect of the step from n to n+1."""
 
     x: Tuple[float, ...]
     y: Tuple[float, ...]

@@ -27,7 +27,7 @@ evaluated in floating point, not interval arithmetic: Y0 adds only an
 estimate of the rounding in F, so that a candidate double precision
 cannot resolve to the radius tolerance is refused rather than passed.
 
-The solvers gate ``converged`` on their own certified-tail recurrence
+The solvers gate ``converged`` on their own exact-memory recurrence
 defects (``simulate.defects``); this module is the independent check on
 top of that.  The decay of an asymptotic deviation is judged over whole
 periods, since it may alternate within one.

@@ -8,7 +8,6 @@ import pytest
 
 import volterra2d as v
 from volterra2d.cli import CSV_HEADER
-from volterra2d.kernels import TailNotCertified, certified_depth
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -232,52 +231,23 @@ def direct_sum_reference(kernel, i, values, depth):
     return total
 
 
-def inner_sum_reference(kernel, i, values, bound, policy):
-    """Reference truncated sum_{m<=i} a_{i,m} * values(m) over a value
-    callback, one term at a time with zero weights skipped, at the window
-    depth and certified tail of ``kernels.certified_depth``."""
-    depth, tail = certified_depth(kernel, i, bound, policy.tail_tol,
-                                  policy.max_terms)
-    return direct_sum_reference(kernel, i, values, depth), tail
-
-
-def truncation_depth_reference(kernel, i, bound, tol, max_terms):
-    """Reference (depth, certified tail) of the row sum at i, one row at a
-    time in scalar math: the smallest depth with bound * (tail past it)
-    <= tol, from the closed-form estimate and a round-off fix-up for
-    separable kernels and a downward scan over the lags for finite-lag
-    ones, then capped at max_terms terms (TailNotCertified if the tail
-    at the cap is still above tol).  The estimate is not clipped, so it
-    only suits rates whose depth fits in memory."""
+def inner_sum_reference(kernel, i, values, start, past=1):
+    """Reference sum_{m<=i} a_{i,m} * values(m) over a value callback,
+    untruncated and summed with math.fsum: every term m = start..i one
+    at a time, and the values before ``start``, which repeat those at
+    m = start..start+past-1, in closed form (the geometric series
+    sum_{j>=1} a_{i,m-j*past} = a_{i,m-past} / (1 - e^{-row_rate*past})
+    for a separable kernel, the terms within its lags for a finite-lag
+    one)."""
+    terms = [kernel.weight(i, m) * values(m) for m in range(start, i + 1)]
     if isinstance(kernel, v.SeparableExponential):
-        def tail_beyond(depth):
-            return (abs(kernel.coef)
-                    * math.exp((kernel.row_rate - kernel.col_rate) * i)
-                    / -math.expm1(-kernel.row_rate)
-                    * math.exp(-kernel.row_rate * (depth + 1)))
-
-        full = bound * tail_beyond(-1)
-        depth = 0
-        if full > tol:
-            depth = max(0, math.ceil(math.log(full / tol) / kernel.row_rate
-                                     - 1.0))
-            while bound * tail_beyond(depth) > tol:
-                depth += 1
+        fold = -math.expm1(-kernel.row_rate * past)
+        terms += [kernel.weight(i, m - past) / fold * values(m)
+                  for m in range(start, start + past)]
     else:
-        row = kernel.weights[i % kernel.lag_period]
-
-        def tail_beyond(depth):
-            return sum(abs(w) for w in row[depth + 1:])
-
-        depth = kernel.max_lag
-        while depth > 0 and bound * tail_beyond(depth - 1) <= tol:
-            depth -= 1
-    depth = min(depth, max_terms - 1)
-    tail = bound * tail_beyond(depth)
-    if tail > tol:
-        raise TailNotCertified(f"tail bound {tail:.3e} > {tol:.3e} "
-                               f"at the {max_terms}-term cap")
-    return depth, tail
+        terms += [kernel.weight(i, m) * values(start + (m - start) % past)
+                  for m in range(i - kernel.max_lag, start)]
+    return math.fsum(terms)
 
 
 def csv_reference(rows, path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from volterra2d import (
+    FiniteLag,
     Nonlinearity,
     PeriodicSequence,
     PeriodProductNotOne,
@@ -21,7 +22,6 @@ from volterra2d import (
 )
 
 from volterra2d.asymptotic_solver import _outer_cut
-from volterra2d.kernels import certified_depth
 from volterra2d.system import decay_envelope, default_horizon
 
 from conftest import central_difference_jacobian, random_summable_spec
@@ -55,18 +55,13 @@ def brute_tail_component(spec, c1, yw, n, outer=200, inner=300):
 
 def per_term_weight_block(kernel, nonlin, growth, ratio, horizon, policy):
     """Reference K of one tail-map component, built one kernel.weight term
-    at a time: the growth-weighted suffix sums of the weight rows over the
-    window 0..horizon, divided by -growth."""
+    at a time and untruncated: for each window entry (n, m), math.fsum of
+    r_{i+1} a_{i,m} over i = max(n, m)..cut, divided by -r_n."""
     cut, _ = _outer_cut(ratio, nonlin, kernel, horizon, policy)
-    inner_tol = (policy.tail_tol / 2.0) / (ratio * (cut + 1))
-    w = np.zeros((cut + 1, cut + 1))  # columns m = 0..cut
-    for i in range(cut + 1):
-        depth, _ = certified_depth(kernel, i, nonlin.bound, inner_tol,
-                                   policy.max_terms)
-        for m in range(max(0, i - depth), i + 1):
-            w[i, m] = growth.get(i + 1) * kernel.weight(i, m)
-    suffix = np.cumsum(w[::-1], axis=0)[::-1]
-    return np.array([suffix[n, :horizon + 1] / -growth.get(n)
+    return np.array([[math.fsum(growth.get(i + 1) * kernel.weight(i, m)
+                                for i in range(max(n, m), cut + 1))
+                      / -growth.get(n)
+                      for m in range(horizon + 1)]
                      for n in range(horizon + 1)])
 
 
@@ -102,6 +97,26 @@ class TestGrowthProfile:
 
 
 class TestTailMap:
+    def test_finite_lag_reaches_the_map_only_with_a_zero_drive(
+            self, example2_spec):
+        lagged = FiniteLag(((0.5, 0.25), (0.1, 0.0)))
+        for amplitude in (0.0, 1.0):
+            spec = SystemSpec(2, example2_spec.h, example2_spec.p, lagged,
+                              example2_spec.kernel_b,
+                              Nonlinearity("cos", amplitude, 1.0),
+                              example2_spec.g)
+            if amplitude:
+                # a nonzero lag kernel has an infinite double tail
+                with pytest.raises(TailNotCertified, match="infinite"):
+                    TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
+                continue
+            op = TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
+            assert op.component_x.k.shape == (13, 13)
+            assert not op.component_x.k.any()
+            assert np.array_equal(op.component_x.c,
+                                  1.0 / op.component_x.growth_out)
+            assert op.component_y.k.any()
+
     def test_zero_amplitude_returns_free_response(self, example2_spec):
         spec = SystemSpec(2, example2_spec.h, example2_spec.p,
                           example2_spec.kernel_a, example2_spec.kernel_b,

@@ -94,9 +94,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("rate", [1e-12, 1e-200, 1e-300])
     def test_vanishing_rate_stops_at_the_cap(self, rate, example2_path,
                                              tmp_path):
-        # The depth estimate for these rates is about 5e202 terms at 1e-200
-        # and overflows at 1e-300; both must stop at max_terms with exit 2.
-        # Run in a subprocess with a timeout so that a hang fails the test.
+        # The round-off bound of the kernel recursion grows as 1/rate^2: it
+        # is about 5e5 at 1e-12 and overflows at 1e-200 and 1e-300, so all
+        # three must be refused with exit 2 before any step.  Run in a
+        # subprocess with a timeout so that a hang fails the test.
         config = json.loads(example2_path.read_text())
         config["kernel_a"].update(row_rate=rate, col_rate=rate)
         path = tmp_path / "slow.json"
@@ -108,7 +109,7 @@ class TestSimulateCommand:
             capture_output=True, text=True, cwd=SRC_DIR, timeout=60)
         assert result.returncode == 2
         assert "TailNotCertified" in result.stderr
-        assert "100000-term cap" in result.stderr
+        assert "round-off bound" in result.stderr
         assert "Traceback" not in result.stderr
 
 
@@ -146,25 +147,29 @@ class TestTableDefects:
         spec = parse_system(config)
         policy = TruncationPolicy(**config["truncation"])
 
-        depth = 400  # deeper than any window of these kernels
+        # the arrays each command gates on: one period with the periodic
+        # past, or the history from its tail entry at n = -H-1
         xs, ys = report["x"], report["y"]
+        past = 1
         if command == "solve-periodic":
-            extension = np.arange(-depth, steps + 1) % spec.period
+            extension = np.arange(steps + 1) % spec.period
             values_x = np.array(xs)[extension]
             values_y = np.array(ys)[extension]
+            past = spec.period
         else:
             history = (History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
                        if command == "simulate" else History.zero())
-            past = np.array([history.value_at(m) for m in range(-depth, 0)])
-            values_x = np.concatenate([past[:, 0], xs[:steps + 1]])
-            values_y = np.concatenate([past[:, 1], ys[:steps + 1]])
+            before = np.array([history.value_at(m)
+                               for m in range(-history.depth - 1, 0)])
+            values_x = np.concatenate([before[:, 0], xs[:steps + 1]])
+            values_y = np.concatenate([before[:, 1], ys[:steps + 1]])
 
         header, rows = read_csv(csv_path)
         col_x, col_y = header.index("res_x"), header.index("res_y")
         table = [(float(row[col_x]), float(row[col_y]))
                  for row in rows if row[col_x] != ""]
         assert table == list(defects(spec, values_x, values_y, steps,
-                                     policy))
+                                     policy, past))
         if command != "simulate":
             assert report["residual_max"] == max(max(pair) for pair in table)
 

@@ -5,15 +5,15 @@ import pytest
 
 from volterra2d import (
     FiniteLag,
+    Nonlinearity,
     NotDiagonalPeriodic,
     SeparableExponential,
     TailNotCertified,
     TruncationPolicy,
-    inner_sum,
 )
-from volterra2d.kernels import certified_depth, drive_plan
+from volterra2d.asymptotic_solver import _outer_cut
 
-from conftest import inner_sum_reference, truncation_depth_reference
+from conftest import inner_sum_reference
 
 # Frozen from the geometric-series oracles below (brute-force partial sums
 # agree to 1e-14 relative).
@@ -192,61 +192,76 @@ class TestFoldedWeights:
             FiniteLag(((1.0,), (2.0,))).folded_weights(1)
 
 
+def drives(kernel, values, start, rows, past=1, bound=1.0, tol=1e-10):
+    """The kernel's drives at n = 0..rows-1 as a list."""
+    return list(kernel.drives(np.asarray(values, dtype=float), start, rows,
+                              past, bound, tol))
+
+
+def impulse_drives(kernel, m, rows, first=-10):
+    """The drives at n = 0..rows-1 of a unit impulse at m over zeros on
+    first..rows-1 (a zero past): row n reads off a_{n,m}."""
+    values = np.zeros(rows - first)
+    values[m - first] = 1.0
+    return drives(kernel, values, -first, rows)
+
+
 class TestInnerSum:
-    # Mapped values on m = i-DEPTH..i, longer than any window used here.
+    """Each drive is the whole row sum sum_{m<=n} a_{n,m} * values_m: the
+    values array term by term and the past before it in closed form."""
+
+    # Mapped values on m = -DEPTH+1..ROWS-1, the past repeating the first.
     DEPTH = 2000
+    ROWS = 4
 
     def test_constant_callback_recovers_row_sum(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
-        policy = TruncationPolicy(1e-10, 100_000)
-        total, tail = inner_sum(k, 0, np.ones(self.DEPTH), 1.0, policy)
-        assert tail <= 1e-10
-        assert total == pytest.approx(ROW_SUM_UNIT_RATE, abs=2e-10)
+        total, = drives(k, np.ones(1), 0, 1)
+        assert total == pytest.approx(ROW_SUM_UNIT_RATE, rel=1e-15)
 
     def test_zero_callback(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
-        total, tail = inner_sum(k, 5, np.zeros(self.DEPTH), 0.0,
-                                TruncationPolicy())
-        assert total == 0.0
-        assert tail <= 1e-10
+        assert drives(k, np.zeros(8), 2, 6, bound=0.0) == [0.0] * 6
 
     def test_finite_lag_is_exact(self):
         k = FiniteLag(((2.0, -1.0, 0.5),))
         values = np.array([-3.0, 2.0, 1.0])  # m = -2, -1, 0
-        total, tail = inner_sum(k, 0, values, 3.0, TruncationPolicy())
-        assert tail == 0.0
+        total, = drives(k, values, 2, 1, bound=3.0)
         assert total == 2.0 * 1.0 + (-1.0) * 2.0 + 0.5 * (-3.0)
 
     def test_cap_raises_when_tail_uncertified(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
-        with pytest.raises(TailNotCertified):
-            inner_sum(k, 0, np.ones(self.DEPTH), 1.0,
-                      TruncationPolicy(1e-30, 3))
+        with pytest.raises(TailNotCertified, match="round-off bound"):
+            drives(k, np.ones(self.DEPTH), 0, 3, tol=1e-60)
 
     def test_cap_tolerated_when_weights_vanish(self):
+        # a finite-lag window has no memory to certify, at any tolerance
         k = FiniteLag(((2.0, 0.0, 0.0),))
-        total, tail = inner_sum(k, 0, np.ones(self.DEPTH), 1.0,
-                                TruncationPolicy(1e-12, 1))
-        assert total == 2.0
-        assert tail == 0.0
+        assert drives(k, np.ones(self.DEPTH), 0, 1, tol=1e-300) == [2.0]
 
     def test_cap_counts_terms(self):
+        # max_terms caps the tail map's outer cut only, counted in terms
         k = FiniteLag(((1.0, 1.0, 1.0),))
-        total, tail = inner_sum(k, 0, np.ones(3), 1.0,
-                                TruncationPolicy(1e-12, 3))
-        assert (total, tail) == (3.0, 0.0)
-        with pytest.raises(TailNotCertified, match="2-term cap"):
-            inner_sum(k, 0, np.ones(3), 1.0, TruncationPolicy(1e-12, 2))
+        assert drives(k, np.ones(3), 2, 1, tol=1e-12) == [3.0]
+        kernel = SeparableExponential(1.0, 1.0, 2.0)
+        f = Nonlinearity("sin", 1.0, 1.0)
+        cut, _ = _outer_cut(1.0, f, kernel, 0, TruncationPolicy(1e-12))
+        assert _outer_cut(1.0, f, kernel, 0,
+                          TruncationPolicy(1e-12, cut)) == _outer_cut(
+            1.0, f, kernel, 0, TruncationPolicy(1e-12))
+        with pytest.raises(TailNotCertified, match=f"{cut - 1}-term cap"):
+            _outer_cut(1.0, f, kernel, 0, TruncationPolicy(1e-12, cut - 1))
 
     def test_too_few_values_rejected(self):
         k = FiniteLag(((2.0, -1.0, 0.5),))
-        assert inner_sum(k, 0, np.ones(3), 1.0, TruncationPolicy())[1] == 0.0
-        with pytest.raises(ValueError, match="needs 3 values"):
-            inner_sum(k, 0, np.ones(2), 1.0, TruncationPolicy())
+        assert len(drives(k, np.ones(3), 2, 1)) == 1
+        with pytest.raises(ValueError, match="need 3 values"):
+            drives(k, np.ones(2), 2, 1)
+        with pytest.raises(ValueError, match="need 4 values"):
+            drives(k, np.ones(3), 0, 1, past=4)
 
     def test_matches_per_term_reference(self):
         rng = np.random.default_rng(8)
-        policy = TruncationPolicy(1e-9)
         kernels = [SeparableExponential(float(rng.uniform(-2, 2)),
                                         float(rng.uniform(0.05, 2.0)),
                                         float(rng.uniform(0.05, 2.0)))
@@ -254,14 +269,13 @@ class TestInnerSum:
         kernels += [FiniteLag(tuple(tuple(float(w) for w in
                                           rng.uniform(-1, 1, 60))
                                     for _ in range(3))) for _ in range(3)]
+        start = self.DEPTH - 1
         for k in kernels:
-            i = int(rng.integers(-3, 8))
-            values = np.sin(np.arange(i - self.DEPTH + 1, i + 1))
-            total, tail = inner_sum(k, i, values, 1.0, policy)
-            ref, ref_tail = inner_sum_reference(
-                k, i, lambda m: values[m - i - 1], 1.0, policy)
-            assert tail == ref_tail
-            assert abs(total - ref) <= 1e-13 * max(1.0, k.abs_row_sum(i))
+            values = np.sin(np.arange(-start, self.ROWS))
+            for n, total in enumerate(drives(k, values, start, self.ROWS)):
+                ref = inner_sum_reference(k, n, lambda m: values[m + start],
+                                          -start)
+                assert abs(total - ref) <= 1e-13 * max(1.0, k.abs_row_sum(n))
 
     @pytest.mark.parametrize("kernel", [
         SeparableExponential(-0.7, 0.05, 0.3),
@@ -269,29 +283,27 @@ class TestInnerSum:
         FiniteLag(((1.0, -2.0, 0.5), (0.25, 0.0, 3.0))),
     ])
     def test_weight_row_matches_weight(self, kernel):
-        for i in (-4, 0, 3, 7):
-            for depth in (0, 1, 2, 5, 40):
-                row = kernel.weight_row(i, depth)
-                ref = [kernel.weight(i, m) for m in range(i - depth, i + 1)]
-                assert row.shape == (depth + 1,)
-                assert np.allclose(row, ref, rtol=1e-15, atol=0.0)
+        # the drives of a unit impulse at m are the weights a_{n,m}
+        for m in (-4, 0, 3, 7):
+            row = impulse_drives(kernel, m, 12)
+            ref = [kernel.weight(n, m) if m <= n else 0.0 for n in range(12)]
+            assert np.allclose(row, ref, rtol=1e-15, atol=0.0)
 
     def test_tail_bound_honest_against_untruncated_sum(self):
         rng = np.random.default_rng(55)
-        policy = TruncationPolicy(1e-8, 100_000)
+        start = self.DEPTH - 1
         for _ in range(25):
             k = SeparableExponential(float(rng.uniform(-2, 2)),
                                      float(rng.uniform(0.2, 2.0)),
                                      float(rng.uniform(0.2, 2.0)))
-            i = int(rng.integers(-2, 3))
             phase = float(rng.uniform(0, 6))
-            total, tail = inner_sum(
-                k, i, np.sin(np.arange(i - self.DEPTH + 1, i + 1) + phase),
-                1.0, policy)
-            exact = float(sum(
-                k.weight(i, m) * math.sin(m + phase)
-                for m in range(i - max(64, math.ceil(40 / k.row_rate)), i + 1)))
-            assert abs(total - exact) <= tail + 1e-13
+            values = np.sin(np.arange(-start, self.ROWS) + phase)
+            for n, total in enumerate(drives(k, values, start, self.ROWS,
+                                             tol=1e-8)):
+                exact = math.fsum(k.weight(n, m) * math.sin(m + phase)
+                                  for m in range(n - max(64, math.ceil(
+                                      40 / k.row_rate)), n + 1))
+                assert abs(total - exact) <= k.drive_error(n, 1.0) + 1e-13
 
     def test_unit_callback_bounded_by_row_sum(self):
         rng = np.random.default_rng(314)
@@ -304,20 +316,17 @@ class TestInnerSum:
                                           rng.uniform(-1, 1, 3))
                                     for _ in range(2))) for _ in range(5)]
         for k in kernels:
-            i = int(rng.integers(-2, 3))
-            total, tail = inner_sum(k, i, np.ones(self.DEPTH), 1.0, policy)
-            assert abs(total) <= k.abs_row_sum(i) + policy.tail_tol
+            for n, total in enumerate(drives(k, np.ones(3), 0, 3,
+                                             tol=policy.tail_tol)):
+                assert abs(total) <= k.abs_row_sum(n) + policy.tail_tol
 
     def test_unit_callback_converges_to_row_sum(self):
-        # single-signed rows, so the absolute sum is attained in the limit
+        # single-signed rows, so the absolute sum is attained exactly, and
+        # with nothing truncated the tolerance no longer moves the sum
         k = SeparableExponential(-1.3, 0.7, 1.1)
-        gaps = []
-        for tol in (1e-4, 1e-8, 1e-12):
-            total, _ = inner_sum(k, 2, np.ones(self.DEPTH), 1.0,
-                                 TruncationPolicy(tol))
-            gaps.append(abs(abs(total) - k.abs_row_sum(2)))
-        assert gaps[0] <= 1e-4 and gaps[2] <= 1e-12
-        assert gaps[2] <= gaps[0]
+        gaps = [abs(abs(drives(k, np.ones(3), 0, 3, tol=tol)[2])
+                    - k.abs_row_sum(2)) for tol in (1e-4, 1e-8, 1e-12)]
+        assert gaps[0] == gaps[1] == gaps[2] <= 1e-15 * k.abs_row_sum(2)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -325,15 +334,16 @@ class TestInnerSum:
         with pytest.raises(ValueError):
             TruncationPolicy(1e-10, 0)
         with pytest.raises(ValueError):
-            inner_sum(SeparableExponential(1.0, 1.0, 1.0), 0,
-                      np.ones(TestInnerSum.DEPTH), -1.0, TruncationPolicy())
+            drives(SeparableExponential(1.0, 1.0, 1.0),
+                   np.ones(TestInnerSum.DEPTH), 0, 1, bound=-1.0)
 
 
 def random_plan_case(rng):
-    """A kernel, bound, tail_tol and term cap for a drive plan: separable
+    """A kernel, bound and tolerance for a batch of drives: separable
     rates 1e-3..3 with col - row of either sign, or finite-lag kernels of
     1..60 lags (some trailing weights zero) and lag period 1..3; bounds
-    include 0 and caps are sometimes small enough to be hit."""
+    include 0, and tolerances reach far enough down that slow rates are
+    refused."""
     if rng.random() < 0.6:
         rate = float(10.0 ** rng.uniform(-3.0, math.log10(3.0)))
         gap = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 0.1))
@@ -348,42 +358,43 @@ def random_plan_case(rng):
                                  for row in weights))
     bound = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.1, 3.0))
     tol = float(10.0 ** rng.uniform(-14.0, -6.0))
-    max_terms = (int(rng.integers(1, 40)) if rng.random() < 0.3
-                 else 100_000)
-    return kernel, bound, tol, max_terms
+    return kernel, bound, tol
 
 
 class TestDrivePlan:
-    """The array depth rule and the compact weights against the scalar
-    per-row loop and the per-term weight."""
+    """How each kernel's drives are computed, against the untruncated
+    scalar per-term reference and the per-term weight: every row reaches
+    back to the start of the values, and the past before them in closed
+    form; a separable kernel is refused exactly where its round-off bound
+    exceeds the tolerance."""
 
-    ROWS = 120
+    ROWS = 60
+    START = 20  # values on m = -START..ROWS-1
 
     @pytest.mark.parametrize("seed", range(60))
     def test_depths_match_scalar_reference(self, seed):
         rng = np.random.default_rng(seed)
-        kernel, bound, tol, max_terms = random_plan_case(rng)
-        try:
-            expected = [truncation_depth_reference(kernel, n, bound, tol,
-                                                   max_terms)
-                        for n in range(self.ROWS)]
-        except TailNotCertified as exc:
-            with pytest.raises(TailNotCertified) as caught:
-                drive_plan(kernel, self.ROWS, bound, tol, max_terms)
-            assert str(caught.value) == str(exc)  # the same first row
+        kernel, bound, tol = random_plan_case(rng)
+        values = bound * np.cos(0.7 * np.arange(-self.START, self.ROWS)
+                                + seed)
+        error = (kernel.drive_error(np.arange(self.ROWS), bound)
+                 if isinstance(kernel, SeparableExponential)
+                 else np.zeros(self.ROWS))
+        refused = np.flatnonzero(error > tol)
+        if len(refused):
+            with pytest.raises(TailNotCertified,
+                               match=f"at row {refused[0]}$"):
+                drives(kernel, values, self.START, self.ROWS, bound=bound,
+                       tol=tol)
             return
-        plan = drive_plan(kernel, self.ROWS, bound, tol, max_terms)
-        depths, tails = zip(*expected)
-        assert plan.depth.tolist() == list(depths)
-        # numpy's exp and the summation order of the lag tails may differ
-        # from the scalar loop in the last bits
-        assert plan.tail.tolist() == pytest.approx(tails, rel=1e-13, abs=0.0)
-        assert plan.max_depth == max(depths)
-        for n in (0, self.ROWS // 2, self.ROWS - 1):
-            assert certified_depth(kernel, n, bound, tol, max_terms) == (
-                plan.depth[n], plan.tail[n])
-            assert kernel.truncation_depth(n, bound, tol, max_terms) \
-                == plan.depth[n]
+        got = drives(kernel, values, self.START, self.ROWS, bound=bound,
+                     tol=tol)
+        for n, total in enumerate(got):
+            ref = inner_sum_reference(kernel, n,
+                                      lambda m: values[m + self.START],
+                                      -self.START)
+            assert abs(total - ref) <= error[n] + 1e-13 * max(
+                1.0, bound * kernel.abs_row_sum(n))
 
     def test_cases_reach_the_hard_regimes(self):
         cases = [random_plan_case(np.random.default_rng(seed))
@@ -397,61 +408,65 @@ class TestDrivePlan:
         assert any(k.col_rate > k.row_rate for k in separable)
         assert max(k.max_lag for k in lagged) >= 40
         assert {k.lag_period for k in lagged} == {1, 2, 3}
-        assert any(bound == 0.0 for _, bound, _, _ in cases)
+        assert any(bound == 0.0 for _, bound, _ in cases)
         uncertified = 0
-        for kernel, bound, tol, max_terms in cases:
+        for kernel, bound, tol in cases:
             try:
-                drive_plan(kernel, self.ROWS, bound, tol, max_terms)
+                drives(kernel, np.zeros(self.ROWS), 0, self.ROWS,
+                       bound=bound, tol=tol)
             except TailNotCertified:
                 uncertified += 1
         assert 0 < uncertified < len(cases)
 
     def test_tail_equal_to_tol_is_certified(self):
-        plan = drive_plan(FiniteLag(((0.5, 0.25),)), 2, 1.0, 0.25, 10)
-        assert plan.depth.tolist() == [0, 0]
-        assert plan.tail.tolist() == [0.25, 0.25]
+        kernel = SeparableExponential(1.0, 0.01, 0.01)
+        error = kernel.drive_error(np.arange(2), 1.0)
+        assert error.tolist() == [error[0]] * 2 and error[0] > 0.0
+        assert len(drives(kernel, np.ones(2), 0, 2, tol=error[0])) == 2
+        with pytest.raises(TailNotCertified):
+            drives(kernel, np.ones(2), 0, 2,
+                   tol=float(np.nextafter(error[0], 0.0)))
 
     def test_compact_weights_match_per_term_weight(self):
+        # the scale e^{(row-col) n} stays exact far from n = 0
         rng = np.random.default_rng(21)
         worst = 0.0
-        for _ in range(300):
+        for _ in range(100):
             rate = float(10.0 ** rng.uniform(math.log10(0.05),
                                              math.log10(3.0)))
             kernel = SeparableExponential(
                 float(rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])),
                 rate, rate + float(rng.uniform(-0.01, 0.5)))
             first = int(rng.integers(0, 1998))
-            plan = drive_plan(kernel, 2, 1.0, 1e-8, 100_000, first=first)
-            m_lo = first - plan.max_depth
-            block = np.zeros((2, plan.max_depth + 2))
-            plan.fill(block, m_lo)
-            ref = np.zeros_like(block)
-            for r, depth in enumerate(plan.depth.tolist()):
-                n = first + r
-                for m in range(n - depth, n + 1):
-                    ref[r, m - m_lo] = kernel.weight(n, m)
-            assert np.array_equal(block != 0.0, ref != 0.0)
-            nonzero = ref != 0.0
-            worst = max(worst, float(np.max(
-                np.abs(block - ref)[nonzero] / np.abs(ref)[nonzero],
-                initial=0.0)))
+            for m in (first, first - 3):
+                got = impulse_drives(kernel, m, first + 2)[first:]
+                ref = [kernel.weight(n, m) for n in (first, first + 1)]
+                assert (np.array(got) != 0.0).tolist() == [
+                    r != 0.0 for r in ref]
+                worst = max([worst, *(abs(g - r) / abs(r)
+                                      for g, r in zip(got, ref) if r)])
         assert worst <= 2e-12
 
     def test_finite_lag_weights_are_the_table(self):
         kernel = FiniteLag(((1.0, -2.0, 0.5), (0.25, 0.0, 3.0)))
-        plan = drive_plan(kernel, 5, 1.0, 1e-12, 100)
-        block = np.zeros((5, 7))
-        plan.fill(block, -2)
+        block = np.array([impulse_drives(kernel, m, 5)
+                          for m in range(-2, 5)]).T
         ref = np.array([[kernel.weight(n, m) if m <= n else 0.0
                          for m in range(-2, 5)] for n in range(5)])
         assert np.array_equal(block, ref)
 
     def test_drives_match_inner_sum(self):
+        # read as a march fills the values in, one entry ahead of each row
         kernel = SeparableExponential(0.7, 0.3, 0.25)
-        policy = TruncationPolicy(1e-12)
-        plan = drive_plan(kernel, 30, 1.0, policy.tail_tol, policy.max_terms)
-        values = np.sin(np.arange(-plan.max_depth, 30))
-        drives = list(plan.drives(values, plan.max_depth))
-        assert drives == [inner_sum(kernel, n, values[:plan.max_depth + n + 1],
-                                    1.0, policy)[0] for n in range(30)]
-        assert all(type(d) is float for d in drives)
+        values = np.sin(np.arange(-40, 30))
+        lazy = np.zeros_like(values)
+        lazy[:41] = values[:41]
+        got = []
+        for n, total in enumerate(kernel.drives(lazy, 40, 30, 1, 1.0, 1e-12)):
+            got.append(total)
+            lazy[41 + n:42 + n] = values[41 + n:42 + n]
+        assert got == drives(kernel, values, 40, 30, tol=1e-12)
+        assert all(type(d) is float for d in got)
+        for n, total in enumerate(got):
+            ref = inner_sum_reference(kernel, n, lambda m: values[m + 40], -40)
+            assert abs(total - ref) <= 1e-13

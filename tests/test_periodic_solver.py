@@ -29,14 +29,13 @@ CONSTANT_DRIVE_EVEN = -1.5819767068693265   # frozen: -(1/2) * 2 * e/(e-1)
 CONSTANT_DRIVE_ODD = -3.163953413738653     # frozen: -(1/2) * 4 * e/(e-1)
 
 
-def direct_map(spec, state, tail_tol=1e-12):
-    """Reference path for the cycle map: adaptive truncated inner sums on
+def direct_map(spec, state):
+    """Reference path for the cycle map: untruncated per-term inner sums on
     the periodic extension instead of folded lag tables."""
     x, y = state
     T = spec.period
     gain_x = cycle_gain(spec.h)
     gain_y = cycle_gain(spec.p)
-    policy = TruncationPolicy(tail_tol, 1_000_000)
     out_x, out_y = [], []
     for n in range(T):
         acc_x = 0.0
@@ -47,12 +46,10 @@ def direct_map(spec, state, tail_tol=1e-12):
             for l in range(i + 1, n + T):
                 prod_h *= 1.0 + spec.h.get(l)
                 prod_p *= 1.0 + spec.p.get(l)
-            drive_a, _ = inner_sum_reference(
-                spec.kernel_a, i, lambda m: spec.f(y.get(m)), spec.f.bound,
-                policy)
-            drive_b, _ = inner_sum_reference(
-                spec.kernel_b, i, lambda m: spec.g(x.get(m)), spec.g.bound,
-                policy)
+            drive_a = inner_sum_reference(
+                spec.kernel_a, i, lambda m: spec.f(y.get(m)), 0, T)
+            drive_b = inner_sum_reference(
+                spec.kernel_b, i, lambda m: spec.g(x.get(m)), 0, T)
             acc_x += prod_h * drive_a
             acc_y += prod_p * drive_b
         out_x.append(gain_x * acc_x)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,11 @@ from volterra2d import (
     PeriodicSequence,
     SeparableExponential,
     SystemSpec,
+    TailNotCertified,
     TruncationPolicy,
     check_asymptotic_hypotheses,
     Nonlinearity,
     defects,
-    drive_depth,
     simulate,
 )
 
@@ -85,10 +86,12 @@ class TestResidual:
             assert dy <= 10 * POLICY.tail_tol * max(1.0, scale)
 
     def test_trajectory_keeps_the_residual_of_each_step(self, example1_spec):
+        # the arrays simulate marches on: the history from its tail entry
+        # at n = -H-1, which the past repeats
         hist = History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
         t = simulate(example1_spec, hist, 12, POLICY)
-        assert t.defects == defects(example1_spec, *trajectory_values(t), 12,
-                                    POLICY)
+        assert t.defects == defects(
+            example1_spec, *trajectory_values(t, hist.depth + 1), 12, POLICY)
 
     def test_defects_are_python_floats(self, example1_spec, example2_spec):
         hist = History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
@@ -139,34 +142,34 @@ def random_drive_case(rng):
     return spec, History(window, tail)
 
 
-def reference_march(spec, history, steps, policy):
-    """simulate's recurrence marched one step at a time on per-term sums."""
+def reference_march(spec, history, steps):
+    """simulate's recurrence marched one step at a time on untruncated
+    per-term sums, from the history's tail entry at n = -H-1 on."""
     xs, ys = [history.value_at(0)[0]], [history.value_at(0)[1]]
+    start = -history.depth - 1
 
     def value(seq, m, c):
         return seq[m] if m >= 0 else history.value_at(m)[c]
 
     for n in range(steps):
-        drive_x, _ = inner_sum_reference(
-            spec.kernel_a, n, lambda m: spec.f(value(ys, m, 1)),
-            spec.f.bound, policy)
-        drive_y, _ = inner_sum_reference(
-            spec.kernel_b, n, lambda m: spec.g(value(xs, m, 0)),
-            spec.g.bound, policy)
+        drive_x = inner_sum_reference(
+            spec.kernel_a, n, lambda m: spec.f(value(ys, m, 1)), start)
+        drive_y = inner_sum_reference(
+            spec.kernel_b, n, lambda m: spec.g(value(xs, m, 0)), start)
         xs.append((1.0 + spec.h.get(n)) * xs[n] + drive_x)
         ys.append((1.0 + spec.p.get(n)) * ys[n] + drive_y)
     return np.array(xs), np.array(ys)
 
 
 class TestArrayDrive:
-    """simulate's array drives against a per-term march."""
+    """simulate's exact drives against an untruncated per-term march."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_per_term_march(self, seed):
         rng = np.random.default_rng(seed)
         spec, history = random_drive_case(rng)
         t = simulate(spec, history, 40, POLICY)
-        ref_x, ref_y = reference_march(spec, history, 40, POLICY)
+        ref_x, ref_y = reference_march(spec, history, 40)
         scale = max(1.0, np.max(np.abs(ref_x)), np.max(np.abs(ref_y)))
         assert np.max(np.abs(np.array(t.x) - ref_x)) <= 1e-13 * scale
         assert np.max(np.abs(np.array(t.y) - ref_y)) <= 1e-13 * scale
@@ -189,15 +192,14 @@ class TestArrayDrive:
 
 class TestMemory:
     def test_long_slow_march_keeps_storage_linear(self):
-        # Depth about 2,550 over 3,000 steps: a dense (steps x depth) weight
-        # band would take about 61 MB; the compact plan, the value arrays
+        # Rate 0.01 over 3,000 steps: a dense (steps x steps) weight band
+        # would take about 72 MB; the one-state recursion, the value arrays
         # and the trajectory take well under 8 MB.
         kernel = SeparableExponential(0.12, 0.01, 0.01)
         half = PeriodicSequence(1, (-0.5,))
         spec = SystemSpec(1, half, half, kernel, kernel,
                           Nonlinearity("cos", 1.0, 1.0),
                           Nonlinearity("sin", 1.0, 2.0))
-        assert 2500 <= drive_depth(spec, 3000, POLICY) <= 2600
         tracemalloc.start()
         try:
             t = simulate(spec, History(((0.2, -0.1),), None), 3000, POLICY)
@@ -206,3 +208,79 @@ class TestMemory:
             tracemalloc.stop()
         assert len(t) == 3001
         assert peak < 8 * 2**20
+
+
+def threshold_rate(coef, tol):
+    """The smallest row rate (to 1e-9 relative) whose round-off bound for
+    the kernel coef * e^{rate (m - n)} over values bounded by 1 is <= tol."""
+    lo, hi = 1e-300, 1.0  # refused, accepted
+    while hi > lo * (1.0 + 1e-9):
+        mid = math.sqrt(lo * hi)
+        if SeparableExponential(coef, mid, mid).drive_error(0, 1.0) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def accurate_drive(kernel, values, start, n):
+    """sum_{m<=n} a_{n,m} phi_m with values[k] at m = k - start and the past
+    repeating values[0], to long double accuracy: the terms in long double,
+    each split into two doubles, and all of them summed with math.fsum."""
+    ld = np.longdouble
+    rate = ld(kernel.row_rate)
+    lag = n - np.arange(-start, n + 1)
+    w = (ld(kernel.coef) * np.exp((rate - kernel.col_rate) * n)
+         * np.exp(-rate * lag))
+    terms = np.append(w * values[:start + n + 1],
+                      w[0] * values[0] * np.exp(-rate) / -np.expm1(-rate))
+    hi = terms.astype(float)
+    return math.fsum(np.concatenate([hi, (terms - hi).astype(float)]))
+
+
+class TestRoundOff:
+    """The separable recursion's round-off bound: honest against a long
+    double reference, and the gate that refuses a vanishing rate."""
+
+    @pytest.mark.parametrize("rate", [0.5, 0.05, 0.01, 1e-3, 1e-4])
+    @pytest.mark.parametrize("kind", ["constant", "alternating", "random"])
+    def test_bound_covers_measured_error(self, rate, kind):
+        start, rows = 50, 2000
+        count = start + rows
+        values = {"constant": np.full(count, 0.75),
+                  "alternating": (-1.0) ** np.arange(count),
+                  "random": np.random.default_rng(5).uniform(-1, 1, count),
+                  }[kind]
+        kernel = SeparableExponential(1.0, rate, rate)
+        got = list(kernel.drives(values, start, rows, 1, 1.0, 1.0))
+        bound = kernel.drive_error(np.arange(rows), 1.0)
+        for n in (0, 1, 7, 99, 500, rows - 1):
+            ref = accurate_drive(kernel, values, start, n)
+            # the bound covers the recursion; the returned double and the
+            # reference are each rounded by at most half an ulp on top
+            assert abs(got[n] - ref) <= bound[n] + np.spacing(abs(ref))
+
+    def test_rates_either_side_of_the_threshold(self):
+        coef, tol = 0.05, POLICY.tail_tol
+        rate = threshold_rate(coef, tol)
+        if np.finfo(np.longdouble).eps < 1e-18:  # 80-bit or wider
+            assert rate < 1e-4
+        half = PeriodicSequence(1, (-0.5,))
+        history = History(((0.2, -0.1),), (0.1, 0.3))
+        for r in (2.0 * rate, 0.5 * rate):
+            kernel = SeparableExponential(coef, r, r)
+            spec = SystemSpec(1, half, half, kernel, kernel,
+                              Nonlinearity("cos", 1.0, 1.0),
+                              Nonlinearity("sin", 1.0, 2.0))
+            if r < rate:
+                with pytest.raises(TailNotCertified, match="round-off bound"):
+                    simulate(spec, history, 30, POLICY)
+                continue
+            t = simulate(spec, history, 30, POLICY)
+            assert max(max(pair) for pair in t.defects) <= tol
+            for n in range(30):
+                ref = inner_sum_reference(
+                    kernel, n, lambda m: spec.f(t.y_at(m)), -2)
+                drive = t.x[n + 1] - 0.5 * t.x[n]
+                assert abs(drive - ref) <= kernel.drive_error(n, 1.0) + 4 * (
+                    np.spacing(max(abs(t.x[n + 1]), abs(ref))))

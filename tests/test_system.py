@@ -203,6 +203,17 @@ class TestParseScenario:
         assert scenario.policy == TruncationPolicy(1e-10, 100000)
         assert scenario.solver == SolverOptions()
 
+    def test_readme_library_block_runs(self, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        section = (root / "README.md").read_text().split("## Library", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        monkeypatch.chdir(root)
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["solve"].converged and namespace["cert"].passed
+        assert len(namespace["traj"]) == 41
+        assert max(max(pair) for pair in namespace["pairs"]) <= 1e-8
+
     def test_defaults_and_overrides(self, example1_path, example2_path):
         bare = parse_scenario(spec_to_config(parse_system(
             example1_path.read_text())))
