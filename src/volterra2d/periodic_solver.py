@@ -7,7 +7,7 @@ solutions of the underlying system.  Existence theory guarantees a fixed
 point inside the self-map ball but gives no algorithm, so the solver here
 runs damped Picard with a Newton closer and gates the result on the
 exact-memory recurrence defects (``simulate.defects``) of the periodic
-extension over one period.  The fixed-depth check in the verify module
+extension over one period.  The closed-form check in the verify module
 stays independent of it.
 """
 from __future__ import annotations

@@ -220,17 +220,6 @@ def central_difference_jacobian(apply_map, z, step=1e-6):
     return jac
 
 
-def direct_sum_reference(kernel, i, values, depth):
-    """Reference fixed-depth sum over m = i-depth..i of a_{i,m} * values(m),
-    one term at a time, skipping zero weights."""
-    total = 0.0
-    for m in range(i - depth, i + 1):
-        w = kernel.weight(i, m)
-        if w != 0.0:
-            total += w * values(m)
-    return total
-
-
 def inner_sum_reference(kernel, i, values, start, past=1):
     """Reference sum_{m<=i} a_{i,m} * values(m) over a value callback,
     untruncated and summed with math.fsum: every term m = start..i one

@@ -235,13 +235,6 @@ class TestSolveCommands:
         body = json.loads((tmp_path / "r.json").read_text())["report"]
         assert body["verification"]["passed"]
 
-    def test_verify_asymptotic_reports_remainder(self, example2_path,
-                                                 tmp_path):
-        run(["verify", "--config", str(example2_path),
-             "--mode", "asymptotic", "--out", str(tmp_path / "r.json")])
-        body = json.loads((tmp_path / "r.json").read_text())["report"]
-        assert 0.0 <= body["verification"]["remainder_bound"] < 1e-12
-
     def test_verify_echo_reproduces_the_solve(self, example2_path, tmp_path):
         reports = {}
         for command in (["solve-asymptotic"],

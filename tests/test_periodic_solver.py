@@ -244,8 +244,7 @@ class TestSolvePeriodic:
         certified-tail residual over one period, about 4.4e-11 here; a
         fixed 256-term kernel sum drops a tail of about 1.2e-6 and would
         fail this correct solution.  verify_periodic sums these kernels
-        deeper than 256 terms, to a remainder of at most defect_tol / 10,
-        and certifies the solution (tests/test_verify.py)."""
+        in closed form and certifies the solution (tests/test_verify.py)."""
         kernel = SeparableExponential(0.05, 0.05, 0.05)
         spec = SystemSpec(
             period, PeriodicSequence(period, (0.5,) * period),
