@@ -11,8 +11,6 @@ import numpy as np
 
 from .sequences import PeriodicSequence
 
-STRATEGIES = ("picard_then_newton", "picard_only", "newton_only")
-
 #: Picard stalls after this many iterations without a new best update norm.
 STALL_PATIENCE = 10
 
@@ -23,7 +21,6 @@ class SolverOptions:
     residual_tol: float = 1e-8
     max_iter: int = 200
     damping: float = 0.5
-    strategy: str = "picard_then_newton"
     initial_guess: Optional[Tuple[PeriodicSequence, PeriodicSequence]] = None
 
     def __post_init__(self):
@@ -33,8 +30,6 @@ class SolverOptions:
             raise ValueError("max_iter must be >= 1")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must be in (0, 1]")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,54 +119,45 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
     """Find z with z = apply_map(z).
 
     Picard phase: z <- (1-damping) z + damping * map(z) until the update
-    norm drops below opts.tol, stalling (no new minimum update norm for
-    STALL_PATIENCE iterations, which also catches sustained oscillation)
-    or exhausting opts.max_iter.  On stall the best iterate seen seeds
-    Newton, whose corrections ``newton_step(z, residual)`` solves against
-    the Jacobian of z - apply_map(z) (``CoupledMap.newton_step``).
-    Non-convergence is reported, not raised.
+    norm drops below opts.tol (converged), a step is non-finite, Picard
+    stalls (no new minimum update norm for STALL_PATIENCE iterations,
+    which also catches sustained oscillation) or opts.max_iter runs out.
+    A non-finite step or a stall goes back to the best iterate seen.
+    Newton then runs on the remaining budget, its corrections
+    ``newton_step(z, residual)`` solving against the Jacobian of
+    z - apply_map(z) (``CoupledMap.newton_step``); if it takes no step,
+    the result is Picard's.  Non-convergence is reported, not raised.
     """
     z = np.asarray(z0, dtype=float).copy()
+    method = "picard" if opts.damping == 1.0 else "damped_picard"
     iterations = 0
     update = math.inf
-    method = "newton"
-
-    if opts.strategy != "newton_only":
-        method = "picard" if opts.damping == 1.0 else "damped_picard"
-        best_update = math.inf
-        best_z = z.copy()
-        since_best = 0
-        while iterations < opts.max_iter:
-            mapped = apply_map(z)
-            z_next = (1.0 - opts.damping) * z + opts.damping * mapped
-            iterations += 1
-            # z is finite, so a NaN or inf in z_next shows up in the max
-            update = float(np.max(np.abs(z_next - z)))
-            if not math.isfinite(update):
+    best_update = math.inf
+    best_z = z.copy()
+    since_best = 0
+    while iterations < opts.max_iter:
+        z_next = (1.0 - opts.damping) * z + opts.damping * apply_map(z)
+        iterations += 1
+        # z is finite, so a NaN or inf in z_next shows up in the max
+        update = float(np.max(np.abs(z_next - z)))
+        if not math.isfinite(update):
+            z = best_z
+            break
+        z = z_next
+        if update < opts.tol:
+            return IterationResult(z, iterations, method, update, True)
+        if update < best_update:
+            best_update = update
+            best_z = z.copy()
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= STALL_PATIENCE:
                 z = best_z
                 break
-            z = z_next
-            if update < opts.tol:
-                return IterationResult(z, iterations, method, update, True)
-            if update < best_update:
-                best_update = update
-                best_z = z.copy()
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= STALL_PATIENCE:
-                    z = best_z
-                    break
-        if opts.strategy == "picard_only":
-            return IterationResult(z, iterations, method, update, False)
 
-    budget = (opts.max_iter - iterations
-              if opts.strategy == "picard_then_newton" else opts.max_iter)
     z_newton, used, update_newton, converged = _newton(
-        apply_map, newton_step, z, opts.tol, budget)
-    iterations += used
-    if used > 0 or opts.strategy == "newton_only":
-        z = z_newton
-        update = update_newton
-        method = "newton"
-    return IterationResult(z, iterations, method, update, converged)
+        apply_map, newton_step, z, opts.tol, opts.max_iter - iterations)
+    if used:  # with no Newton step, converged is False and Picard's stands
+        z, method, update = z_newton, "newton", update_newton
+    return IterationResult(z, iterations + used, method, update, converged)

@@ -109,121 +109,101 @@ def _outer_cut(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
     return end - 1, float(decay_envelope(ratio, nonlin, kernel, end))
 
 
-class _TailMapComponent:
+def _tail_block(kernel: Kernel, nonlin: Nonlinearity,
+                growth: PeriodicSequence, ratio: float, c_out: float,
+                c_partner: float, partner_growth: PeriodicSequence,
+                horizon: int, policy: TruncationPolicy
+                ) -> Tuple[np.ndarray, np.ndarray, float]:
     """One tail-map component reduced to the window 0..horizon in the
-    coupled form out = c + K @ nonlin(partner window).
+    coupled form out = c + K @ nonlin(partner window): (K, c, error).
 
-    Built once: the outer cut and the certified error; K, the suffix sums
-    w[n, m] = sum_{i=max(n,m)}^{cut} r_{i+1} a_{i,m} over -r_n; and c,
-    which folds the drive from outside the window in with the amplitude.
-    For a separable kernel, with lam = e^{-row_rate}, w[n, m] =
-    U[max(n, m)] lam^{max(n-m, 0)} by the stable backward recursion
-    U[j] = r_{j+1} coef e^{(row_rate-col_rate) j} + lam U[j+1] from
-    U[cut+1] = 0.  The zero history before 0 adds f(0) U[n] lam^{n+1} /
-    (1 - lam) to row n, and each column m past the horizon U[m]
-    f(partner_m) to every row: the sums over m are exact, and only the
-    outer cut truncates.
+    The error bounds the outer cut and the flush of tiny entries.  K
+    holds the suffix sums w[n, m] = sum_{i=max(n,m)}^{cut} r_{i+1} a_{i,m}
+    over -r_n, and c folds the drive from outside the window in with the
+    amplitude.  For a separable kernel, with lam = e^{-row_rate},
+    w[n, m] = U[max(n, m)] lam^{max(n-m, 0)} by the stable backward
+    recursion U[j] = r_{j+1} coef e^{(row_rate-col_rate) j} + lam U[j+1]
+    from U[cut+1] = 0.  The zero history before 0 adds f(0) U[n]
+    lam^{n+1} / (1 - lam) to row n, and each column m past the horizon
+    U[m] f(partner_m) to every row: the sums over m are exact, and only
+    the outer cut truncates.
     """
-
-    def __init__(self, kernel, nonlin, growth: PeriodicSequence,
-                 ratio: float, c_out: float, c_partner: float,
-                 partner_growth: PeriodicSequence, horizon: int,
-                 policy: TruncationPolicy):
-        cut, self.error = _outer_cut(ratio, nonlin, kernel, horizon, policy)
-        width = horizon + 1
-        self.growth_out = growth.take(np.arange(width))
-        if isinstance(kernel, FiniteLag):
-            # A nonzero finite-lag kernel has an infinite double tail, so
-            # _outer_cut lets one through only with a zero drive: K = 0.
-            self.k, self.c = np.zeros((width, width)), c_out / self.growth_out
-            return
-        rate = np.longdouble(kernel.row_rate)  # U is summed in long double
-        j = np.arange(cut + 1)
-        terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
-                 * np.exp((rate - kernel.col_rate) * j))
-        decay, acc, u = np.exp(-rate), np.longdouble(0.0), np.empty(cut + 1)
-        for i in range(cut, -1, -1):
-            acc = terms[i] + decay * acc
-            u[i] = acc
-        powers = np.exp(-kernel.row_rate * np.arange(width + 1))  # lam^k
-        # lam^{n-m} on and below the diagonal, as a Toeplitz view
-        lower = sliding_window_view(np.concatenate(
-            [powers[width - 1::-1], np.zeros(horizon)]), width)[::-1]
-        w = np.triu(np.broadcast_to(u[:width], (width, width)), 1)
-        w += u[:width, None] * lower
-        post = c_partner / partner_growth.take(np.arange(width, cut + 1))
-        drive_outside = (nonlin(0.0) * u[:width] * powers[1:]
-                         / -math.expm1(-kernel.row_rate)
-                         + u[width:] @ nonlin(post))
-        self.c = (c_out - drive_outside) / self.growth_out
-        w /= -self.growth_out[:, None]
-        # Entries below sqrt(tiny) become zero, so that the products of
-        # two entries in a Newton step stay out of the slow subnormal
-        # range; that moves no entry of K @ phi by more than this:
-        w[np.abs(w) < _NEGLIGIBLE] = 0.0
-        self.error += width * _NEGLIGIBLE * nonlin.bound
-        self.k = w
+    cut, error = _outer_cut(ratio, nonlin, kernel, horizon, policy)
+    width = horizon + 1
+    growth_out = growth.take(np.arange(width))
+    if isinstance(kernel, FiniteLag):
+        # A nonzero finite-lag kernel has an infinite double tail, so
+        # _outer_cut lets one through only with a zero drive: K = 0.
+        return np.zeros((width, width)), c_out / growth_out, error
+    rate = np.longdouble(kernel.row_rate)  # U is summed in long double
+    j = np.arange(cut + 1)
+    terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
+             * np.exp((rate - kernel.col_rate) * j))
+    decay, acc, u = np.exp(-rate), np.longdouble(0.0), np.empty(cut + 1)
+    for i in range(cut, -1, -1):
+        acc = terms[i] + decay * acc
+        u[i] = acc
+    powers = np.exp(-kernel.row_rate * np.arange(width + 1))  # lam^k
+    # lam^{n-m} on and below the diagonal, as a Toeplitz view
+    lower = sliding_window_view(np.concatenate(
+        [powers[width - 1::-1], np.zeros(horizon)]), width)[::-1]
+    w = np.triu(np.broadcast_to(u[:width], (width, width)), 1)
+    w += u[:width, None] * lower
+    post = c_partner / partner_growth.take(np.arange(width, cut + 1))
+    drive_outside = (nonlin(0.0) * u[:width] * powers[1:]
+                     / -math.expm1(-kernel.row_rate)
+                     + u[width:] @ nonlin(post))
+    c = (c_out - drive_outside) / growth_out
+    w /= -growth_out[:, None]
+    # Entries below sqrt(tiny) become zero, so that the products of two
+    # entries in a Newton step stay out of the slow subnormal range; that
+    # moves no entry of K @ phi by more than this:
+    w[np.abs(w) < _NEGLIGIBLE] = 0.0
+    return w, c, error + width * _NEGLIGIBLE * nonlin.bound
 
 
 class TailMapOperator:
-    """The tail map reduced to windows on 0..horizon for both components.
+    """The tail map on the windows 0..horizon of both components, as data.
 
     x-component: (c1 - sum_{i>=n} r_{i+1} * drive_a(i)) / r_n with r the
     reciprocal growth of h and drive_a(i) the kernel-a weighted f(y) row
-    sum; symmetric for y.  Outer sums stop where the analytic envelope
-    falls below half the tail tolerance, and that envelope is the certified
-    error; the inner sums are exact (closed form).  Beyond the window the
-    partner is closed with its periodic free response; before 0 the
-    history is zero.
+    sum; symmetric for y.  ``map`` is that CoupledMap, ``free`` the free
+    response [u1; u2] and ``envelope`` the pointwise decay bounds
+    [v1_bound; v2_bound] on the deviation from it.  ``truncation_error``
+    certifies the outer cuts and ``closure_error`` the partner closed with
+    its free response beyond the window; before 0 the history is zero.
     """
 
     def __init__(self, spec: SystemSpec, c1: float, c2: float, horizon: int,
                  policy: TruncationPolicy):
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        self.spec = spec
-        self.c1 = c1
-        self.c2 = c2
-        self.horizon = horizon
-        self.policy = policy
-        self.profile = prof = growth_profile(spec)
-        self.component_x = _TailMapComponent(
-            spec.kernel_a, spec.f, prof.x, prof.ratio_x, c1, c2, prof.y,
-            horizon, policy)
-        self.component_y = _TailMapComponent(
-            spec.kernel_b, spec.g, prof.y, prof.ratio_y, c2, c1, prof.x,
-            horizon, policy)
-        self.map = CoupledMap(
-            np.concatenate([self.component_x.c, self.component_y.c]),
-            self.component_x.k, self.component_y.k, spec.f, spec.g)
-        # Closing the partner with its free response ignores the partner's
-        # own decaying part beyond the horizon; first-order bound via the
-        # partner envelope and the kernel tail past the horizon.
-        env_x = decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, horizon + 1)
-        env_y = decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, horizon + 1)
-        closure_x = (prof.ratio_x * spec.f.lipschitz * env_y
-                     * spec.kernel_a.double_tail(horizon + 1)
-                     if spec.f.bound > 0.0 and env_y > 0.0 else 0.0)
-        closure_y = (prof.ratio_y * spec.g.lipschitz * env_x
-                     * spec.kernel_b.double_tail(horizon + 1)
-                     if spec.g.bound > 0.0 and env_x > 0.0 else 0.0)
-        self.closure_error = max(closure_x, closure_y)
-
-    @property
-    def certified_error(self) -> float:
-        return max(self.component_x.error, self.component_y.error)
-
-    def apply(self, x_window: np.ndarray,
-              y_window: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        z = self.map(np.concatenate([x_window, y_window]))
-        return z[:self.horizon + 1], z[self.horizon + 1:]
-
-    def envelope(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Pointwise decay bounds for the deviation from the free response."""
-        prof, spec = self.profile, self.spec
-        window = np.arange(self.horizon + 1)
-        return (decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, window),
-                decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, window))
+        prof = growth_profile(spec)
+        sides = ((spec.kernel_a, spec.f, prof.x, prof.ratio_x, c1),
+                 (spec.kernel_b, spec.g, prof.y, prof.ratio_y, c2))
+        window = np.arange(horizon + 1)
+        parts = []
+        for (kernel, nonlin, growth, ratio, c_out), (
+                p_kernel, p_nonlin, p_growth, p_ratio, c_partner) in zip(
+                    sides, sides[::-1]):
+            # Closing the partner with its free response ignores the
+            # partner's own decaying part beyond the horizon; first-order
+            # bound via the partner envelope and the kernel tail there.
+            edge = decay_envelope(p_ratio, p_nonlin, p_kernel, horizon + 1)
+            closure = (ratio * nonlin.lipschitz * edge
+                       * kernel.double_tail(horizon + 1)
+                       if nonlin.bound > 0.0 and edge > 0.0 else 0.0)
+            parts.append((*_tail_block(kernel, nonlin, growth, ratio, c_out,
+                                       c_partner, p_growth, horizon, policy),
+                          c_out / growth.take(window),
+                          decay_envelope(ratio, nonlin, kernel, window),
+                          closure))
+        ks, cs, errors, free, envelope, closure = zip(*parts)
+        self.map = CoupledMap(np.concatenate(cs), *ks, spec.f, spec.g)
+        self.free = np.concatenate(free)
+        self.envelope = np.concatenate(envelope)
+        self.truncation_error = max(errors)
+        self.closure_error = max(closure)
 
 
 def apply_tail_map(spec: SystemSpec, c1: float, c2: float,
@@ -237,8 +217,8 @@ def apply_tail_map(spec: SystemSpec, c1: float, c2: float,
     if x_window.shape != y_window.shape or x_window.ndim != 1 or not len(x_window):
         raise ValueError("x and y windows must be equal-length 1-d arrays")
     op = TailMapOperator(spec, c1, c2, len(x_window) - 1, policy)
-    nx, ny = op.apply(x_window, y_window)
-    return nx, ny, op.certified_error
+    z = op.map(np.concatenate([x_window, y_window]))
+    return z[:len(x_window)], z[len(x_window):], op.truncation_error
 
 
 def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
@@ -261,21 +241,14 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     if horizon < 4 * T:
         raise ValueError(f"horizon must be at least 4 periods ({4 * T})")
     op = TailMapOperator(spec, c1, c2, horizon, policy)
-    width = horizon + 1
-    u1_window = c1 / op.component_x.growth_out
-    u2_window = c2 / op.component_y.growth_out
-    z0 = np.concatenate([u1_window, u2_window])
-    result = solve_fixed_point(op.map, z0,
+    result = solve_fixed_point(op.map, op.free,
                                newton_step=op.map.newton_step, opts=opts)
-    xw = result.z[:width]
-    yw = result.z[width:]
-
-    prof = op.profile
-    u1 = PeriodicSequence(T, tuple(c1 / v for v in prof.x.values))
-    u2 = PeriodicSequence(T, tuple(c2 / v for v in prof.y.values))
-    v1 = xw - u1_window
-    v2 = yw - u2_window
-    bound_x, bound_y = op.envelope()
+    xw, yw = np.split(result.z, 2)
+    free_x, free_y = np.split(op.free, 2)
+    v1, v2 = xw - free_x, yw - free_y
+    bound_x, bound_y = np.split(op.envelope, 2)
+    u1 = PeriodicSequence(T, tuple(free_x[:T].tolist()))
+    u2 = PeriodicSequence(T, tuple(free_y[:T].tolist()))
 
     pairs = defects(spec, np.concatenate([[0.0], xw]),
                     np.concatenate([[0.0], yw]), horizon, policy)
@@ -303,7 +276,7 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
         final_update_norm=result.final_update_norm,
         residual_max=residual_max,
         defects=pairs,
-        truncation_error=op.certified_error,
+        truncation_error=op.truncation_error,
         closure_error=op.closure_error,
         converged=converged,
         warnings=amplitude_warnings(c1, c2),

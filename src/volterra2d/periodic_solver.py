@@ -101,14 +101,14 @@ def solve_periodic(spec: SystemSpec,
     """Seek a fixed point of the cycle map in the 2T-dimensional space of
     period values, then certify it against the recurrence.
 
-    The cycle map is generally not a contraction, so the default strategy
-    lets damped Picard run until it converges or stalls and finishes with
-    Newton.  ``converged`` requires both the final update norm below
-    opts.tol and the recurrence residual of the periodic extension below
-    opts.residual_tol at n = 0..T-1, its inner sums exact over the whole
-    periodic past up to a certified round-off of at most policy.tail_tol;
-    under a diagonal-periodic kernel the defect is T-periodic, so one
-    period covers every n.  Non-convergence is a report state, never an
+    The cycle map is generally not a contraction, so damped Picard runs
+    until it converges or stalls and Newton finishes.  ``converged``
+    requires both the final update norm below opts.tol and the recurrence
+    residual of the periodic extension below opts.residual_tol at
+    n = 0..T-1, its inner sums exact over the whole periodic past up to a
+    certified round-off of at most policy.tail_tol; under a
+    diagonal-periodic kernel the defect is T-periodic, so one period
+    covers every n.  Non-convergence is a report state, never an
     exception.  With several fixed points present the result depends on
     the initial guess; no uniqueness is claimed.
     """

@@ -512,6 +512,24 @@ def _as_finite_float(value: Any, path: str) -> float:
     return out
 
 
+def _ranged(parse: Callable[[Any, str], Any], ok: Callable[[Any], bool],
+            rule: str) -> Callable[[Any, str], Any]:
+    """``parse``, then a refusal of values failing ``ok`` as not ``rule``."""
+
+    def check(value: Any, path: str) -> Any:
+        out = parse(value, path)
+        if not ok(out):
+            raise ConfigError(f"{path}: must be {rule}, got {out!r}")
+        return out
+
+    return check
+
+
+_positive = _ranged(_as_finite_float, lambda v: v > 0.0, "positive")
+_count = _ranged(_as_int, lambda v: v >= 1, "at least 1")
+_fraction = _ranged(_as_finite_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
 def _override(value: Any, flag: Any, check: Callable[[Any, str], Any],
               name: str) -> Any:
     """A command-line ``flag``, checked under its own ``name``, in place of
@@ -590,9 +608,7 @@ def parse_system(config: Union[str, Dict[str, Any]]) -> SystemSpec:
     already-decoded object).  Violations raise ConfigError naming the
     offending field path."""
     config = _document(config)
-    period = _as_int(_require(config, "period", ""), "period")
-    if period < 1:
-        raise ConfigError(f"period: expected a positive integer, got {period!r}")
+    period = _count(_require(config, "period", ""), "period")
     return SystemSpec(
         period=period,
         h=_period_values(_require(config, "h", ""), "h", period),
@@ -657,32 +673,24 @@ def _parse_solver(obj: Dict[str, Any], period: int,
         parsed_guess = tuple(
             _period_values(guess[key], f"solver.initial_guess.{key}", period)
             for key in ("x", "y"))
-    tol = _override(_as_finite_float(obj.get("tol", 1e-12), "solver.tol"),
-                    tol, _as_finite_float, "--tol")
-    residual_tol = _as_finite_float(obj.get("residual_tol", 1e-8),
-                                    "solver.residual_tol")
-    max_iter = _as_int(obj.get("max_iter", 200), "solver.max_iter")
-    damping = _as_finite_float(obj.get("damping", 0.5), "solver.damping")
-    try:
-        return SolverOptions(
-            tol=tol, residual_tol=residual_tol, max_iter=max_iter,
-            damping=damping,
-            strategy=obj.get("strategy", "picard_then_newton"),
-            initial_guess=parsed_guess)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    tol = _override(_positive(obj.get("tol", 1e-12), "solver.tol"),
+                    tol, _positive, "--tol")
+    return SolverOptions(
+        tol=tol,
+        residual_tol=_positive(obj.get("residual_tol", 1e-8),
+                               "solver.residual_tol"),
+        max_iter=_count(obj.get("max_iter", 200), "solver.max_iter"),
+        damping=_fraction(obj.get("damping", 0.5), "solver.damping"),
+        initial_guess=parsed_guess)
 
 
 def _parse_truncation(obj: Dict[str, Any],
                       tail_tol: Optional[float]) -> TruncationPolicy:
-    tail_tol = _override(_as_finite_float(obj.get("tail_tol", 1e-10),
-                                          "truncation.tail_tol"),
-                         tail_tol, _as_finite_float, "--tail-tol")
-    max_terms = _as_int(obj.get("max_terms", 100_000), "truncation.max_terms")
-    try:
-        return TruncationPolicy(tail_tol, max_terms)
-    except ValueError as exc:
-        raise ConfigError(f"truncation: {exc}") from exc
+    tail_tol = _override(_positive(obj.get("tail_tol", 1e-10),
+                                   "truncation.tail_tol"),
+                         tail_tol, _positive, "--tail-tol")
+    return TruncationPolicy(tail_tol, _count(obj.get("max_terms", 100_000),
+                                             "truncation.max_terms"))
 
 
 def parse_scenario(config: Union[str, Dict[str, Any]], *,
@@ -703,10 +711,13 @@ def parse_scenario(config: Union[str, Dict[str, Any]], *,
     amplitudes = [_override(_as_finite_float(config.get(key, 1.0), key),
                             flag, _as_finite_float, f"--{key}")
                   for key, flag in (("c1", c1), ("c2", c2))]
+    least = 4 * spec.period
+    check_horizon = _ranged(_as_int, lambda v: v >= least,
+                            f"at least 4 periods ({least})")
     config_horizon = config.get("horizon")
     if config_horizon is not None:
-        config_horizon = _as_int(config_horizon, "horizon")
-    horizon = _override(config_horizon, horizon, _as_int, "--horizon")
+        config_horizon = check_horizon(config_horizon, "horizon")
+    horizon = _override(config_horizon, horizon, check_horizon, "--horizon")
     return Scenario(spec, history, policy, solver, *amplitudes, horizon)
 
 

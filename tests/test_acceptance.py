@@ -204,7 +204,8 @@ def test_criterion_6_tail_map_properties(example2_spec):
         for _ in range(100):
             xw = rng.uniform(-ball, ball, horizon + 1)
             yw = rng.uniform(-ball, ball, horizon + 1)
-            nx, ny = op.apply(xw, yw)
+            z = op.map(np.concatenate([xw, yw]))
+            nx, ny = z[:horizon + 1], z[horizon + 1:]
             assert max(np.max(np.abs(nx)), np.max(np.abs(ny))) <= ball + slack
             for n in range(horizon + 1):
                 dev = abs(nx[n] - 1.0 / prof.x.get(n))

@@ -111,11 +111,10 @@ class TestTailMap:
                     TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
                 continue
             op = TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
-            assert op.component_x.k.shape == (13, 13)
-            assert not op.component_x.k.any()
-            assert np.array_equal(op.component_x.c,
-                                  1.0 / op.component_x.growth_out)
-            assert op.component_y.k.any()
+            assert op.map.k_x.shape == (13, 13)
+            assert not op.map.k_x.any()
+            assert np.array_equal(op.map.c[:13], op.free[:13])
+            assert op.map.k_y.any()
 
     def test_zero_amplitude_returns_free_response(self, example2_spec):
         spec = SystemSpec(2, example2_spec.h, example2_spec.p,
@@ -182,14 +181,14 @@ class TestTailMap:
     def test_weight_block_matches_per_term_build(self, seed):
         spec = random_summable_spec(np.random.default_rng(seed))
         op = TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
-        prof = op.profile
-        for component, kernel, nonlin, growth, ratio in (
-                (op.component_x, spec.kernel_a, spec.f, prof.x, prof.ratio_x),
-                (op.component_y, spec.kernel_b, spec.g, prof.y, prof.ratio_y)):
+        prof = growth_profile(spec)
+        for block, kernel, nonlin, growth, ratio in (
+                (op.map.k_x, spec.kernel_a, spec.f, prof.x, prof.ratio_x),
+                (op.map.k_y, spec.kernel_b, spec.g, prof.y, prof.ratio_y)):
             expected = per_term_weight_block(kernel, nonlin, growth, ratio,
                                              12, POLICY)
-            assert component.k.shape == expected.shape
-            assert np.max(np.abs(component.k - expected)) <= 1e-15 * max(
+            assert block.shape == expected.shape
+            assert np.max(np.abs(block - expected)) <= 1e-15 * max(
                 1.0, np.max(np.abs(expected)))
 
 
@@ -269,10 +268,9 @@ class TestOperatorReuse:
         op = TailMapOperator(example2_spec, 1.0, 1.0, 15, POLICY)
         xw = rng.uniform(-3, 3, 16)
         yw = rng.uniform(-3, 3, 16)
-        ax, ay = op.apply(xw, yw)
         bx, by, _ = apply_tail_map(example2_spec, 1.0, 1.0, xw, yw, POLICY)
-        assert np.array_equal(ax, bx)
-        assert np.array_equal(ay, by)
+        assert np.array_equal(op.map(np.concatenate([xw, yw])),
+                              np.concatenate([bx, by]))
 
     def test_jacobian_matches_central_differences(self, example2_spec):
         rng = np.random.default_rng(14)
@@ -385,9 +383,10 @@ class TestEnvelopeCut:
     def test_envelope_is_the_scalar_envelope_on_the_window(self,
                                                            example2_spec):
         op = TailMapOperator(example2_spec, 1.0, 1.0, 40, POLICY)
-        prof = op.profile
+        prof = growth_profile(example2_spec)
         for bounds, ratio, nonlin, kernel in zip(
-                op.envelope(), (prof.ratio_x, prof.ratio_y),
+                (op.envelope[:41], op.envelope[41:]),
+                (prof.ratio_x, prof.ratio_y),
                 (example2_spec.f, example2_spec.g),
                 (example2_spec.kernel_a, example2_spec.kernel_b)):
             assert bounds.shape == (41,)

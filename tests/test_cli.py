@@ -329,21 +329,39 @@ class TestInputErrors:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("change, field", [
-        ({"solver": {"max_iter": "many"}}, "solver.max_iter"),
-        ({"horizon": "x"}, "horizon"),
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"solver": {"max_iter": "many"}},
+                     "solver.max_iter: expected an integer",
+                     id="change0-solver.max_iter"),
+        pytest.param({"horizon": "x"}, "horizon: expected an integer",
+                     id="change1-horizon"),
+        pytest.param({"horizon": -5},
+                     "horizon: must be at least 4 periods (8), got -5",
+                     id="change2-horizon"),
+        pytest.param({"horizon": 3},
+                     "horizon: must be at least 4 periods (8), got 3",
+                     id="change3-horizon"),
+        pytest.param({"solver": {"damping": 2}},
+                     "solver.damping: must be in (0, 1], got 2.0",
+                     id="change4-solver.damping"),
     ])
     def test_check_validates_whole_document(self, example1_path, tmp_path,
-                                            capsys, change, field):
+                                            capsys, change, message):
+        """Every command refuses a document that is broken in a part it
+        does not use, before it writes anything."""
         config = json.loads(example1_path.read_text())
         config.update(change)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
-        assert run(["check", "--config", str(path), "--mode", "periodic",
-                    "--out", str(tmp_path / "r.json")]) == 1
-        assert f"error: {field}: expected an integer" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "r.json").exists()
+        for command in (["check", "--mode", "periodic"],
+                        ["check", "--mode", "asymptotic"],
+                        ["simulate", "--steps", "3"], ["solve-periodic"],
+                        ["solve-asymptotic"],
+                        ["verify", "--mode", "periodic"]):
+            assert run([*command, "--config", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 1
+            assert f"error: {message}\n" in capsys.readouterr().err
+            assert not (tmp_path / "r.json").exists()
 
 
 def test_finite_lag_config_end_to_end(tmp_path):

@@ -209,17 +209,6 @@ class TestSolvePeriodic:
                                 SolverOptions(initial_guess=guess))
         assert report.converged
 
-    def test_newton_only_strategy(self, cosine_spec):
-        report = solve_periodic(cosine_spec,
-                                SolverOptions(strategy="newton_only"))
-        assert report.converged
-        assert report.method_used == "newton"
-
-    def test_picard_only_reports_nonconvergence(self, cosine_spec):
-        report = solve_periodic(
-            cosine_spec, SolverOptions(strategy="picard_only", max_iter=60))
-        assert not report.converged  # the map is not a contraction here
-
     def test_undamped_picard_method_label(self, zero_amplitude_spec):
         report = solve_periodic(zero_amplitude_spec,
                                 SolverOptions(damping=1.0))
@@ -258,12 +247,15 @@ class TestSolvePeriodic:
     @pytest.mark.parametrize("blowup", [math.inf, math.nan])
     def test_picard_stops_at_a_non_finite_step(self, blowup):
         """A step to inf or NaN ends Picard at once on the last finite
-        iterate, instead of stalling through STALL_PATIENCE more steps."""
-        opts = SolverOptions(strategy="picard_only", damping=1.0)
+        iterate, instead of stalling through STALL_PATIENCE more steps.
+        Newton then refuses the non-finite residual before its first step,
+        so the result is Picard's."""
+        opts = SolverOptions(damping=1.0)
         result = solve_fixed_point(lambda z: z * blowup, np.ones(2),
                                    newton_step=None, opts=opts)
         assert result.iterations == 1
         assert result.z.tolist() == [1.0, 1.0]
+        assert result.method_used == "picard"
         assert not result.converged
 
     @pytest.mark.parametrize("period", [4, 12, 16])
@@ -286,8 +278,6 @@ class TestSolvePeriodic:
             SolverOptions(damping=0.0)
         with pytest.raises(ValueError):
             SolverOptions(damping=1.5)
-        with pytest.raises(ValueError):
-            SolverOptions(strategy="bogus")
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
 

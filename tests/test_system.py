@@ -233,6 +233,19 @@ class TestParseScenario:
         ("truncation", {"max_terms": "all"},
          "truncation.max_terms: expected an integer"),
         ("history", [], "history: expected an object"),
+        ("solver", {"tol": -1}, "solver.tol: must be positive, got -1.0"),
+        ("solver", {"residual_tol": 0},
+         "solver.residual_tol: must be positive, got 0.0"),
+        ("solver", {"max_iter": 0},
+         "solver.max_iter: must be at least 1, got 0"),
+        ("solver", {"damping": 2},
+         "solver.damping: must be in (0, 1], got 2.0"),
+        ("truncation", {"tail_tol": 0},
+         "truncation.tail_tol: must be positive, got 0.0"),
+        ("truncation", {"max_terms": 0},
+         "truncation.max_terms: must be at least 1, got 0"),
+        ("horizon", 3, "horizon: must be at least 4 periods (8), got 3"),
+        ("horizon", -5, "horizon: must be at least 4 periods (8), got -5"),
     ])
     def test_field_errors_keep_their_path(self, example2_path, key, value,
                                           field):
@@ -247,6 +260,9 @@ class TestParseScenario:
         ("--tail-tol", {"tail_tol": math.nan}),
         ("--c2", {"c2": -math.inf}),
         ("--horizon", {"horizon": 2.5}),
+        ("--tol", {"tol": -1.0}),
+        ("--tail-tol", {"tail_tol": 0.0}),
+        ("--horizon", {"horizon": 2}),
     ])
     def test_flags_checked_under_their_names(self, example2_path, flag,
                                              kwargs):
