@@ -32,7 +32,8 @@ class Decomposition:
     u1, u2 are exactly periodic by representation; v carries pointwise
     certified envelopes v*_bound[n] (the growth ratio times the
     nonlinearity bound times the kernel double tail at n), which decrease
-    geometrically to zero.
+    geometrically to zero.  ``x_at``/``y_at`` read the window 0..horizon
+    and the zero history the tail map assumes before it.
     """
 
     c1: float
@@ -47,10 +48,10 @@ class Decomposition:
     converged: bool
 
     def x_at(self, n: int) -> float:
-        return self.u1.get(n) + self.v1[n]
+        return self.u1.get(n) + self.v1[n] if n >= 0 else 0.0
 
     def y_at(self, n: int) -> float:
-        return self.u2.get(n) + self.v2[n]
+        return self.u2.get(n) + self.v2[n] if n >= 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -262,15 +263,12 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
 
     decomposition = Decomposition(
         c1=c1, c2=c2, u1=u1, u2=u2,
-        v1=tuple(float(v) for v in v1),
-        v2=tuple(float(v) for v in v2),
-        v1_bound=tuple(float(b) for b in bound_x),
-        v2_bound=tuple(float(b) for b in bound_y),
+        v1=tuple(v1.tolist()), v2=tuple(v2.tolist()),
+        v1_bound=tuple(bound_x.tolist()), v2_bound=tuple(bound_y.tolist()),
         horizon=horizon, converged=converged)
     return AsymptoticSolveReport(
         decomposition=decomposition,
-        x=tuple(float(v) for v in xw),
-        y=tuple(float(v) for v in yw),
+        x=tuple(xw.tolist()), y=tuple(yw.tolist()),
         iterations=result.iterations,
         method_used=result.method_used,
         final_update_norm=result.final_update_norm,

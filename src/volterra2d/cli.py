@@ -115,11 +115,6 @@ def _write_csv(length: int, columns: Columns,
         fh.write("\r\n".join(lines))
 
 
-def _defect_columns(pairs) -> Columns:
-    """The res_x/res_y columns of the (x, y) defects at n = 0, 1, ..."""
-    return dict(zip(("res_x", "res_y"), zip(*pairs)))
-
-
 def _cmd_check(args, scenario: Scenario) -> int:
     spec, c1, c2 = scenario.spec, scenario.c1, scenario.c2
     if args.mode == "periodic":
@@ -141,8 +136,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     spec, history, policy = scenario.spec, scenario.history, scenario.policy
     trajectory = simulate(spec, history, args.steps, policy)
 
-    _write_csv(len(trajectory), {"x": trajectory.x, "y": trajectory.y,
-                                 **_defect_columns(trajectory.defects)},
+    _write_csv(len(trajectory), {"x": trajectory.x, "y": trajectory.y},
                args.csv)
     _write_report({
         "command": "simulate",
@@ -183,7 +177,8 @@ def _solve(mode: str, scenario: Scenario
                    "u2": dec.u2.take(window).tolist(), "v2": dec.v2,
                    "bound_v1": dec.v1_bound, "bound_v2": dec.v2_bound}
         extras = {"c1": scenario.c1, "c2": scenario.c2, "horizon": horizon}
-    columns.update(_defect_columns(report.defects))
+    # the (x, y) defects at n = 0, 1, ... as the res_x/res_y columns
+    columns.update(zip(("res_x", "res_y"), zip(*report.defects)))
     return report, (length, columns), _echo_config(spec, **extras)
 
 

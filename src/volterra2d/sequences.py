@@ -179,14 +179,14 @@ class History:
 class Trajectory:
     """Forward solution values on n = 0..len-1; negative indices delegate
     to the attached history.  ``tail_tolerance_used`` is the tolerance
-    every infinite sum is certified to (its round-off bound); ``defects[n]``
-    is the (x, y) recurrence defect of the step from n to n+1."""
+    every infinite sum is certified to (its round-off bound).  The
+    recurrence defects of its steps are ``simulate.defects`` on its
+    values, the history from n = -H-1 on."""
 
     x: Tuple[float, ...]
     y: Tuple[float, ...]
     history: History
     tail_tolerance_used: float
-    defects: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if len(self.x) != len(self.y):

@@ -1,8 +1,9 @@
-"""Forward iteration of the initial-value problem and recurrence defects of
-candidate solutions, both on arrays: f(y) and g(x) are mapped once per
-value, and each kernel's drives come from its exact ``drives`` method
-(one long double recursion step per row for a separable kernel, one
-window dot for a finite-lag one), so nothing is truncated."""
+"""Forward iteration of the initial-value problem, and the recurrence
+defects of any candidate solution, a simulated trajectory included (the
+march records none of its own).  Both work on arrays: f(y) and g(x) are
+mapped once per value, and each kernel's drives come from its exact
+``drives`` method (one long double recursion step per row for a separable
+kernel, one window dot for a finite-lag one), so nothing is truncated."""
 from __future__ import annotations
 
 from itertools import count, cycle
@@ -37,9 +38,8 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     at n = 0.  Each infinite sum is exact, the constant history tail in
     closed form, up to a certified round-off of at most the policy's
     tail_tol (TailNotCertified otherwise).  The trajectory records that
-    tolerance and, for each step, the defect of the recurrence against
-    the drive it just summed: what ``defects`` reports for the same
-    arrays, the history from n = -H-1 on.  Identical inputs reproduce
+    tolerance; its recurrence defects are ``defects`` on its arrays, the
+    history from n = -H-1 on.  Identical inputs reproduce
     bitwise-identical trajectories.
     """
     if steps < 0:
@@ -54,20 +54,17 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     fy, gx = np.zeros((2, depth + steps + 2))
     fy[:depth + 2], gx[:depth + 2] = f(past_y), g(past_x)
     x, y = float(past_x[-1]), float(past_y[-1])
-    traj_x, traj_y, pairs = [x], [y], []
+    traj_x, traj_y = [x], [y]
     gains = zip(cycle([1.0 + h for h in spec.h.values]),
                 cycle([1.0 + p for p in spec.p.values]))
     for k, (gain_x, gain_y), drive_x, drive_y in zip(
             count(depth + 2), gains,
             *_drives(spec, fy, gx, depth + 1, steps, 1, policy)):
-        x_next, y_next = gain_x * x + drive_x, gain_y * y + drive_y
-        fy[k], gx[k] = f(y_next), g(x_next)
-        pairs.append((abs(x_next - gain_x * x - drive_x),
-                      abs(y_next - gain_y * y - drive_y)))
-        x, y = x_next, y_next
+        x, y = gain_x * x + drive_x, gain_y * y + drive_y
+        fy[k], gx[k] = f(y), g(x)
         traj_x.append(x)
         traj_y.append(y)
-    return Trajectory(traj_x, traj_y, history, policy.tail_tol, tuple(pairs))
+    return Trajectory(traj_x, traj_y, history, policy.tail_tol)
 
 
 def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,

@@ -218,6 +218,20 @@ class TestSolveAsymptotic:
             direct = product_one_plus(example2_spec.h, 0, n - 1)
             assert u1.get(n) == pytest.approx(direct, rel=1e-12)
 
+    def test_values_read_the_window_and_the_zero_history(self, example2_spec):
+        report = solve_asymptotic(example2_spec, 1.0, 1.0, 20, policy=POLICY)
+        dec = report.decomposition
+        for n in range(21):
+            assert dec.x_at(n) == dec.u1.get(n) + dec.v1[n]
+            assert dec.y_at(n) == dec.u2.get(n) + dec.v2[n]
+        # before the window: the zero history, not the window's far end
+        for n in (-1, -2, -21, -22):
+            assert dec.x_at(n) == 0.0 and dec.y_at(n) == 0.0
+        with pytest.raises(IndexError):
+            dec.x_at(21)
+        with pytest.raises(IndexError):
+            dec.y_at(21)
+
     def test_zero_amplitude_gives_zero_deviation(self, example2_spec):
         spec = SystemSpec(2, example2_spec.h, example2_spec.p,
                           example2_spec.kernel_a, example2_spec.kernel_b,

@@ -8,7 +8,6 @@ import pytest
 import numpy as np
 
 from volterra2d import (
-    History,
     TruncationPolicy,
     defects,
     parse_scenario,
@@ -84,8 +83,8 @@ class TestSimulateCommand:
         assert header == CSV_HEADER
         assert len(rows) == 8
         assert rows[0][0] == "0"
-        # residual columns populated for every step but the last
-        assert rows[0][7] != "" and rows[-1][7] == ""
+        # simulate fills x and y only; its res_x/res_y cells stay empty
+        assert all(row[7] == row[8] == "" for row in rows)
 
     def test_negative_steps_rejected(self, example2_path):
         assert run(["simulate", "--config", str(example2_path),
@@ -114,8 +113,9 @@ class TestSimulateCommand:
 
 
 class TestTableDefects:
-    """The res_x/res_y columns of every table are the recurrence defects of
-    the reported values, and a solve reports their maximum."""
+    """The res_x/res_y columns of every solve table are the recurrence
+    defects of the reported values, and a solve reports their maximum;
+    simulate leaves them empty."""
 
     COS_NONLINEARITIES = {"f": {"kind": "cos", "amplitude": 1.0,
                                 "frequency": 1.0},
@@ -132,8 +132,6 @@ class TestTableDefects:
             extra, steps = [], config["period"]
         elif command == "simulate":
             config = json.loads(example2_path.read_text())
-            config["history"] = {"window": [[0.3, -0.2], [0.1, 0.4]],
-                                 "tail": {"x": 0.05, "y": -0.1}}
             extra, steps = ["--steps", "12"], 12
         else:
             config = json.loads(example2_path.read_text())
@@ -143,12 +141,18 @@ class TestTableDefects:
         out, csv_path = tmp_path / "r.json", tmp_path / "table.csv"
         run([command, "--config", str(path), "--out", str(out),
              "--csv", str(csv_path), *extra])
+        header, rows = read_csv(csv_path)
+        col_x, col_y = header.index("res_x"), header.index("res_y")
+        if command == "simulate":
+            assert len(rows) == steps + 1
+            assert all(row[col_x] == row[col_y] == "" for row in rows)
+            return
         report = json.loads(out.read_text())["report"]
         spec = parse_system(config)
         policy = TruncationPolicy(**config["truncation"])
 
-        # the arrays each command gates on: one period with the periodic
-        # past, or the history from its tail entry at n = -H-1
+        # the arrays each solve gates on: one period with the periodic
+        # past, or the window after one zero of the zero history
         xs, ys = report["x"], report["y"]
         past = 1
         if command == "solve-periodic":
@@ -157,21 +161,14 @@ class TestTableDefects:
             values_y = np.array(ys)[extension]
             past = spec.period
         else:
-            history = (History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
-                       if command == "simulate" else History.zero())
-            before = np.array([history.value_at(m)
-                               for m in range(-history.depth - 1, 0)])
-            values_x = np.concatenate([before[:, 0], xs[:steps + 1]])
-            values_y = np.concatenate([before[:, 1], ys[:steps + 1]])
+            values_x = np.concatenate([[0.0], xs])
+            values_y = np.concatenate([[0.0], ys])
 
-        header, rows = read_csv(csv_path)
-        col_x, col_y = header.index("res_x"), header.index("res_y")
         table = [(float(row[col_x]), float(row[col_y]))
                  for row in rows if row[col_x] != ""]
         assert table == list(defects(spec, values_x, values_y, steps,
                                      policy, past))
-        if command != "simulate":
-            assert report["residual_max"] == max(max(pair) for pair in table)
+        assert report["residual_max"] == max(max(pair) for pair in table)
 
 
 class TestSolveCommands:
@@ -425,11 +422,11 @@ def reference_rows(argv, scenario):
     the library's results the way the row-wise writer took it."""
     spec = scenario.spec
     if argv[0] == "simulate":
-        report = simulate(spec, scenario.history, int(argv[2]),
-                          scenario.policy)
-        rows = [{"n": n, "x": report.x[n], "y": report.y[n]}
-                for n in range(len(report))]
-    elif argv[0] == "solve-periodic" or argv[-1] == "periodic":
+        trajectory = simulate(spec, scenario.history, int(argv[2]),
+                              scenario.policy)
+        return [{"n": n, "x": trajectory.x[n], "y": trajectory.y[n]}
+                for n in range(len(trajectory))]
+    if argv[0] == "solve-periodic" or argv[-1] == "periodic":
         report = solve_periodic(spec, scenario.solver, scenario.policy)
         sol_x, sol_y = report.solution
         rows = [{"n": n, "x": sol_x.get(n), "y": sol_y.get(n)}
