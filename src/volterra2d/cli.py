@@ -8,7 +8,8 @@ non-convergence, 1 on input errors (reported to stderr with field paths).
 
 The report is one line of strict JSON from json's C encoder, with every
 non-finite float written as null.  The table is handed over as columns
-(the report's own tuples) and formatted one column at a time.
+(the report's own tuples) and formatted one row template at a time.
+Both are written over the previous file and cut to their length.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -84,6 +87,24 @@ def _finite_or_none(value: Any) -> Any:
     return value
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path``, created with mode
+    0o666 less the umask, and cut a regular file to the new length.  The
+    old bytes are overwritten rather than truncated to zero first, which
+    on ext4 costs a flush at close; a device or pipe, which cannot be
+    cut, is only written to."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_report(report: Dict[str, Any], out_path: Optional[str]) -> None:
     """Write the report as one line of strict JSON: a non-finite float,
     which JSON cannot hold, is written as null."""
@@ -92,8 +113,7 @@ def _write_report(report: Dict[str, Any], out_path: Optional[str]) -> None:
     except ValueError:
         text = json.dumps(_finite_or_none(report), allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, text + "\n")
     else:
         print(text)
 
@@ -105,14 +125,22 @@ def _write_csv(length: int, columns: Columns,
     than the table leaves empty cells."""
     if not csv_path:
         return
-    fmt = "{:.17g}".format
-    cells = [map(str, range(length))]
-    for name in CSV_HEADER[1:]:
-        column = columns.get(name, ())
-        cells.append([*map(fmt, column), *[""] * (length - len(column))])
-    lines = [",".join(CSV_HEADER), *map(",".join, zip(*cells)), ""]
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    lines = [",".join(CSV_HEADER)]
+    start = 0
+    # In each run of rows up to the next column length, every column
+    # either fills all rows or none: one row template serves the run.
+    for stop in sorted({length, *(min(len(column), length)
+                                  for column in columns.values())}):
+        filled = [name for name in CSV_HEADER[1:]
+                  if len(columns.get(name, ())) >= stop]
+        template = ",".join(["%d", *("%.17g" if name in filled else ""
+                                     for name in CSV_HEADER[1:])])
+        lines += map(template.__mod__, zip(
+            range(start, stop),
+            *(columns[name][start:stop] for name in filled)))
+        start = stop
+    lines.append("")
+    _write_text(csv_path, "\r\n".join(lines))
 
 
 def _cmd_check(args, scenario: Scenario) -> int:

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, cycle
 from typing import Iterator, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: Unit round-off of the long double the separable recursion runs in.
 LONG_DOUBLE_UNIT = float(np.finfo(np.longdouble).eps) / 2.0
@@ -240,12 +241,19 @@ class FiniteLag:
         ``tol`` certify nothing here."""
         _check_window(values, start, rows, past)
         lags = self.max_lag
-        table = np.ascontiguousarray(np.array(self.weights)[:, ::-1])
+        weight_rows = cycle(list(
+            np.ascontiguousarray(np.array(self.weights)[:, ::-1])))
         before = values[np.arange(-lags, 0) % past]  # entries -L..-1
-        for n, k in zip(range(rows), count(start)):
-            window = (values[k - lags:k + 1] if k >= lags
-                      else np.concatenate([before[k:], values[:k + 1]]))
-            yield float(table[n % self.lag_period] @ window)
+        for k, weights in zip(range(start, min(start + rows, lags)),
+                              weight_rows):
+            yield float(weights @ np.concatenate([before[k:], values[:k + 1]]))
+        if start + rows > lags:
+            # views: each window reads values[k - L..k] when its row is summed
+            windows = sliding_window_view(values, lags + 1)
+            for window, weights in zip(
+                    windows[max(start - lags, 0):start + rows - lags],
+                    weight_rows):
+                yield float(weights @ window)
 
     def is_diagonal_periodic(self, period: int) -> bool:
         shift = period % self.lag_period

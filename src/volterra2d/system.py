@@ -42,6 +42,35 @@ NONLINEARITY_KINDS = ("sin", "cos", "tanh", "rational_bounded")
 ILL_CONDITIONED_GAIN = 1e6
 
 
+#: The argument types that take a nonlinearity's scalar formula; anything
+#: else, a numpy scalar included, goes through a float array.
+_SCALAR_TYPES = frozenset({float, int, bool})
+
+
+def _sin(a: float, k: float, x: float) -> float:
+    return a * float(np.sin(k * x))
+
+
+def _cos(a: float, k: float, x: float) -> float:
+    return a * float(np.cos(k * x))
+
+
+def _tanh(a: float, k: float, x: float) -> float:
+    return a * float(np.tanh(k * x))
+
+
+def _rational_bounded(a: float, k: float, x: float) -> float:
+    u = k * x
+    return a * u / (1.0 + u * u)
+
+
+#: A * shape(k*x) for a Python number x, as a Python float: the ufunc of
+#: the array path on a float (never ``math``, whose tanh differs from
+#: numpy's in the last bit), and IEEE arithmetic in the array's order.
+_SCALAR_FORMULAS = {"sin": _sin, "cos": _cos, "tanh": _tanh,
+                    "rational_bounded": _rational_bounded}
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """One of a closed family of bounded nonlinearities with analytically
@@ -65,13 +94,17 @@ class Nonlinearity:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
             raise ValueError("amplitude and frequency must be finite")
+        object.__setattr__(self, "_scalar", functools.partial(
+            _SCALAR_FORMULAS[self.kind], float(self.amplitude),
+            float(self.frequency)))
 
     def __call__(self, x):
-        # A Python number stays a float: the same ufunc or IEEE arithmetic
-        # as on an array entry, without the cost of a 0-d array.
-        scalar = isinstance(x, (float, int))
-        u = self.frequency * (float(x) if scalar
-                              else np.asarray(x, dtype=float))
+        # A Python number takes its kind's scalar formula, bound at
+        # construction: the same ufunc or IEEE arithmetic as on an array
+        # entry, without the cost of a 0-d array.
+        if type(x) in _SCALAR_TYPES:
+            return self._scalar(x)
+        u = self.frequency * np.asarray(x, dtype=float)
         if self.kind == "sin":
             out = self.amplitude * np.sin(u)
         elif self.kind == "cos":
@@ -80,7 +113,7 @@ class Nonlinearity:
             out = self.amplitude * np.tanh(u)
         else:
             out = self.amplitude * u / (1.0 + u * u)
-        return float(out) if scalar or np.ndim(out) == 0 else out
+        return float(out) if np.ndim(out) == 0 else out
 
     def derivative(self, x):
         """d/dx of the value, entry by entry; |derivative| <= lipschitz."""

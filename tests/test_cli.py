@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -504,6 +506,41 @@ class TestWriters:
         assert out.count("\n") == 1
         report = json.loads(out, parse_constant=reject)
         assert report["command"] == COMMANDS[command][0]
+
+    def test_shorter_output_leaves_no_stale_tail(self, example2_path,
+                                                 tmp_path):
+        # Outputs are written over the old bytes and cut to length: a
+        # short run over a long one must read as the short run alone.
+        def outputs(steps, name):
+            out, table = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            assert run(["simulate", "--steps", str(steps), "--config",
+                        str(example2_path), "--out", str(out),
+                        "--csv", str(table)]) == 0
+            return out.read_bytes(), table.read_bytes()
+
+        longer = outputs(400, "reused")
+        fresh = outputs(25, "fresh")
+        assert all(len(old) > len(new) for old, new in zip(longer, fresh))
+        assert outputs(25, "reused") == fresh
+
+    def test_outputs_to_dev_null(self, example1_path):
+        assert run(["simulate", "--steps", "5", "--config",
+                    str(example1_path), "--out", os.devnull,
+                    "--csv", os.devnull]) == 0
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_new_files_get_mode_0o666_less_the_umask(self, example1_path,
+                                                     tmp_path):
+        out, table = tmp_path / "r.json", tmp_path / "t.csv"
+        umask = os.umask(0o027)
+        try:
+            assert run(["simulate", "--steps", "5", "--config",
+                        str(example1_path), "--out", str(out),
+                        "--csv", str(table)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert stat.S_IMODE(table.stat().st_mode) == 0o640
 
     def test_nonfinite_values_are_written_as_null(self, tmp_path):
         out = tmp_path / "r.json"

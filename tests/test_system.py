@@ -71,6 +71,23 @@ class TestNonlinearity:
             assert type(f(3)) is float
 
     @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_scalar_formula_equals_array_on_dense_grid(self, kind):
+        # The scalar formula bound at construction against the array path
+        # on a dense grid through the range where tanh saturates and sin
+        # and cos turn, for Python floats, ints and np.float64 arguments.
+        for amplitude, frequency in [(1.7, 0.9), (-2, 3), (0.25, -40.0)]:
+            f = Nonlinearity(kind, amplitude, frequency)
+            x = np.linspace(-25.0, 25.0, 20001)
+            values = f(x).tobytes()
+            assert np.array([f(v) for v in x.tolist()]).tobytes() == values
+            assert np.array([f(v) for v in x]).tobytes() == values
+            ints = np.arange(-2000, 2001)
+            assert np.array([f(int(v)) for v in ints]).tobytes() \
+                == f(ints.astype(float)).tobytes()
+            assert {type(f(v)) for v in (1.5, 2, True, np.float64(0.5))} \
+                == {float}
+
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_declared_bound_holds_on_dense_sample(self, kind):
         rng = np.random.default_rng(NONLINEARITY_KINDS.index(kind))
         for _ in range(3):

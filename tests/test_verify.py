@@ -446,7 +446,6 @@ class TestArraySums:
                   for _ in range(2))
         dec = Decomposition(1.0, 1.0, u1, u2, v1, v2, v1, v2, horizon, True)
         expected, scale = _scalar_defect(
-            spec, lambda m: dec.x_at(m) if m >= 0 else 0.0,
-            lambda m: dec.y_at(m) if m >= 0 else 0.0, horizon, lead, 1)
+            spec, dec.x_at, dec.y_at, horizon, lead, 1)
         got = verify_decomposition(spec, dec).max_defect
         assert abs(got - expected) <= 1e-14 * scale
