@@ -1,6 +1,7 @@
 """Shared fixed-point driver for maps of one shape, z = c + K phi(z): damped
 Picard with stall detection, falling back to Newton on F(z) = z - map(z),
-whose steps eliminate one component of the map's closed-form Jacobian."""
+whose steps eliminate one component of the map's closed-form Jacobian.  It
+never writes into an array the map returns, nor mutates a formed iterate."""
 from __future__ import annotations
 
 import math
@@ -47,8 +48,11 @@ class CoupledMap:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         n = len(self.k_x)
-        return self.c + np.concatenate([self.k_x @ self.f(z[n:]),
-                                        self.k_y @ self.g(z[:n])])
+        out = np.empty(2 * n)
+        np.matmul(self.k_x, self.f(z[n:]), out=out[:n])
+        np.matmul(self.k_y, self.g(z[:n]), out=out[n:])
+        out += self.c
+        return out
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """I - K diag(phi'(z)): the Jacobian of F(z) = z - map(z)."""
@@ -89,6 +93,11 @@ class IterationResult:
 NewtonStep = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _sup_norm(v: np.ndarray) -> float:
+    """max |v| (no np.max wrapper): finite exactly when every entry is."""
+    return float(np.maximum.reduce(np.abs(v)))
+
+
 def _newton(apply_map: Callable[[np.ndarray], np.ndarray],
             newton_step: NewtonStep, z: np.ndarray, tol: float,
             budget: int) -> Tuple[np.ndarray, int, float, bool]:
@@ -96,17 +105,15 @@ def _newton(apply_map: Callable[[np.ndarray], np.ndarray],
     used = 0
     for _ in range(budget):
         residual = z - apply_map(z)
-        if not np.all(np.isfinite(residual)):
+        if not math.isfinite(_sup_norm(residual)):
             break
         delta = newton_step(z, residual)
-        if not np.all(np.isfinite(delta)):
-            break
-        stepped = z + delta
-        if not np.all(np.isfinite(stepped)):
+        stepped = z + delta  # z is finite, so a non-finite delta shows here
+        if not math.isfinite(_sup_norm(stepped)):
             break
         z = stepped
         used += 1
-        update = float(np.max(np.abs(delta)))
+        update = _sup_norm(delta)
         if update < tol:
             return z, used, update, True
     return z, used, update, False
@@ -127,19 +134,23 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
     ``newton_step(z, residual)`` solving against the Jacobian of
     z - apply_map(z) (``CoupledMap.newton_step``); if it takes no step,
     the result is Picard's.  Non-convergence is reported, not raised.
+    The driver writes only into arrays it allocated, never into one that
+    ``apply_map`` returns, and never mutates an iterate once formed.
     """
     z = np.asarray(z0, dtype=float).copy()
     method = "picard" if opts.damping == 1.0 else "damped_picard"
     iterations = 0
     update = math.inf
     best_update = math.inf
-    best_z = z.copy()
+    best_z = z
     since_best = 0
     while iterations < opts.max_iter:
-        z_next = (1.0 - opts.damping) * z + opts.damping * apply_map(z)
+        # (1 - damping) z + damping map(z), summed into the fresh product
+        z_next = apply_map(z) * opts.damping
+        z_next += z * (1.0 - opts.damping)
         iterations += 1
         # z is finite, so a NaN or inf in z_next shows up in the max
-        update = float(np.max(np.abs(z_next - z)))
+        update = _sup_norm(z_next - z)
         if not math.isfinite(update):
             z = best_z
             break
@@ -148,7 +159,7 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
             return IterationResult(z, iterations, method, update, True)
         if update < best_update:
             best_update = update
-            best_z = z.copy()
+            best_z = z
             since_best = 0
         else:
             since_best += 1

@@ -225,8 +225,10 @@ class FiniteLag:
             return 0.0
         return self.weights[n % self.lag_period][lag]
 
-    def abs_row_sum(self, i: int) -> float:
-        return sum(abs(w) for w in self.weights[i % self.lag_period])
+    def abs_row_sum(self, i):
+        """sum_{m<=i} |a_{i,m}|, for one row or an array of rows."""
+        sums = [sum(abs(w) for w in row) for row in self.weights]
+        return np.array(sums)[np.asarray(i) % self.lag_period]
 
     def double_tail(self, n):
         """0 for an all-zero kernel, else +inf, for one n or an array."""

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class PeriodProductIsOne(ValueError):
@@ -84,12 +83,13 @@ def product_one_plus(seq: PeriodicSequence, a: int, b: int) -> float:
 def running_products(seq: PeriodicSequence) -> np.ndarray:
     """T x T table prods[n, j] = prod_{l=n+j+1}^{n+T-1} (1 + seq_l): the
     product carried from step n + j to the end of the period starting at n
-    (1 in the last column).  Each row is a reversed cumulative product over
-    a window of the doubled factors, so zero factors stay exact zeros."""
+    (1 in the last column).  Each row is a reversed cumulative product of
+    factors gathered by one index table, so zero factors stay exact zeros."""
     T = seq.period
-    factors = 1.0 + np.array(seq.values * 2)
-    windows = sliding_window_view(factors[1:], T - 1)[:T, ::-1]
-    return np.cumprod(np.hstack([np.ones((T, 1)), windows]), axis=1)[:, ::-1]
+    factors = 1.0 + np.array((*seq.values, 0.0))  # the empty product at T
+    lag = np.arange(T)
+    windows = np.where(lag, (lag[:, None] - lag) % T, T)  # factor n - j
+    return np.cumprod(factors[windows], axis=1)[:, ::-1]
 
 
 def cycle_gain(seq: PeriodicSequence) -> float:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._iteration import SolverOptions
 from .kernels import (
@@ -59,16 +58,32 @@ def _tanh(a: float, k: float, x: float) -> float:
     return a * float(np.tanh(k * x))
 
 
-def _rational_bounded(a: float, k: float, x: float) -> float:
-    u = k * x
-    return a * u / (1.0 + u * u)
+def _rational_bounded(a: float, k: float, x):
+    u = x * k
+    return u * a / (u * u + 1.0)
 
 
-#: A * shape(k*x) for a Python number x, as a Python float: the ufunc of
-#: the array path on a float (never ``math``, whose tanh differs from
-#: numpy's in the last bit), and IEEE arithmetic in the array's order.
-_SCALAR_FORMULAS = {"sin": _sin, "cos": _cos, "tanh": _tanh,
-                    "rational_bounded": _rational_bounded}
+def _rational_slope(ak: float, k: float, x: np.ndarray) -> np.ndarray:
+    # (1 - u^2) / (1 + u^2)^2, written so that huge |u| gives 0
+    u = x * k
+    w = 1.0 / (u * u + 1.0)
+    return (w * 2.0 * w - w) * ak
+
+
+#: Per kind: A * shape(k*x) for a Python number x, as a Python float (the
+#: ufunc of the array path on a float, never ``math``, whose tanh differs
+#: from numpy's in the last bit, and IEEE arithmetic in the array's
+#: order); the same on a float64 array; and A*k * shape'(k*x) on one.
+#: Each is bound at construction to (A, k), the slope to (A*k, k).
+_FORMULAS = {
+    "sin": (_sin, lambda a, k, x: np.sin(x * k) * a,
+            lambda ak, k, x: np.cos(x * k) * ak),
+    "cos": (_cos, lambda a, k, x: np.cos(x * k) * a,
+            lambda ak, k, x: -np.sin(x * k) * ak),
+    "tanh": (_tanh, lambda a, k, x: np.tanh(x * k) * a,
+             lambda ak, k, x: (1.0 - np.tanh(x * k) ** 2) * ak),
+    "rational_bounded": (_rational_bounded, _rational_bounded,
+                         _rational_slope)}
 
 
 @dataclass(frozen=True)
@@ -94,42 +109,29 @@ class Nonlinearity:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
             raise ValueError("amplitude and frequency must be finite")
-        object.__setattr__(self, "_scalar", functools.partial(
-            _SCALAR_FORMULAS[self.kind], float(self.amplitude),
-            float(self.frequency)))
+        scalar, array, slope = _FORMULAS[self.kind]
+        a, k = float(self.amplitude), float(self.frequency)
+        object.__setattr__(self, "_scalar", functools.partial(scalar, a, k))
+        object.__setattr__(self, "_array", functools.partial(array, a, k))
+        object.__setattr__(self, "_slope", functools.partial(
+            slope, float(self.amplitude * self.frequency), k))
+
+    def __reduce__(self):  # rebuilt, so the bound formulas never pickle
+        return Nonlinearity, (self.kind, self.amplitude, self.frequency)
 
     def __call__(self, x):
-        # A Python number takes its kind's scalar formula, bound at
-        # construction: the same ufunc or IEEE arithmetic as on an array
-        # entry, without the cost of a 0-d array.
+        # A Python number takes its kind's scalar formula: the same ufunc
+        # or IEEE arithmetic as on an array entry, without the cost of a
+        # 0-d array.  A float64 array goes to the array formula as it is.
         if type(x) in _SCALAR_TYPES:
             return self._scalar(x)
-        u = self.frequency * np.asarray(x, dtype=float)
-        if self.kind == "sin":
-            out = self.amplitude * np.sin(u)
-        elif self.kind == "cos":
-            out = self.amplitude * np.cos(u)
-        elif self.kind == "tanh":
-            out = self.amplitude * np.tanh(u)
-        else:
-            out = self.amplitude * u / (1.0 + u * u)
-        return float(out) if np.ndim(out) == 0 else out
+        out = self._array(np.asarray(x, dtype=float))
+        return out if out.ndim else float(out)
 
     def derivative(self, x):
         """d/dx of the value, entry by entry; |derivative| <= lipschitz."""
-        u = self.frequency * np.asarray(x, dtype=float)
-        if self.kind == "sin":
-            slope = np.cos(u)
-        elif self.kind == "cos":
-            slope = -np.sin(u)
-        elif self.kind == "tanh":
-            slope = 1.0 - np.tanh(u) ** 2
-        else:
-            # (1 - u^2) / (1 + u^2)^2, written so that huge |u| gives 0
-            w = 1.0 / (1.0 + u * u)
-            slope = 2.0 * w * w - w
-        out = self.amplitude * self.frequency * slope
-        return float(out) if np.ndim(out) == 0 else out
+        out = self._slope(np.asarray(x, dtype=float))
+        return out if out.ndim else float(out)
 
     @property
     def bound(self) -> float:
@@ -334,10 +336,10 @@ def _weight_bound(gain: float, seq: PeriodicSequence, kernel: Kernel) -> float:
     """max over n of |gain| * sum_{i=n}^{n+T-1} |prod_{l=i+1}^{n+T-1}(1+seq_l)|
     * (absolute row sum of the kernel at i): the constant bounding the
     periodic cycle map componentwise."""
-    T = seq.period
-    row_sums = np.array([kernel.abs_row_sum(i) for i in range(2 * T - 1)])
+    lag = np.arange(seq.period)
+    windows = lag[:, None] + lag  # row n holds row sums n..n+T-1
     totals = np.sum(np.abs(running_products(seq))
-                    * sliding_window_view(row_sums, T), axis=1)
+                    * kernel.abs_row_sum(windows), axis=1)
     return abs(gain) * float(np.max(totals))
 
 

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import volterra2d as v
+from volterra2d._iteration import STALL_PATIENCE
 from volterra2d.cli import CSV_HEADER
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -252,3 +254,104 @@ def csv_reference(rows, path):
         for row in rows:
             writer.writerow([row.get("n", ""),
                              *[fmt(row.get(col)) for col in CSV_HEADER[1:]]])
+
+
+def nonlinearity_reference(phi, x):
+    """The value of ``phi`` at x written out kind by kind, as the chain of
+    kind tests it replaced: u = k * x as a float array, A times the shape
+    of u, and a Python float for a 0-d result."""
+    u = phi.frequency * np.asarray(x, dtype=float)
+    if phi.kind == "sin":
+        out = phi.amplitude * np.sin(u)
+    elif phi.kind == "cos":
+        out = phi.amplitude * np.cos(u)
+    elif phi.kind == "tanh":
+        out = phi.amplitude * np.tanh(u)
+    else:
+        out = phi.amplitude * u / (1.0 + u * u)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def derivative_reference(phi, x):
+    """The derivative of ``phi`` at x written out kind by kind, as the
+    chain of kind tests it replaced."""
+    u = phi.frequency * np.asarray(x, dtype=float)
+    if phi.kind == "sin":
+        slope = np.cos(u)
+    elif phi.kind == "cos":
+        slope = -np.sin(u)
+    elif phi.kind == "tanh":
+        slope = 1.0 - np.tanh(u) ** 2
+    else:
+        w = 1.0 / (1.0 + u * u)
+        slope = 2.0 * w * w - w
+    out = phi.amplitude * phi.frequency * slope
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def fixed_point_reference(apply_map, z0, newton_step, opts):
+    """The fixed-point driver written with a fresh array for every step,
+    np.max norms, np.isfinite scans and a copy of every best iterate:
+    (z, iterations, method, update, converged) as ``solve_fixed_point``
+    returns them."""
+    z = np.asarray(z0, dtype=float).copy()
+    method = "picard" if opts.damping == 1.0 else "damped_picard"
+    iterations, update, best_update, since_best = 0, math.inf, math.inf, 0
+    best_z = z.copy()
+    while iterations < opts.max_iter:
+        z_next = (1.0 - opts.damping) * z + opts.damping * apply_map(z)
+        iterations += 1
+        update = float(np.max(np.abs(z_next - z)))
+        if not math.isfinite(update):
+            z = best_z
+            break
+        z = z_next
+        if update < opts.tol:
+            return z, iterations, method, update, True
+        if update < best_update:
+            best_update, best_z, since_best = update, z.copy(), 0
+        else:
+            since_best += 1
+            if since_best >= STALL_PATIENCE:
+                z = best_z
+                break
+    newton_update, used, converged = math.inf, 0, False
+    z_newton = z
+    for _ in range(opts.max_iter - iterations):
+        residual = z_newton - apply_map(z_newton)
+        if not np.all(np.isfinite(residual)):
+            break
+        delta = newton_step(z_newton, residual)
+        if not np.all(np.isfinite(delta)):
+            break
+        stepped = z_newton + delta
+        if not np.all(np.isfinite(stepped)):
+            break
+        z_newton = stepped
+        used += 1
+        newton_update = float(np.max(np.abs(delta)))
+        if newton_update < opts.tol:
+            converged = True
+            break
+    if used:
+        z, method, update = z_newton, "newton", newton_update
+    return z, iterations + used, method, update, converged
+
+
+def running_products_reference(seq):
+    """The T x T table of ``running_products`` built from strided windows
+    of the doubled factors (numpy's sliding_window_view)."""
+    T = seq.period
+    factors = 1.0 + np.array(seq.values * 2)
+    windows = sliding_window_view(factors[1:], T - 1)[:T, ::-1]
+    return np.cumprod(np.hstack([np.ones((T, 1)), windows]), axis=1)[:, ::-1]
+
+
+def weight_bound_reference(gain, seq, kernel):
+    """The periodic weight bound from 2T - 1 scalar row sums and strided
+    windows over them."""
+    T = seq.period
+    row_sums = np.array([kernel.abs_row_sum(i) for i in range(2 * T - 1)])
+    totals = np.sum(np.abs(running_products_reference(seq))
+                    * sliding_window_view(row_sums, T), axis=1)
+    return abs(gain) * float(np.max(totals))

@@ -110,6 +110,28 @@ class TestAbsRowSum:
             assert k.abs_row_sum(i) == pytest.approx(
                 row_sum_oracle(k, i), rel=1e-10)
 
+    @pytest.mark.parametrize("period", [1, 2, 3, 5, 8, 16])
+    def test_array_call_equals_scalar_calls(self, period):
+        # One call on an index array, flat or a window table, equals the
+        # scalar calls bit for bit; a finite-lag row sum is Python's sum.
+        rng = np.random.default_rng(period)
+        lag = np.arange(period)
+        for rows in np.arange(2 * period - 1), lag[:, None] + lag:
+            for k in (SeparableExponential(-1.3, 0.4, 0.4),
+                      SeparableExponential(0.8, 0.05, 0.3),
+                      FiniteLag(tuple(tuple(rng.uniform(-2, 2, 4))
+                                      for _ in range(period))),
+                      FiniteLag(tuple(tuple(rng.uniform(-2, 2, 2))
+                                      for _ in range(3)))):
+                sums = k.abs_row_sum(rows)
+                assert sums.shape == rows.shape and sums.dtype == np.float64
+                scalar = np.array([k.abs_row_sum(int(i)) for i in rows.flat])
+                assert sums.ravel().tobytes() == scalar.tobytes()
+                if isinstance(k, FiniteLag):
+                    python = [sum(abs(w) for w in k.weights[i % k.lag_period])
+                              for i in rows.flat]
+                    assert sums.ravel().tolist() == python
+
 
 class TestDoubleTail:
     def test_frozen_values(self):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 from volterra2d import (
     ConfigError,
+    FiniteLag,
     History,
     Nonlinearity,
     PeriodicSequence,
@@ -21,9 +24,16 @@ from volterra2d import (
     parse_system,
     spec_to_config,
 )
-from volterra2d.system import NONLINEARITY_KINDS
+from volterra2d.sequences import running_products
+from volterra2d.system import NONLINEARITY_KINDS, _weight_bound
 
-from conftest import random_periodic_spec
+from conftest import (
+    derivative_reference,
+    nonlinearity_reference,
+    random_periodic_spec,
+    running_products_reference,
+    weight_bound_reference,
+)
 
 WEIGHT_BOUND_DEMO1 = 3.163953413738653  # 2 * e / (e - 1), frozen from the oracle
 TAIL_MASS_A = 2.502650301077119
@@ -86,6 +96,50 @@ class TestNonlinearity:
                 == f(ints.astype(float)).tobytes()
             assert {type(f(v)) for v in (1.5, 2, True, np.float64(0.5))} \
                 == {float}
+
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_bound_formulas_equal_written_out_formulas(self, kind):
+        # The array and derivative formulas bound at construction against
+        # the kind-by-kind formulas on float64 arrays, bit for bit, on the
+        # dense grid of the scalar test.
+        for amplitude, frequency in [(1.7, 0.9), (-2, 3), (0.25, -40.0)]:
+            f = Nonlinearity(kind, amplitude, frequency)
+            x = np.linspace(-25.0, 25.0, 20001)
+            for method, reference in ((f, nonlinearity_reference),
+                                      (f.derivative, derivative_reference)):
+                out = method(x)
+                assert type(out) is np.ndarray and out.dtype == np.float64
+                assert out.tobytes() == reference(f, x).tobytes()
+                assert x.tobytes() == np.linspace(-25.0, 25.0, 20001).tobytes()
+
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_other_inputs_keep_values_and_types(self, kind):
+        # Every input other than a float64 array is converted as before:
+        # ints, lists, 0-d arrays, float32 arrays and numpy scalars give
+        # the written-out formulas' values and return types.
+        f = Nonlinearity(kind, -2, 3)
+        inputs = [np.arange(-5, 6), [0.5, -1.25, 3], np.array(0.75),
+                  np.array([[0.5, 2.0], [-1.0, 0.0]]),
+                  np.linspace(-3, 3, 13, dtype=np.float32),
+                  np.float64(0.5), np.float32(-1.5), np.int64(4),
+                  [[1.0], [2.0]], (0.25,)]
+        for x in inputs:
+            for method, reference in ((f, nonlinearity_reference),
+                                      (f.derivative, derivative_reference)):
+                out, expected = method(x), reference(f, x)
+                assert type(out) is type(expected)
+                assert np.asarray(out).tobytes() \
+                    == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_pickles_with_its_formulas(self, kind):
+        f = Nonlinearity(kind, -2, 0.75)
+        x = np.linspace(-4.0, 4.0, 101)
+        for clone in pickle.loads(pickle.dumps(f)), copy.deepcopy(f):
+            assert clone == f
+            assert clone(x).tobytes() == f(x).tobytes()
+            assert clone.derivative(x).tobytes() == f.derivative(x).tobytes()
+            assert clone(0.5) == f(0.5)
 
     @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_declared_bound_holds_on_dense_sample(self, kind):
@@ -415,3 +469,39 @@ class TestAsymptoticCheck:
             sep = periodic.item("products_separated_from_one").passed
             unit = asymptotic.item("products_equal_one").passed
             assert sep != unit
+
+
+class TestIndexGatherWindows:
+    """running_products and the periodic weight bound gather their windows
+    by one index table; both equal the strided-window versions bit for bit."""
+
+    @staticmethod
+    def sequences(period):
+        rng = np.random.default_rng(period)
+        values = rng.uniform(-0.9, 1.5, period)
+        yield PeriodicSequence(period, tuple(float(v) for v in values))
+        values[(period - 1) // 2] = -1.0  # a zero factor
+        yield PeriodicSequence(period, tuple(float(v) for v in values))
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, 16, 64])
+    def test_running_products(self, period):
+        for seq in self.sequences(period):
+            prods = running_products(seq)
+            assert prods.shape == (period, period)
+            assert prods.tobytes() \
+                == running_products_reference(seq).tobytes()
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, 16, 64])
+    def test_weight_bound(self, period):
+        rng = np.random.default_rng(100 + period)
+        kernels = [SeparableExponential(-0.7, 0.3, 0.3),
+                   SeparableExponential(1.3, 0.05, 0.05),
+                   FiniteLag(tuple(tuple(rng.uniform(-1, 1, 3))
+                                   for _ in range(period))),
+                   FiniteLag(((0.5, -0.25, 0.125, 2.0),))]
+        for seq in self.sequences(period):
+            for kernel in kernels:
+                for gain in (1.0, -3.7):
+                    got = _weight_bound(gain, seq, kernel)
+                    assert type(got) is float
+                    assert got == weight_bound_reference(gain, seq, kernel)
