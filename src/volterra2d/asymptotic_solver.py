@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import FiniteLag, Kernel, TailNotCertified, TruncationPolicy
@@ -131,7 +130,8 @@ def _tail_block(kernel: Kernel, nonlin: Nonlinearity,
     """
     cut, error = _outer_cut(ratio, nonlin, kernel, horizon, policy)
     width = horizon + 1
-    growth_out = growth.take(np.arange(width))
+    m = np.arange(width)
+    growth_out = growth.take(m)
     if isinstance(kernel, FiniteLag):
         # A nonzero finite-lag kernel has an infinite double tail, so
         # _outer_cut lets one through only with a zero drive: K = 0.
@@ -145,11 +145,13 @@ def _tail_block(kernel: Kernel, nonlin: Nonlinearity,
         acc = terms[i] + decay * acc
         u[i] = acc
     powers = np.exp(-kernel.row_rate * np.arange(width + 1))  # lam^k
-    # lam^{n-m} on and below the diagonal, as a Toeplitz view
-    lower = sliding_window_view(np.concatenate(
-        [powers[width - 1::-1], np.zeros(horizon)]), width)[::-1]
-    w = np.triu(np.broadcast_to(u[:width], (width, width)), 1)
-    w += u[:width, None] * lower
+    # lam^{n-m} on and below the diagonal and 0 above it, gathered from
+    # [lam^{width-1}, ..., lam^0, 0, ..., 0] at width - 1 - n + m, times
+    # U[n]; above the diagonal U[m] is added to that 0
+    w = np.concatenate([powers[width - 1::-1], np.zeros(horizon)])[
+        width - 1 - m[:, None] + m]
+    w *= u[:width, None]
+    np.add(w, u[:width], out=w, where=m > m[:, None])
     post = c_partner / partner_growth.take(np.arange(width, cut + 1))
     drive_outside = (nonlin(0.0) * u[:width] * powers[1:]
                      / -math.expm1(-kernel.row_rate)

@@ -6,10 +6,12 @@ JSON report (stdout or --out) plus an optional CSV table, and exits:
 0 on success/convergence, 2 on hypothesis-check failure or
 non-convergence, 1 on input errors (reported to stderr with field paths).
 
-The report is one line of strict JSON from json's C encoder, with every
-non-finite float written as null.  The table is handed over as columns
-(the report's own tuples) and formatted one row template at a time.
-Both are written over the previous file and cut to their length.
+Each command turns every value of its table into text once, with
+float.__repr__: the shortest text that reads back as the same double.
+The CSV table joins that text row by row, and the JSON report, one line
+of strict JSON from json's C encoder with every non-finite float written
+as null, splices in the same text for each column it repeats.  Both are
+written over the previous file and cut to their length.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import math
 import os
 import stat
 import sys
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +51,18 @@ CSV_HEADER = ["n", "x", "y", "u1", "v1", "u2", "v2",
 
 #: A table by column name, each column from row n = 0 on.
 Columns = Dict[str, Sequence[float]]
+#: The same table as text, one string per value.
+Cells = Dict[str, List[str]]
+
+#: The table columns that a report repeats, each with its report key.
+_REPORT_KEYS = {"x": "x", "y": "y", "v1": "v1", "v2": "v2",
+                "bound_v1": "v1_bound", "bound_v2": "v2_bound"}
+
+#: A report holds NUL + column name where a column's text goes in.  No
+#: report string holds a NUL, so the encoded placeholder, opened by a
+#: quote and its NUL written as \u0000, is found only where it was put.
+_SLOT = "\x00"
+_SLOT_TOKEN = '"\\u0000'
 
 _DOMAIN_ERRORS = (PeriodProductIsOne, PeriodProductNotOne, ZeroFactor,
                   NotDiagonalPeriodic, TailNotCertified)
@@ -105,42 +119,67 @@ def _write_text(path: str, text: str) -> None:
         os.close(fd)
 
 
-def _write_report(report: Dict[str, Any], out_path: Optional[str]) -> None:
+def _cells(columns: Columns, csv_path: Optional[str]) -> Cells:
+    """Each value of the columns as text, by float.__repr__ (inf, -inf and
+    nan where it is not finite): every column when there is a table to
+    write, else those the report repeats.  This is the one place where a
+    table value becomes text."""
+    return {name: list(map(float.__repr__, column))
+            for name, column in columns.items()
+            if csv_path or name in _REPORT_KEYS}
+
+
+def _share(body: Dict[str, Any]) -> Dict[str, Any]:
+    """``body`` with each key that repeats a table column holding that
+    column's placeholder instead of its values."""
+    body.update({key: _SLOT + name for name, key in _REPORT_KEYS.items()
+                 if key in body})
+    return body
+
+
+def _json_array(cells: List[str]) -> str:
+    """The cells as a JSON array, each non-finite one (inf, -inf or nan:
+    only those hold an n) as null."""
+    text = ", ".join(cells)
+    if "n" in text:
+        text = ", ".join(["null" if "n" in cell else cell for cell in cells])
+    return "[" + text + "]"
+
+
+def _write_report(report: Dict[str, Any], out_path: Optional[str],
+                  cells: Optional[Cells] = None) -> None:
     """Write the report as one line of strict JSON: a non-finite float,
-    which JSON cannot hold, is written as null."""
+    which JSON cannot hold, is written as null.  A placeholder for a
+    column becomes the array of its ``cells``, the text json writes for
+    the floats themselves."""
     try:
         text = json.dumps(report, allow_nan=False)
     except ValueError:
         text = json.dumps(_finite_or_none(report), allow_nan=False)
+    head, *slots = text.split(_SLOT_TOKEN)
+    parts = [head]
+    for slot in slots:
+        name, rest = slot.split('"', 1)
+        parts += [_json_array(cells[name]), rest]
+    text = "".join(parts)
     if out_path:
         _write_text(out_path, text + "\n")
     else:
         print(text)
 
 
-def _write_csv(length: int, columns: Columns,
-               csv_path: Optional[str]) -> None:
-    """Write the table of rows n = 0..length-1 under CSV_HEADER, each
-    value to 17 significant digits; a column that is missing or shorter
-    than the table leaves empty cells."""
+def _write_csv(length: int, cells: Cells, csv_path: Optional[str]) -> None:
+    """Write the table of rows n = 0..length-1 under CSV_HEADER, each row
+    its cells joined; a column that is missing or shorter than the table
+    leaves empty cells."""
     if not csv_path:
         return
-    lines = [",".join(CSV_HEADER)]
-    start = 0
-    # In each run of rows up to the next column length, every column
-    # either fills all rows or none: one row template serves the run.
-    for stop in sorted({length, *(min(len(column), length)
-                                  for column in columns.values())}):
-        filled = [name for name in CSV_HEADER[1:]
-                  if len(columns.get(name, ())) >= stop]
-        template = ",".join(["%d", *("%.17g" if name in filled else ""
-                                     for name in CSV_HEADER[1:])])
-        lines += map(template.__mod__, zip(
-            range(start, stop),
-            *(columns[name][start:stop] for name in filled)))
-        start = stop
-    lines.append("")
-    _write_text(csv_path, "\r\n".join(lines))
+    padded = []
+    for name in CSV_HEADER[1:]:
+        column = cells.get(name, [])[:length]
+        padded.append(column + [""] * (length - len(column)))
+    rows = map(",".join, zip(map(str, range(length)), *padded))
+    _write_text(csv_path, "\r\n".join([",".join(CSV_HEADER), *rows, ""]))
 
 
 def _cmd_check(args, scenario: Scenario) -> int:
@@ -163,21 +202,20 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
         raise ConfigError("--steps: must be nonnegative")
     spec, history, policy = scenario.spec, scenario.history, scenario.policy
     trajectory = simulate(spec, history, args.steps, policy)
-
-    _write_csv(len(trajectory), {"x": trajectory.x, "y": trajectory.y},
-               args.csv)
+    cells = _cells({"x": trajectory.x, "y": trajectory.y}, args.csv)
+    _write_csv(len(trajectory), cells, args.csv)
     _write_report({
         "command": "simulate",
         "steps": args.steps,
         "config": _echo_config(spec, history=_history_to_config(history),
                                truncation={"tail_tol": policy.tail_tol,
                                            "max_terms": policy.max_terms}),
-        "report": {
-            "x": list(trajectory.x),
-            "y": list(trajectory.y),
+        "report": _share({
+            "x": trajectory.x,
+            "y": trajectory.y,
             "tail_tolerance_used": trajectory.tail_tolerance_used,
-        },
-    }, args.out)
+        }),
+    }, args.out, cells)
     return 0
 
 
@@ -211,18 +249,19 @@ def _solve(mode: str, scenario: Scenario
 
 
 def _cmd_solve(args, scenario: Scenario) -> int:
-    report, table, echo = _solve(args.mode, scenario)
-    _write_csv(*table, args.csv)
+    report, (length, columns), echo = _solve(args.mode, scenario)
+    cells = _cells(columns, args.csv)
+    _write_csv(length, cells, args.csv)
     _write_report({
         "command": args.command,
         "config": echo,
-        "report": report.as_dict(),
-    }, args.out)
+        "report": _share(report.as_dict()),
+    }, args.out, cells)
     return 0 if report.converged else 2
 
 
 def _cmd_verify(args, scenario: Scenario) -> int:
-    solve_report, table, echo = _solve(args.mode, scenario)
+    solve_report, (length, columns), echo = _solve(args.mode, scenario)
     if args.mode == "periodic":
         verification = verify.verify_periodic(scenario.spec,
                                               solve_report.solution)
@@ -230,14 +269,15 @@ def _cmd_verify(args, scenario: Scenario) -> int:
         verification = verify.verify_decomposition(
             scenario.spec, solve_report.decomposition,
             tail_tol=scenario.policy.tail_tol)
-    _write_csv(*table, args.csv)
+    cells = _cells(columns, args.csv)
+    _write_csv(length, cells, args.csv)
     _write_report({
         "command": "verify",
         "mode": args.mode,
         "config": echo,
-        "report": {"solve": solve_report.as_dict(),
+        "report": {"solve": _share(solve_report.as_dict()),
                    "verification": verification.as_dict()},
-    }, args.out)
+    }, args.out, cells)
     return 0 if solve_report.converged and verification.passed else 2
 
 

@@ -85,10 +85,12 @@ def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,
     if xs.shape != ys.shape or xs.ndim != 1 or len(xs) <= rows:
         raise ValueError(f"x and y must be equal-length arrays on m <= {rows}")
     start = len(xs) - 1 - rows  # entry of m = 0
-    return tuple(
-        (float(abs(xs[k + 1] - (1.0 + spec.h.get(n)) * xs[k] - drive_x)),
-         float(abs(ys[k + 1] - (1.0 + spec.p.get(n)) * ys[k] - drive_y)))
-        for n, k, drive_x, drive_y in zip(
-            range(rows), count(start),
-            *_drives(spec, spec.f(ys), spec.g(xs), start, rows, past,
-                     policy)))
+    n = np.arange(rows)
+    drive_x, drive_y = (np.fromiter(drives, float, count=rows) for drives in
+                        _drives(spec, spec.f(ys), spec.g(xs), start, rows,
+                                past, policy))
+    defect_x = np.abs(xs[start + 1:] - (1.0 + spec.h.take(n)) * xs[start:-1]
+                      - drive_x)
+    defect_y = np.abs(ys[start + 1:] - (1.0 + spec.p.take(n)) * ys[start:-1]
+                      - drive_y)
+    return tuple(zip(defect_x.tolist(), defect_y.tolist()))

@@ -279,22 +279,23 @@ def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
             break
 
     slack = 10.0 * tail_tol
-    envelope_ok = all(
-        abs(v) <= b + slack for v, b in zip(dec.v1, dec.v1_bound)) and all(
-        abs(v) <= b + slack for v, b in zip(dec.v2, dec.v2_bound))
+    v1, v2 = np.array(dec.v1), np.array(dec.v2)
+    # a NaN in v or in a bound compares false and fails the check
+    envelope_ok = bool(
+        (np.abs(v1) <= np.array(dec.v1_bound) + slack).all()
+        and (np.abs(v2) <= np.array(dec.v2_bound) + slack).all())
 
     ms = np.arange(dec.horizon + 1)
-    x, y = (u.take(ms) + np.array(v)
-            for u, v in ((dec.u1, dec.v1), (dec.u2, dec.v2)))
+    x, y = dec.u1.take(ms) + v1, dec.u2.take(ms) + v2
     max_defect = 0.0
     for kernel, phi, seq, own, partner in _pairs(spec, x, y):
         drive = _window_sums(kernel, phi(partner), phi(0.0))
         max_defect = float(np.max(_defect(seq, own, drive),
                                   initial=max_defect))
 
-    decay_ok = (_decay_check(dec.v1, dec.v1_bound, _decay_ratio(spec.kernel_a),
+    decay_ok = (_decay_check(v1, dec.v1_bound, _decay_ratio(spec.kernel_a),
                              spec.period)
-                and _decay_check(dec.v2, dec.v2_bound,
+                and _decay_check(v2, dec.v2_bound,
                                  _decay_ratio(spec.kernel_b), spec.period))
 
     passed = (periodic_part_ok and envelope_ok and decay_ok

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -243,10 +244,10 @@ def inner_sum_reference(kernel, i, values, start, past=1):
 
 def csv_reference(rows, path):
     """Reference table writer, row by row: one dict per row n, each value
-    through format(float(v), ".17g"), a missing key an empty cell, written
-    by the csv module (so lines end in CRLF)."""
+    through repr(float(v)), a missing key an empty cell, written by the
+    csv module (so lines end in CRLF)."""
     def fmt(value):
-        return "" if value is None else format(float(value), ".17g")
+        return "" if value is None else repr(float(value))
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -355,3 +356,88 @@ def weight_bound_reference(gain, seq, kernel):
     totals = np.sum(np.abs(running_products_reference(seq))
                     * sliding_window_view(row_sums, T), axis=1)
     return abs(gain) * float(np.max(totals))
+
+
+def finite_or_none_reference(value):
+    """``value`` with every non-finite float in it replaced by None, and
+    every tuple made a list."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: finite_or_none_reference(x) for k, x in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_or_none_reference(x) for x in value]
+    return value
+
+
+def report_reference(report, path):
+    """Reference report writer for a report whose columns are lists of
+    floats: one line of json.dumps(report, allow_nan=False), or of the
+    report with every non-finite float made None where that fails."""
+    try:
+        text = json.dumps(report, allow_nan=False)
+    except ValueError:
+        text = json.dumps(finite_or_none_reference(report), allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def defects_reference(spec, xs, ys, rows, policy, past=1):
+    """The recurrence defects one row at a time, each kernel's drives
+    taken from its iterator in step:
+    (|x_{k+1} - (1 + h_n) x_k - drive_x|, the y counterpart) as Python
+    floats at n = 0..rows-1, with k the entry of m = n."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    start = len(xs) - 1 - rows
+    drives = (spec.kernel_a.drives(spec.f(ys), start, rows, past,
+                                   spec.f.bound, policy.tail_tol),
+              spec.kernel_b.drives(spec.g(xs), start, rows, past,
+                                   spec.g.bound, policy.tail_tol))
+    return tuple(
+        (float(abs(xs[k + 1] - (1.0 + spec.h.get(n)) * xs[k] - drive_x)),
+         float(abs(ys[k + 1] - (1.0 + spec.p.get(n)) * ys[k] - drive_y)))
+        for n, k, drive_x, drive_y in zip(range(rows), count(start),
+                                          *drives))
+
+
+def tail_block_reference(kernel, nonlin, growth, ratio, c_out, c_partner,
+                         partner_growth, horizon, policy):
+    """One tail-map block (K, c, error) with its Toeplitz factor
+    lam^{n-m} taken as a reversed strided-window view of
+    [lam^{width-1}, ..., lam^0, 0, ..., 0]."""
+    from volterra2d.asymptotic_solver import _NEGLIGIBLE, _outer_cut
+
+    cut, error = _outer_cut(ratio, nonlin, kernel, horizon, policy)
+    width = horizon + 1
+    growth_out = growth.take(np.arange(width))
+    if isinstance(kernel, v.FiniteLag):
+        return np.zeros((width, width)), c_out / growth_out, error
+    rate = np.longdouble(kernel.row_rate)
+    j = np.arange(cut + 1)
+    terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
+             * np.exp((rate - kernel.col_rate) * j))
+    decay, acc, u = np.exp(-rate), np.longdouble(0.0), np.empty(cut + 1)
+    for i in range(cut, -1, -1):
+        acc = terms[i] + decay * acc
+        u[i] = acc
+    powers = np.exp(-kernel.row_rate * np.arange(width + 1))
+    lower = sliding_window_view(np.concatenate(
+        [powers[width - 1::-1], np.zeros(horizon)]), width)[::-1]
+    w = np.triu(np.broadcast_to(u[:width], (width, width)), 1)
+    w += u[:width, None] * lower
+    post = c_partner / partner_growth.take(np.arange(width, cut + 1))
+    drive_outside = (nonlin(0.0) * u[:width] * powers[1:]
+                     / -math.expm1(-kernel.row_rate)
+                     + u[width:] @ nonlin(post))
+    c = (c_out - drive_outside) / growth_out
+    w /= -growth_out[:, None]
+    w[np.abs(w) < _NEGLIGIBLE] = 0.0
+    return w, c, error + width * _NEGLIGIBLE * nonlin.bound
+
+
+def envelope_ok_reference(dec, tail_tol):
+    """The envelope verdict over the Python pairs of v and its bound:
+    every |v| <= bound + 10 * tail_tol."""
+    slack = 10.0 * tail_tol
+    return all(
+        abs(x) <= b + slack for x, b in zip(dec.v1, dec.v1_bound)) and all(
+        abs(x) <= b + slack for x, b in zip(dec.v2, dec.v2_bound))

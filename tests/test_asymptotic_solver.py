@@ -21,10 +21,11 @@ from volterra2d import (
     solve_asymptotic,
 )
 
-from volterra2d.asymptotic_solver import _outer_cut
+from volterra2d.asymptotic_solver import _outer_cut, _tail_block
 from volterra2d.system import decay_envelope, default_horizon
 
-from conftest import central_difference_jacobian, random_summable_spec
+from conftest import (central_difference_jacobian, random_summable_spec,
+                      tail_block_reference)
 
 POLICY = TruncationPolicy(1e-10, 100_000)
 TAIL_MASS_A = 2.502650301077119
@@ -190,6 +191,34 @@ class TestTailMap:
             assert block.shape == expected.shape
             assert np.max(np.abs(block - expected)) <= 1e-15 * max(
                 1.0, np.max(np.abs(expected)))
+
+
+    @pytest.mark.parametrize("horizon", [8, 40, 400])
+    def test_tail_block_equals_strided_build(self, example2_spec, horizon):
+        # the Toeplitz factor gathered by index, not read off a strided
+        # view: K, c and the error stay the same bit for bit, also where
+        # lam^{n-m} underflows to 0 under a negative kernel
+        steep = SeparableExponential(-0.8, 2.5, 3.0)
+        for spec, c1, c2 in (
+                (example2_spec, 1.0, 2.0),
+                (random_summable_spec(np.random.default_rng(horizon)),
+                 0.7, -1.3),
+                (SystemSpec(2, example2_spec.h, example2_spec.p, steep,
+                            steep, example2_spec.f, example2_spec.g),
+                 1.0, 1.0)):
+            prof = growth_profile(spec)
+            sides = ((spec.kernel_a, spec.f, prof.x, prof.ratio_x, c1),
+                     (spec.kernel_b, spec.g, prof.y, prof.ratio_y, c2))
+            for (kernel, nonlin, growth, ratio, c_out), (
+                    _, _, p_growth, _, c_partner) in zip(sides, sides[::-1]):
+                args = (kernel, nonlin, growth, ratio, c_out, c_partner,
+                        p_growth, horizon, POLICY)
+                k, c, error = _tail_block(*args)
+                k_ref, c_ref, error_ref = tail_block_reference(*args)
+                assert k.shape == (horizon + 1, horizon + 1)
+                assert k.tobytes() == k_ref.tobytes()
+                assert c.tobytes() == c_ref.tobytes()
+                assert error == error_ref
 
 
 class TestSolveAsymptotic:

@@ -1,27 +1,46 @@
+import csv
 import json
+import math
 import os
 import stat
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import numpy as np
 
 from volterra2d import (
     TruncationPolicy,
+    check_asymptotic_hypotheses,
+    check_periodic_hypotheses,
     defects,
     parse_scenario,
     parse_system,
     simulate,
     solve_asymptotic,
     solve_periodic,
+    spec_to_config,
+    verify_decomposition,
+    verify_periodic,
 )
-from volterra2d.cli import _DOMAIN_ERRORS, CSV_HEADER, _write_report, run
+from volterra2d.cli import (
+    _DOMAIN_ERRORS,
+    CSV_HEADER,
+    _cells,
+    _share,
+    _write_csv,
+    _write_report,
+    run,
+)
 from volterra2d.system import default_horizon
 
-from conftest import csv_reference
+from conftest import csv_reference, report_reference
 
 # ``python -m`` puts the working directory on sys.path, so a subprocess run
 # from here imports the checkout without PYTHONPATH.
@@ -449,6 +468,57 @@ def reference_rows(argv, scenario):
     return rows
 
 
+def reference_report(argv, scenario):
+    """The report of the command ``argv`` as the writer took it before the
+    table text was shared: each column a list of the library's floats."""
+    spec, policy = scenario.spec, scenario.policy
+    mode = argv[argv.index("--mode") + 1] if "--mode" in argv else None
+
+    def echo(**extras):
+        return {**spec_to_config(spec),
+                **{k: v for k, v in extras.items() if v is not None}}
+
+    if argv[0] == "check":
+        report = (check_periodic_hypotheses(spec) if mode == "periodic" else
+                  check_asymptotic_hypotheses(spec, scenario.c1, scenario.c2))
+        return {"command": "check", "mode": mode,
+                "config": echo(c1=scenario.c1, c2=scenario.c2),
+                "report": report.as_dict()}
+    if argv[0] == "simulate":
+        history, steps = scenario.history, int(argv[2])
+        trajectory = simulate(spec, history, steps, policy)
+        tail = history.tail
+        return {"command": "simulate", "steps": steps,
+                "config": echo(
+                    history={"window": [[a, b] for a, b in history.window],
+                             "tail": "zero" if tail is None
+                             else {"x": tail[0], "y": tail[1]}},
+                    truncation={"tail_tol": policy.tail_tol,
+                                "max_terms": policy.max_terms}),
+                "report": {"x": list(trajectory.x), "y": list(trajectory.y),
+                           "tail_tolerance_used":
+                               trajectory.tail_tolerance_used}}
+    if argv[0] == "solve-periodic" or mode == "periodic":
+        solved = solve_periodic(spec, scenario.solver, policy)
+        config = echo()
+    else:
+        horizon = (default_horizon(spec) if scenario.horizon is None
+                   else scenario.horizon)
+        solved = solve_asymptotic(spec, scenario.c1, scenario.c2, horizon,
+                                  scenario.solver, policy)
+        config = echo(c1=scenario.c1, c2=scenario.c2, horizon=horizon)
+    if argv[0] != "verify":
+        return {"command": argv[0], "config": config,
+                "report": solved.as_dict()}
+    verification = (
+        verify_periodic(spec, solved.solution) if mode == "periodic" else
+        verify_decomposition(spec, solved.decomposition,
+                             tail_tol=policy.tail_tol))
+    return {"command": "verify", "mode": mode, "config": config,
+            "report": {"solve": solved.as_dict(),
+                       "verification": verification.as_dict()}}
+
+
 DEMO_CONFIGS = ["example1", "example2", "example1-cos", "example2-history"]
 
 COMMANDS = {
@@ -566,3 +636,114 @@ class TestWriters:
                     if item["key"] == "summable_kernels"]
         assert summable[0]["values"] == {"tail_mass_a": None,
                                          "tail_mass_b": None}
+
+    # Table column -> report key, for every column a report repeats.
+    SHARED = {"x": "x", "y": "y", "v1": "v1", "v2": "v2",
+              "bound_v1": "v1_bound", "bound_v2": "v2_bound"}
+
+    @pytest.mark.parametrize("config_name",
+                             ["example1", "example2", "example2-history"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_report_bytes_match_float_report(self, command, config_name,
+                                             example1_path, example2_path,
+                                             tmp_path):
+        config = _demo_config(config_name, example1_path, example2_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = COMMANDS[command]
+        out, expected = tmp_path / "r.json", tmp_path / "expected.json"
+        code = run([*argv, "--config", str(path), "--out", str(out),
+                    "--csv", str(tmp_path / "table.csv")])
+        try:
+            report = reference_report(argv, parse_scenario(config))
+        except _DOMAIN_ERRORS:
+            assert code == 2 and not out.exists()
+            return
+        report_reference(report, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("config_name",
+                             ["example1", "example2", "example2-history"])
+    @pytest.mark.parametrize("command", [
+        name for name in COMMANDS if not name.startswith("check")])
+    def test_csv_cells_are_the_report_tokens(self, command, config_name,
+                                             example1_path, example2_path,
+                                             tmp_path):
+        config = _demo_config(config_name, example1_path, example2_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = COMMANDS[command]
+        out, table = tmp_path / "r.json", tmp_path / "table.csv"
+        code = run([*argv, "--config", str(path), "--out", str(out),
+                    "--csv", str(table)])
+        if not out.exists():  # the solver refused the regime
+            assert code == 2
+            return
+        report = json.loads(out.read_text(), parse_float=str)["report"]
+        body = report["solve"] if argv[0] == "verify" else report
+        with open(table, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        shared = [name for name in self.SHARED if self.SHARED[name] in body]
+        asymptotic = argv[0] == "solve-asymptotic" or argv[-1] == "asymptotic"
+        assert shared == (list(self.SHARED) if asymptotic else ["x", "y"])
+        for name in shared:
+            column = [row[header.index(name)] for row in rows]
+            assert column == body[self.SHARED[name]]
+
+    def test_overflow_writes_null_and_nonfinite_cells(self, example2_path,
+                                                      tmp_path):
+        # Gains of 101 from (-1, 1) overflow x to -inf and y to inf, and
+        # the cos nonlinearities of inf make every later value nan.
+        config = json.loads(example2_path.read_text())
+        config["h"] = config["p"] = [100.0] * config["period"]
+        config["history"] = {"window": [[-1.0, 1.0]], "tail": "zero"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["simulate", "--steps", "300"]
+        out, table = tmp_path / "r.json", tmp_path / "table.csv"
+        expected_out = tmp_path / "expected.json"
+        expected_table = tmp_path / "expected.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run([*argv, "--config", str(path), "--out", str(out),
+                        "--csv", str(table)]) == 0
+            scenario = parse_scenario(config)
+            report_reference(reference_report(argv, scenario), expected_out)
+            csv_reference(reference_rows(argv, scenario), expected_table)
+        assert out.read_bytes() == expected_out.read_bytes()
+        assert table.read_bytes() == expected_table.read_bytes()
+
+        body = json.loads(out.read_text(), parse_float=str)["report"]
+        with open(table, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        cells = [row[header.index(name)] for name in ("x", "y")
+                 for row in rows]
+        tokens = body["x"] + body["y"]
+        assert {"inf", "-inf", "nan"} <= set(cells)
+        assert tokens == [None if cell in ("inf", "-inf", "nan") else cell
+                          for cell in cells]
+
+    @given(st.lists(st.floats(allow_nan=False), max_size=20))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+              2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e-4, 0.1,
+              1e22, 1.7976931348623157e308, math.inf, -math.inf])
+    def test_cells_read_back_as_the_same_doubles(self, values):
+        # Every cell reads back as its double, bit for bit, and the report
+        # writes the same text for it (null where it is not finite).
+        cells = _cells({"x": values, "res_x": values[::-1]}, "table.csv")
+        with tempfile.TemporaryDirectory() as tmp:
+            table, out = Path(tmp, "table.csv"), Path(tmp, "r.json")
+            _write_csv(len(values), cells, str(table))
+            _write_report(_share({"x": values}), str(out), cells)
+            with open(table, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            tokens = json.loads(out.read_text(), parse_float=str)["x"]
+
+        def bits(numbers):
+            return [struct.pack("<d", number) for number in numbers]
+
+        assert len(rows) == len(values)
+        for name, column in (("x", values), ("res_x", values[::-1])):
+            read = [float(row[header.index(name)]) for row in rows]
+            assert bits(read) == bits(column)
+        assert tokens == [cell if math.isfinite(value) else None
+                          for cell, value in zip(cells["x"], values)]

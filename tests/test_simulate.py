@@ -18,7 +18,8 @@ from volterra2d import (
     simulate,
 )
 
-from conftest import inner_sum_reference, random_nonlinearity
+from conftest import (defects_reference, inner_sum_reference,
+                      random_nonlinearity)
 
 POLICY = TruncationPolicy(1e-10, 100_000)
 
@@ -281,3 +282,50 @@ class TestRoundOff:
                 drive = t.x[n + 1] - 0.5 * t.x[n]
                 assert abs(drive - ref) <= kernel.drive_error(n, 1.0) + 4 * (
                     np.spacing(max(abs(t.x[n + 1]), abs(ref))))
+
+
+class TestDefectsOnArrays:
+    """``defects`` computes every row in one array expression, with the
+    operands of the row-by-row loop in the same order: the same floats,
+    bit for bit."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert all(type(d) is float for pair in got for d in pair)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert len(got) == len(want)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_row_by_row_defects(self, seed):
+        rng = np.random.default_rng(seed)
+        spec, history = random_drive_case(rng)
+        t = simulate(spec, history, 40, POLICY)
+        march = trajectory_values(t, history.depth + 1)
+        candidate = rng.uniform(-2.0, 2.0, (2, len(march[0])))
+        for xs, ys in (march, candidate):
+            for rows in (0, 1, 40):
+                for past in (1, spec.period):
+                    self.assert_same(
+                        defects(spec, xs, ys, rows, POLICY, past),
+                        defects_reference(spec, xs, ys, rows, POLICY, past))
+
+    def test_equals_row_by_row_defects_on_a_periodic_extension(
+            self, cosine_spec):
+        # the periodic solver's gate: one period after its periodic past
+        T = cosine_spec.period
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, (2, T))
+        xs, ys = values[:, np.arange(T + 1) % T]
+        self.assert_same(defects(cosine_spec, xs, ys, T, POLICY, T),
+                         defects_reference(cosine_spec, xs, ys, T, POLICY, T))
+
+    def test_uncertified_drive_raises_as_before(self):
+        rate = 0.5 * threshold_rate(0.05, POLICY.tail_tol)
+        kernel = SeparableExponential(0.05, rate, rate)
+        half = PeriodicSequence(1, (-0.5,))
+        spec = SystemSpec(1, half, half, kernel, kernel,
+                          Nonlinearity("cos", 1.0, 1.0),
+                          Nonlinearity("sin", 1.0, 2.0))
+        xs = np.linspace(-1.0, 1.0, 12)
+        for defect in (defects, defects_reference):
+            with pytest.raises(TailNotCertified, match="round-off bound"):
+                defect(spec, xs, xs[::-1], 10, POLICY)

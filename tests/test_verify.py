@@ -21,7 +21,8 @@ from volterra2d import (
     verify_periodic,
 )
 
-from conftest import (inner_sum_reference, periodic_reference,
+from conftest import (envelope_ok_reference, inner_sum_reference,
+                      periodic_reference,
                       random_hard_periodic_spec, random_periodic_spec,
                       random_summable_spec)
 
@@ -327,6 +328,39 @@ class TestVerifyDecomposition:
         first_bad = next(n for n, b in enumerate(dec.v1_bound)
                          if 1e-2 > b + 1e-9)
         assert first_bad == 7
+
+    @pytest.mark.parametrize("field", ["v1", "v2", "v1_bound", "v2_bound"])
+    def test_nan_fails_envelope(self, example2_spec, demo2_report, field):
+        dec = demo2_report.decomposition
+        values = list(getattr(dec, field))
+        values[7] = math.nan
+        tampered = dataclasses.replace(dec, **{field: tuple(values)})
+        assert not envelope_ok_reference(tampered, 1e-10)
+        ver = verify_decomposition(example2_spec, tampered)
+        assert not ver.envelope_ok
+        assert not ver.passed
+
+    @pytest.mark.parametrize("horizon", [8, 40, 60, 200])
+    def test_envelope_verdict_equals_pairwise_verdict(self, example2_spec,
+                                                      horizon):
+        # the solved windows, and windows moved onto the edge of the
+        # envelope (|v| = bound + slack passes) and one ulp past it
+        dec = solve_asymptotic(example2_spec, 1.0, 2.0, horizon,
+                               policy=TruncationPolicy(1e-10)).decomposition
+        slack = 10.0 * 1e-10
+        edge = tuple(b + slack for b in dec.v1_bound)
+        past = tuple(math.nextafter(e, math.inf) for e in edge)
+        variants = [dec,
+                    dataclasses.replace(dec, v1=edge),
+                    dataclasses.replace(dec, v1=tuple(-e for e in edge)),
+                    dataclasses.replace(dec, v1=edge[:-1] + past[-1:]),
+                    dataclasses.replace(dec, v2=tuple(
+                        -2.0 * b for b in dec.v2_bound))]
+        verdicts = [verify_decomposition(example2_spec, variant).envelope_ok
+                    for variant in variants]
+        assert verdicts == [envelope_ok_reference(variant, 1e-10)
+                            for variant in variants]
+        assert verdicts[:3] == [True] * 3 and verdicts[3:] == [False] * 2
 
     def test_alternating_deviation_decays_per_period(self, example2_spec):
         """With (c1, c2) = (1, 2) at H = 40, v alternates within each period
