@@ -36,9 +36,10 @@ class SolverOptions:
 @dataclass(frozen=True, eq=False)
 class CoupledMap:
     """z = [x; y] -> c + [K_x f(y); K_y g(x)] with a fixed vector c, fixed
-    square blocks K_x, K_y and nonlinearities f, g (each with a
-    ``derivative``) applied entry by entry: the form of both the periodic
-    cycle map and the asymptotic tail map."""
+    square blocks K_x, K_y and nonlinearities f, g applied entry by entry
+    by their bound array formulas (``apply``, and ``slope`` for the
+    Jacobian): the form of both the periodic cycle map and the asymptotic
+    tail map.  Every slice of z is a float64 array."""
 
     c: np.ndarray
     k_x: np.ndarray
@@ -49,8 +50,8 @@ class CoupledMap:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         n = len(self.k_x)
         out = np.empty(2 * n)
-        np.matmul(self.k_x, self.f(z[n:]), out=out[:n])
-        np.matmul(self.k_y, self.g(z[:n]), out=out[n:])
+        np.matmul(self.k_x, self.f.apply(z[n:]), out=out[:n])
+        np.matmul(self.k_y, self.g.apply(z[:n]), out=out[n:])
         out += self.c
         return out
 
@@ -59,8 +60,8 @@ class CoupledMap:
         n = len(self.k_x)
         jac = np.eye(2 * n)
         # The identity's off-diagonal blocks are zero: write -K diag(phi') in.
-        np.multiply(self.k_x, -self.f.derivative(z[n:]), out=jac[:n, n:])
-        np.multiply(self.k_y, -self.g.derivative(z[:n]), out=jac[n:, :n])
+        np.multiply(self.k_x, -self.f.slope(z[n:]), out=jac[:n, n:])
+        np.multiply(self.k_y, -self.g.slope(z[:n]), out=jac[n:, :n])
         return jac
 
     def newton_step(self, z: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -70,8 +71,8 @@ class CoupledMap:
         A singular Schur complement falls back to least squares on the
         dense Jacobian."""
         n = len(self.k_x)
-        a = self.k_x * self.f.derivative(z[n:])
-        b = self.k_y * self.g.derivative(z[:n])
+        a = self.k_x * self.f.slope(z[n:])
+        b = self.k_y * self.g.slope(z[:n])
         r_x, r_y = residual[:n], residual[n:]
         try:
             dx = np.linalg.solve(np.eye(n) - a @ b, -r_x - a @ r_y)

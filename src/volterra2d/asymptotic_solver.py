@@ -258,8 +258,8 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     residual_max = max(max(pair) for pair in pairs)
 
     slack = 10.0 * policy.tail_tol
-    envelope_ok = (np.all(np.abs(v1) <= bound_x + slack)
-                   and np.all(np.abs(v2) <= bound_y + slack))
+    envelope_ok = ((np.abs(v1) <= bound_x + slack).all()
+                   and (np.abs(v2) <= bound_y + slack).all())
     converged = bool(result.converged
                      and residual_max <= opts.residual_tol and envelope_ok)
 

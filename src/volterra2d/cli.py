@@ -5,6 +5,10 @@ Every run parses one JSON scenario config, executes one pipeline, writes a
 JSON report (stdout or --out) plus an optional CSV table, and exits:
 0 on success/convergence, 2 on hypothesis-check failure or
 non-convergence, 1 on input errors (reported to stderr with field paths).
+The command word picks its subcommand's parser, which parses the rest of
+the arguments; an argument list that names no command, or that the
+subcommand leaves arguments of, goes to the top-level parser, which
+writes the usage and error.
 
 Each command turns every value of its table into text once, with
 float.__repr__: the shortest text that reads back as the same double.
@@ -323,12 +327,28 @@ def _build_parser() -> argparse.ArgumentParser:
            _cmd_solve, with_horizon=True, mode="asymptotic")
     common(sub.add_parser("verify", help="solve and independently certify"),
            _cmd_verify, with_mode=True, with_horizon=True)
+    parser.commands = sub.choices  # each command word's parser
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments as the top-level parser reads them.  That parser
+    would only pick the command word's parser and hand it the rest, so the
+    command's parser takes the rest directly.  An argument list that names
+    no command, or whose rest leaves arguments over, goes to the top-level
+    parser whole, which writes its usage and error."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return argparse.Namespace(command=argv[0], **vars(args))
+    return parser.parse_args(argv)
 
 
 def run(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

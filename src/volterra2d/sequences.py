@@ -89,7 +89,7 @@ def running_products(seq: PeriodicSequence) -> np.ndarray:
     factors = 1.0 + np.array((*seq.values, 0.0))  # the empty product at T
     lag = np.arange(T)
     windows = np.where(lag, (lag[:, None] - lag) % T, T)  # factor n - j
-    return np.cumprod(factors[windows], axis=1)[:, ::-1]
+    return np.multiply.accumulate(factors[windows], axis=1)[:, ::-1]
 
 
 def cycle_gain(seq: PeriodicSequence) -> float:

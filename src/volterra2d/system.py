@@ -98,6 +98,10 @@ class Nonlinearity:
 
     A general expression parser could not certify the bound, so the family
     is deliberately closed.
+
+    Calling the nonlinearity takes any number or array.  Its bound
+    formulas take a float64 array only and skip that dispatch: ``apply``
+    gives the values entry by entry, and ``slope`` the derivative.
     """
 
     kind: str
@@ -112,8 +116,8 @@ class Nonlinearity:
         scalar, array, slope = _FORMULAS[self.kind]
         a, k = float(self.amplitude), float(self.frequency)
         object.__setattr__(self, "_scalar", functools.partial(scalar, a, k))
-        object.__setattr__(self, "_array", functools.partial(array, a, k))
-        object.__setattr__(self, "_slope", functools.partial(
+        object.__setattr__(self, "apply", functools.partial(array, a, k))
+        object.__setattr__(self, "slope", functools.partial(
             slope, float(self.amplitude * self.frequency), k))
 
     def __reduce__(self):  # rebuilt, so the bound formulas never pickle
@@ -125,12 +129,12 @@ class Nonlinearity:
         # 0-d array.  A float64 array goes to the array formula as it is.
         if type(x) in _SCALAR_TYPES:
             return self._scalar(x)
-        out = self._array(np.asarray(x, dtype=float))
+        out = self.apply(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def derivative(self, x):
         """d/dx of the value, entry by entry; |derivative| <= lipschitz."""
-        out = self._slope(np.asarray(x, dtype=float))
+        out = self.slope(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     @property
@@ -338,9 +342,9 @@ def _weight_bound(gain: float, seq: PeriodicSequence, kernel: Kernel) -> float:
     periodic cycle map componentwise."""
     lag = np.arange(seq.period)
     windows = lag[:, None] + lag  # row n holds row sums n..n+T-1
-    totals = np.sum(np.abs(running_products(seq))
-                    * kernel.abs_row_sum(windows), axis=1)
-    return abs(gain) * float(np.max(totals))
+    totals = (np.abs(running_products(seq))
+              * kernel.abs_row_sum(windows)).sum(axis=1)
+    return abs(gain) * float(totals.max())
 
 
 def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:

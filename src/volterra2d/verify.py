@@ -38,7 +38,7 @@ periods, since it may alternate within one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -117,7 +117,7 @@ def periodic_residual_max(spec: SystemSpec,
             spec, *(np.array(part.values) for part in solution)):
         w, slot = _period_terms(kernel, n_checks, spec.period)
         drive = (w * phi(partner)[slot]).sum(axis=1)
-        worst = float(np.max(_defect(seq, own[ms], drive), initial=worst))
+        worst = float(_defect(seq, own[ms], drive).max(initial=worst))
     return worst
 
 
@@ -195,7 +195,7 @@ class PeriodicVerification:
     passed: bool
 
     def as_dict(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 def verify_periodic(spec: SystemSpec,
@@ -235,7 +235,7 @@ class DecompositionVerification:
     passed: bool
 
     def as_dict(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _decay_ratio(kernel: Kernel) -> float:
@@ -255,8 +255,8 @@ def _decay_check(v, bound, ratio: float, period: int) -> bool:
     if resolvable < 2 * period:
         return True
     peaks = sliding_window_view(np.abs(v[:resolvable]), period).max(axis=1)
-    return bool(np.all(peaks[period:]
-                       <= 10.0 * ratio ** period * peaks[:-period] + 1e-15))
+    return bool((peaks[period:]
+                 <= 10.0 * ratio ** period * peaks[:-period] + 1e-15).all())
 
 
 def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
@@ -290,8 +290,7 @@ def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
     max_defect = 0.0
     for kernel, phi, seq, own, partner in _pairs(spec, x, y):
         drive = _window_sums(kernel, phi(partner), phi(0.0))
-        max_defect = float(np.max(_defect(seq, own, drive),
-                                  initial=max_defect))
+        max_defect = float(_defect(seq, own, drive).max(initial=max_defect))
 
     decay_ok = (_decay_check(v1, dec.v1_bound, _decay_ratio(spec.kernel_a),
                              spec.period)

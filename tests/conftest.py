@@ -441,3 +441,15 @@ def envelope_ok_reference(dec, tail_tol):
     return all(
         abs(x) <= b + slack for x, b in zip(dec.v1, dec.v1_bound)) and all(
         abs(x) <= b + slack for x, b in zip(dec.v2, dec.v2_bound))
+
+
+def parse_reference(argv):
+    """The command line read by the top-level parser alone, as ``run``
+    once took it: (exit code, Namespace), the code None where parsing
+    returned and the Namespace None where it exited."""
+    from volterra2d.cli import _build_parser
+
+    try:
+        return None, _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, None

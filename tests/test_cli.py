@@ -29,6 +29,7 @@ from volterra2d import (
     verify_decomposition,
     verify_periodic,
 )
+from volterra2d import cli
 from volterra2d.cli import (
     _DOMAIN_ERRORS,
     CSV_HEADER,
@@ -40,7 +41,7 @@ from volterra2d.cli import (
 )
 from volterra2d.system import default_horizon
 
-from conftest import csv_reference, report_reference
+from conftest import csv_reference, parse_reference, report_reference
 
 # ``python -m`` puts the working directory on sys.path, so a subprocess run
 # from here imports the checkout without PYTHONPATH.
@@ -435,6 +436,11 @@ def _demo_config(name, example1_path, example2_path):
     elif variant == "history":
         config["history"] = {"window": [[0.3, -0.2], [0.1, 0.4]],
                              "tail": {"x": 0.05, "y": -0.1}}
+    elif variant:  # tT-hH: period T and asymptotic window H
+        period, horizon = (int(part[1:]) for part in variant.split("-"))
+        coefficients = WINDOW_COEFFICIENTS[period]
+        config.update(period=period, h=coefficients, p=coefficients[::-1],
+                      horizon=horizon)
     return config
 
 
@@ -521,6 +527,13 @@ def reference_report(argv, scenario):
 
 DEMO_CONFIGS = ["example1", "example2", "example1-cos", "example2-history"]
 
+#: h (and p reversed) of each period of the example2 window variants.
+WINDOW_COEFFICIENTS = {1: [0.0], 2: [-0.5, 1.0], 3: [-0.5, 1.0, 0.0]}
+#: example2 at periods 1-3 over windows H = 8, 40, 400; a window shorter
+#: than four periods is refused before any table is written.
+WINDOW_CONFIGS = [f"example2-t{period}-h{horizon}" for period in (1, 2, 3)
+                  for horizon in (8, 40, 400) if horizon >= 4 * period]
+
 COMMANDS = {
     "check-periodic": ["check", "--mode", "periodic"],
     "check-asymptotic": ["check", "--mode", "asymptotic"],
@@ -538,9 +551,11 @@ class TestWriters:
     """The column-wise CSV writer gives the row-wise writer's bytes, and
     every report is strict JSON (RFC 8259: no NaN or Infinity)."""
 
-    @pytest.mark.parametrize("config_name", DEMO_CONFIGS)
-    @pytest.mark.parametrize("command", [
-        name for name in COMMANDS if not name.startswith("check")])
+    @pytest.mark.parametrize("command, config_name", [
+        (command, config_name) for config_name in DEMO_CONFIGS
+        for command in COMMANDS if not command.startswith("check")] + [
+        (command, config_name) for config_name in WINDOW_CONFIGS
+        for command in ("solve-asymptotic", "verify-asymptotic")])
     def test_csv_bytes_match_row_writer(self, command, config_name,
                                         example1_path, example2_path,
                                         tmp_path):
@@ -747,3 +762,109 @@ class TestWriters:
             assert bits(read) == bits(column)
         assert tokens == [cell if math.isfinite(value) else None
                           for cell, value in zip(cells["x"], values)]
+
+
+def _outcome(call, argv, capsys):
+    """(exit code, result, stdout, stderr) of ``call(argv)``, the code None
+    where it returned and the result None where it exited."""
+    try:
+        code, result = None, call(argv)
+    except SystemExit as exc:
+        code, result = exc.code, None
+    out, err = capsys.readouterr()
+    return code, result, out, err
+
+
+def _flags(config, tmp_path):
+    return ["--config", str(config), "--out", str(tmp_path / "r.json"),
+            "--csv", str(tmp_path / "t.csv"), "--tol", "1e-11",
+            "--tail-tol", "1e-10", "--c1", "0.5", "--c2", "2"]
+
+
+def _dispatch_cases(example1, example2, tmp_path):
+    """Argument lists by name: every command with every flag, the
+    --flag=value form, an abbreviation, missing, bad and extra arguments,
+    help and argument lists that name no command."""
+    c1, c2 = str(example1), str(example2)
+    cases = {
+        "check": ["check", "--mode", "periodic", *_flags(example1, tmp_path)],
+        "simulate": ["simulate", "--steps", "5", *_flags(example1, tmp_path)],
+        "solve-periodic": ["solve-periodic", *_flags(example1, tmp_path)],
+        "solve-asymptotic": ["solve-asymptotic", "--horizon", "40",
+                             *_flags(example2, tmp_path)],
+        "verify": ["verify", "--mode", "asymptotic", "--horizon", "40",
+                   *_flags(example2, tmp_path)],
+        "equals-form": ["check", "--mode=periodic", "--config=" + c1],
+        "abbreviation": ["check", "--conf", c1, "--mode", "periodic"],
+        "missing-mode": ["check", "--config", c1],
+        "missing-steps": ["simulate", "--config", c1],
+        "missing-config": ["solve-periodic"],
+        "bad-mode": ["verify", "--mode", "bogus", "--config", c2],
+        "bad-steps": ["simulate", "--config", c1, "--steps", "x"],
+        "extra-flag": ["check", "--mode", "periodic", "--config", c1,
+                       "--bogus", "1"],
+        "extra-word": ["solve-periodic", "--config", c1, "stray"],
+        "extra-and-missing": ["check", "--config", c1, "--bogus"],
+        "flag-of-another-command": ["check", "--mode", "periodic",
+                                    "--config", c1, "--steps", "3"],
+        "empty": [],
+        "unknown-command": ["nosuch"],
+        "command-prefix": ["ver", "--config", c1],
+        "flags-first": ["--config", c1, "check"],
+        "top-help": ["-h"],
+        "top-long-help": ["--help"],
+    }
+    for command in ("check", "simulate", "solve-periodic",
+                    "solve-asymptotic", "verify"):
+        cases[f"{command}-help"] = [command, "-h"]
+    return cases
+
+
+DISPATCH_CASES = list(_dispatch_cases("a", "b", Path("t")))
+
+
+class TestDispatch:
+    """The command word's own parser gives what the top-level parser gave:
+    the same exit code, output, error text and Namespace."""
+
+    @pytest.mark.parametrize("name", DISPATCH_CASES)
+    def test_parse_equals_top_level_parse(self, name, example1_path,
+                                          example2_path, tmp_path, capsys):
+        argv = _dispatch_cases(example1_path, example2_path, tmp_path)[name]
+        got = _outcome(cli._parse, argv, capsys)
+        code, args = parse_reference(argv)
+        reference = (code, args, *capsys.readouterr())
+        assert got == reference
+        if args is not None:
+            assert list(vars(got[1])) == list(vars(args))
+
+    @pytest.mark.parametrize("name", DISPATCH_CASES)
+    def test_run_equals_top_level_run(self, name, example1_path,
+                                      example2_path, tmp_path, capsys,
+                                      monkeypatch):
+        argv = _dispatch_cases(example1_path, example2_path, tmp_path)[name]
+        outputs = [tmp_path / "r.json", tmp_path / "t.csv"]
+
+        def outcome():
+            result = _outcome(run, argv, capsys)
+            files = [p.read_bytes() if p.exists() else None for p in outputs]
+            for p in outputs:
+                p.unlink(missing_ok=True)
+            return result, files
+
+        got = outcome()
+        monkeypatch.setattr(cli, "_parse",
+                            lambda argv: cli._build_parser().parse_args(argv))
+        assert got == outcome()
+
+    def test_extras_get_the_top_level_usage(self, example1_path, capsys):
+        code = run(["check", "--mode", "periodic", "--config",
+                    str(example1_path), "--bogus", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage: volterra2d [-h]")
+        assert "error: unrecognized arguments: --bogus 1" in err
+
+    def test_subcommand_help_gets_its_own_usage(self, capsys):
+        assert run(["verify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: volterra2d verify")

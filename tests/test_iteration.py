@@ -4,7 +4,7 @@ no write into an array the map returns."""
 import numpy as np
 import pytest
 
-from volterra2d import SolverOptions, TruncationPolicy
+from volterra2d import Nonlinearity, SolverOptions, TruncationPolicy
 from volterra2d._iteration import CoupledMap, solve_fixed_point
 from volterra2d.asymptotic_solver import TailMapOperator
 from volterra2d.periodic_solver import _cycle_map_vec
@@ -113,3 +113,33 @@ class TestCoupledMap:
                 out = m(z)
                 assert out.tobytes() == expected.tobytes()
                 assert out is not m.c and m(z).tobytes() == out.tobytes()
+
+    def test_bound_formulas_equal_the_called_form(self, example1_spec,
+                                                  cosine_spec, example2_spec):
+        # The map and its Newton step take f and g by their bound array
+        # formulas; written with the dispatching call and ``derivative``
+        # they give the same bits, for every kind.
+        rng = np.random.default_rng(5)
+        maps = periodic_maps(example1_spec, cosine_spec) \
+            + tail_maps(example2_spec)
+        for kind in ("sin", "cos", "tanh", "rational_bounded"):
+            f, g = Nonlinearity(kind, 1.3, -0.7), Nonlinearity(kind, -0.4, 2.1)
+            maps.append(CoupledMap(rng.normal(size=8), rng.normal(size=(4, 4)),
+                                   rng.normal(size=(4, 4)), f, g))
+        for m in maps:
+            n = len(m.k_x)
+            for z in (rng.normal(size=2 * n), 10.0 * rng.normal(size=2 * n)):
+                called = m.c + np.concatenate([m.k_x @ m.f(z[n:]),
+                                               m.k_y @ m.g(z[:n])])
+                assert m(z).tobytes() == called.tobytes()
+                a = m.k_x * m.f.derivative(z[n:])
+                b = m.k_y * m.g.derivative(z[:n])
+                jac = np.eye(2 * n)
+                jac[:n, n:], jac[n:, :n] = -a, -b
+                assert m.jacobian(z).tobytes() == jac.tobytes()
+                residual = z - called
+                dx = np.linalg.solve(np.eye(n) - a @ b,
+                                     -residual[:n] - a @ residual[n:])
+                step = np.concatenate([dx, b @ dx - residual[n:]])
+                assert (m.newton_step(z, residual).tobytes()
+                        == step.tobytes())

@@ -51,6 +51,16 @@ class TestPeriodicSequence:
         s = PeriodicSequence(len(values), tuple(values))
         assert s.get(n + k * s.period) == s.get(n)
 
+    def test_take_reads_get_and_returns_a_fresh_array(self):
+        s = seq(0.5, -1.25, 3.0)
+        n = np.arange(-7, 8)
+        taken = s.take(n)
+        assert taken.tolist() == [s.get(int(m)) for m in n]
+        taken[:] = 99.0  # the caller's array: the sequence is unchanged
+        assert s.values == (0.5, -1.25, 3.0)
+        assert s.take(n).tolist() == [s.get(int(m)) for m in n]
+        assert s.take(n) is not s.take(n)
+
 
 class TestProductOnePlus:
     def test_demo_values(self):

@@ -142,6 +142,21 @@ class TestNonlinearity:
             assert clone(0.5) == f(0.5)
 
     @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_public_bound_formulas_equal_call_and_derivative(self, kind):
+        # ``apply`` and ``slope`` are what the call and ``derivative`` give
+        # on a float64 array, slices included; they are not fields.
+        f = Nonlinearity(kind, -2, 0.75)
+        z = np.linspace(-25.0, 25.0, 2001)
+        for x in (z, z[1000:], z[:2], z[::7]):
+            assert f.apply(x).tobytes() == f(x).tobytes()
+            assert f.slope(x).tobytes() == f.derivative(x).tobytes()
+        clone = pickle.loads(pickle.dumps(f))
+        assert clone.apply(z).tobytes() == f(z).tobytes()
+        assert clone.slope(z).tobytes() == f.derivative(z).tobytes()
+        assert repr(f) == (f"Nonlinearity(kind={kind!r}, amplitude=-2, "
+                           f"frequency=0.75)")
+
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_declared_bound_holds_on_dense_sample(self, kind):
         rng = np.random.default_rng(NONLINEARITY_KINDS.index(kind))
         for _ in range(3):

@@ -483,3 +483,33 @@ class TestArraySums:
             spec, dec.x_at, dec.y_at, horizon, lead, 1)
         got = verify_decomposition(spec, dec).max_defect
         assert abs(got - expected) <= 1e-14 * scale
+
+
+class TestVerificationDicts:
+    """Both verifications report their fields as a plain dict in field
+    order, as dataclasses.asdict gave them."""
+
+    def test_periodic_dict_is_asdict(self, cosine_spec, cosine_solution):
+        bad = (cosine_solution[0], PeriodicSequence(
+            cosine_spec.period, tuple(v + 1e-3 for v in
+                                      cosine_solution[1].values)))
+        for solution in (cosine_solution, bad):
+            ver = verify_periodic(cosine_spec, solution)
+            self.assert_plain_asdict(ver)
+
+    def test_decomposition_dict_is_asdict(self, example2_spec, demo2_report):
+        dec = demo2_report.decomposition
+        for tol in (1e-8, 1e-30):
+            ver = verify_decomposition(example2_spec, dec, defect_tol=tol)
+            self.assert_plain_asdict(ver)
+
+    @staticmethod
+    def assert_plain_asdict(ver):
+        plain, reference = ver.as_dict(), dataclasses.asdict(ver)
+        assert plain == reference
+        assert list(plain) == list(reference) == [
+            field.name for field in dataclasses.fields(ver)]
+        assert [type(v) for v in plain.values()] == [
+            type(v) for v in reference.values()]
+        plain.clear()  # a fresh dict: the verification keeps its fields
+        assert ver.as_dict() == reference
