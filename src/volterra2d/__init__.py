@@ -3,13 +3,12 @@ systems with infinite delay: forward simulation, periodic and
 asymptotically periodic fixed-point solvers with certified truncation, and
 independent verification of candidate solutions."""
 
+from ._iteration import SolverOptions
 from .asymptotic_solver import (
     AsymptoticSolveReport,
     Decomposition,
-    GrowthProfile,
     TailMapOperator,
     apply_tail_map,
-    growth_profile,
     solve_asymptotic,
 )
 from .kernels import (
@@ -22,9 +21,7 @@ from .kernels import (
 )
 from .periodic_solver import (
     PeriodicSolveReport,
-    SolverOptions,
     apply_cycle_map,
-    cycle_gain,
     solve_periodic,
 )
 from .sequences import (
@@ -34,6 +31,7 @@ from .sequences import (
     PeriodProductNotOne,
     Trajectory,
     ZeroFactor,
+    cycle_gain,
     product_one_plus,
     reciprocal_growth,
 )
@@ -42,11 +40,13 @@ from .system import (
     CheckItem,
     CheckReport,
     ConfigError,
+    GrowthProfile,
     Nonlinearity,
     Scenario,
     SystemSpec,
     check_asymptotic_hypotheses,
     check_periodic_hypotheses,
+    growth_profile,
     parse_scenario,
     parse_system,
     spec_to_config,

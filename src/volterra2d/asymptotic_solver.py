@@ -17,11 +17,10 @@ import numpy as np
 
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import FiniteLag, Kernel, TailNotCertified, TruncationPolicy
-from .sequences import PeriodicSequence, PeriodProductNotOne, ZeroFactor
+from .sequences import PeriodicSequence
 from .simulate import defects
-from .system import (GrowthProfile, Nonlinearity, SystemSpec,
-                     amplitude_warnings, decay_envelope, envelope_cut,
-                     growth_profile)
+from .system import (Nonlinearity, SystemSpec, amplitude_warnings,
+                     decay_envelope, envelope_cut, growth_profile)
 
 
 @dataclass(frozen=True)
@@ -182,12 +181,12 @@ class TailMapOperator:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         prof = growth_profile(spec)
-        sides = ((spec.kernel_a, spec.f, prof.x, prof.ratio_x, c1),
-                 (spec.kernel_b, spec.g, prof.y, prof.ratio_y, c2))
+        sides = tuple(zip(spec.equations, (prof.x, prof.y),
+                          (prof.ratio_x, prof.ratio_y), (c1, c2)))
         window = np.arange(horizon + 1)
         parts = []
-        for (kernel, nonlin, growth, ratio, c_out), (
-                p_kernel, p_nonlin, p_growth, p_ratio, c_partner) in zip(
+        for ((_, kernel, nonlin), growth, ratio, c_out), (
+                (_, p_kernel, p_nonlin), p_growth, p_ratio, c_partner) in zip(
                     sides, sides[::-1]):
             # Closing the partner with its free response ignores the
             # partner's own decaying part beyond the horizon; first-order
@@ -248,7 +247,8 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
                                newton_step=op.map.newton_step, opts=opts)
     xw, yw = np.split(result.z, 2)
     free_x, free_y = np.split(op.free, 2)
-    v1, v2 = xw - free_x, yw - free_y
+    v = result.z - op.free
+    v1, v2 = np.split(v, 2)
     bound_x, bound_y = np.split(op.envelope, 2)
     u1 = PeriodicSequence(T, tuple(free_x[:T].tolist()))
     u2 = PeriodicSequence(T, tuple(free_y[:T].tolist()))
@@ -257,9 +257,7 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
                     np.concatenate([[0.0], yw]), horizon, policy)
     residual_max = max(max(pair) for pair in pairs)
 
-    slack = 10.0 * policy.tail_tol
-    envelope_ok = ((np.abs(v1) <= bound_x + slack).all()
-                   and (np.abs(v2) <= bound_y + slack).all())
+    envelope_ok = (np.abs(v) <= op.envelope + 10.0 * policy.tail_tol).all()
     converged = bool(result.converged
                      and residual_max <= opts.residual_tol and envelope_ok)
 
@@ -286,12 +284,7 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
 __all__ = [
     "AsymptoticSolveReport",
     "Decomposition",
-    "GrowthProfile",
-    "PeriodProductNotOne",
     "TailMapOperator",
-    "ZeroFactor",
     "apply_tail_map",
-    "decay_envelope",
-    "growth_profile",
     "solve_asymptotic",
 ]

@@ -6,9 +6,9 @@ JSON report (stdout or --out) plus an optional CSV table, and exits:
 0 on success/convergence, 2 on hypothesis-check failure or
 non-convergence, 1 on input errors (reported to stderr with field paths).
 The command word picks its subcommand's parser, which parses the rest of
-the arguments; an argument list that names no command, or that the
-subcommand leaves arguments of, goes to the top-level parser, which
-writes the usage and error.
+the arguments; arguments it leaves over get the top-level usage and
+error, and an argument list that names no command goes to the top-level
+parser.
 
 Each command turns every value of its table into text once, with
 float.__repr__: the shortest text that reads back as the same double.
@@ -105,22 +105,26 @@ def _finite_or_none(value: Any) -> Any:
     return value
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str, flag: str) -> None:
     """Write ``text`` as UTF-8 over the file at ``path``, created with mode
     0o666 less the umask, and cut a regular file to the new length.  The
     old bytes are overwritten rather than truncated to zero first, which
     on ext4 costs a flush at close; a device or pipe, which cannot be
-    cut, is only written to."""
+    cut, is only written to.  A path that cannot be written raises
+    ConfigError under the ``flag`` that named it."""
     data = text.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        rest = memoryview(data)
-        while rest:
-            rest = rest[os.write(fd, rest):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write {path!r}: {exc}") from exc
 
 
 def _cells(columns: Columns, csv_path: Optional[str]) -> Cells:
@@ -167,7 +171,7 @@ def _write_report(report: Dict[str, Any], out_path: Optional[str],
         parts += [_json_array(cells[name]), rest]
     text = "".join(parts)
     if out_path:
-        _write_text(out_path, text + "\n")
+        _write_text(out_path, text + "\n", "--out")
     else:
         print(text)
 
@@ -183,7 +187,8 @@ def _write_csv(length: int, cells: Cells, csv_path: Optional[str]) -> None:
         column = cells.get(name, [])[:length]
         padded.append(column + [""] * (length - len(column)))
     rows = map(",".join, zip(map(str, range(length)), *padded))
-    _write_text(csv_path, "\r\n".join([",".join(CSV_HEADER), *rows, ""]))
+    _write_text(csv_path, "\r\n".join([",".join(CSV_HEADER), *rows, ""]),
+                "--csv")
 
 
 def _cmd_check(args, scenario: Scenario) -> int:
@@ -334,16 +339,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments as the top-level parser reads them.  That parser
     would only pick the command word's parser and hand it the rest, so the
-    command's parser takes the rest directly.  An argument list that names
-    no command, or whose rest leaves arguments over, goes to the top-level
-    parser whole, which writes its usage and error."""
+    command's parser takes the rest directly, and arguments it leaves over
+    get the top-level usage and error.  An argument list that names no
+    command goes to the top-level parser whole."""
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            return argparse.Namespace(command=argv[0], **vars(args))
-    return parser.parse_args(argv)
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return argparse.Namespace(command=argv[0], **vars(args))
 
 
 def run(argv) -> int:

@@ -62,7 +62,8 @@ def _cycle_map_vec(spec: SystemSpec) -> CoupledMap:
     prod_{l=i+1}^{n+T-1} (1 + seq_l) * table[i mod T, (i - s) mod T].
     """
     T = spec.period
-    gain_h, gain_p = cycle_gain(spec.h), cycle_gain(spec.p)
+    # both gains first: a unit product raises before a kernel fails to fold
+    gains = [cycle_gain(seq) for seq, _, _ in spec.equations]
     idx = np.arange(T)
     lag = (idx[:, None] - idx[None, :]) % T  # lag[k, s] = (k - s) mod T
 
@@ -73,8 +74,9 @@ def _cycle_map_vec(spec: SystemSpec) -> CoupledMap:
         return (running_products(seq)[idx[:, None], lag.T]
                 @ table[idx[:, None], lag])
 
-    return CoupledMap(np.zeros(2 * T), gain_h * matrix(spec.h, spec.kernel_a),
-                      gain_p * matrix(spec.p, spec.kernel_b), spec.f, spec.g)
+    return CoupledMap(np.zeros(2 * T),
+                      *(gain * matrix(seq, kernel) for gain, (seq, kernel, _)
+                        in zip(gains, spec.equations)), spec.f, spec.g)
 
 
 def apply_cycle_map(spec: SystemSpec, state: State) -> State:
@@ -146,8 +148,6 @@ def solve_periodic(spec: SystemSpec,
 
 __all__ = [
     "PeriodicSolveReport",
-    "SolverOptions",
     "apply_cycle_map",
-    "cycle_gain",
     "solve_periodic",
 ]

@@ -7,25 +7,13 @@ kernel, one window dot for a finite-lag one), so nothing is truncated."""
 from __future__ import annotations
 
 from itertools import count, cycle
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .kernels import TruncationPolicy
 from .sequences import History, Trajectory
 from .system import SystemSpec
-
-
-def _drives(spec: SystemSpec, fy: np.ndarray, gx: np.ndarray, start: int,
-            rows: int, past: int, policy: TruncationPolicy
-            ) -> Tuple[Iterator[float], Iterator[float]]:
-    """The x drives (kernel a over f(y)) and y drives (kernel b over g(x))
-    at rows n = 0..rows-1, with m = 0 at entry ``start`` and the values
-    before entry 0 repeating the first ``past`` entries."""
-    return (spec.kernel_a.drives(fy, start, rows, past, spec.f.bound,
-                                 policy.tail_tol),
-            spec.kernel_b.drives(gx, start, rows, past, spec.g.bound,
-                                 policy.tail_tol))
 
 
 def simulate(spec: SystemSpec, history: History, steps: int,
@@ -55,11 +43,15 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     fy[:depth + 2], gx[:depth + 2] = f(past_y), g(past_x)
     x, y = float(past_x[-1]), float(past_y[-1])
     traj_x, traj_y = [x], [y]
-    gains = zip(cycle([1.0 + h for h in spec.h.values]),
-                cycle([1.0 + p for p in spec.p.values]))
+    # (1 + h_n, 1 + p_n) in turn, and each equation's drives of its mapped
+    # partner values with m = 0 at entry H + 1
+    gains = zip(*(cycle([1.0 + v for v in seq.values])
+                  for seq, _, _ in spec.equations))
+    drives = [kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
+                            policy.tail_tol)
+              for (_, kernel, nonlin), mapped in zip(spec.equations, (fy, gx))]
     for k, (gain_x, gain_y), drive_x, drive_y in zip(
-            count(depth + 2), gains,
-            *_drives(spec, fy, gx, depth + 1, steps, 1, policy)):
+            count(depth + 2), gains, *drives):
         x, y = gain_x * x + drive_x, gain_y * y + drive_y
         fy[k], gx[k] = f(y), g(x)
         traj_x.append(x)
@@ -86,11 +78,12 @@ def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,
         raise ValueError(f"x and y must be equal-length arrays on m <= {rows}")
     start = len(xs) - 1 - rows  # entry of m = 0
     n = np.arange(rows)
-    drive_x, drive_y = (np.fromiter(drives, float, count=rows) for drives in
-                        _drives(spec, spec.f(ys), spec.g(xs), start, rows,
-                                past, policy))
-    defect_x = np.abs(xs[start + 1:] - (1.0 + spec.h.take(n)) * xs[start:-1]
-                      - drive_x)
-    defect_y = np.abs(ys[start + 1:] - (1.0 + spec.p.take(n)) * ys[start:-1]
-                      - drive_y)
-    return tuple(zip(defect_x.tolist(), defect_y.tolist()))
+    columns = []
+    for (seq, kernel, nonlin), own, partner in zip(spec.equations, (xs, ys),
+                                                   (ys, xs)):
+        drive = np.fromiter(kernel.drives(nonlin(partner), start, rows, past,
+                                          nonlin.bound, policy.tail_tol),
+                            float, count=rows)
+        columns.append(np.abs(own[start + 1:] - (1.0 + seq.take(n))
+                              * own[start:-1] - drive).tolist())
+    return tuple(zip(*columns))

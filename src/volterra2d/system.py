@@ -24,6 +24,7 @@ from .sequences import (
     PRODUCT_ONE_TOL,
     History,
     PeriodicSequence,
+    cycle_gain,
     reciprocal_growth,
     running_products,
 )
@@ -196,6 +197,15 @@ class SystemSpec:
                 f"h and p must have period {self.period}, got "
                 f"{self.h.period} and {self.p.period}")
 
+    @property
+    def equations(self) -> Tuple[Tuple[PeriodicSequence, Kernel,
+                                       Nonlinearity], ...]:
+        """(sequence, kernel, nonlinearity) of each equation: the x
+        equation (h, kernel_a, f), whose drive maps y, then the y equation
+        (p, kernel_b, g), whose drive maps x."""
+        return ((self.h, self.kernel_a, self.f),
+                (self.p, self.kernel_b, self.g))
+
 
 @dataclass(frozen=True)
 class GrowthProfile:
@@ -267,8 +277,8 @@ def default_horizon(spec: SystemSpec, floor: float = 1e-12) -> int:
     start, cap = 4 * spec.period, 99_999
     horizon = max(
         envelope_cut(ratio, nonlin, kernel, start, floor, cap)
-        for ratio, nonlin, kernel in ((prof.ratio_x, spec.f, spec.kernel_a),
-                                      (prof.ratio_y, spec.g, spec.kernel_b)))
+        for ratio, (_, kernel, nonlin) in zip((prof.ratio_x, prof.ratio_y),
+                                              spec.equations))
     if horizon > start + cap:
         raise TailNotCertified("no horizon with envelope below the floor")
     return horizon
@@ -347,6 +357,16 @@ def _weight_bound(gain: float, seq: PeriodicSequence, kernel: Kernel) -> float:
     return abs(gain) * float(totals.max())
 
 
+def _nonzero_factors(spec: SystemSpec) -> CheckItem:
+    """The item that no factor 1+h_n or 1+p_n vanishes."""
+    min_h, min_p = (min(abs(1.0 + v) for v in seq.values)
+                    for seq, _, _ in spec.equations)
+    return CheckItem(
+        "nonzero_factors", min_h > 0.0 and min_p > 0.0,
+        "no factor 1+h_n or 1+p_n may vanish",
+        {"min_abs_one_plus_h": min_h, "min_abs_one_plus_p": min_p})
+
+
 def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:
     """Evaluate every hypothesis of the periodic existence theory and
     compute the constants the solver relies on.
@@ -369,12 +389,7 @@ def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:
         "kernels must satisfy a_{n+T,i+T} = a_{n,i}",
         {"kernel_a": float(diag_a), "kernel_b": float(diag_b)}))
 
-    min_h = min(abs(1.0 + v) for v in spec.h.values)
-    min_p = min(abs(1.0 + v) for v in spec.p.values)
-    items.append(CheckItem(
-        "nonzero_factors", min_h > 0.0 and min_p > 0.0,
-        "no factor 1+h_n or 1+p_n may vanish",
-        {"min_abs_one_plus_h": min_h, "min_abs_one_plus_p": min_p}))
+    items.append(_nonzero_factors(spec))
 
     prod_h = spec.h.full_period_product_one_plus()
     prod_p = spec.p.full_period_product_one_plus()
@@ -390,8 +405,8 @@ def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:
     route = None
     warnings: Tuple[str, ...] = ()
     if sep:
-        gain_x = 1.0 / (1.0 - prod_h)
-        gain_y = 1.0 / (1.0 - prod_p)
+        # separated products: cycle_gain cannot raise PeriodProductIsOne
+        gain_x, gain_y = (cycle_gain(seq) for seq, _, _ in spec.equations)
         quantities["gain_x"] = gain_x
         quantities["gain_y"] = gain_y
         warnings = tuple(
@@ -405,8 +420,9 @@ def check_periodic_hypotheses(spec: SystemSpec) -> CheckReport:
             "cycle gains 1/(1 - product)",
             {"gain_x": gain_x, "gain_y": gain_y}))
 
-        bound_x = _weight_bound(gain_x, spec.h, spec.kernel_a)
-        bound_y = _weight_bound(gain_y, spec.p, spec.kernel_b)
+        bound_x, bound_y = (
+            _weight_bound(gain, seq, kernel) for gain, (seq, kernel, _)
+            in zip((gain_x, gain_y), spec.equations))
         quantities["bound_x"] = bound_x
         quantities["bound_y"] = bound_y
         items.append(CheckItem(
@@ -463,12 +479,8 @@ def check_asymptotic_hypotheses(spec: SystemSpec, c1: float = 1.0,
     quantities["product_h"] = prod_h
     quantities["product_p"] = prod_p
 
-    min_h = min(abs(1.0 + v) for v in spec.h.values)
-    min_p = min(abs(1.0 + v) for v in spec.p.values)
-    items.append(CheckItem(
-        "nonzero_factors", min_h > 0.0 and min_p > 0.0,
-        "no factor 1+h_n or 1+p_n may vanish",
-        {"min_abs_one_plus_h": min_h, "min_abs_one_plus_p": min_p}))
+    factors = _nonzero_factors(spec)
+    items.append(factors)
 
     tail_a = spec.kernel_a.double_tail(0)
     tail_b = spec.kernel_b.double_tail(0)
@@ -480,7 +492,7 @@ def check_asymptotic_hypotheses(spec: SystemSpec, c1: float = 1.0,
         {"tail_mass_a": tail_a, "tail_mass_b": tail_b}))
 
     growth_ok = False
-    if eq and min_h > 0.0 and min_p > 0.0:
+    if eq and factors.passed:
         prof = growth_profile(spec)
         growth_ok = prof.min_x > 0.0 and prof.min_y > 0.0
         extremes = {"min_x": prof.min_x, "max_x": prof.max_x,
@@ -497,10 +509,10 @@ def check_asymptotic_hypotheses(spec: SystemSpec, c1: float = 1.0,
 
     if growth_ok and math.isfinite(tail_a) and math.isfinite(tail_b):
         radius = max(
-            decay_envelope(prof.ratio_x, spec.f, spec.kernel_a, 0)
-            + abs(c1) / prof.min_x,
-            decay_envelope(prof.ratio_y, spec.g, spec.kernel_b, 0)
-            + abs(c2) / prof.min_y)
+            decay_envelope(ratio, nonlin, kernel, 0) + abs(c) / least
+            for (_, kernel, nonlin), ratio, least, c in zip(
+                spec.equations, (prof.ratio_x, prof.ratio_y),
+                (prof.min_x, prof.min_y), (c1, c2)))
         quantities["radius"] = radius
         items.append(CheckItem(
             "self_map_radius", math.isfinite(radius),
@@ -712,24 +724,29 @@ def _parse_solver(obj: Dict[str, Any], period: int,
         parsed_guess = tuple(
             _period_values(guess[key], f"solver.initial_guess.{key}", period)
             for key in ("x", "y"))
-    tol = _override(_positive(obj.get("tol", 1e-12), "solver.tol"),
+    tol = _override(_positive(obj.get("tol", SolverOptions.tol), "solver.tol"),
                     tol, _positive, "--tol")
     return SolverOptions(
         tol=tol,
-        residual_tol=_positive(obj.get("residual_tol", 1e-8),
+        residual_tol=_positive(obj.get("residual_tol",
+                                       SolverOptions.residual_tol),
                                "solver.residual_tol"),
-        max_iter=_count(obj.get("max_iter", 200), "solver.max_iter"),
-        damping=_fraction(obj.get("damping", 0.5), "solver.damping"),
+        max_iter=_count(obj.get("max_iter", SolverOptions.max_iter),
+                        "solver.max_iter"),
+        damping=_fraction(obj.get("damping", SolverOptions.damping),
+                          "solver.damping"),
         initial_guess=parsed_guess)
 
 
 def _parse_truncation(obj: Dict[str, Any],
                       tail_tol: Optional[float]) -> TruncationPolicy:
-    tail_tol = _override(_positive(obj.get("tail_tol", 1e-10),
+    tail_tol = _override(_positive(obj.get("tail_tol",
+                                           TruncationPolicy.tail_tol),
                                    "truncation.tail_tol"),
                          tail_tol, _positive, "--tail-tol")
-    return TruncationPolicy(tail_tol, _count(obj.get("max_terms", 100_000),
-                                             "truncation.max_terms"))
+    max_terms = _count(obj.get("max_terms", TruncationPolicy.max_terms),
+                       "truncation.max_terms")
+    return TruncationPolicy(tail_tol, max_terms)
 
 
 def parse_scenario(config: Union[str, Dict[str, Any]], *,

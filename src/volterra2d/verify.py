@@ -45,19 +45,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotic_solver import Decomposition
-from .kernels import Kernel, SeparableExponential
+from .kernels import Kernel, SeparableExponential, TruncationPolicy
 from .sequences import PeriodicSequence, product_one_plus
 from .system import SystemSpec
 
 #: Estimated floating-point error of F per unit of the magnitudes summed in
 #: each of its rows: twice the unit round-off.
 ROUNDING = 2.0 ** -52
-
-
-def _pairs(spec: SystemSpec, x: np.ndarray, y: np.ndarray):
-    """(kernel, phi, seq, own, partner) of the x and then the y equation."""
-    return ((spec.kernel_a, spec.f, spec.h, x, y),
-            (spec.kernel_b, spec.g, spec.p, y, x))
 
 
 def _defect(seq: PeriodicSequence, own: np.ndarray,
@@ -112,9 +106,9 @@ def periodic_residual_max(spec: SystemSpec,
     """Max defect of the recurrence over n = 0..n_checks-1 for the periodic
     extension of a candidate period window."""
     ms = np.arange(n_checks + 1) % spec.period
+    z = [np.array(part.values) for part in solution]
     worst = 0.0
-    for kernel, phi, seq, own, partner in _pairs(
-            spec, *(np.array(part.values) for part in solution)):
+    for (seq, kernel, phi), own, partner in zip(spec.equations, z, z[::-1]):
         w, slot = _period_terms(kernel, n_checks, spec.period)
         drive = (w * phi(partner)[slot]).sum(axis=1)
         worst = float(_defect(seq, own[ms], drive).max(initial=worst))
@@ -138,9 +132,9 @@ def _one_period_system(spec: SystemSpec, z: np.ndarray):
     jac = np.zeros((2 * T, 2 * T))
     residual, rounding = np.empty(2 * T), np.empty(2 * T)
     curvature = 0.0
-    for rows, cols, kernel, phi, seq in (
-            (slice(0, T), slice(T, 2 * T), spec.kernel_a, spec.f, spec.h),
-            (slice(T, 2 * T), slice(0, T), spec.kernel_b, spec.g, spec.p)):
+    halves = (slice(0, T), slice(T, 2 * T))
+    for (seq, kernel, phi), rows, cols in zip(spec.equations, halves,
+                                              halves[::-1]):
         own, partner = z[rows], z[cols]
         w, slot = _period_terms(kernel, T, T)
         weights = np.bincount((n[:, None] * T + slot).ravel(),
@@ -217,7 +211,7 @@ def verify_periodic(spec: SystemSpec,
     x, y = solution
     radius, y0, z1, z2 = _existence_radius(spec, np.array(x.values + y.values))
     if not all(kernel.is_diagonal_periodic(T)
-               for kernel in (spec.kernel_a, spec.kernel_b)):
+               for _, kernel, _ in spec.equations):
         radius = math.inf
     max_defect = periodic_residual_max(spec, solution, max(n_checks, T))
     passed = max_defect <= defect_tol and radius <= radius_tol
@@ -261,41 +255,34 @@ def _decay_check(v, bound, ratio: float, period: int) -> bool:
 
 def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
                          defect_tol: float = 1e-8,
-                         tail_tol: float = 1e-10) -> DecompositionVerification:
+                         tail_tol: float = TruncationPolicy.tail_tol
+                         ) -> DecompositionVerification:
     """Certify an asymptotic decomposition: the periodic part agrees with
     the running-product form of the free response, v sits inside its
     certified envelope, the reconstruction x = u + v satisfies the
     recurrence after a zero history, and the tail of v actually decays at
     the envelope rate."""
-    periodic_part_ok = True
-    for n in range(10 * spec.period):
-        free_x = dec.c1 * product_one_plus(spec.h, 0, n - 1)
-        free_y = dec.c2 * product_one_plus(spec.p, 0, n - 1)
-        tol_x = 1e-12 * max(1.0, abs(free_x))
-        tol_y = 1e-12 * max(1.0, abs(free_y))
-        if (abs(dec.u1.get(n) - free_x) > tol_x
-                or abs(dec.u2.get(n) - free_y) > tol_y):
-            periodic_part_ok = False
-            break
-
     slack = 10.0 * tail_tol
-    v1, v2 = np.array(dec.v1), np.array(dec.v2)
-    # a NaN in v or in a bound compares false and fails the check
-    envelope_ok = bool(
-        (np.abs(v1) <= np.array(dec.v1_bound) + slack).all()
-        and (np.abs(v2) <= np.array(dec.v2_bound) + slack).all())
-
     ms = np.arange(dec.horizon + 1)
-    x, y = dec.u1.take(ms) + v1, dec.u2.take(ms) + v2
+    # (c, u, v, v bound) of x, then of y
+    parts = [(dec.c1, dec.u1, np.array(dec.v1), np.array(dec.v1_bound)),
+             (dec.c2, dec.u2, np.array(dec.v2), np.array(dec.v2_bound))]
+    values = [u.take(ms) + v for _, u, v, _ in parts]
+    periodic_part_ok = envelope_ok = decay_ok = True
     max_defect = 0.0
-    for kernel, phi, seq, own, partner in _pairs(spec, x, y):
+    for (seq, kernel, phi), (c, u, v, bound), own, partner in zip(
+            spec.equations, parts, values, values[::-1]):
+        for n in range(10 * spec.period):
+            free = c * product_one_plus(seq, 0, n - 1)
+            if abs(u.get(n) - free) > 1e-12 * max(1.0, abs(free)):
+                periodic_part_ok = False
+                break
+        # a NaN in v or in a bound compares false and fails the check
+        envelope_ok = envelope_ok and bool((np.abs(v) <= bound + slack).all())
         drive = _window_sums(kernel, phi(partner), phi(0.0))
         max_defect = float(_defect(seq, own, drive).max(initial=max_defect))
-
-    decay_ok = (_decay_check(v1, dec.v1_bound, _decay_ratio(spec.kernel_a),
-                             spec.period)
-                and _decay_check(v2, dec.v2_bound,
-                                 _decay_ratio(spec.kernel_b), spec.period))
+        decay_ok = decay_ok and _decay_check(v, bound, _decay_ratio(kernel),
+                                             spec.period)
 
     passed = (periodic_part_ok and envelope_ok and decay_ok
               and max_defect <= defect_tol)

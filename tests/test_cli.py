@@ -382,6 +382,41 @@ class TestInputErrors:
             assert f"error: {message}\n" in capsys.readouterr().err
             assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("command", [
+        ["check", "--mode", "periodic"], ["simulate", "--steps", "3"],
+        ["verify", "--mode", "periodic"]])
+    def test_unwritable_path_names_its_flag(self, example1_path, tmp_path,
+                                            capsys, command, flag):
+        """A path under a missing directory exits 1 with an error line that
+        names the flag, prints no report, and raises no traceback; check
+        writes no table, so its --csv is never opened."""
+        path = tmp_path / "missing" / "file"
+        code = run([*command, "--config", str(example1_path), flag,
+                    str(path)])
+        out, err = capsys.readouterr()
+        if command[0] == "check" and flag == "--csv":
+            assert (code, err) == (0, "")
+            assert json.loads(out)["command"] == "check"
+            return
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {flag}: cannot write {str(path)!r}: "
+                       f"[Errno 2] No such file or directory: "
+                       f"{str(path)!r}\n")
+
+    def test_unwritable_report_leaves_the_table(self, example1_path,
+                                                tmp_path, capsys):
+        """The table is written before the report, so a bad --out leaves
+        a fresh --csv behind."""
+        table = tmp_path / "t.csv"
+        assert run(["simulate", "--steps", "3", "--config",
+                    str(example1_path), "--csv", str(table),
+                    "--out", str(tmp_path / "missing" / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: --out: ")
+        header, rows = read_csv(table)
+        assert header == CSV_HEADER and len(rows) == 4
+
 
 def test_finite_lag_config_end_to_end(tmp_path):
     config = {

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -274,6 +275,35 @@ class TestParse:
         for spec in (example1_spec, example2_spec):
             echo = spec_to_config(spec)
             assert parse_system(json.loads(json.dumps(echo))) == spec
+
+
+class TestEquations:
+    def test_order_and_parts(self, example2_spec):
+        spec = example2_spec
+        (h, a, f), (p, b, g) = spec.equations
+        assert all(part is field for part, field in zip(
+            (h, a, f, p, b, g), (spec.h, spec.kernel_a, spec.f,
+                                 spec.p, spec.kernel_b, spec.g)))
+
+    def test_a_property_not_a_field(self, example1_spec, example2_spec):
+        """equations adds nothing to the value: the fields, ==, hash,
+        repr, pickling and dataclasses.replace read as before."""
+        names = ["period", "h", "p", "kernel_a", "kernel_b", "f", "g"]
+        assert [fld.name for fld in dataclasses.fields(SystemSpec)] == names
+        spec = example2_spec
+        twin = parse_system(spec_to_config(spec))
+        assert twin == spec and hash(twin) == hash(spec)
+        assert spec != example1_spec
+        assert repr(spec) == "SystemSpec(" + ", ".join(
+            f"{name}={getattr(spec, name)!r}" for name in names) + ")"
+        assert "equations" not in repr(spec)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert dataclasses.replace(spec) == spec
+        swapped = dataclasses.replace(spec, f=spec.g, g=spec.f)
+        assert swapped.equations == ((spec.h, spec.kernel_a, spec.g),
+                                     (spec.p, spec.kernel_b, spec.f))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.equations = ()
 
 
 class TestParseScenario:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -270,6 +271,11 @@ class TestHardRegimes:
 
 
 class TestVerifyDecomposition:
+    def test_default_tail_tol_is_the_policy_default(self):
+        default = inspect.signature(verify_decomposition).parameters[
+            "tail_tol"].default
+        assert default == TruncationPolicy().tail_tol
+
     def test_converged_decomposition_passes(self, example2_spec, demo2_report):
         ver = verify_decomposition(example2_spec, demo2_report.decomposition)
         assert ver.passed
