@@ -58,6 +58,7 @@ class AsymptoticSolveReport:
     x: Tuple[float, ...]
     y: Tuple[float, ...]
     iterations: int
+    map_calls: int
     method_used: str
     final_update_norm: float
     residual_max: float
@@ -82,6 +83,7 @@ class AsymptoticSolveReport:
             "v1_bound": list(dec.v1_bound),
             "v2_bound": list(dec.v2_bound),
             "iterations": self.iterations,
+            "map_calls": self.map_calls,
             "method_used": self.method_used,
             "final_update_norm": self.final_update_norm,
             "residual_max": self.residual_max,
@@ -231,7 +233,8 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     decomposition x = u + v.
 
     Starts from the free response (v = 0), so opts.initial_guess must be
-    unset; damped Picard with a Newton closer, as in the periodic solver.
+    unset; Anderson-accelerated iteration with a Newton closer, as in the
+    periodic solver, its map evaluations counted in ``map_calls``.
     ``converged`` requires the update norm below opts.tol, the recurrence
     residual below opts.residual_tol on the whole window, and every |v[n]|
     within its certified envelope plus 10x the tail tolerance.
@@ -270,6 +273,7 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
         decomposition=decomposition,
         x=tuple(xw.tolist()), y=tuple(yw.tolist()),
         iterations=result.iterations,
+        map_calls=result.map_calls,
         method_used=result.method_used,
         final_update_norm=result.final_update_norm,
         residual_max=residual_max,

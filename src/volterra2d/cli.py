@@ -2,7 +2,8 @@
 
 Subcommands: check, simulate, solve-periodic, solve-asymptotic, verify.
 Every run parses one JSON scenario config, executes one pipeline, writes a
-JSON report (stdout or --out) plus an optional CSV table, and exits:
+JSON report (stdout or --out) plus an optional CSV table (--csv, taken by
+every command but check, which has no table), and exits:
 0 on success/convergence, 2 on hypothesis-check failure or
 non-convergence, 1 on input errors (reported to stderr with field paths).
 The command word picks its subcommand's parser, which parses the rest of
@@ -300,13 +301,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, handler, with_mode=False, with_steps=False,
-               with_horizon=False, mode=None):
+               with_horizon=False, mode=None, with_csv=True):
         p.set_defaults(handler=handler, mode=mode)
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON scenario config")
         p.add_argument("--out", metavar="PATH", help="write the JSON report "
                        "here instead of stdout")
-        p.add_argument("--csv", metavar="PATH", help="write the table here")
+        if with_csv:
+            p.add_argument("--csv", metavar="PATH",
+                           help="write the table here")
         p.add_argument("--tol", type=float, default=None,
                        help="solver update tolerance")
         p.add_argument("--tail-tol", type=float, default=None,
@@ -322,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--horizon", type=int, default=None)
 
     common(sub.add_parser("check", help="run the hypothesis checkers"),
-           _cmd_check, with_mode=True)
+           _cmd_check, with_mode=True, with_csv=False)
     common(sub.add_parser("simulate", help="march the initial-value problem"),
            _cmd_simulate, with_steps=True)
     common(sub.add_parser("solve-periodic", help="find a periodic solution"),

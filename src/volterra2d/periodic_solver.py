@@ -5,8 +5,9 @@ propagating the kernel-weighted nonlinear drive once around a period and
 scaling by the cycle gains; its fixed points are exactly the T-periodic
 solutions of the underlying system.  Existence theory guarantees a fixed
 point inside the self-map ball but gives no algorithm, so the solver here
-runs damped Picard with a Newton closer and gates the result on the
-exact-memory recurrence defects (``simulate.defects``) of the periodic
+runs Anderson-accelerated iteration with a Newton closer (the shared
+driver in ``_iteration``) and gates the result on the exact-memory
+recurrence defects (``simulate.defects``) of the periodic
 extension over one period.  The closed-form check in the verify module
 stays independent of it.
 """
@@ -32,6 +33,7 @@ class PeriodicSolveReport:
     gain_x: float
     gain_y: float
     iterations: int
+    map_calls: int
     method_used: str
     final_update_norm: float
     residual_max: float
@@ -45,6 +47,7 @@ class PeriodicSolveReport:
             "gain_x": self.gain_x,
             "gain_y": self.gain_y,
             "iterations": self.iterations,
+            "map_calls": self.map_calls,
             "method_used": self.method_used,
             "final_update_norm": self.final_update_norm,
             "residual_max": self.residual_max,
@@ -103,8 +106,10 @@ def solve_periodic(spec: SystemSpec,
     """Seek a fixed point of the cycle map in the 2T-dimensional space of
     period values, then certify it against the recurrence.
 
-    The cycle map is generally not a contraction, so damped Picard runs
-    until it converges or stalls and Newton finishes.  ``converged``
+    The cycle map is generally not a contraction, so Anderson-accelerated
+    steps run until they converge or stall (then once more as damped
+    Picard) and Newton finishes; the report's ``map_calls`` counts every
+    map evaluation.  ``converged``
     requires both the final update norm below opts.tol and the recurrence
     residual of the periodic extension below opts.residual_tol at
     n = 0..T-1, its inner sums exact over the whole periodic past up to a
@@ -138,6 +143,7 @@ def solve_periodic(spec: SystemSpec,
         gain_x=cycle_gain(spec.h),
         gain_y=cycle_gain(spec.p),
         iterations=result.iterations,
+        map_calls=result.map_calls,
         method_used=result.method_used,
         final_update_norm=result.final_update_norm,
         residual_max=residual_max,

@@ -9,7 +9,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import volterra2d as v
-from volterra2d._iteration import STALL_PATIENCE
+from volterra2d._iteration import (ANDERSON_DEPTH, CONTRACTION_FACTOR,
+                                   STALL_PATIENCE)
 from volterra2d.cli import CSV_HEADER
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -291,35 +292,85 @@ def derivative_reference(phi, x):
 
 
 def fixed_point_reference(apply_map, z0, newton_step, opts):
-    """The fixed-point driver written with a fresh array for every step,
-    np.max norms, np.isfinite scans and a copy of every best iterate:
-    (z, iterations, method, update, converged) as ``solve_fixed_point``
-    returns them."""
-    z = np.asarray(z0, dtype=float).copy()
-    method = "picard" if opts.damping == 1.0 else "damped_picard"
-    iterations, update, best_update, since_best = 0, math.inf, math.inf, 0
-    best_z = z.copy()
-    while iterations < opts.max_iter:
-        z_next = (1.0 - opts.damping) * z + opts.damping * apply_map(z)
-        iterations += 1
-        update = float(np.max(np.abs(z_next - z)))
-        if not math.isfinite(update):
-            z = best_z
-            break
-        z = z_next
-        if update < opts.tol:
-            return z, iterations, method, update, True
-        if update < best_update:
-            best_update, best_z, since_best = update, z.copy(), 0
-        else:
-            since_best += 1
-            if since_best >= STALL_PATIENCE:
-                z = best_z
+    """The fixed-point driver written as a plain loop: a fresh array for
+    every step, the difference histories as lists (row k - 1 mod depth
+    holding step k's, as in the driver's ring, so that the Gram products
+    round alike), np.max norms, np.isfinite scans and a copy of every best
+    iterate: (z, iterations, method, update, converged, map_calls) as
+    ``solve_fixed_point`` returns them."""
+    calls = 0
+
+    def evaluate(z):
+        nonlocal calls
+        calls += 1
+        return apply_map(z)
+
+    def sup(a):
+        return float(np.max(np.abs(a)))
+
+    plain = "picard" if opts.damping == 1.0 else "damped_picard"
+    z0 = np.asarray(z0, dtype=float).copy()
+    iterations = 0
+    for depth in (ANDERSON_DEPTH, 0):  # the second pass is the restart
+        z, method, restart = z0.copy(), plain, False
+        best_update, best_z, since_best = math.inf, z.copy(), 0
+        d_f, d_g = [], []
+        for step in count():
+            if iterations >= opts.max_iter:
                 break
+            g = evaluate(z)
+            iterations += 1
+            if depth and step:
+                f = g - z
+                if len(d_f) < depth:
+                    d_f.append(f - f_prev)
+                    d_g.append(g - g_prev)
+                else:
+                    d_f[(step - 1) % depth] = f - f_prev
+                    d_g[(step - 1) % depth] = g - g_prev
+                dF, dG = np.array(d_f), np.array(d_g)
+                rhs = dF @ f
+                z_next = None
+                if np.all(np.isfinite(rhs)):
+                    try:
+                        gamma = np.linalg.solve(dF @ dF.T, rhs)
+                    except np.linalg.LinAlgError:
+                        gamma = np.linalg.lstsq(dF.T, f, rcond=None)[0]
+                    z_next = g - gamma @ dG
+                f_prev, g_prev, method = f, g, "anderson"
+            else:
+                z_next = (1.0 - opts.damping) * z + opts.damping * g
+                f_prev, g_prev = g - z, g
+            update = math.inf if z_next is None else sup(z_next - z)
+            stop = not math.isfinite(update)
+            if not stop:
+                z = z_next
+                if update < opts.tol:
+                    if method != "anderson":
+                        return z, iterations, method, update, True, calls
+                    g = evaluate(z)
+                    residual = sup(g - z)
+                    if residual < opts.tol and (sup(evaluate(g) - g)
+                                                <= CONTRACTION_FACTOR
+                                                * residual):
+                        return z, iterations, method, update, True, calls
+                    break
+                if update < best_update:
+                    best_update, best_z, since_best = update, z.copy(), 0
+                else:
+                    since_best += 1
+                    stop = since_best >= STALL_PATIENCE
+            if stop:
+                restart = method == "anderson" and iterations < opts.max_iter
+                if not restart:
+                    z = best_z
+                break
+        if not restart:
+            break
     newton_update, used, converged = math.inf, 0, False
     z_newton = z
     for _ in range(opts.max_iter - iterations):
-        residual = z_newton - apply_map(z_newton)
+        residual = z_newton - evaluate(z_newton)
         if not np.all(np.isfinite(residual)):
             break
         delta = newton_step(z_newton, residual)
@@ -330,13 +381,13 @@ def fixed_point_reference(apply_map, z0, newton_step, opts):
             break
         z_newton = stepped
         used += 1
-        newton_update = float(np.max(np.abs(delta)))
+        newton_update = sup(delta)
         if newton_update < opts.tol:
             converged = True
             break
     if used:
         z, method, update = z_newton, "newton", newton_update
-    return z, iterations + used, method, update, converged
+    return z, iterations + used, method, update, converged, calls
 
 
 def running_products_reference(seq):

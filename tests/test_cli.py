@@ -225,6 +225,18 @@ class TestSolveCommands:
         # u, v, and bound columns populated in asymptotic mode
         assert rows[3][3] != "" and rows[3][4] != "" and rows[3][9] != ""
 
+    def test_example2_h60_counts_in_the_report(self, example2_path,
+                                               tmp_path):
+        """The solve report carries the driver's counts: 22 mixing steps,
+        two map evaluations of the refused convergence check and one
+        Newton step."""
+        out = tmp_path / "report.json"
+        assert run(["solve-asymptotic", "--config", str(example2_path),
+                    "--horizon", "60", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert (report["iterations"], report["method_used"],
+                report["map_calls"]) == (23, "newton", 25)
+
     def test_horizon_from_config(self, example2_path, tmp_path):
         csv_path = tmp_path / "table.csv"
         code = run(["solve-asymptotic", "--config", str(example2_path),
@@ -390,20 +402,32 @@ class TestInputErrors:
                                             capsys, command, flag):
         """A path under a missing directory exits 1 with an error line that
         names the flag, prints no report, and raises no traceback; check
-        writes no table, so its --csv is never opened."""
+        writes no table and takes no --csv, so it gives a usage error."""
         path = tmp_path / "missing" / "file"
         code = run([*command, "--config", str(example1_path), flag,
                     str(path)])
         out, err = capsys.readouterr()
         if command[0] == "check" and flag == "--csv":
-            assert (code, err) == (0, "")
-            assert json.loads(out)["command"] == "check"
+            assert (code, out) == (1, "")
+            assert f"error: unrecognized arguments: --csv {path}" in err
             return
         assert code == 1
         assert out == ""
         assert err == (f"error: {flag}: cannot write {str(path)!r}: "
                        f"[Errno 2] No such file or directory: "
                        f"{str(path)!r}\n")
+
+    def test_check_takes_no_csv(self, example1_path, tmp_path, capsys):
+        """check writes no table, so --csv is a usage error that names it:
+        exit 1, the top-level usage, no report and no file."""
+        table = tmp_path / "t.csv"
+        code = run(["check", "--mode", "periodic", "--config",
+                    str(example1_path), "--csv", str(table)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: volterra2d [-h]")
+        assert f"error: unrecognized arguments: --csv {table}\n" in err
+        assert not table.exists()
 
     def test_unwritable_report_leaves_the_table(self, example1_path,
                                                 tmp_path, capsys):
@@ -702,8 +726,9 @@ class TestWriters:
         path.write_text(json.dumps(config))
         argv = COMMANDS[command]
         out, expected = tmp_path / "r.json", tmp_path / "expected.json"
-        code = run([*argv, "--config", str(path), "--out", str(out),
-                    "--csv", str(tmp_path / "table.csv")])
+        table = [] if argv[0] == "check" else ["--csv",
+                                               str(tmp_path / "table.csv")]
+        code = run([*argv, "--config", str(path), "--out", str(out), *table])
         try:
             report = reference_report(argv, parse_scenario(config))
         except _DOMAIN_ERRORS:
@@ -810,10 +835,11 @@ def _outcome(call, argv, capsys):
     return code, result, out, err
 
 
-def _flags(config, tmp_path):
+def _flags(config, tmp_path, table=True):
     return ["--config", str(config), "--out", str(tmp_path / "r.json"),
-            "--csv", str(tmp_path / "t.csv"), "--tol", "1e-11",
-            "--tail-tol", "1e-10", "--c1", "0.5", "--c2", "2"]
+            *(["--csv", str(tmp_path / "t.csv")] if table else []),
+            "--tol", "1e-11", "--tail-tol", "1e-10", "--c1", "0.5",
+            "--c2", "2"]
 
 
 def _dispatch_cases(example1, example2, tmp_path):
@@ -822,7 +848,10 @@ def _dispatch_cases(example1, example2, tmp_path):
     help and argument lists that name no command."""
     c1, c2 = str(example1), str(example2)
     cases = {
-        "check": ["check", "--mode", "periodic", *_flags(example1, tmp_path)],
+        "check": ["check", "--mode", "periodic",
+                  *_flags(example1, tmp_path, table=False)],
+        "check-csv": ["check", "--mode", "periodic",
+                      *_flags(example1, tmp_path)],
         "simulate": ["simulate", "--steps", "5", *_flags(example1, tmp_path)],
         "solve-periodic": ["solve-periodic", *_flags(example1, tmp_path)],
         "solve-asymptotic": ["solve-asymptotic", "--horizon", "40",

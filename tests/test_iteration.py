@@ -1,16 +1,27 @@
 """The fixed-point driver against the same loop written with a fresh array
-for every step: identical iterates, counts, methods and update norms, and
-no write into an array the map returns."""
+for every step: identical iterates, counts, methods, update norms and map
+evaluations, and no write into an array the map returns.  Each branch of
+the mixing phase (restart, contraction refusal, singular Gram system) is
+shown on a map that takes it, and on contractions the accelerated result
+is the depth-0 (damped Picard) result."""
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from volterra2d import Nonlinearity, SolverOptions, TruncationPolicy
+from volterra2d import _iteration
 from volterra2d._iteration import CoupledMap, solve_fixed_point
 from volterra2d.asymptotic_solver import TailMapOperator
 from volterra2d.periodic_solver import _cycle_map_vec
 from volterra2d.system import default_horizon
 
-from conftest import fixed_point_reference, random_periodic_spec
+from conftest import (fixed_point_reference, random_periodic_spec,
+                      random_summable_spec)
+from test_verify import FORMER_FALSE_FAILS
 
 OPTIONS = [SolverOptions(), SolverOptions(damping=1.0),
            SolverOptions(damping=0.3, max_iter=25),
@@ -20,11 +31,11 @@ OPTIONS = [SolverOptions(), SolverOptions(damping=1.0),
 def assert_same_run(apply_map, z0, newton_step, opts):
     result = solve_fixed_point(apply_map, z0, newton_step=newton_step,
                                opts=opts)
-    z, iterations, method, update, converged = fixed_point_reference(
-        apply_map, z0, newton_step, opts)
+    z, iterations, method, update, converged, map_calls = \
+        fixed_point_reference(apply_map, z0, newton_step, opts)
     assert result.z.tobytes() == z.tobytes()
-    assert (result.iterations, result.method_used, result.converged) \
-        == (iterations, method, converged)
+    assert (result.iterations, result.method_used, result.converged,
+            result.map_calls) == (iterations, method, converged, map_calls)
     assert np.float64(result.final_update_norm).tobytes() \
         == np.float64(update).tobytes()
     return result
@@ -94,6 +105,162 @@ class TestDriver:
             for opts in OPTIONS:
                 assert_same_run(tail_map, tail_map.c, tail_map.newton_step,
                                 opts)
+
+
+def _spy(apply_map):
+    """``apply_map`` and the list of copies of the iterates it is called
+    at, in order."""
+    seen = []
+
+    def spied(z):
+        seen.append(z.copy())
+        return apply_map(z)
+
+    return spied, seen
+
+
+def _sup(a):
+    return float(np.max(np.abs(a)))
+
+
+def _lipschitz(m):
+    """The sup-norm Lipschitz bound of a CoupledMap."""
+    return max(np.abs(m.k_x).sum(axis=1).max() * m.f.lipschitz,
+               np.abs(m.k_y).sum(axis=1).max() * m.g.lipschitz)
+
+
+class TestMixingBranches:
+    def test_stall_after_accelerated_steps_restarts_at_depth_zero(self):
+        """rate-5e-05-T1's accelerated steps stall.  The phase restarts
+        once from z0, and from there it is damped Picard on the remaining
+        budget, as a depth-0 run given that budget; Newton converges from
+        where it stops."""
+        cycle_map = _cycle_map_vec(FORMER_FALSE_FAILS["rate-5e-05-T1"])
+        z0, opts = np.zeros(len(cycle_map.c)), SolverOptions()
+        spied, seen = _spy(cycle_map)
+        result = solve_fixed_point(spied, z0, newton_step=cycle_map.newton_step,
+                                   opts=opts)
+        starts = [k for k, z in enumerate(seen) if z.tobytes() == z0.tobytes()]
+        assert len(starts) == 2 and starts[1] > 1
+        assert (result.method_used, result.converged) == ("newton", True)
+        assert result.map_calls == len(seen)
+        spied, plain = _spy(cycle_map)
+        with mock.patch.object(_iteration, "ANDERSON_DEPTH", 0):
+            again = solve_fixed_point(
+                spied, z0, newton_step=cycle_map.newton_step,
+                opts=dataclasses.replace(opts,
+                                         max_iter=opts.max_iter - starts[1]))
+        assert [z.tobytes() for z in seen[starts[1]:]] \
+            == [z.tobytes() for z in plain]
+        assert again.z.tobytes() == result.z.tobytes()
+        assert_same_run(cycle_map, z0, cycle_map.newton_step, opts)
+
+    @pytest.mark.parametrize("name, contracts", [
+        ("example1-cos-T16", None), ("example1-cos-T4", False)])
+    def test_refused_step_hands_over_to_newton(self, name, contracts):
+        """An accelerated step drops below tol, but its iterate z is not
+        accepted: on example1-cos-T16 the residual |map(z) - z| is still
+        above tol, and on example1-cos-T4 it is below, but one more Picard
+        step from z does not shrink it by CONTRACTION_FACTOR.  Newton
+        takes over from that very z (tests/test_verify.py shows that it
+        brings the certified radius down to round-off)."""
+        cycle_map = _cycle_map_vec(FORMER_FALSE_FAILS[name])
+        z0, opts = np.zeros(len(cycle_map.c)), SolverOptions()
+        spied, seen = _spy(cycle_map)
+        with mock.patch.object(_iteration, "_newton",
+                               wraps=_iteration._newton) as newton:
+            result = solve_fixed_point(spied, z0,
+                                       newton_step=cycle_map.newton_step,
+                                       opts=opts)
+        (_, _, z, _, budget), _ = newton.call_args
+        steps = opts.max_iter - budget
+        g = cycle_map(z)
+        assert _sup(z - seen[steps - 1]) < opts.tol
+        # the check evaluates the map at z (and at g if the residual is
+        # below tol), then Newton starts at z
+        check = [z] if contracts is None else [z, g]
+        assert [x.tobytes() for x in seen[steps:steps + len(check) + 1]] \
+            == [x.tobytes() for x in check + [z]]
+        assert (_sup(g - z) < opts.tol) == (contracts is not None)
+        if contracts is not None:
+            assert (_sup(cycle_map(g) - g)
+                    <= _iteration.CONTRACTION_FACTOR * _sup(g - z)) \
+                == contracts
+        assert (result.method_used, result.converged) == ("newton", True)
+        assert result.iterations == len(seen) - len(check)
+        assert_same_run(cycle_map, z0, cycle_map.newton_step, opts)
+
+    def test_singular_gram_system_takes_the_lstsq_step(self):
+        """A constant map, damping 1/2: the plain step goes half way, the
+        first accelerated step lands on the constant, and the next one
+        repeats the difference of f (-c/2 both times), so its Gram
+        system is exactly singular and least squares gives the step."""
+        cached = np.array([1.0, -2.5, 0.125, 7.0])
+        with mock.patch.object(np.linalg, "lstsq",
+                               wraps=np.linalg.lstsq) as lstsq:
+            result = solve_fixed_point(lambda z: cached, np.zeros(4),
+                                       newton_step=lambda z, r: -r,
+                                       opts=SolverOptions())
+        assert lstsq.call_count == 1
+        assert (result.iterations, result.method_used, result.converged,
+                result.map_calls) == (3, "anderson", True, 5)
+        assert result.z.tobytes() == cached.tobytes()
+
+    def test_failing_gram_solves_reach_the_same_fixed_point(self, cosine_spec):
+        """With every Gram solve raising LinAlgError, least squares takes
+        each accelerated step, and the run ends where it ends without."""
+        cycle_map = _cycle_map_vec(cosine_spec)
+        z0, opts = np.zeros(len(cycle_map.c)), SolverOptions()
+        expected = solve_fixed_point(cycle_map, z0,
+                                     newton_step=cycle_map.newton_step,
+                                     opts=opts)
+        with mock.patch.object(_iteration, "_mix",
+                               wraps=_iteration._mix) as mix, \
+                mock.patch.object(np.linalg, "solve",
+                                  side_effect=np.linalg.LinAlgError) as solve:
+            result = solve_fixed_point(
+                cycle_map, z0,
+                newton_step=lambda z, r: np.linalg.lstsq(
+                    cycle_map.jacobian(z), -r, rcond=None)[0],
+                opts=opts)
+        assert mix.call_count and solve.call_count == mix.call_count
+        assert expected.converged and result.converged
+        assert _sup(result.z - expected.z) <= 10 * opts.tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rate=st.floats(0.05, 0.7),
+       asymptotic=st.booleans())
+@example(seed=2268, rate=0.0625, asymptotic=False)
+def test_contractions_reach_the_depth_zero_fixed_point(seed, rate,
+                                                       asymptotic):
+    """Random periodic and summable systems, their f and g scaled so that
+    the map's sup-norm Lipschitz bound is at most ``rate``: the
+    accelerated run and the depth-0 run (damped Picard, then Newton) both
+    converge, to within 10 tol of each other.  In the pinned example the
+    mixing stagnates: a step of 4e-15 leaves a residual of 1.9e-10, which
+    must not pass for converged."""
+    rng = np.random.default_rng(seed)
+    if asymptotic:
+        spec = random_summable_spec(rng)
+
+        def build(spec):
+            return TailMapOperator(spec, 1.0, 1.0, default_horizon(spec),
+                                   TruncationPolicy()).map
+    else:
+        spec = random_periodic_spec(rng)
+        build = _cycle_map_vec
+    scale = rate / max(_lipschitz(build(spec)), rate)
+    spec = dataclasses.replace(spec, **{
+        name: Nonlinearity(phi.kind, phi.amplitude * scale, phi.frequency)
+        for name, phi in (("f", spec.f), ("g", spec.g))})
+    m, opts = build(spec), SolverOptions()
+    result = solve_fixed_point(m, m.c, newton_step=m.newton_step, opts=opts)
+    with mock.patch.object(_iteration, "ANDERSON_DEPTH", 0):
+        plain = solve_fixed_point(m, m.c, newton_step=m.newton_step,
+                                  opts=opts)
+    assert result.converged and plain.converged
+    assert _sup(result.z - plain.z) <= 10 * opts.tol
 
 
 class TestCoupledMap:
