@@ -8,7 +8,6 @@ from .asymptotic_solver import (
     AsymptoticSolveReport,
     Decomposition,
     TailMapOperator,
-    apply_tail_map,
     solve_asymptotic,
 )
 from .kernels import (
@@ -21,7 +20,6 @@ from .kernels import (
 )
 from .periodic_solver import (
     PeriodicSolveReport,
-    apply_cycle_map,
     solve_periodic,
 )
 from .sequences import (
@@ -88,8 +86,6 @@ __all__ = [
     "Trajectory",
     "TruncationPolicy",
     "ZeroFactor",
-    "apply_cycle_map",
-    "apply_tail_map",
     "check_asymptotic_hypotheses",
     "check_periodic_hypotheses",
     "cycle_gain",

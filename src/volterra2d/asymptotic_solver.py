@@ -30,8 +30,7 @@ class Decomposition:
     u1, u2 are exactly periodic by representation; v carries pointwise
     certified envelopes v*_bound[n] (the growth ratio times the
     nonlinearity bound times the kernel double tail at n), which decrease
-    geometrically to zero.  ``x_at``/``y_at`` read the window 0..horizon
-    and the zero history the tail map assumes before it.
+    geometrically to zero.
     """
 
     c1: float
@@ -44,12 +43,6 @@ class Decomposition:
     v2_bound: Tuple[float, ...]
     horizon: int
     converged: bool
-
-    def x_at(self, n: int) -> float:
-        return self.u1.get(n) + self.v1[n] if n >= 0 else 0.0
-
-    def y_at(self, n: int) -> float:
-        return self.u2.get(n) + self.v2[n] if n >= 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -210,21 +203,6 @@ class TailMapOperator:
         self.closure_error = max(closure)
 
 
-def apply_tail_map(spec: SystemSpec, c1: float, c2: float,
-                   x_window, y_window,
-                   policy: TruncationPolicy) -> Tuple[np.ndarray, np.ndarray, float]:
-    """One application of the tail map to window states on 0..horizon
-    (horizon is len(window)-1).  Returns the new windows and the aggregate
-    certified truncation-error bound, valid for every window entry."""
-    x_window = np.asarray(x_window, dtype=float)
-    y_window = np.asarray(y_window, dtype=float)
-    if x_window.shape != y_window.shape or x_window.ndim != 1 or not len(x_window):
-        raise ValueError("x and y windows must be equal-length 1-d arrays")
-    op = TailMapOperator(spec, c1, c2, len(x_window) - 1, policy)
-    z = op.map(np.concatenate([x_window, y_window]))
-    return z[:len(x_window)], z[len(x_window):], op.truncation_error
-
-
 def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
                      opts: SolverOptions = SolverOptions(),
                      policy: TruncationPolicy = TruncationPolicy(),
@@ -289,6 +267,5 @@ __all__ = [
     "AsymptoticSolveReport",
     "Decomposition",
     "TailMapOperator",
-    "apply_tail_map",
     "solve_asymptotic",
 ]

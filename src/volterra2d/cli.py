@@ -6,10 +6,14 @@ JSON report (stdout or --out) plus an optional CSV table (--csv, taken by
 every command but check, which has no table), and exits:
 0 on success/convergence, 2 on hypothesis-check failure or
 non-convergence, 1 on input errors (reported to stderr with field paths).
-The command word picks its subcommand's parser, which parses the rest of
-the arguments; arguments it leaves over get the top-level usage and
-error, and an argument list that names no command goes to the top-level
-parser.
+Each command takes only the flags it reads: --tol for the solvers,
+--tail-tol for all but check, and --c1/--c2 for check and the
+asymptotic solve (verify takes both, as its mode picks the solver at run
+time); each of these and --horizon overrides the config value of its
+name.  The command word picks its subcommand's parser, which parses the
+rest of the arguments; arguments it leaves over, a flag of another
+command among them, get the top-level usage and error, and an argument
+list that names no command goes to the top-level parser.
 
 Each command turns every value of its table into text once, with
 float.__repr__: the shortest text that reads back as the same double.
@@ -291,6 +295,24 @@ def _cmd_verify(args, scenario: Scenario) -> int:
     return 0 if solve_report.converged and verification.passed else 2
 
 
+#: Every flag that a command may take besides --config and --out.
+_FLAGS = {
+    "--csv": dict(metavar="PATH", help="write the table here"),
+    "--tol": dict(type=float, help="solver update tolerance"),
+    "--tail-tol": dict(type=float, dest="tail_tol",
+                       help="certified tail tolerance"),
+    "--c1": dict(type=float),
+    "--c2": dict(type=float),
+    "--mode": dict(choices=["periodic", "asymptotic"], required=True),
+    "--steps": dict(type=int, required=True),
+    "--horizon": dict(type=int),
+}
+
+#: The parse_scenario keywords: a flag by one of these names overrides
+#: the config value.
+_OVERRIDES = ("tol", "tail_tol", "c1", "c2", "horizon")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -299,42 +321,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "periodic solutions of two-component Volterra difference "
                     "systems with infinite delay.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, handler, with_mode=False, with_steps=False,
-               with_horizon=False, mode=None, with_csv=True):
+    # (command, help, handler, mode, the flags it takes)
+    commands = [
+        ("check", "run the hypothesis checkers", _cmd_check, None,
+         ("--c1", "--c2", "--mode")),
+        ("simulate", "march the initial-value problem", _cmd_simulate, None,
+         ("--csv", "--tail-tol", "--steps")),
+        ("solve-periodic", "find a periodic solution", _cmd_solve,
+         "periodic", ("--csv", "--tol", "--tail-tol")),
+        ("solve-asymptotic", "find an asymptotically periodic solution",
+         _cmd_solve, "asymptotic",
+         ("--csv", "--tol", "--tail-tol", "--c1", "--c2", "--horizon")),
+        ("verify", "solve and independently certify", _cmd_verify, None,
+         ("--csv", "--tol", "--tail-tol", "--c1", "--c2", "--mode",
+          "--horizon")),
+    ]
+    for name, help_text, handler, mode, flags in commands:
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler, mode=mode)
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON scenario config")
         p.add_argument("--out", metavar="PATH", help="write the JSON report "
                        "here instead of stdout")
-        if with_csv:
-            p.add_argument("--csv", metavar="PATH",
-                           help="write the table here")
-        p.add_argument("--tol", type=float, default=None,
-                       help="solver update tolerance")
-        p.add_argument("--tail-tol", type=float, default=None,
-                       dest="tail_tol", help="certified tail tolerance")
-        p.add_argument("--c1", type=float, default=None)
-        p.add_argument("--c2", type=float, default=None)
-        if with_mode:
-            p.add_argument("--mode", choices=["periodic", "asymptotic"],
-                           required=True)
-        if with_steps:
-            p.add_argument("--steps", type=int, required=True)
-        if with_horizon:
-            p.add_argument("--horizon", type=int, default=None)
-
-    common(sub.add_parser("check", help="run the hypothesis checkers"),
-           _cmd_check, with_mode=True, with_csv=False)
-    common(sub.add_parser("simulate", help="march the initial-value problem"),
-           _cmd_simulate, with_steps=True)
-    common(sub.add_parser("solve-periodic", help="find a periodic solution"),
-           _cmd_solve, mode="periodic")
-    common(sub.add_parser("solve-asymptotic",
-                          help="find an asymptotically periodic solution"),
-           _cmd_solve, with_horizon=True, mode="asymptotic")
-    common(sub.add_parser("verify", help="solve and independently certify"),
-           _cmd_verify, with_mode=True, with_horizon=True)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     parser.commands = sub.choices  # each command word's parser
     return parser
 
@@ -362,8 +372,9 @@ def run(argv) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         scenario = parse_scenario(
-            _load_config(args.config), tol=args.tol, tail_tol=args.tail_tol,
-            c1=args.c1, c2=args.c2, horizon=getattr(args, "horizon", None))
+            _load_config(args.config),
+            **{key: getattr(args, key) for key in _OVERRIDES
+               if hasattr(args, key)})
         return args.handler(args, scenario)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

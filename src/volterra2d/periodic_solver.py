@@ -82,23 +82,6 @@ def _cycle_map_vec(spec: SystemSpec) -> CoupledMap:
                         in zip(gains, spec.equations)), spec.f, spec.g)
 
 
-def apply_cycle_map(spec: SystemSpec, state: State) -> State:
-    """One application of the cycle map to a pair of period-T sequences.
-
-    Raises PeriodProductIsOne when a full-period product equals 1 (the
-    asymptotic regime) and NotDiagonalPeriodic when a kernel cannot be
-    folded for this period.
-    """
-    x, y = state
-    if x.period != spec.period or y.period != spec.period:
-        raise ValueError("state period does not match the system period")
-    z = np.array(x.values + y.values)
-    out = _cycle_map_vec(spec)(z)
-    T = spec.period
-    return (PeriodicSequence(T, tuple(out[:T])),
-            PeriodicSequence(T, tuple(out[T:])))
-
-
 def solve_periodic(spec: SystemSpec,
                    opts: SolverOptions = SolverOptions(),
                    policy: TruncationPolicy = TruncationPolicy(),
@@ -154,6 +137,5 @@ def solve_periodic(spec: SystemSpec,
 
 __all__ = [
     "PeriodicSolveReport",
-    "apply_cycle_map",
     "solve_periodic",
 ]

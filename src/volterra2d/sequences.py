@@ -49,10 +49,6 @@ class PeriodicSequence:
             raise ValueError("values must all be finite")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def constant(cls, value: float) -> "PeriodicSequence":
-        return cls(1, (value,))
-
     def get(self, n: int) -> float:
         return self.values[n % self.period]
 
@@ -177,11 +173,11 @@ class History:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward solution values on n = 0..len-1; negative indices delegate
-    to the attached history.  ``tail_tolerance_used`` is the tolerance
-    every infinite sum is certified to (its round-off bound).  The
-    recurrence defects of its steps are ``simulate.defects`` on its
-    values, the history from n = -H-1 on."""
+    """Forward solution values on n = 0..len-1, marched from the attached
+    history.  ``tail_tolerance_used`` is the tolerance every infinite sum
+    is certified to (its round-off bound).  The recurrence defects of its
+    steps are ``simulate.defects`` on its values, the history from
+    n = -H-1 on."""
 
     x: Tuple[float, ...]
     y: Tuple[float, ...]
@@ -196,9 +192,3 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def x_at(self, n: int) -> float:
-        return self.x[n] if n >= 0 else self.history.value_at(n)[0]
-
-    def y_at(self, n: int) -> float:
-        return self.y[n] if n >= 0 else self.history.value_at(n)[1]

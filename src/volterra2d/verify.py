@@ -205,10 +205,14 @@ def verify_periodic(spec: SystemSpec,
     at most ``radius_tol``: a true periodic solution lies that close to
     the candidate in the max norm.  The one-period system describes the
     recurrence only for diagonal-periodic kernels; for any other the
-    radius is inf.
+    radius is inf.  A candidate of another period raises ValueError.
     """
     T = spec.period
     x, y = solution
+    for part in solution:
+        if part.period != T:
+            raise ValueError(f"solution period {part.period} does not match "
+                             f"the system period {T}")
     radius, y0, z1, z2 = _existence_radius(spec, np.array(x.values + y.values))
     if not all(kernel.is_diagonal_periodic(T)
                for _, kernel, _ in spec.equations):

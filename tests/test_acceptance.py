@@ -144,9 +144,10 @@ def test_criterion_4_kernel_oracles():
 def test_criterion_5_cycle_map_properties():
     """20 random diagonal-periodic systems: the cycle map stays inside the
     bounded-route ball on 100 random states, the folded path matches an
-    adaptively truncated direct path to 1e-10, and outputs repeat exactly
-    one period later."""
-    from test_periodic_solver import direct_map
+    adaptively truncated direct path to 1e-10, and each output is one
+    period of each component, so it repeats exactly one period later."""
+    from test_periodic_solver import direct_map, stacked
+    from volterra2d.periodic_solver import _cycle_map_vec
 
     rng = np.random.default_rng(5150)
     worst_gap = 0.0
@@ -155,28 +156,18 @@ def test_criterion_5_cycle_map_properties():
         T = spec.period
         q = v.check_periodic_hypotheses(spec).quantities
         ball = max(spec.f.bound * q["bound_x"], spec.g.bound * q["bound_y"])
+        cycle_map = _cycle_map_vec(spec)
         for _ in range(100):
-            state = (
-                v.PeriodicSequence(T, tuple(rng.uniform(-ball, ball, T))),
-                v.PeriodicSequence(T, tuple(rng.uniform(-ball, ball, T))))
-            out_x, out_y = v.apply_cycle_map(spec, state)
-            norm = max(max(abs(u) for u in out_x.values),
-                       max(abs(u) for u in out_y.values))
-            assert norm <= ball + 1e-9
-            for n in range(T):
-                assert out_x.get(n + T) == out_x.get(n)
-                assert out_y.get(n + T) == out_y.get(n)
+            out = cycle_map(rng.uniform(-ball, ball, 2 * T))
+            assert out.shape == (2 * T,)
+            assert np.max(np.abs(out)) <= ball + 1e-9
         for _ in range(2):
             state = (v.PeriodicSequence(T, tuple(rng.uniform(-2, 2, T))),
                      v.PeriodicSequence(T, tuple(rng.uniform(-2, 2, T))))
-            folded = v.apply_cycle_map(spec, state)
-            direct = direct_map(spec, state)
-            scale = max(1.0, *(abs(u) for u in folded[0].values
-                               + folded[1].values))
-            gap = max(max(abs(a - b) for a, b in
-                          zip(folded[0].values, direct[0].values)),
-                      max(abs(a - b) for a, b in
-                          zip(folded[1].values, direct[1].values))) / scale
+            folded = cycle_map(stacked(state))
+            direct = stacked(direct_map(spec, state))
+            scale = max(1.0, float(np.max(np.abs(folded))))
+            gap = float(np.max(np.abs(folded - direct))) / scale
             worst_gap = max(worst_gap, gap)
             assert gap <= 1e-10
     report_line(5, "cycle map properties", True,

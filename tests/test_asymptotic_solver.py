@@ -5,6 +5,7 @@ import pytest
 
 from volterra2d import (
     FiniteLag,
+    History,
     Nonlinearity,
     PeriodicSequence,
     PeriodProductNotOne,
@@ -15,7 +16,6 @@ from volterra2d import (
     TailNotCertified,
     TruncationPolicy,
     ZeroFactor,
-    apply_tail_map,
     check_asymptotic_hypotheses,
     growth_profile,
     solve_asymptotic,
@@ -24,8 +24,8 @@ from volterra2d import (
 from volterra2d.asymptotic_solver import _outer_cut, _tail_block
 from volterra2d.system import decay_envelope, default_horizon
 
-from conftest import (central_difference_jacobian, random_summable_spec,
-                      tail_block_reference)
+from conftest import (central_difference_jacobian, defects_reference,
+                      random_summable_spec, tail_block_reference)
 
 POLICY = TruncationPolicy(1e-10, 100_000)
 TAIL_MASS_A = 2.502650301077119
@@ -125,22 +125,22 @@ class TestTailMap:
         prof = growth_profile(spec)
         u1 = np.array([2.0 / prof.x.get(n) for n in range(11)])
         u2 = np.array([3.0 / prof.y.get(n) for n in range(11)])
-        nx, ny, err = apply_tail_map(spec, 2.0, 3.0, np.zeros(11),
-                                     np.zeros(11), POLICY)
+        op = TailMapOperator(spec, 2.0, 3.0, 10, POLICY)
+        nx, ny = np.split(op.map(np.zeros(22)), 2)
         assert np.array_equal(nx, u1)
         assert np.array_equal(ny, u2)
-        assert err == 0.0
+        assert op.truncation_error == 0.0
 
     def test_deviation_envelope_demo2(self, example2_spec):
         rng = np.random.default_rng(5)
         radius = check_asymptotic_hypotheses(example2_spec).quantities["radius"]
         prof = growth_profile(example2_spec)
         horizon = 20
+        tail_map = TailMapOperator(example2_spec, 1.0, 1.0, horizon,
+                                   POLICY).map
         for _ in range(10):
-            xw = rng.uniform(-radius, radius, horizon + 1)
-            yw = rng.uniform(-radius, radius, horizon + 1)
-            nx, ny, err = apply_tail_map(example2_spec, 1.0, 1.0, xw, yw,
-                                         POLICY)
+            z = rng.uniform(-radius, radius, 2 * (horizon + 1))
+            nx = tail_map(z)[:horizon + 1]
             for n in range(horizon + 1):
                 dev = abs(nx[n] - 1.0 / prof.x.get(n))
                 bound = 2.0 * example2_spec.kernel_a.double_tail(n)
@@ -150,16 +150,17 @@ class TestTailMap:
         rng = np.random.default_rng(6)
         yw = rng.uniform(-2, 2, 13)
         xw = rng.uniform(-2, 2, 13)
-        nx, _, err = apply_tail_map(example2_spec, 1.0, 1.0, xw, yw, POLICY)
+        op = TailMapOperator(example2_spec, 1.0, 1.0, 12, POLICY)
+        nx = op.map(np.concatenate([xw, yw]))[:13]
         for n in (0, 1, 5, 12):
             ref = brute_tail_component(example2_spec, 1.0, yw, n)
             assert nx[n] == pytest.approx(ref, abs=1e-9)
 
     def test_single_point_window(self, example2_spec):
-        nx, ny, err = apply_tail_map(example2_spec, 1.0, 1.0, [0.0], [0.0],
-                                     POLICY)
-        assert nx.shape == (1,)
-        assert abs(nx[0] - 1.0) <= 2.0 * TAIL_MASS_A + 10 * POLICY.tail_tol
+        op = TailMapOperator(example2_spec, 1.0, 1.0, 0, POLICY)
+        out = op.map(np.zeros(2))
+        assert out.shape == (2,)
+        assert abs(out[0] - 1.0) <= 2.0 * TAIL_MASS_A + 10 * POLICY.tail_tol
 
     def test_nonsummable_kernel_rejected(self, example2_spec):
         spec = SystemSpec(2, example2_spec.h, example2_spec.p,
@@ -167,14 +168,13 @@ class TestTailMap:
                           example2_spec.kernel_b, example2_spec.f,
                           example2_spec.g)
         with pytest.raises(TailNotCertified):
-            apply_tail_map(spec, 1.0, 1.0, np.zeros(5), np.zeros(5), POLICY)
+            TailMapOperator(spec, 1.0, 1.0, 4, POLICY)
 
     def test_certified_error_covers_truncation(self, example2_spec):
         # tighter policy must produce a smaller certified error
-        _, _, loose = apply_tail_map(example2_spec, 1.0, 1.0, np.zeros(9),
-                                     np.zeros(9), TruncationPolicy(1e-6))
-        _, _, tight = apply_tail_map(example2_spec, 1.0, 1.0, np.zeros(9),
-                                     np.zeros(9), TruncationPolicy(1e-12))
+        loose, tight = (TailMapOperator(example2_spec, 1.0, 1.0, 8,
+                                        TruncationPolicy(tail_tol))
+                        .truncation_error for tail_tol in (1e-6, 1e-12))
         assert tight < loose <= 1e-6
 
 
@@ -250,16 +250,15 @@ class TestSolveAsymptotic:
     def test_values_read_the_window_and_the_zero_history(self, example2_spec):
         report = solve_asymptotic(example2_spec, 1.0, 1.0, 20, policy=POLICY)
         dec = report.decomposition
-        for n in range(21):
-            assert dec.x_at(n) == dec.u1.get(n) + dec.v1[n]
-            assert dec.y_at(n) == dec.u2.get(n) + dec.v2[n]
+        window = np.arange(21)
+        for u, v, values in ((dec.u1, dec.v1, report.x),
+                             (dec.u2, dec.v2, report.y)):
+            assert np.allclose(u.take(window) + v, values, rtol=0.0,
+                               atol=1e-15)
         # before the window: the zero history, not the window's far end
-        for n in (-1, -2, -21, -22):
-            assert dec.x_at(n) == 0.0 and dec.y_at(n) == 0.0
-        with pytest.raises(IndexError):
-            dec.x_at(21)
-        with pytest.raises(IndexError):
-            dec.y_at(21)
+        x0, y0 = History.zero().value_at(-1)
+        assert report.defects == defects_reference(
+            example2_spec, [x0, *report.x], [y0, *report.y], 20, POLICY)
 
     def test_zero_amplitude_gives_zero_deviation(self, example2_spec):
         spec = SystemSpec(2, example2_spec.h, example2_spec.p,
@@ -306,14 +305,15 @@ class TestSolveAsymptotic:
 
 
 class TestOperatorReuse:
-    def test_operator_apply_matches_public_function(self, example2_spec):
+    def test_operator_apply_matches_a_fresh_build(self, example2_spec):
+        """One operator applied again and again gives, call by call, what
+        an operator built for that call gives: its map holds no state."""
         rng = np.random.default_rng(13)
         op = TailMapOperator(example2_spec, 1.0, 1.0, 15, POLICY)
-        xw = rng.uniform(-3, 3, 16)
-        yw = rng.uniform(-3, 3, 16)
-        bx, by, _ = apply_tail_map(example2_spec, 1.0, 1.0, xw, yw, POLICY)
-        assert np.array_equal(op.map(np.concatenate([xw, yw])),
-                              np.concatenate([bx, by]))
+        for _ in range(3):
+            z = rng.uniform(-3, 3, 32)
+            fresh = TailMapOperator(example2_spec, 1.0, 1.0, 15, POLICY)
+            assert np.array_equal(op.map(z), fresh.map(z))
 
     def test_jacobian_matches_central_differences(self, example2_spec):
         rng = np.random.default_rng(14)

@@ -835,11 +835,32 @@ def _outcome(call, argv, capsys):
     return code, result, out, err
 
 
-def _flags(config, tmp_path, table=True):
-    return ["--config", str(config), "--out", str(tmp_path / "r.json"),
-            *(["--csv", str(tmp_path / "t.csv")] if table else []),
-            "--tol", "1e-11", "--tail-tol", "1e-10", "--c1", "0.5",
-            "--c2", "2"]
+#: Each command's options besides -h, in its parser's order.
+OPTIONS = {
+    "check": ["--config", "--out", "--c1", "--c2", "--mode"],
+    "simulate": ["--config", "--out", "--csv", "--tail-tol", "--steps"],
+    "solve-periodic": ["--config", "--out", "--csv", "--tol", "--tail-tol"],
+    "solve-asymptotic": ["--config", "--out", "--csv", "--tol", "--tail-tol",
+                         "--c1", "--c2", "--horizon"],
+    "verify": ["--config", "--out", "--csv", "--tol", "--tail-tol", "--c1",
+               "--c2", "--mode", "--horizon"],
+}
+
+#: The flags that each command once took and never read.
+UNREAD_FLAGS = [("simulate", "--tol"), ("simulate", "--c1"),
+                ("simulate", "--c2"), ("check", "--tol"),
+                ("check", "--tail-tol"), ("solve-periodic", "--c1"),
+                ("solve-periodic", "--c2")]
+
+
+def _flags(command, config, tmp_path):
+    """--config, --out and each optional flag that ``command`` takes, with
+    a value."""
+    values = {"--config": str(config), "--out": str(tmp_path / "r.json"),
+              "--csv": str(tmp_path / "t.csv"), "--tol": "1e-11",
+              "--tail-tol": "1e-10", "--c1": "0.5", "--c2": "2"}
+    return [word for flag in OPTIONS[command] if flag in values
+            for word in (flag, values[flag])]
 
 
 def _dispatch_cases(example1, example2, tmp_path):
@@ -849,15 +870,18 @@ def _dispatch_cases(example1, example2, tmp_path):
     c1, c2 = str(example1), str(example2)
     cases = {
         "check": ["check", "--mode", "periodic",
-                  *_flags(example1, tmp_path, table=False)],
+                  *_flags("check", example1, tmp_path)],
         "check-csv": ["check", "--mode", "periodic",
-                      *_flags(example1, tmp_path)],
-        "simulate": ["simulate", "--steps", "5", *_flags(example1, tmp_path)],
-        "solve-periodic": ["solve-periodic", *_flags(example1, tmp_path)],
+                      *_flags("check", example1, tmp_path),
+                      "--csv", str(tmp_path / "t.csv")],
+        "simulate": ["simulate", "--steps", "5",
+                     *_flags("simulate", example1, tmp_path)],
+        "solve-periodic": ["solve-periodic",
+                           *_flags("solve-periodic", example1, tmp_path)],
         "solve-asymptotic": ["solve-asymptotic", "--horizon", "40",
-                             *_flags(example2, tmp_path)],
+                             *_flags("solve-asymptotic", example2, tmp_path)],
         "verify": ["verify", "--mode", "asymptotic", "--horizon", "40",
-                   *_flags(example2, tmp_path)],
+                   *_flags("verify", example2, tmp_path)],
         "equals-form": ["check", "--mode=periodic", "--config=" + c1],
         "abbreviation": ["check", "--conf", c1, "--mode", "periodic"],
         "missing-mode": ["check", "--config", c1],
@@ -932,3 +956,33 @@ class TestDispatch:
     def test_subcommand_help_gets_its_own_usage(self, capsys):
         assert run(["verify", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: volterra2d verify")
+
+
+class TestFlagSurface:
+    """Each command takes exactly the flags that it reads."""
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_command_takes_exactly_its_options(self, command):
+        parser = cli._build_parser().commands[command]
+        options = [option for action in parser._actions
+                   for option in action.option_strings
+                   if option not in ("-h", "--help")]
+        assert options == OPTIONS[command]
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_flag_gets_the_top_level_usage(self, command, flag,
+                                                  example1_path, tmp_path,
+                                                  capsys):
+        """A flag that the command would not read is an argument it leaves
+        over: exit 1, the top-level usage, no report and no file."""
+        words = {"check": ["check", "--mode", "periodic"],
+                 "simulate": ["simulate", "--steps", "3"],
+                 "solve-periodic": ["solve-periodic"]}[command]
+        out = tmp_path / "r.json"
+        code = run([*words, "--config", str(example1_path), "--out", str(out),
+                    flag, "0.5"])
+        stdout, err = capsys.readouterr()
+        assert (code, stdout) == (1, "")
+        assert err.startswith("usage: volterra2d [-h]")
+        assert f"error: unrecognized arguments: {flag} 0.5\n" in err
+        assert not out.exists()

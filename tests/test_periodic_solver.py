@@ -12,7 +12,6 @@ from volterra2d import (
     SolverOptions,
     SystemSpec,
     TruncationPolicy,
-    apply_cycle_map,
     check_periodic_hypotheses,
     cycle_gain,
     simulate,
@@ -57,46 +56,47 @@ def direct_map(spec, state):
     return (PeriodicSequence(T, tuple(out_x)), PeriodicSequence(T, tuple(out_y)))
 
 
+def stacked(state):
+    """A pair of period sequences as the cycle map's vector [x; y]."""
+    return np.array(state[0].values + state[1].values)
+
+
 class TestCycleMap:
     def test_constant_drive_frozen_values(self, example1_spec):
         spec = SystemSpec(2, example1_spec.h, example1_spec.p,
                           example1_spec.kernel_a, example1_spec.kernel_b,
                           Nonlinearity("cos", 1.0, 0.0),
                           Nonlinearity("cos", 1.0, 0.0))
-        out_x, out_y = apply_cycle_map(
-            spec, (PeriodicSequence(2, (0.0, 0.0)),
-                   PeriodicSequence(2, (0.0, 0.0))))
-        assert out_x.values[0] == pytest.approx(CONSTANT_DRIVE_EVEN, rel=1e-12)
-        assert out_x.values[1] == pytest.approx(CONSTANT_DRIVE_ODD, rel=1e-12)
+        out = _cycle_map_vec(spec)(np.zeros(4))
+        assert out[0] == pytest.approx(CONSTANT_DRIVE_EVEN, rel=1e-12)
+        assert out[1] == pytest.approx(CONSTANT_DRIVE_ODD, rel=1e-12)
         # p swaps the roles of even and odd
-        assert out_y.values[0] == pytest.approx(CONSTANT_DRIVE_ODD, rel=1e-12)
-        assert out_y.values[1] == pytest.approx(CONSTANT_DRIVE_EVEN, rel=1e-12)
+        assert out[2] == pytest.approx(CONSTANT_DRIVE_ODD, rel=1e-12)
+        assert out[3] == pytest.approx(CONSTANT_DRIVE_EVEN, rel=1e-12)
         # reference path agrees
-        ref_x, _ = direct_map(spec, (out_x, out_y))
-        assert ref_x.values == pytest.approx(out_x.values, abs=1e-10)
+        ref_x, _ = direct_map(spec, (PeriodicSequence(2, tuple(out[:2])),
+                                     PeriodicSequence(2, tuple(out[2:]))))
+        assert ref_x.values == pytest.approx(tuple(out[:2]), abs=1e-10)
 
     def test_zero_amplitude_maps_everything_to_zero(self, zero_amplitude_spec):
         rng = np.random.default_rng(3)
+        cycle_map = _cycle_map_vec(zero_amplitude_spec)
         for _ in range(5):
-            state = (PeriodicSequence(2, tuple(rng.uniform(-5, 5, 2))),
-                     PeriodicSequence(2, tuple(rng.uniform(-5, 5, 2))))
-            out_x, out_y = apply_cycle_map(zero_amplitude_spec, state)
-            assert out_x.values == (0.0, 0.0)
-            assert out_y.values == (0.0, 0.0)
+            assert np.array_equal(cycle_map(rng.uniform(-5, 5, 4)),
+                                  np.zeros(4))
 
     def test_output_is_periodic_by_representation(self, cosine_spec):
-        out_x, out_y = apply_cycle_map(
-            cosine_spec, (PeriodicSequence(2, (0.4, -0.2)),
-                          PeriodicSequence(2, (0.1, 0.9))))
-        for n in range(-4, 5):
-            assert out_x.get(n + 2) == out_x.get(n)
-            assert out_y.get(n + 2) == out_y.get(n)
+        out = _cycle_map_vec(cosine_spec)(np.array([0.4, -0.2, 0.1, 0.9]))
+        # one period of each component, finite, so it repeats by wraparound
+        assert out.shape == (4,) and np.isfinite(out).all()
+        for part in np.split(out, 2):
+            seq = PeriodicSequence(2, tuple(part))
+            for n in range(-4, 5):
+                assert seq.get(n + 2) == seq.get(n)
 
     def test_unit_product_rejected(self, example2_spec):
-        state = (PeriodicSequence(2, (0.0, 0.0)),
-                 PeriodicSequence(2, (0.0, 0.0)))
         with pytest.raises(PeriodProductIsOne):
-            apply_cycle_map(example2_spec, state)
+            _cycle_map_vec(example2_spec)
 
     def test_folded_path_matches_direct_path(self):
         rng = np.random.default_rng(11)
@@ -105,11 +105,10 @@ class TestCycleMap:
             T = spec.period
             state = (PeriodicSequence(T, tuple(rng.uniform(-2, 2, T))),
                      PeriodicSequence(T, tuple(rng.uniform(-2, 2, T))))
-            folded = apply_cycle_map(spec, state)
-            direct = direct_map(spec, state)
-            scale = max(1.0, max(abs(u) for u in folded[0].values + folded[1].values))
-            for a, b in zip(folded, direct):
-                assert a.values == pytest.approx(b.values, abs=1e-10 * scale)
+            folded = _cycle_map_vec(spec)(stacked(state))
+            direct = stacked(direct_map(spec, state))
+            scale = max(1.0, np.max(np.abs(folded)))
+            assert folded == pytest.approx(direct, abs=1e-10 * scale)
 
     def test_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(12)
@@ -159,15 +158,10 @@ class TestCycleMap:
             # the bounded-route ball: max of (nonlinearity bound) x (map mass)
             radius = max(spec.f.bound * q["bound_x"],
                          spec.g.bound * q["bound_y"])
-            T = spec.period
+            cycle_map = _cycle_map_vec(spec)
             for _ in range(25):
-                state = (
-                    PeriodicSequence(T, tuple(rng.uniform(-radius - 1, radius + 1, T))),
-                    PeriodicSequence(T, tuple(rng.uniform(-radius - 1, radius + 1, T))))
-                out_x, out_y = apply_cycle_map(spec, state)
-                norm = max(max(abs(u) for u in out_x.values),
-                           max(abs(u) for u in out_y.values))
-                assert norm <= radius + 1e-9
+                z = rng.uniform(-radius - 1, radius + 1, 2 * spec.period)
+                assert np.max(np.abs(cycle_map(z))) <= radius + 1e-9
 
 
 class TestSolvePeriodic:
@@ -194,9 +188,8 @@ class TestSolvePeriodic:
         assert report.final_update_norm <= 1e-12
         assert report.residual_max <= 1e-8
         # the found point reproduces itself under the map
-        out = apply_cycle_map(cosine_spec, report.solution)
-        for got, expected in zip(out, report.solution):
-            assert got.values == pytest.approx(expected.values, abs=1e-12)
+        z = stacked(report.solution)
+        assert _cycle_map_vec(cosine_spec)(z) == pytest.approx(z, abs=1e-12)
 
     def test_unit_product_raises(self, example2_spec):
         with pytest.raises(PeriodProductIsOne):
@@ -293,9 +286,6 @@ class TestSolutionIsFixedPoint:
         sol_x, sol_y = report.solution
         window = tuple((sol_x.get(n), sol_y.get(n)) for n in range(-300, 1))
         t = simulate(cosine_spec, History(window), 2, TruncationPolicy(1e-14))
-        state = (PeriodicSequence(2, (t.x[0], t.x[1])),
-                 PeriodicSequence(2, (t.y[0], t.y[1])))
-        out = apply_cycle_map(cosine_spec, state)
-        gap = max(max(abs(a - b) for a, b in zip(out[0].values, state[0].values)),
-                  max(abs(a - b) for a, b in zip(out[1].values, state[1].values)))
+        z = np.array([t.x[0], t.x[1], t.y[0], t.y[1]])
+        gap = np.max(np.abs(_cycle_map_vec(cosine_spec)(z) - z))
         assert gap <= 10 * 1e-8

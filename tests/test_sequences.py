@@ -34,7 +34,7 @@ class TestPeriodicSequence:
         assert s.get(-2) == 2.0
 
     def test_period_one_is_constant(self):
-        s = PeriodicSequence.constant(7.5)
+        s = PeriodicSequence(1, (7.5,))
         assert all(s.get(n) == 7.5 for n in range(-5, 6))
 
     def test_validation(self):
@@ -191,10 +191,10 @@ class TestTrajectory:
     def test_negative_indices_delegate_to_history(self):
         hist = History(((9.0, 8.0), (1.0, 2.0)), None)
         t = Trajectory((1.0, 3.0), (2.0, 4.0), hist, 1e-10)
-        assert t.x_at(1) == 3.0
-        assert t.y_at(0) == 2.0
-        assert t.x_at(-1) == 9.0
-        assert t.y_at(-5) == 0.0
+        assert t.x[1] == 3.0
+        assert t.y[0] == 2.0
+        assert t.history.value_at(-1)[0] == 9.0
+        assert t.history.value_at(-5)[1] == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

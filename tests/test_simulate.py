@@ -26,9 +26,8 @@ POLICY = TruncationPolicy(1e-10, 100_000)
 
 def trajectory_values(t, depth=200):
     """x and y of a trajectory on m = -depth..len-1, history included."""
-    ms = range(-depth, len(t))
-    return (np.array([t.x_at(m) for m in ms]),
-            np.array([t.y_at(m) for m in ms]))
+    past_x, past_y = zip(*(t.history.value_at(m) for m in range(-depth, 0)))
+    return np.array(past_x + t.x), np.array(past_y + t.y)
 
 
 class TestSimulate:
@@ -278,7 +277,8 @@ class TestRoundOff:
             assert max(max(pair) for pair in pairs) <= tol
             for n in range(30):
                 ref = inner_sum_reference(
-                    kernel, n, lambda m: spec.f(t.y_at(m)), -2)
+                    kernel, n, lambda m: spec.f(
+                        t.y[m] if m >= 0 else history.value_at(m)[1]), -2)
                 drive = t.x[n + 1] - 0.5 * t.x[n]
                 assert abs(drive - ref) <= kernel.drive_error(n, 1.0) + 4 * (
                     np.spacing(max(abs(t.x[n + 1]), abs(ref))))

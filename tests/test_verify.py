@@ -64,6 +64,27 @@ class TestVerifyPeriodic:
         assert ver.max_defect >= 1e-4
         assert not ver.passed
 
+    @pytest.mark.parametrize("period", [1, 4])
+    def test_candidate_of_another_period_is_refused(self, example1_spec,
+                                                    monkeypatch, period):
+        """A candidate shorter or longer than the system period, in either
+        component, raises a ValueError that names both periods before
+        any sum is taken."""
+        import volterra2d.verify as verify_module
+
+        def no_work(*args):
+            raise AssertionError("verify_periodic did work on the candidate")
+
+        monkeypatch.setattr(verify_module, "_existence_radius", no_work)
+        monkeypatch.setattr(verify_module, "periodic_residual_max", no_work)
+        other = PeriodicSequence(period, (0.0,) * period)
+        same = PeriodicSequence(2, (0.0, 0.0))
+        for solution in ((other, same), (same, other)):
+            with pytest.raises(ValueError, match=(
+                    f"^solution period {period} does not match the system "
+                    f"period 2$")):
+                verify_periodic(example1_spec, solution)
+
     def test_report_carries_the_radius_terms(self, cosine_spec,
                                              cosine_solution):
         ver = verify_periodic(cosine_spec, cosine_solution)
@@ -485,8 +506,11 @@ class TestArraySums:
         v1, v2 = (tuple(float(v) for v in rng.uniform(-1.0, 1.0, horizon + 1))
                   for _ in range(2))
         dec = Decomposition(1.0, 1.0, u1, u2, v1, v2, v1, v2, horizon, True)
-        expected, scale = _scalar_defect(
-            spec, dec.x_at, dec.y_at, horizon, lead, 1)
+        def values(u, v):  # u + v on the window, the zero history before
+            return lambda n: u.get(n) + v[n] if n >= 0 else 0.0
+
+        expected, scale = _scalar_defect(spec, values(u1, v1), values(u2, v2),
+                                         horizon, lead, 1)
         got = verify_decomposition(spec, dec).max_defect
         assert abs(got - expected) <= 1e-14 * scale
 
