@@ -52,7 +52,6 @@ from .system import (
 from .verify import (
     DecompositionVerification,
     PeriodicVerification,
-    periodic_residual_max,
     verify_decomposition,
     verify_periodic,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "growth_profile",
     "parse_scenario",
     "parse_system",
-    "periodic_residual_max",
     "product_one_plus",
     "reciprocal_growth",
     "simulate",

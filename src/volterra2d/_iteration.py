@@ -116,20 +116,24 @@ def _sup_norm(v: np.ndarray) -> float:
 
 def _newton(apply_map: Callable[[np.ndarray], np.ndarray],
             newton_step: NewtonStep, z: np.ndarray, tol: float,
-            budget: int) -> Tuple[np.ndarray, int, float, bool, int]:
-    """(z, steps taken, last update, converged, map evaluations)."""
+            budget: int, mapped: Optional[np.ndarray] = None
+            ) -> Tuple[np.ndarray, int, float, bool, int]:
+    """(z, steps taken, last update, converged, map evaluations).
+    ``mapped`` is apply_map(z) at the starting z, when the caller has it."""
     update = math.inf
     used = calls = 0
     for _ in range(budget):
-        residual = z - apply_map(z)
-        calls += 1
+        if mapped is None:
+            mapped = apply_map(z)
+            calls += 1
+        residual = z - mapped
         if not math.isfinite(_sup_norm(residual)):
             break
         delta = newton_step(z, residual)
         stepped = z + delta  # z is finite, so a non-finite delta shows here
         if not math.isfinite(_sup_norm(stepped)):
             break
-        z = stepped
+        z, mapped = stepped, None
         used += 1
         update = _sup_norm(delta)
         if update < tol:
@@ -175,7 +179,7 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
     residual |map(z) - z| is below opts.tol as well (a small step can
     hide a large residual when the mixing stagnates) and one more Picard
     step from z shrinks that residual by CONTRACTION_FACTOR; if not,
-    Newton takes over from z.
+    Newton takes over from z, reusing the map(z) of that check.
 
     Newton runs on the remaining budget, its corrections
     ``newton_step(z, residual)`` solving against the Jacobian of
@@ -199,6 +203,7 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
     iterations = map_calls = steps = since_best = 0
     update = best_update = math.inf
     best_z = z
+    mapped = None  # map(z) at the z that Newton starts from, if known
     while iterations < opts.max_iter:
         g = apply_map(z)
         map_calls += 1
@@ -235,6 +240,7 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
                             <= CONTRACTION_FACTOR * residual):
                         return IterationResult(z, iterations, method, update,
                                                True, map_calls)
+                mapped = g
                 break
             if update < best_update:
                 best_update, best_z, since_best = update, z, 0
@@ -252,7 +258,8 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
         break
 
     z_newton, used, update_newton, converged, calls = _newton(
-        apply_map, newton_step, z, opts.tol, opts.max_iter - iterations)
+        apply_map, newton_step, z, opts.tol, opts.max_iter - iterations,
+        mapped)
     map_calls += calls
     if used:  # with no Newton step, converged is False and mixing's stands
         z, method, update = z_newton, "newton", update_newton

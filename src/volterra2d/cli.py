@@ -6,14 +6,13 @@ JSON report (stdout or --out) plus an optional CSV table (--csv, taken by
 every command but check, which has no table), and exits:
 0 on success/convergence, 2 on hypothesis-check failure or
 non-convergence, 1 on input errors (reported to stderr with field paths).
-Each command takes only the flags it reads: --tol for the solvers,
---tail-tol for all but check, and --c1/--c2 for check and the
-asymptotic solve (verify takes both, as its mode picks the solver at run
-time); each of these and --horizon overrides the config value of its
-name.  The command word picks its subcommand's parser, which parses the
-rest of the arguments; arguments it leaves over, a flag of another
-command among them, get the top-level usage and error, and an argument
-list that names no command goes to the top-level parser.
+Every setting of the run -- tolerances, amplitudes c1/c2, horizon --
+comes from the config; the flags name only the files, the mode and
+simulate's step count, and each command takes only the flags it reads.
+The command word picks its subcommand's parser, which parses the rest of
+the arguments; arguments it leaves over, a flag of another command among
+them, get the top-level usage and error, and an argument list that names
+no command goes to the top-level parser.
 
 Each command turns every value of its table into text once, with
 float.__repr__: the shortest text that reads back as the same double.
@@ -298,19 +297,9 @@ def _cmd_verify(args, scenario: Scenario) -> int:
 #: Every flag that a command may take besides --config and --out.
 _FLAGS = {
     "--csv": dict(metavar="PATH", help="write the table here"),
-    "--tol": dict(type=float, help="solver update tolerance"),
-    "--tail-tol": dict(type=float, dest="tail_tol",
-                       help="certified tail tolerance"),
-    "--c1": dict(type=float),
-    "--c2": dict(type=float),
     "--mode": dict(choices=["periodic", "asymptotic"], required=True),
     "--steps": dict(type=int, required=True),
-    "--horizon": dict(type=int),
 }
-
-#: The parse_scenario keywords: a flag by one of these names overrides
-#: the config value.
-_OVERRIDES = ("tol", "tail_tol", "c1", "c2", "horizon")
 
 
 @functools.cache
@@ -324,17 +313,15 @@ def _build_parser() -> argparse.ArgumentParser:
     # (command, help, handler, mode, the flags it takes)
     commands = [
         ("check", "run the hypothesis checkers", _cmd_check, None,
-         ("--c1", "--c2", "--mode")),
+         ("--mode",)),
         ("simulate", "march the initial-value problem", _cmd_simulate, None,
-         ("--csv", "--tail-tol", "--steps")),
+         ("--csv", "--steps")),
         ("solve-periodic", "find a periodic solution", _cmd_solve,
-         "periodic", ("--csv", "--tol", "--tail-tol")),
+         "periodic", ("--csv",)),
         ("solve-asymptotic", "find an asymptotically periodic solution",
-         _cmd_solve, "asymptotic",
-         ("--csv", "--tol", "--tail-tol", "--c1", "--c2", "--horizon")),
+         _cmd_solve, "asymptotic", ("--csv",)),
         ("verify", "solve and independently certify", _cmd_verify, None,
-         ("--csv", "--tol", "--tail-tol", "--c1", "--c2", "--mode",
-          "--horizon")),
+         ("--csv", "--mode")),
     ]
     for name, help_text, handler, mode, flags in commands:
         p = sub.add_parser(name, help=help_text)
@@ -371,11 +358,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        scenario = parse_scenario(
-            _load_config(args.config),
-            **{key: getattr(args, key) for key in _OVERRIDES
-               if hasattr(args, key)})
-        return args.handler(args, scenario)
+        return args.handler(args, parse_scenario(_load_config(args.config)))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -173,15 +173,14 @@ class History:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward solution values on n = 0..len-1, marched from the attached
-    history.  ``tail_tolerance_used`` is the tolerance every infinite sum
-    is certified to (its round-off bound).  The recurrence defects of its
-    steps are ``simulate.defects`` on its values, the history from
-    n = -H-1 on."""
+    """Forward solution values on n = 0..len-1, marched from a history
+    that the caller keeps.  ``tail_tolerance_used`` is the tolerance every
+    infinite sum is certified to (its round-off bound).  The recurrence
+    defects of its steps are ``simulate.defects`` on its values, preceded
+    by the history's from n = -H-1 on."""
 
     x: Tuple[float, ...]
     y: Tuple[float, ...]
-    history: History
     tail_tolerance_used: float
 
     def __post_init__(self):

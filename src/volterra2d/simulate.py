@@ -56,7 +56,7 @@ def simulate(spec: SystemSpec, history: History, steps: int,
         fy[k], gx[k] = f(y), g(x)
         traj_x.append(x)
         traj_y.append(y)
-    return Trajectory(traj_x, traj_y, history, policy.tail_tol)
+    return Trajectory(traj_x, traj_y, policy.tail_tol)
 
 
 def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,

@@ -102,7 +102,8 @@ class Nonlinearity:
 
     Calling the nonlinearity takes any number or array.  Its bound
     formulas take a float64 array only and skip that dispatch: ``apply``
-    gives the values entry by entry, and ``slope`` the derivative.
+    gives the values entry by entry, and ``slope`` the derivative (at
+    most ``lipschitz`` in size).
     """
 
     kind: str
@@ -131,11 +132,6 @@ class Nonlinearity:
         if type(x) in _SCALAR_TYPES:
             return self._scalar(x)
         out = self.apply(np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
-
-    def derivative(self, x):
-        """d/dx of the value, entry by entry; |derivative| <= lipschitz."""
-        out = self.slope(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     @property
@@ -581,13 +577,6 @@ _count = _ranged(_as_int, lambda v: v >= 1, "at least 1")
 _fraction = _ranged(_as_finite_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
-def _override(value: Any, flag: Any, check: Callable[[Any, str], Any],
-              name: str) -> Any:
-    """A command-line ``flag``, checked under its own ``name``, in place of
-    the already validated config ``value``; the value when no flag is set."""
-    return value if flag is None else check(flag, name)
-
-
 def _period_values(raw: Any, path: str, period: int) -> PeriodicSequence:
     """One value per slot of the period, from a list of finite numbers."""
     if not isinstance(raw, list):
@@ -712,8 +701,7 @@ def _parse_history(obj: Dict[str, Any]) -> History:
         raise ConfigError(f"history: {exc}") from exc
 
 
-def _parse_solver(obj: Dict[str, Any], period: int,
-                  tol: Optional[float]) -> SolverOptions:
+def _parse_solver(obj: Dict[str, Any], period: int) -> SolverOptions:
     guess = obj.get("initial_guess")
     parsed_guess = None
     if guess is not None and guess != "zero":
@@ -724,10 +712,8 @@ def _parse_solver(obj: Dict[str, Any], period: int,
         parsed_guess = tuple(
             _period_values(guess[key], f"solver.initial_guess.{key}", period)
             for key in ("x", "y"))
-    tol = _override(_positive(obj.get("tol", SolverOptions.tol), "solver.tol"),
-                    tol, _positive, "--tol")
     return SolverOptions(
-        tol=tol,
+        tol=_positive(obj.get("tol", SolverOptions.tol), "solver.tol"),
         residual_tol=_positive(obj.get("residual_tol",
                                        SolverOptions.residual_tol),
                                "solver.residual_tol"),
@@ -738,43 +724,32 @@ def _parse_solver(obj: Dict[str, Any], period: int,
         initial_guess=parsed_guess)
 
 
-def _parse_truncation(obj: Dict[str, Any],
-                      tail_tol: Optional[float]) -> TruncationPolicy:
-    tail_tol = _override(_positive(obj.get("tail_tol",
-                                           TruncationPolicy.tail_tol),
-                                   "truncation.tail_tol"),
-                         tail_tol, _positive, "--tail-tol")
+def _parse_truncation(obj: Dict[str, Any]) -> TruncationPolicy:
+    tail_tol = _positive(obj.get("tail_tol", TruncationPolicy.tail_tol),
+                         "truncation.tail_tol")
     max_terms = _count(obj.get("max_terms", TruncationPolicy.max_terms),
                        "truncation.max_terms")
     return TruncationPolicy(tail_tol, max_terms)
 
 
-def parse_scenario(config: Union[str, Dict[str, Any]], *,
-                   tol: Optional[float] = None,
-                   tail_tol: Optional[float] = None,
-                   c1: Optional[float] = None, c2: Optional[float] = None,
-                   horizon: Optional[int] = None) -> Scenario:
+def parse_scenario(config: Union[str, Dict[str, Any]]) -> Scenario:
     """Validate a whole config document at once: the system, then the
     optional ``history``, ``truncation`` and ``solver`` sections, ``c1``,
-    ``c2`` (default 1) and ``horizon``.  Each keyword, when given, is a
-    command-line override of the config value and is validated under its
-    flag's name.  Violations raise ConfigError naming the field path."""
+    ``c2`` (default 1) and ``horizon``.  Violations raise ConfigError
+    naming the field path."""
     config = _document(config)
     spec = parse_system(config)
     history = _parse_history(_section(config, "history"))
-    policy = _parse_truncation(_section(config, "truncation"), tail_tol)
-    solver = _parse_solver(_section(config, "solver"), spec.period, tol)
-    amplitudes = [_override(_as_finite_float(config.get(key, 1.0), key),
-                            flag, _as_finite_float, f"--{key}")
-                  for key, flag in (("c1", c1), ("c2", c2))]
-    least = 4 * spec.period
-    check_horizon = _ranged(_as_int, lambda v: v >= least,
-                            f"at least 4 periods ({least})")
-    config_horizon = config.get("horizon")
-    if config_horizon is not None:
-        config_horizon = check_horizon(config_horizon, "horizon")
-    horizon = _override(config_horizon, horizon, check_horizon, "--horizon")
-    return Scenario(spec, history, policy, solver, *amplitudes, horizon)
+    policy = _parse_truncation(_section(config, "truncation"))
+    solver = _parse_solver(_section(config, "solver"), spec.period)
+    c1, c2 = (_as_finite_float(config.get(key, 1.0), key)
+              for key in ("c1", "c2"))
+    horizon = config.get("horizon")
+    if horizon is not None:
+        least = 4 * spec.period
+        horizon = _ranged(_as_int, lambda v: v >= least,
+                          f"at least 4 periods ({least})")(horizon, "horizon")
+    return Scenario(spec, history, policy, solver, c1, c2, horizon)
 
 
 def _kernel_to_config(kernel: Kernel) -> Dict[str, Any]:

@@ -62,13 +62,13 @@ def _defect(seq: PeriodicSequence, own: np.ndarray,
     return np.abs(own[1:] - one_plus * own[:-1] - drive[n])
 
 
-def _period_terms(kernel: Kernel, n_rows: int, period: int):
-    """(w, slot), both (n_rows, columns): under the periodic extension of
-    one period of mapped values phi, row n's drive is exactly
+def _period_terms(kernel: Kernel, period: int):
+    """(w, slot), both (T, columns): under the periodic extension of one
+    period of mapped values phi, the drive of row n < T is exactly
     sum_k w[n, k] * phi[slot[n, k]].  A separable kernel has one column
     per r < T, summing its lags r + jT, j >= 0, in closed form; a
     finite-lag kernel has one column per lag."""
-    n = np.arange(n_rows)
+    n = np.arange(period)
     if isinstance(kernel, SeparableExponential):
         rate = kernel.row_rate
         lags = np.arange(period)
@@ -100,21 +100,6 @@ def _window_sums(kernel: Kernel, mapped: np.ndarray,
     return np.einsum("nk,nk->n", table[n % kernel.lag_period], windows)
 
 
-def periodic_residual_max(spec: SystemSpec,
-                          solution: Tuple[PeriodicSequence, PeriodicSequence],
-                          n_checks: int) -> float:
-    """Max defect of the recurrence over n = 0..n_checks-1 for the periodic
-    extension of a candidate period window."""
-    ms = np.arange(n_checks + 1) % spec.period
-    z = [np.array(part.values) for part in solution]
-    worst = 0.0
-    for (seq, kernel, phi), own, partner in zip(spec.equations, z, z[::-1]):
-        w, slot = _period_terms(kernel, n_checks, spec.period)
-        drive = (w * phi(partner)[slot]).sum(axis=1)
-        worst = float(_defect(seq, own[ms], drive).max(initial=worst))
-    return worst
-
-
 def _norm(matrix: np.ndarray) -> float:
     """Max-norm operator norm: the largest absolute row sum."""
     return float(np.abs(matrix).sum(axis=1).max())
@@ -136,7 +121,7 @@ def _one_period_system(spec: SystemSpec, z: np.ndarray):
     for (seq, kernel, phi), rows, cols in zip(spec.equations, halves,
                                               halves[::-1]):
         own, partner = z[rows], z[cols]
-        w, slot = _period_terms(kernel, T, T)
+        w, slot = _period_terms(kernel, T)
         weights = np.bincount((n[:, None] * T + slot).ravel(),
                               weights=w.ravel(),
                               minlength=T * T).reshape(T, T)
@@ -146,17 +131,17 @@ def _one_period_system(spec: SystemSpec, z: np.ndarray):
         rounding[rows] = ROUNDING * (np.abs(own[succ]) + np.abs(one_plus * own)
                                      + np.abs(weights) @ np.abs(mapped))
         jac[rows, rows] = shift - np.diag(one_plus)
-        jac[rows, cols] = -weights * phi.derivative(partner)
+        jac[rows, cols] = -weights * phi.slope(partner)
         curvature = max(curvature, _norm(weights) * phi.curvature)
     return residual, rounding, jac, curvature
 
 
-def _existence_radius(spec: SystemSpec, z: np.ndarray):
+def _existence_radius(residual: np.ndarray, rounding: np.ndarray,
+                      jac: np.ndarray, curvature: float):
     """(radius, Y0, Z1, Z2) of the Newton-Kantorovich bound around the
-    stacked period values z = [x; y]; the radius is inf when the bound
-    proves nothing.  A need only approximate inv(DF); Z1 measures how
-    well it does."""
-    residual, rounding, jac, curvature = _one_period_system(spec, z)
+    candidate of a one-period system (``_one_period_system``); the radius
+    is inf when the bound proves nothing.  A need only approximate
+    inv(DF); Z1 measures how well it does."""
     try:
         inverse = np.linalg.inv(jac)
         norm_inv = _norm(inverse)
@@ -166,7 +151,7 @@ def _existence_radius(spec: SystemSpec, z: np.ndarray):
         return math.inf, math.inf, math.inf, math.inf
     y0 = (float(np.abs(inverse @ residual).max())
           + float((np.abs(inverse) @ rounding).max()))
-    z1 = _norm(np.eye(len(z)) - inverse @ jac)
+    z1 = _norm(np.eye(len(jac)) - inverse @ jac)
     z2 = norm_inv * curvature
     gap = 1.0 - z1
     disc = gap * gap - 2.0 * z2 * y0
@@ -183,7 +168,6 @@ class PeriodicVerification:
     y0: float
     z1: float
     z2: float
-    n_checks: int
     defect_tol: float
     radius_tol: float
     passed: bool
@@ -193,19 +177,20 @@ class PeriodicVerification:
 
 
 def verify_periodic(spec: SystemSpec,
-                    solution: Tuple[PeriodicSequence, PeriodicSequence],
-                    n_checks: int = 21, *, defect_tol: float = 1e-8,
+                    solution: Tuple[PeriodicSequence, PeriodicSequence], *,
+                    defect_tol: float = 1e-8,
                     radius_tol: float = 1e-8) -> PeriodicVerification:
     """Certify a candidate periodic solution two ways.
 
-    First, the brute-force residual of the recurrence under periodic
-    extension, at n = 0..max(n_checks, T)-1 so that every slot of the
-    period is checked, must be at most ``defect_tol``.  Second, the
-    Newton-Kantorovich existence radius of the module docstring must be
-    at most ``radius_tol``: a true periodic solution lies that close to
-    the candidate in the max norm.  The one-period system describes the
-    recurrence only for diagonal-periodic kernels; for any other the
-    radius is inf.  A candidate of another period raises ValueError.
+    First, the largest defect |F| of the one-period system, the
+    recurrence's residual under periodic extension at each row n < T,
+    must be at most ``defect_tol``.  Second, the Newton-Kantorovich
+    existence radius of the module docstring must be at most
+    ``radius_tol``: a true periodic solution lies that close to the
+    candidate in the max norm.  The one-period system describes the whole
+    recurrence only for diagonal-periodic kernels, whose rows repeat with
+    the period; for any other the radius is inf.  A candidate of another
+    period raises ValueError.
     """
     T = spec.period
     x, y = solution
@@ -213,14 +198,15 @@ def verify_periodic(spec: SystemSpec,
         if part.period != T:
             raise ValueError(f"solution period {part.period} does not match "
                              f"the system period {T}")
-    radius, y0, z1, z2 = _existence_radius(spec, np.array(x.values + y.values))
+    system = _one_period_system(spec, np.array(x.values + y.values))
+    radius, y0, z1, z2 = _existence_radius(*system)
     if not all(kernel.is_diagonal_periodic(T)
                for _, kernel, _ in spec.equations):
         radius = math.inf
-    max_defect = periodic_residual_max(spec, solution, max(n_checks, T))
+    max_defect = float(np.abs(system[0]).max())
     passed = max_defect <= defect_tol and radius <= radius_tol
-    return PeriodicVerification(max_defect, radius, y0, z1, z2, n_checks,
-                                defect_tol, radius_tol, passed)
+    return PeriodicVerification(max_defect, radius, y0, z1, z2, defect_tol,
+                                radius_tol, passed)
 
 
 @dataclass(frozen=True)

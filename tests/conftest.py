@@ -311,6 +311,7 @@ def fixed_point_reference(apply_map, z0, newton_step, opts):
     plain = "picard" if opts.damping == 1.0 else "damped_picard"
     z0 = np.asarray(z0, dtype=float).copy()
     iterations = 0
+    mapped = None  # map(z) of a refused check, Newton's first residual
     for depth in (ANDERSON_DEPTH, 0):  # the second pass is the restart
         z, method, restart = z0.copy(), plain, False
         best_update, best_z, since_best = math.inf, z.copy(), 0
@@ -354,6 +355,7 @@ def fixed_point_reference(apply_map, z0, newton_step, opts):
                                                 <= CONTRACTION_FACTOR
                                                 * residual):
                         return z, iterations, method, update, True, calls
+                    mapped = g
                     break
                 if update < best_update:
                     best_update, best_z, since_best = update, z.copy(), 0
@@ -370,7 +372,9 @@ def fixed_point_reference(apply_map, z0, newton_step, opts):
     newton_update, used, converged = math.inf, 0, False
     z_newton = z
     for _ in range(opts.max_iter - iterations):
-        residual = z_newton - evaluate(z_newton)
+        if mapped is None:
+            mapped = evaluate(z_newton)
+        residual, mapped = z_newton - mapped, None
         if not np.all(np.isfinite(residual)):
             break
         delta = newton_step(z_newton, residual)

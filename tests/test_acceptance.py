@@ -69,11 +69,12 @@ def test_criterion_1_regime_routing(example1_spec, example2_spec):
 
 
 def test_criterion_2_periodic_solve(example1_spec):
-    """Solve the periodic demo, certify the residual at n=0..20 by direct
-    summation, and bound the distance to a true periodic solution by the
-    Newton-Kantorovich existence radius."""
+    """Solve the periodic demo, certify the residual of the recurrence,
+    which repeats with the period, on every row of one period, and bound
+    the distance to a true periodic solution by the Newton-Kantorovich
+    existence radius."""
     solve = v.solve_periodic(example1_spec)
-    ver = v.verify_periodic(example1_spec, solve.solution, n_checks=21,
+    ver = v.verify_periodic(example1_spec, solve.solution,
                             defect_tol=1e-8, radius_tol=1e-8)
     ok = solve.converged and ver.max_defect <= 1e-8 and ver.radius <= 1e-8
     report_line(2, "periodic solve", bool(ok),

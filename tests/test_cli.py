@@ -157,7 +157,8 @@ class TestTableDefects:
             extra, steps = ["--steps", "12"], 12
         else:
             config = json.loads(example2_path.read_text())
-            extra, steps = ["--horizon", "20"], 20
+            config["horizon"] = 20
+            extra, steps = [], 20
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out, csv_path = tmp_path / "r.json", tmp_path / "table.csv"
@@ -214,7 +215,6 @@ class TestSolveCommands:
         out = tmp_path / "report.json"
         csv_path = tmp_path / "table.csv"
         code = run(["solve-asymptotic", "--config", str(example2_path),
-                    "--horizon", "60", "--c1", "1", "--c2", "1",
                     "--out", str(out), "--csv", str(csv_path)])
         assert code == 0
         report = json.loads(out.read_text())["report"]
@@ -229,13 +229,15 @@ class TestSolveCommands:
                                                tmp_path):
         """The solve report carries the driver's counts: 22 mixing steps,
         two map evaluations of the refused convergence check and one
-        Newton step."""
+        Newton step, which starts from the check's first evaluation
+        (example2 sets H = 60)."""
         out = tmp_path / "report.json"
         assert run(["solve-asymptotic", "--config", str(example2_path),
-                    "--horizon", "60", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
         report = json.loads(out.read_text())["report"]
-        assert (report["iterations"], report["method_used"],
-                report["map_calls"]) == (23, "newton", 25)
+        assert (report["horizon"], report["iterations"],
+                report["method_used"], report["map_calls"]) == (
+            60, 23, "newton", 24)
 
     def test_horizon_from_config(self, example2_path, tmp_path):
         csv_path = tmp_path / "table.csv"
@@ -267,12 +269,15 @@ class TestSolveCommands:
         assert body["verification"]["passed"]
 
     def test_verify_echo_reproduces_the_solve(self, example2_path, tmp_path):
+        config = json.loads(example2_path.read_text())
+        config.update(c1=1, c2=2, horizon=40)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
         reports = {}
         for command in (["solve-asymptotic"],
                         ["verify", "--mode", "asymptotic"]):
             out = tmp_path / f"{command[0]}.json"
-            run([*command, "--config", str(example2_path), "--c1", "1",
-                 "--c2", "2", "--horizon", "40", "--out", str(out)])
+            run([*command, "--config", str(path), "--out", str(out)])
             reports[command[0]] = json.loads(out.read_text())
         solve = reports["solve-asymptotic"]["report"]
         for report in reports.values():
@@ -313,30 +318,16 @@ class TestInputErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
     def test_nonfinite_amplitude_names_field(self, example2_path, tmp_path,
-                                             capsys, where):
+                                             capsys):
         config = json.loads(example2_path.read_text())
-        argv = ["solve-asymptotic", "--out", str(tmp_path / "r.json")]
-        if where == "config":
-            config["c1"] = float("inf")  # written as Infinity
-        else:
-            argv += ["--c1", "inf"]
+        config["c1"] = float("inf")  # written as Infinity
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(config))
-        assert run(argv + ["--config", str(path)]) == 1
-        assert "c1" in capsys.readouterr().err
+        assert run(["solve-asymptotic", "--out", str(tmp_path / "r.json"),
+                    "--config", str(path)]) == 1
+        assert "c1: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
-
-    @pytest.mark.parametrize("flag, value", [("--tol", "inf"),
-                                             ("--tail-tol", "nan")])
-    def test_nonfinite_flag_names_flag(self, example2_path, tmp_path, capsys,
-                                       flag, value):
-        out = tmp_path / "r.json"
-        assert run(["solve-asymptotic", "--config", str(example2_path),
-                    "--out", str(out), flag, value]) == 1
-        assert f"{flag}: must be finite" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("solver", [], "solver: expected an object"),
@@ -837,28 +828,27 @@ def _outcome(call, argv, capsys):
 
 #: Each command's options besides -h, in its parser's order.
 OPTIONS = {
-    "check": ["--config", "--out", "--c1", "--c2", "--mode"],
-    "simulate": ["--config", "--out", "--csv", "--tail-tol", "--steps"],
-    "solve-periodic": ["--config", "--out", "--csv", "--tol", "--tail-tol"],
-    "solve-asymptotic": ["--config", "--out", "--csv", "--tol", "--tail-tol",
-                         "--c1", "--c2", "--horizon"],
-    "verify": ["--config", "--out", "--csv", "--tol", "--tail-tol", "--c1",
-               "--c2", "--mode", "--horizon"],
+    "check": ["--config", "--out", "--mode"],
+    "simulate": ["--config", "--out", "--csv", "--steps"],
+    "solve-periodic": ["--config", "--out", "--csv"],
+    "solve-asymptotic": ["--config", "--out", "--csv"],
+    "verify": ["--config", "--out", "--csv", "--mode"],
 }
 
-#: The flags that each command once took and never read.
-UNREAD_FLAGS = [("simulate", "--tol"), ("simulate", "--c1"),
-                ("simulate", "--c2"), ("check", "--tol"),
-                ("check", "--tail-tol"), ("solve-periodic", "--c1"),
-                ("solve-periodic", "--c2")]
+#: Flags that would set a config value a second way, beside its field
+#: in the document: no command takes them.
+OVERRIDE_FLAGS = ("--tol", "--tail-tol", "--c1", "--c2", "--horizon")
+
+#: Command and flag pairs that the command does not take.
+UNREAD_FLAGS = [(command, flag) for command in OPTIONS
+                for flag in OVERRIDE_FLAGS]
 
 
 def _flags(command, config, tmp_path):
     """--config, --out and each optional flag that ``command`` takes, with
     a value."""
     values = {"--config": str(config), "--out": str(tmp_path / "r.json"),
-              "--csv": str(tmp_path / "t.csv"), "--tol": "1e-11",
-              "--tail-tol": "1e-10", "--c1": "0.5", "--c2": "2"}
+              "--csv": str(tmp_path / "t.csv")}
     return [word for flag in OPTIONS[command] if flag in values
             for word in (flag, values[flag])]
 
@@ -878,9 +868,9 @@ def _dispatch_cases(example1, example2, tmp_path):
                      *_flags("simulate", example1, tmp_path)],
         "solve-periodic": ["solve-periodic",
                            *_flags("solve-periodic", example1, tmp_path)],
-        "solve-asymptotic": ["solve-asymptotic", "--horizon", "40",
+        "solve-asymptotic": ["solve-asymptotic",
                              *_flags("solve-asymptotic", example2, tmp_path)],
-        "verify": ["verify", "--mode", "asymptotic", "--horizon", "40",
+        "verify": ["verify", "--mode", "asymptotic",
                    *_flags("verify", example2, tmp_path)],
         "equals-form": ["check", "--mode=periodic", "--config=" + c1],
         "abbreviation": ["check", "--conf", c1, "--mode", "periodic"],
@@ -973,16 +963,18 @@ class TestFlagSurface:
     def test_unread_flag_gets_the_top_level_usage(self, command, flag,
                                                   example1_path, tmp_path,
                                                   capsys):
-        """A flag that the command would not read is an argument it leaves
+        """A flag that the command does not take is an argument it leaves
         over: exit 1, the top-level usage, no report and no file."""
         words = {"check": ["check", "--mode", "periodic"],
                  "simulate": ["simulate", "--steps", "3"],
-                 "solve-periodic": ["solve-periodic"]}[command]
-        out = tmp_path / "r.json"
-        code = run([*words, "--config", str(example1_path), "--out", str(out),
+                 "solve-periodic": ["solve-periodic"],
+                 "solve-asymptotic": ["solve-asymptotic"],
+                 "verify": ["verify", "--mode", "periodic"]}[command]
+        outputs = [tmp_path / "r.json", tmp_path / "t.csv"]
+        code = run([*words, *_flags(command, example1_path, tmp_path),
                     flag, "0.5"])
         stdout, err = capsys.readouterr()
         assert (code, stdout) == (1, "")
         assert err.startswith("usage: volterra2d [-h]")
         assert f"error: unrecognized arguments: {flag} 0.5\n" in err
-        assert not out.exists()
+        assert not any(path.exists() for path in outputs)

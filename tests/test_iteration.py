@@ -162,7 +162,8 @@ class TestMixingBranches:
         accepted: on example1-cos-T16 the residual |map(z) - z| is still
         above tol, and on example1-cos-T4 it is below, but one more Picard
         step from z does not shrink it by CONTRACTION_FACTOR.  Newton
-        takes over from that very z (tests/test_verify.py shows that it
+        takes over from that very z with the check's map(z), so that the
+        map is evaluated at z once (tests/test_verify.py shows that Newton
         brings the certified radius down to round-off)."""
         cycle_map = _cycle_map_vec(FORMER_FALSE_FAILS[name])
         z0, opts = np.zeros(len(cycle_map.c)), SolverOptions()
@@ -172,22 +173,27 @@ class TestMixingBranches:
             result = solve_fixed_point(spied, z0,
                                        newton_step=cycle_map.newton_step,
                                        opts=opts)
-        (_, _, z, _, budget), _ = newton.call_args
+        (_, _, z, _, budget, mapped), _ = newton.call_args
         steps = opts.max_iter - budget
         g = cycle_map(z)
         assert _sup(z - seen[steps - 1]) < opts.tol
         # the check evaluates the map at z (and at g if the residual is
-        # below tol), then Newton starts at z
+        # below tol), then Newton starts at z from that map(z): its one
+        # step converges, so it evaluates the map no more
         check = [z] if contracts is None else [z, g]
-        assert [x.tobytes() for x in seen[steps:steps + len(check) + 1]] \
-            == [x.tobytes() for x in check + [z]]
+        assert mapped.tobytes() == g.tobytes()
+        assert [x.tobytes() for x in seen[steps:]] \
+            == [x.tobytes() for x in check]
+        first = z + cycle_map.newton_step(z, z - g)
+        assert result.z.tobytes() == first.tobytes()
         assert (_sup(g - z) < opts.tol) == (contracts is not None)
         if contracts is not None:
             assert (_sup(cycle_map(g) - g)
                     <= _iteration.CONTRACTION_FACTOR * _sup(g - z)) \
                 == contracts
         assert (result.method_used, result.converged) == ("newton", True)
-        assert result.iterations == len(seen) - len(check)
+        assert result.iterations == steps + 1
+        assert result.map_calls == len(seen)
         assert_same_run(cycle_map, z0, cycle_map.newton_step, opts)
 
     def test_singular_gram_system_takes_the_lstsq_step(self):
@@ -299,8 +305,8 @@ class TestCoupledMap:
                 called = m.c + np.concatenate([m.k_x @ m.f(z[n:]),
                                                m.k_y @ m.g(z[:n])])
                 assert m(z).tobytes() == called.tobytes()
-                a = m.k_x * m.f.derivative(z[n:])
-                b = m.k_y * m.g.derivative(z[:n])
+                a = m.k_x * m.f.slope(z[n:])
+                b = m.k_y * m.g.slope(z[:n])
                 jac = np.eye(2 * n)
                 jac[:n, n:], jac[n:, :n] = -a, -b
                 assert m.jacobian(z).tobytes() == jac.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,13 +190,17 @@ class TestHistory:
 
 class TestTrajectory:
     def test_negative_indices_delegate_to_history(self):
+        """A trajectory holds n = 0..len-1; the values before n = 0 are
+        those of the History it was marched from, which it does not keep."""
         hist = History(((9.0, 8.0), (1.0, 2.0)), None)
-        t = Trajectory((1.0, 3.0), (2.0, 4.0), hist, 1e-10)
+        t = Trajectory((1.0, 3.0), (2.0, 4.0), 1e-10)
         assert t.x[1] == 3.0
         assert t.y[0] == 2.0
-        assert t.history.value_at(-1)[0] == 9.0
-        assert t.history.value_at(-5)[1] == 0.0
+        assert [field.name for field in dataclasses.fields(t)] == [
+            "x", "y", "tail_tolerance_used"]
+        assert hist.value_at(-1)[0] == 9.0
+        assert hist.value_at(-5)[1] == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Trajectory((1.0,), (), History.zero(), 1e-10)
+            Trajectory((1.0,), (), 1e-10)

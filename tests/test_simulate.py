@@ -24,9 +24,10 @@ from conftest import (defects_reference, inner_sum_reference,
 POLICY = TruncationPolicy(1e-10, 100_000)
 
 
-def trajectory_values(t, depth=200):
-    """x and y of a trajectory on m = -depth..len-1, history included."""
-    past_x, past_y = zip(*(t.history.value_at(m) for m in range(-depth, 0)))
+def trajectory_values(t, history, depth=200):
+    """x and y of a trajectory on m = -depth..len-1, preceded by the
+    history it was marched from."""
+    past_x, past_y = zip(*(history.value_at(m) for m in range(-depth, 0)))
     return np.array(past_x + t.x), np.array(past_y + t.y)
 
 
@@ -71,7 +72,8 @@ class TestSimulate:
 class TestResidual:
     def test_simulated_trajectory_is_consistent(self, example2_spec):
         t = simulate(example2_spec, History.zero(), 30, POLICY)
-        for dx, dy in defects(example2_spec, *trajectory_values(t), 30,
+        for dx, dy in defects(example2_spec,
+                              *trajectory_values(t, History.zero()), 30,
                               POLICY):
             assert dx <= 10 * POLICY.tail_tol
             assert dy <= 10 * POLICY.tail_tol
@@ -80,7 +82,7 @@ class TestResidual:
         hist = History(((0.2, -0.1),), None)
         t = simulate(example1_spec, hist, 12, POLICY)
         scale = max(abs(v) for v in t.x)
-        for dx, dy in defects(example1_spec, *trajectory_values(t), 12,
+        for dx, dy in defects(example1_spec, *trajectory_values(t, hist), 12,
                               POLICY):
             assert dx <= 10 * POLICY.tail_tol * max(1.0, scale)
             assert dy <= 10 * POLICY.tail_tol * max(1.0, scale)
@@ -89,7 +91,7 @@ class TestResidual:
         hist = History(((0.3, -0.2), (0.1, 0.4)), (0.05, -0.1))
         for spec in (example1_spec, example2_spec):
             t = simulate(spec, hist, 12, POLICY)
-            pairs = defects(spec, *trajectory_values(t), 12, POLICY)
+            pairs = defects(spec, *trajectory_values(t, hist), 12, POLICY)
             assert len(pairs) == 12
             assert all(type(d) is float for pair in pairs for d in pair)
 
@@ -166,8 +168,8 @@ class TestArrayDrive:
         assert np.max(np.abs(np.array(t.y) - ref_y)) <= 1e-13 * scale
         # on the arrays simulate marches on: the history from its tail
         # entry at n = -H-1, which the past repeats
-        pairs = defects(spec, *trajectory_values(t, history.depth + 1), 40,
-                        POLICY)
+        march = trajectory_values(t, history, history.depth + 1)
+        pairs = defects(spec, *march, 40, POLICY)
         assert max(max(pair) for pair in pairs) <= POLICY.tail_tol
 
     def test_generators_reach_the_hard_regimes(self):
@@ -272,8 +274,8 @@ class TestRoundOff:
                     simulate(spec, history, 30, POLICY)
                 continue
             t = simulate(spec, history, 30, POLICY)
-            pairs = defects(spec, *trajectory_values(t, history.depth + 1),
-                            30, POLICY)
+            march = trajectory_values(t, history, history.depth + 1)
+            pairs = defects(spec, *march, 30, POLICY)
             assert max(max(pair) for pair in pairs) <= tol
             for n in range(30):
                 ref = inner_sum_reference(
@@ -300,7 +302,7 @@ class TestDefectsOnArrays:
         rng = np.random.default_rng(seed)
         spec, history = random_drive_case(rng)
         t = simulate(spec, history, 40, POLICY)
-        march = trajectory_values(t, history.depth + 1)
+        march = trajectory_values(t, history, history.depth + 1)
         candidate = rng.uniform(-2.0, 2.0, (2, len(march[0])))
         for xs, ys in (march, candidate):
             for rows in (0, 1, 40):

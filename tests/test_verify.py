@@ -15,7 +15,6 @@ from volterra2d import (
     SystemSpec,
     TruncationPolicy,
     defects,
-    periodic_residual_max,
     solve_asymptotic,
     solve_periodic,
     verify_decomposition,
@@ -75,8 +74,8 @@ class TestVerifyPeriodic:
         def no_work(*args):
             raise AssertionError("verify_periodic did work on the candidate")
 
+        monkeypatch.setattr(verify_module, "_one_period_system", no_work)
         monkeypatch.setattr(verify_module, "_existence_radius", no_work)
-        monkeypatch.setattr(verify_module, "periodic_residual_max", no_work)
         other = PeriodicSequence(period, (0.0,) * period)
         same = PeriodicSequence(2, (0.0, 0.0))
         for solution in ((other, same), (same, other)):
@@ -89,8 +88,8 @@ class TestVerifyPeriodic:
                                              cosine_solution):
         ver = verify_periodic(cosine_spec, cosine_solution)
         assert list(ver.as_dict()) == [
-            "max_defect", "radius", "y0", "z1", "z2", "n_checks",
-            "defect_tol", "radius_tol", "passed"]
+            "max_defect", "radius", "y0", "z1", "z2", "defect_tol",
+            "radius_tol", "passed"]
         assert 0.0 < ver.y0 <= ver.radius <= 2.0 * ver.y0
         assert 0.0 <= ver.z1 < 1e-12 and ver.z2 > 0.0
         assert ver.radius_tol == 1e-8
@@ -98,7 +97,7 @@ class TestVerifyPeriodic:
     def test_two_residual_paths_agree(self, cosine_spec, cosine_solution):
         sol_x, sol_y = cosine_solution
         policy = TruncationPolicy(1e-12)
-        brute = periodic_residual_max(cosine_spec, cosine_solution, 10)
+        brute = verify_periodic(cosine_spec, cosine_solution).max_defect
         ms = range(11)
         adaptive = max(
             max(pair) for pair in defects(
@@ -109,7 +108,7 @@ class TestVerifyPeriodic:
 
     def test_every_slot_of_a_long_period_is_checked(self):
         """A candidate off by 1e-3 at slot 25 of T = 32: the defect gate
-        covers all T rows, not just the first n_checks = 21."""
+        covers all T rows of the one-period system."""
         spec = _example1_cos(32, FiniteLag(((0.3, 0.2),)))
         report = solve_periodic(spec)
         assert report.converged
@@ -429,14 +428,14 @@ class TestVerifyDecomposition:
         assert ver.max_defect == 0.0
 
 
-def _scalar_defect(spec, x, y, n_rows, lead, past):
-    """(max defect, scale) of the recurrence over n < n_rows, recomputed
+def _scalar_defect(spec, x, y, rows, lead, past):
+    """(max defect, scale) of the recurrence over the rows n, recomputed
     term by term with untruncated kernel sums: the values from
     m = -lead on one at a time, and those before, which repeat the
     ``past`` values from m = -lead on, in closed form.  scale bounds the
     size of every quantity in a defect."""
     worst = scale = 0.0
-    for n in range(n_rows):
+    for n in rows:
         for kernel, phi, seq, own, partner in (
                 (spec.kernel_a, spec.f, spec.h, x, y),
                 (spec.kernel_b, spec.g, spec.p, y, x)):
@@ -484,16 +483,29 @@ class TestArraySums:
     """The verifier's closed-form array sums against a term-by-term
     recompute with untruncated kernels."""
 
-    @pytest.mark.parametrize("n_checks", [0, 1, 21])
+    @pytest.mark.parametrize("start", [0, 1, 21])
     @pytest.mark.parametrize("kind, seed, lead", _cases("periodic"))
     def test_periodic_residual_matches_scalar_sums(self, kind, seed, lead,
-                                                   n_checks):
+                                                   start):
+        """max_defect, taken over the T rows of the one-period system, is
+        the brute-force defect of the periodic extension over three
+        repeats from repeat ``start`` on.  The defect of row n repeats
+        every L rows, L the least common multiple of T and the kernels'
+        row periods: L = T for the diagonal-periodic kernels, whose rows
+        repeat with the period, so the rows are three whole periods; the
+        long-lag kernels' 3 weight rows give L = 6 on T = 2, so the rows
+        are jL + r, r < T."""
         rng = np.random.default_rng(seed)
         spec = SPEC_BUILDERS[kind](rng)
         sol_x, sol_y = _candidate(rng, spec)
-        expected, scale = _scalar_defect(spec, sol_x.get, sol_y.get,
-                                         n_checks, lead, spec.period)
-        got = periodic_residual_max(spec, (sol_x, sol_y), n_checks)
+        repeat = math.lcm(spec.period, *(
+            kernel.lag_period for _, kernel, _ in spec.equations
+            if isinstance(kernel, FiniteLag)))
+        rows = [j * repeat + r for j in range(start, start + 3)
+                for r in range(spec.period)]
+        expected, scale = _scalar_defect(spec, sol_x.get, sol_y.get, rows,
+                                         lead, spec.period)
+        got = verify_periodic(spec, (sol_x, sol_y)).max_defect
         assert abs(got - expected) <= 1e-14 * scale
 
     @pytest.mark.parametrize("horizon", [0, 1, 21])
@@ -510,7 +522,7 @@ class TestArraySums:
             return lambda n: u.get(n) + v[n] if n >= 0 else 0.0
 
         expected, scale = _scalar_defect(spec, values(u1, v1), values(u2, v2),
-                                         horizon, lead, 1)
+                                         range(horizon), lead, 1)
         got = verify_decomposition(spec, dec).max_defect
         assert abs(got - expected) <= 1e-14 * scale
 
