@@ -4,7 +4,14 @@ mixing of the last ANDERSON_DEPTH differences) with stall detection and a
 single restart as damped Picard, falling back to Newton on
 F(z) = z - map(z), whose steps eliminate one component of the map's
 closed-form Jacobian.  It counts every map evaluation, never writes into
-an array the map returns, and never mutates a formed iterate."""
+an array the map returns, and never mutates a formed iterate.
+
+K comes in two forms.  ``CoupledMap`` holds dense blocks (the periodic
+cycle map, of size T) and solves its Newton steps by LU.  ``TailMap``
+holds the generators of semiseparable blocks (the asymptotic tail map,
+of size H + 1): it needs O(H) memory, applies K in O(H) time and solves
+its Newton steps by restarted GMRES, one O(H) product with each block
+per Krylov step."""
 from __future__ import annotations
 
 import math
@@ -23,6 +30,16 @@ ANDERSON_DEPTH = 3
 #: An accelerated step below tol is accepted only if one more Picard step
 #: from it shrinks its residual |map(z) - z| by at least this factor.
 CONTRACTION_FACTOR = 0.5
+#: Each segment of a tail map's first-order filter spans at most this much
+#: decay, row_rate * (length - 1): the factors e^{row_rate j} it scales by
+#: stay below e^512 ~ 1e222, and their reciprocals stay normal.
+SEGMENT_EXPONENT = 512.0
+#: GMRES restarts after this many Krylov vectors, so that a Newton step
+#: of a tail map holds O(KRYLOV_DIM * H) memory.
+KRYLOV_DIM = 32
+#: GMRES stops once its residual is at most this fraction of the
+#: right-hand side's.
+KRYLOV_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -50,10 +67,10 @@ class SolverOptions:
 @dataclass(frozen=True, eq=False)
 class CoupledMap:
     """z = [x; y] -> c + [K_x f(y); K_y g(x)] with a fixed vector c, fixed
-    square blocks K_x, K_y and nonlinearities f, g applied entry by entry
-    by their bound array formulas (``apply``, and ``slope`` for the
-    Jacobian): the form of both the periodic cycle map and the asymptotic
-    tail map.  Every slice of z is a float64 array."""
+    dense square blocks K_x, K_y and nonlinearities f, g applied entry by
+    entry by their bound array formulas (``apply``, and ``slope`` for the
+    Jacobian): the form of the periodic cycle map.  Every slice of z is a
+    float64 array."""
 
     c: np.ndarray
     k_x: np.ndarray
@@ -93,6 +110,183 @@ class CoupledMap:
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(self.jacobian(z), -residual, rcond=None)[0]
         return np.concatenate([dx, b @ dx - r_y])
+
+
+def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
+           rhs: np.ndarray) -> Optional[np.ndarray]:
+    """x with |rhs - matvec(x)| <= KRYLOV_RTOL |rhs| (2-norms), by GMRES
+    from x = 0 restarted every KRYLOV_DIM steps (Saad & Schultz, SIAM J.
+    Sci. Stat. Comput. 7, 1986).  Each new basis vector is orthogonalized
+    twice by classical Gram-Schmidt, and Givens rotations keep the
+    Hessenberg matrix triangular and the residual norm current; a cycle
+    that reaches the tolerance by that norm ends the solve, and one that
+    does not is restarted from the residual computed anew.  None when a
+    value is not finite, the Krylov space holds no better solution (a
+    singular matrix), or a restart cycle fails to halve the residual."""
+    x = np.zeros_like(rhs)
+    beta = math.sqrt(rhs @ rhs)
+    if not math.isfinite(beta):
+        return None
+    target = KRYLOV_RTOL * beta
+    basis = np.empty((KRYLOV_DIM + 1, len(rhs)))
+    tri = np.zeros((KRYLOV_DIM, KRYLOV_DIM))  # R of the Hessenberg's QR
+    residual = rhs
+    while beta > target:
+        basis[0] = residual / beta
+        rotations, g = [], [beta]  # g: Q^T (beta e_1)
+        for k in range(KRYLOV_DIM):
+            w = matvec(basis[k])
+            column = np.zeros(k + 1)
+            for _ in range(2):
+                h = basis[:k + 1] @ w
+                w -= h @ basis[:k + 1]
+                column += h
+            norm = math.sqrt(w @ w)
+            col = column.tolist() + [norm]
+            for i, (cos, sin) in enumerate(rotations):
+                col[i], col[i + 1] = (cos * col[i] + sin * col[i + 1],
+                                      cos * col[i + 1] - sin * col[i])
+            rho = math.hypot(col[k], norm)
+            if not 0.0 < rho < math.inf:
+                return None
+            cos, sin = col[k] / rho, norm / rho
+            rotations.append((cos, sin))
+            col[k] = rho
+            tri[:k + 1, k] = col[:k + 1]
+            g.append(-sin * g[k])
+            g[k] *= cos
+            if abs(g[k + 1]) <= target:
+                break
+            basis[k + 1] = w / norm
+        steps = len(rotations)
+        x = x + np.linalg.solve(tri[:steps, :steps], g[:steps]) \
+            @ basis[:steps]
+        if abs(g[steps]) <= target:
+            return x
+        residual = rhs - matvec(x)
+        last, beta = beta, math.sqrt(residual @ residual)
+        if not beta <= last / 2.0:
+            return None
+    return x
+
+
+class TailMap:
+    """z = [x; y] -> c + [K_x f(y); K_y g(x)] with semiseparable blocks of
+    width W, the form of the asymptotic tail map:
+
+        K_i[n, m] = scale_i[n] U_i[max(n, m)] lam_i^{max(n - m, 0)},
+        lam_i = e^{-rate_i},
+
+    held as its generators: ``c`` (2W entries), ``u`` and ``scale``
+    (2 x W) and ``rate`` (2), row 0 for K_x, which maps f(y), and row 1
+    for K_y, which maps g(x).  Entry n of K_i phi is scale_i[n] times
+    U_i[n] S[n] + P[n], with the first-order filter
+    S[n] = sum_{m<=n} lam_i^{n-m} phi_m and the suffix sum
+    P[n] = sum_{m>n} U_i[m] phi_m (Vandebril, Van Barel & Mastronardi,
+    Matrix Computations and Semiseparable Matrices, 2008), so the map
+    takes O(W) memory and O(W) time per application.  The filter runs in
+    segments of at most 1 + SEGMENT_EXPONENT / max(rate) entries: inside
+    one it sums lam^{-j} phi from the segment's start, j the offset, and S
+    is carried across each segment's end, so that no factor overflows.  A
+    zero block is U = 0, at any rate.  Newton steps are matrix-free
+    (``newton_step``); ``dense`` builds the blocks, for the least-squares
+    fallback and for tests."""
+
+    def __init__(self, c: np.ndarray, u: np.ndarray, scale: np.ndarray,
+                 rate: np.ndarray, f: Any, g: Any):
+        self.c, self.u, self.scale, self.f, self.g = c, u, scale, f, g
+        self.rate = rate = np.asarray(rate, dtype=float)
+        self._width = width = u.shape[1]
+        top = float(rate.max())
+        self._segment = segment = (
+            width if top * (width - 1) <= SEGMENT_EXPONENT
+            else int(SEGMENT_EXPONENT // top) + 1)
+        offset = rate[:, None] * (np.arange(width) % segment)
+        grow = np.exp(offset).ravel()  # lam^{-j}
+        # scale U lam^j: where it underflows, |scale U| is below
+        # e^SEGMENT_EXPONENT times the least normal double, so that
+        # |scale U S| < 1e-85 max |phi| / (1 - lam)
+        gain = (scale * u * np.exp(-offset)).ravel()
+        # scale[n] beside U[n + 1] phi_{n+1}, 0 at each block's last row
+        next_scale = np.concatenate([scale[:, :-1], np.zeros((2, 1))],
+                                    axis=1).ravel()
+        carry = np.exp(-rate * segment)[:, None]  # lam^segment
+        flat_u = u.ravel()
+
+        def views(first, stop):
+            flat = slice(first * width, stop * width)
+            return (grow[flat], gain[flat], flat_u[flat],
+                    next_scale[flat][:-1], carry[first:stop])
+
+        self._both, self._x, self._y = views(0, 2), views(0, 1), views(1, 2)
+
+    def _product(self, blocks: tuple, phi: np.ndarray) -> np.ndarray:
+        """K phi for the blocks whose generators ``blocks`` holds
+        (``_both``, ``_x`` or ``_y``), with phi and the result holding W
+        entries per block, one block after the other."""
+        grow, gain, u, next_scale, carry = blocks
+        width, segment = self._width, self._segment
+        s = phi * grow
+        rows = s.reshape(-1, width)
+        for start in range(0, width, segment):
+            part = rows[:, start:start + segment]
+            np.add.accumulate(part, axis=1, out=part)
+            if start:  # lam S[start - 1], at a full segment's last entry
+                part += carry * rows[:, start - 1:start]
+        s *= gain
+        # the suffix sums sum_{m>=n} U[m] phi_m, accumulated from the end
+        suffix = phi * u
+        backward = suffix.reshape(-1, width)[:, ::-1]
+        np.add.accumulate(backward, axis=1, out=backward)
+        tail = suffix[1:]
+        tail *= next_scale
+        s[:-1] += tail
+        return s
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        width = self._width
+        out = self._product(self._both, np.concatenate(
+            (self.f.apply(z[width:]), self.g.apply(z[:width]))))
+        out += self.c
+        return out
+
+    def dense(self) -> CoupledMap:
+        """The same map with its blocks built as dense W x W arrays."""
+        n = np.arange(self._width)
+        k = (self.u[:, np.maximum(n[:, None], n)]
+             * np.exp(-self.rate[:, None, None]
+                      * np.maximum(n[:, None] - n, 0)))
+        k *= self.scale[:, :, None]
+        return CoupledMap(self.c, k[0], k[1], self.f, self.g)
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """I - K diag(phi'(z)): the Jacobian of F(z) = z - map(z), dense."""
+        return self.dense().jacobian(z)
+
+    def newton_step(self, z: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """The delta with jacobian(z) @ delta = -residual, by eliminating
+        the y block as ``CoupledMap.newton_step`` does, but matrix-free:
+        with A v = K_x (f'(y) v) and B v = K_y (g'(x) v), GMRES solves
+        (I - A B) dx = -r_x - A r_y by products with the blocks alone
+        (Knoll & Keyes, J. Comput. Phys. 193, 2004), then dy = B dx - r_y.
+        Where GMRES fails, least squares on the dense Jacobian gives the
+        step."""
+        width = self._width
+        f_slope = self.f.slope(z[width:])
+        g_slope = self.g.slope(z[:width])
+
+        def a(v):
+            return self._product(self._x, f_slope * v)
+
+        def b(v):
+            return self._product(self._y, g_slope * v)
+
+        r_x, r_y = residual[:width], residual[width:]
+        dx = _gmres(lambda v: v - a(b(v)), -r_x - a(r_y))
+        if dx is None:
+            return np.linalg.lstsq(self.jacobian(z), -residual,
+                                   rcond=None)[0]
+        return np.concatenate([dx, b(dx) - r_y])
 
 
 @dataclass(frozen=True)
@@ -183,7 +377,8 @@ def solve_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray],
 
     Newton runs on the remaining budget, its corrections
     ``newton_step(z, residual)`` solving against the Jacobian of
-    z - apply_map(z) (``CoupledMap.newton_step``); if it takes no step,
+    z - apply_map(z) (``CoupledMap.newton_step``,
+    ``TailMap.newton_step``); if it takes no step,
     the result is the mixing phase's.  ``method_used`` names the kind of
     the last step taken: ``picard`` (``damped_picard`` below damping 1),
     ``anderson`` or ``newton``.  Non-convergence is reported, not

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
+from ._iteration import SolverOptions, TailMap, solve_fixed_point
 from .kernels import FiniteLag, Kernel, TailNotCertified, TruncationPolicy
 from .sequences import PeriodicSequence
 from .simulate import defects
@@ -87,10 +87,6 @@ class AsymptoticSolveReport:
         }
 
 
-#: Magnitude below which tail-map block entries are set to zero.
-_NEGLIGIBLE = math.sqrt(np.finfo(float).tiny)
-
-
 def _outer_cut(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
                horizon: int, policy: TruncationPolicy) -> Tuple[int, float]:
     """Smallest N >= horizon whose decay envelope at N+1 is <= tail_tol/2,
@@ -107,29 +103,32 @@ def _tail_block(kernel: Kernel, nonlin: Nonlinearity,
                 growth: PeriodicSequence, ratio: float, c_out: float,
                 c_partner: float, partner_growth: PeriodicSequence,
                 horizon: int, policy: TruncationPolicy
-                ) -> Tuple[np.ndarray, np.ndarray, float]:
+                ) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
     """One tail-map component reduced to the window 0..horizon in the
-    coupled form out = c + K @ nonlin(partner window): (K, c, error).
+    coupled form out = c + K @ nonlin(partner window), as the generators of
+    its block K: (U, rate, scale, c, error), with
+    K[n, m] = scale[n] U[max(n, m)] e^{-rate max(n - m, 0)} (see
+    ``TailMap``).  Each is O(horizon) in memory.
 
-    The error bounds the outer cut and the flush of tiny entries.  K
-    holds the suffix sums w[n, m] = sum_{i=max(n,m)}^{cut} r_{i+1} a_{i,m}
-    over -r_n, and c folds the drive from outside the window in with the
-    amplitude.  For a separable kernel, with lam = e^{-row_rate},
+    The error bounds the outer cut.  K holds the suffix sums
+    w[n, m] = sum_{i=max(n,m)}^{cut} r_{i+1} a_{i,m} over scale = -1 / r_n,
+    and c folds the drive from outside the window in with the amplitude.
+    For a separable kernel, with lam = e^{-row_rate},
     w[n, m] = U[max(n, m)] lam^{max(n-m, 0)} by the stable backward
     recursion U[j] = r_{j+1} coef e^{(row_rate-col_rate) j} + lam U[j+1]
-    from U[cut+1] = 0.  The zero history before 0 adds f(0) U[n]
-    lam^{n+1} / (1 - lam) to row n, and each column m past the horizon
-    U[m] f(partner_m) to every row: the sums over m are exact, and only
-    the outer cut truncates.
+    from U[cut+1] = 0, and rate = row_rate.  The zero history before 0
+    adds f(0) U[n] lam^{n+1} / (1 - lam) to row n, and each column m past
+    the horizon U[m] f(partner_m) to every row: the sums over m are exact,
+    and only the outer cut truncates.
     """
     cut, error = _outer_cut(ratio, nonlin, kernel, horizon, policy)
     width = horizon + 1
-    m = np.arange(width)
-    growth_out = growth.take(m)
+    growth_out = growth.take(np.arange(width))
+    scale = -1.0 / growth_out
     if isinstance(kernel, FiniteLag):
         # A nonzero finite-lag kernel has an infinite double tail, so
         # _outer_cut lets one through only with a zero drive: K = 0.
-        return np.zeros((width, width)), c_out / growth_out, error
+        return np.zeros(width), 0.0, scale, c_out / growth_out, error
     rate = np.longdouble(kernel.row_rate)  # U is summed in long double
     j = np.arange(cut + 1)
     terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
@@ -138,25 +137,13 @@ def _tail_block(kernel: Kernel, nonlin: Nonlinearity,
     for i in range(cut, -1, -1):
         acc = terms[i] + decay * acc
         u[i] = acc
-    powers = np.exp(-kernel.row_rate * np.arange(width + 1))  # lam^k
-    # lam^{n-m} on and below the diagonal and 0 above it, gathered from
-    # [lam^{width-1}, ..., lam^0, 0, ..., 0] at width - 1 - n + m, times
-    # U[n]; above the diagonal U[m] is added to that 0
-    w = np.concatenate([powers[width - 1::-1], np.zeros(horizon)])[
-        width - 1 - m[:, None] + m]
-    w *= u[:width, None]
-    np.add(w, u[:width], out=w, where=m > m[:, None])
     post = c_partner / partner_growth.take(np.arange(width, cut + 1))
+    powers = np.exp(-kernel.row_rate * np.arange(width + 1))  # lam^k
     drive_outside = (nonlin(0.0) * u[:width] * powers[1:]
                      / -math.expm1(-kernel.row_rate)
                      + u[width:] @ nonlin(post))
     c = (c_out - drive_outside) / growth_out
-    w /= -growth_out[:, None]
-    # Entries below sqrt(tiny) become zero, so that the products of two
-    # entries in a Newton step stay out of the slow subnormal range; that
-    # moves no entry of K @ phi by more than this:
-    w[np.abs(w) < _NEGLIGIBLE] = 0.0
-    return w, c, error + width * _NEGLIGIBLE * nonlin.bound
+    return u[:width], kernel.row_rate, scale, c, error
 
 
 class TailMapOperator:
@@ -164,11 +151,14 @@ class TailMapOperator:
 
     x-component: (c1 - sum_{i>=n} r_{i+1} * drive_a(i)) / r_n with r the
     reciprocal growth of h and drive_a(i) the kernel-a weighted f(y) row
-    sum; symmetric for y.  ``map`` is that CoupledMap, ``free`` the free
-    response [u1; u2] and ``envelope`` the pointwise decay bounds
-    [v1_bound; v2_bound] on the deviation from it.  ``truncation_error``
-    certifies the outer cuts and ``closure_error`` the partner closed with
-    its free response beyond the window; before 0 the history is zero.
+    sum; symmetric for y.  ``map`` is that ``TailMap``, held as the
+    generators of its semiseparable blocks: O(horizon) memory, and
+    O(horizon) time per application and per product of its matrix-free
+    Newton step.  ``free`` is the free response [u1; u2] and ``envelope``
+    the pointwise decay bounds [v1_bound; v2_bound] on the deviation from
+    it.  ``truncation_error`` certifies the outer cuts and
+    ``closure_error`` the partner closed with its free response beyond the
+    window; before 0 the history is zero.
     """
 
     def __init__(self, spec: SystemSpec, c1: float, c2: float, horizon: int,
@@ -195,8 +185,9 @@ class TailMapOperator:
                           c_out / growth.take(window),
                           decay_envelope(ratio, nonlin, kernel, window),
                           closure))
-        ks, cs, errors, free, envelope, closure = zip(*parts)
-        self.map = CoupledMap(np.concatenate(cs), *ks, spec.f, spec.g)
+        us, rates, scales, cs, errors, free, envelope, closure = zip(*parts)
+        self.map = TailMap(np.concatenate(cs), np.stack(us),
+                           np.stack(scales), np.array(rates), spec.f, spec.g)
         self.free = np.concatenate(free)
         self.envelope = np.concatenate(envelope)
         self.truncation_error = max(errors)

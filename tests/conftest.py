@@ -454,12 +454,19 @@ def defects_reference(spec, xs, ys, rows, policy, past=1):
                                           *drives))
 
 
+#: Magnitude below which tail_block_reference flushes block entries to
+#: zero, with their bound added to its error.
+REFERENCE_NEGLIGIBLE = math.sqrt(np.finfo(float).tiny)
+
+
 def tail_block_reference(kernel, nonlin, growth, ratio, c_out, c_partner,
                          partner_growth, horizon, policy):
-    """One tail-map block (K, c, error) with its Toeplitz factor
-    lam^{n-m} taken as a reversed strided-window view of
-    [lam^{width-1}, ..., lam^0, 0, ..., 0]."""
-    from volterra2d.asymptotic_solver import _NEGLIGIBLE, _outer_cut
+    """One tail-map block (K, c, error) built densely, with its Toeplitz
+    factor lam^{n-m} taken as a reversed strided-window view of
+    [lam^{width-1}, ..., lam^0, 0, ..., 0], and its entries below
+    REFERENCE_NEGLIGIBLE flushed to zero, at most
+    width * REFERENCE_NEGLIGIBLE * bound more error."""
+    from volterra2d.asymptotic_solver import _outer_cut
 
     cut, error = _outer_cut(ratio, nonlin, kernel, horizon, policy)
     width = horizon + 1
@@ -485,8 +492,8 @@ def tail_block_reference(kernel, nonlin, growth, ratio, c_out, c_partner,
                      + u[width:] @ nonlin(post))
     c = (c_out - drive_outside) / growth_out
     w /= -growth_out[:, None]
-    w[np.abs(w) < _NEGLIGIBLE] = 0.0
-    return w, c, error + width * _NEGLIGIBLE * nonlin.bound
+    w[np.abs(w) < REFERENCE_NEGLIGIBLE] = 0.0
+    return w, c, error + width * REFERENCE_NEGLIGIBLE * nonlin.bound
 
 
 def envelope_ok_reference(dec, tail_tol):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from volterra2d import (
 from volterra2d.asymptotic_solver import _outer_cut, _tail_block
 from volterra2d.system import decay_envelope, default_horizon
 
-from conftest import (central_difference_jacobian, defects_reference,
-                      random_summable_spec, tail_block_reference)
+from conftest import (REFERENCE_NEGLIGIBLE, central_difference_jacobian,
+                      defects_reference, random_summable_spec,
+                      tail_block_reference)
 
 POLICY = TruncationPolicy(1e-10, 100_000)
 TAIL_MASS_A = 2.502650301077119
@@ -64,6 +66,35 @@ def per_term_weight_block(kernel, nonlin, growth, ratio, horizon, policy):
                       / -growth.get(n)
                       for m in range(horizon + 1)]
                      for n in range(horizon + 1)])
+
+
+def reference_sides(spec, c1, c2, horizon):
+    """Per component, the _tail_block arguments and tail_block_reference's
+    dense (K, c, error) for them: the x component, then y."""
+    prof = growth_profile(spec)
+    sides = ((spec.kernel_a, spec.f, prof.x, prof.ratio_x, c1),
+             (spec.kernel_b, spec.g, prof.y, prof.ratio_y, c2))
+    out = []
+    for (kernel, nonlin, growth, ratio, c_out), (
+            _, _, p_growth, _, c_partner) in zip(sides, sides[::-1]):
+        args = (kernel, nonlin, growth, ratio, c_out, c_partner, p_growth,
+                horizon, POLICY)
+        out.append((args, tail_block_reference(*args)))
+    return out
+
+
+def assert_map_matches_blocks(tail_map, blocks, rng, draws=3):
+    """map(z) against c + K phi(z) with the dense reference blocks
+    (K_x, K_y), at random z: in each component within
+    1e-13 max(1, max |K| |phi|)."""
+    width = len(blocks[0])
+    for _ in range(draws):
+        z = rng.uniform(-3.0, 3.0, 2 * width)
+        phis = (tail_map.f(z[width:]), tail_map.g(z[:width]))
+        for part, c, k_ref, phi in zip(np.split(tail_map(z), 2),
+                                       np.split(tail_map.c, 2), blocks, phis):
+            bound = 1e-13 * max(1.0, np.max(np.abs(k_ref) @ np.abs(phi)))
+            assert np.max(np.abs(part - (c + k_ref @ phi))) <= bound
 
 
 class TestGrowthProfile:
@@ -112,10 +143,12 @@ class TestTailMap:
                     TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
                 continue
             op = TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
-            assert op.map.k_x.shape == (13, 13)
-            assert not op.map.k_x.any()
+            # K_x = 0 is held as U = 0, not as a 13 x 13 array of zeros
+            assert op.map.u.shape == (2, 13)
+            assert not op.map.u[0].any() and op.map.u[1].any()
             assert np.array_equal(op.map.c[:13], op.free[:13])
-            assert op.map.k_y.any()
+            z = np.random.default_rng(4).uniform(-3.0, 3.0, 26)
+            assert np.array_equal(op.map(z)[:13], op.map.c[:13])
 
     def test_zero_amplitude_returns_free_response(self, example2_spec):
         spec = SystemSpec(2, example2_spec.h, example2_spec.p,
@@ -180,45 +213,53 @@ class TestTailMap:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_weight_block_matches_per_term_build(self, seed):
+        """The map from its generators applies the blocks built one kernel
+        term at a time."""
         spec = random_summable_spec(np.random.default_rng(seed))
         op = TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
         prof = growth_profile(spec)
-        for block, kernel, nonlin, growth, ratio in (
-                (op.map.k_x, spec.kernel_a, spec.f, prof.x, prof.ratio_x),
-                (op.map.k_y, spec.kernel_b, spec.g, prof.y, prof.ratio_y)):
-            expected = per_term_weight_block(kernel, nonlin, growth, ratio,
-                                             12, POLICY)
-            assert block.shape == expected.shape
-            assert np.max(np.abs(block - expected)) <= 1e-15 * max(
-                1.0, np.max(np.abs(expected)))
+        blocks = [per_term_weight_block(kernel, nonlin, growth, ratio, 12,
+                                        POLICY)
+                  for kernel, nonlin, growth, ratio in (
+                      (spec.kernel_a, spec.f, prof.x, prof.ratio_x),
+                      (spec.kernel_b, spec.g, prof.y, prof.ratio_y))]
+        assert op.map.u.shape == (2, 13)
+        assert_map_matches_blocks(op.map, blocks,
+                                  np.random.default_rng(seed))
 
-
-    @pytest.mark.parametrize("horizon", [8, 40, 400])
+    @pytest.mark.parametrize("horizon", [0, 8, 40, 400, 1000])
     def test_tail_block_equals_strided_build(self, example2_spec, horizon):
-        # the Toeplitz factor gathered by index, not read off a strided
-        # view: K, c and the error stay the same bit for bit, also where
-        # lam^{n-m} underflows to 0 under a negative kernel
+        """The generators give the dense strided build's c bit for bit and
+        its error less the flush of tiny entries, and the map applies its
+        K.  The cases: components of different rates; a negative kernel at
+        rate 2.5, whose lam^{n-m} underflows and whose filter runs in
+        segments of 205 from H = 205 on; and rates 2.5 and 0.3 together."""
         steep = SeparableExponential(-0.8, 2.5, 3.0)
+        slow = SeparableExponential(0.5, 0.3, 0.9)
+        rng = np.random.default_rng(horizon)
         for spec, c1, c2 in (
                 (example2_spec, 1.0, 2.0),
-                (random_summable_spec(np.random.default_rng(horizon)),
-                 0.7, -1.3),
+                (random_summable_spec(rng), 0.7, -1.3),
                 (SystemSpec(2, example2_spec.h, example2_spec.p, steep,
                             steep, example2_spec.f, example2_spec.g),
-                 1.0, 1.0)):
-            prof = growth_profile(spec)
-            sides = ((spec.kernel_a, spec.f, prof.x, prof.ratio_x, c1),
-                     (spec.kernel_b, spec.g, prof.y, prof.ratio_y, c2))
-            for (kernel, nonlin, growth, ratio, c_out), (
-                    _, _, p_growth, _, c_partner) in zip(sides, sides[::-1]):
-                args = (kernel, nonlin, growth, ratio, c_out, c_partner,
-                        p_growth, horizon, POLICY)
-                k, c, error = _tail_block(*args)
-                k_ref, c_ref, error_ref = tail_block_reference(*args)
-                assert k.shape == (horizon + 1, horizon + 1)
-                assert k.tobytes() == k_ref.tobytes()
-                assert c.tobytes() == c_ref.tobytes()
-                assert error == error_ref
+                 1.0, 1.0),
+                (SystemSpec(2, example2_spec.h, example2_spec.p, steep,
+                            slow, example2_spec.f, example2_spec.g),
+                 1.0, -0.5)):
+            op = TailMapOperator(spec, c1, c2, horizon, POLICY)
+            blocks, errors = [], []
+            for c_map, (args, (k_ref, c_ref, error_ref)) in zip(
+                    np.split(op.map.c, 2),
+                    reference_sides(spec, c1, c2, horizon)):
+                u, rate, scale, c, error = _tail_block(*args)
+                assert u.shape == scale.shape == (horizon + 1,)
+                assert c.tobytes() == c_ref.tobytes() == c_map.tobytes()
+                flush = (horizon + 1) * REFERENCE_NEGLIGIBLE * args[1].bound
+                assert error + flush == error_ref
+                blocks.append(k_ref)
+                errors.append(error)
+            assert op.truncation_error == max(errors)
+            assert_map_matches_blocks(op.map, blocks, rng)
 
 
 class TestSolveAsymptotic:
@@ -324,15 +365,22 @@ class TestOperatorReuse:
                            rtol=0.0, atol=1e-7)
 
     def test_newton_step_matches_dense_solve(self):
-        """The eliminated step solves the same system as an LU of the dense
-        2(H+1) x 2(H+1) Jacobian, on random tail maps of H = 10..200."""
+        """The matrix-free step solves the same system as an LU of the
+        dense 2(H+1) x 2(H+1) Jacobian built from the reference blocks, on
+        random tail maps of H = 10..400 (in filter segments at H = 400)."""
         rng = np.random.default_rng(15)
-        for horizon in (10, 37, 80, 141, 200):
+        for horizon in (10, 37, 80, 141, 200, 400):
             spec = random_summable_spec(rng)
             tail_map = TailMapOperator(spec, 1.0, 1.0, horizon, POLICY).map
-            z = rng.uniform(-3, 3, 2 * (horizon + 1))
-            residual = rng.uniform(-1, 1, 2 * (horizon + 1))
-            dense = np.linalg.solve(tail_map.jacobian(z), -residual)
+            (_, (k_x, _, _)), (_, (k_y, _, _)) = reference_sides(
+                spec, 1.0, 1.0, horizon)
+            width = horizon + 1
+            z = rng.uniform(-3, 3, 2 * width)
+            residual = rng.uniform(-1, 1, 2 * width)
+            jac = np.eye(2 * width)
+            jac[:width, width:] = -k_x * spec.f.slope(z[width:])
+            jac[width:, :width] = -k_y * spec.g.slope(z[:width])
+            dense = np.linalg.solve(jac, -residual)
             step = tail_map.newton_step(z, residual)
             assert (np.max(np.abs(step - dense))
                     <= 1e-13 * np.max(np.abs(dense)))
@@ -345,6 +393,22 @@ class TestOperatorReuse:
                                   policy=POLICY)
         assert report.converged
         assert (report.iterations, report.method_used) == (23, "newton")
+
+    def test_memory_stays_linear_in_the_horizon(self, example2_spec):
+        """At H = 2000 one dense (H+1)^2 block would take 32 MB: the
+        generators, their map and its matrix-free Newton steps take O(H)
+        memory, and the solve takes its H = 60 counts."""
+        tracemalloc.start()
+        try:
+            report = solve_asymptotic(example2_spec, 1.0, 1.0, 2000,
+                                      policy=POLICY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert (report.iterations, report.map_calls,
+                report.method_used) == (23, 24, "newton")
+        assert peak < 4_000_000
 
 
 def outer_cut_reference(ratio, nonlin, kernel, horizon, policy):

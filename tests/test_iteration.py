@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from volterra2d import Nonlinearity, SolverOptions, TruncationPolicy
 from volterra2d import _iteration
-from volterra2d._iteration import CoupledMap, solve_fixed_point
+from volterra2d._iteration import CoupledMap, TailMap, solve_fixed_point
 from volterra2d.asymptotic_solver import TailMapOperator
 from volterra2d.periodic_solver import _cycle_map_vec
 from volterra2d.system import default_horizon
@@ -124,7 +124,9 @@ def _sup(a):
 
 
 def _lipschitz(m):
-    """The sup-norm Lipschitz bound of a CoupledMap."""
+    """The sup-norm Lipschitz bound of a CoupledMap or a TailMap."""
+    if isinstance(m, TailMap):
+        m = m.dense()
     return max(np.abs(m.k_x).sum(axis=1).max() * m.f.lipschitz,
                np.abs(m.k_y).sum(axis=1).max() * m.g.lipschitz)
 
@@ -271,10 +273,9 @@ def test_contractions_reach_the_depth_zero_fixed_point(seed, rate,
 
 class TestCoupledMap:
     def test_output_equals_concatenated_blocks(self, example1_spec,
-                                               cosine_spec, example2_spec):
+                                               cosine_spec):
         rng = np.random.default_rng(3)
-        maps = periodic_maps(example1_spec, cosine_spec) \
-            + tail_maps(example2_spec)
+        maps = periodic_maps(example1_spec, cosine_spec)
         maps.append(CoupledMap(rng.normal(size=10), rng.normal(size=(5, 5)),
                                rng.normal(size=(5, 5)),
                                example1_spec.f, example1_spec.g))
@@ -288,13 +289,12 @@ class TestCoupledMap:
                 assert out is not m.c and m(z).tobytes() == out.tobytes()
 
     def test_bound_formulas_equal_the_called_form(self, example1_spec,
-                                                  cosine_spec, example2_spec):
+                                                  cosine_spec):
         # The map and its Newton step take f and g by their bound array
         # formulas; written with the dispatching call and ``derivative``
         # they give the same bits, for every kind.
         rng = np.random.default_rng(5)
-        maps = periodic_maps(example1_spec, cosine_spec) \
-            + tail_maps(example2_spec)
+        maps = periodic_maps(example1_spec, cosine_spec)
         for kind in ("sin", "cos", "tanh", "rational_bounded"):
             f, g = Nonlinearity(kind, 1.3, -0.7), Nonlinearity(kind, -0.4, 2.1)
             maps.append(CoupledMap(rng.normal(size=8), rng.normal(size=(4, 4)),
@@ -316,3 +316,119 @@ class TestCoupledMap:
                 step = np.concatenate([dx, b @ dx - residual[n:]])
                 assert (m.newton_step(z, residual).tobytes()
                         == step.tobytes())
+
+
+def random_tail_maps(rng):
+    """TailMaps with random generators: U decaying at a random gap, row
+    scales of either sign, widths 1 to 300, rates 0.05 to 4 (the filter in
+    segments of 129 at width 300) and a zero block (U = 0, rate 0)."""
+    maps = []
+    for width, rates in ((1, (0.7, 1.3)), (9, (0.05, 2.0)),
+                         (300, (4.0, 0.2)), (50, (0.0, 1.0))):
+        n = np.arange(width)
+        u = np.stack([0.0 * n if rate == 0.0 else
+                      rng.uniform(0.1, 0.5) * rng.choice([-1.0, 1.0])
+                      * np.exp(-rng.uniform(0.5, 1.0) * n)
+                      * rng.uniform(0.8, 1.2, width)
+                      for rate in rates])
+        scale = rng.uniform(0.5, 1.5, (2, width)) * rng.choice([-1.0, 1.0])
+        maps.append(TailMap(rng.normal(size=2 * width), u, scale,
+                            np.array(rates), Nonlinearity("sin", 1.3, 0.7),
+                            Nonlinearity("tanh", -0.4, 2.1)))
+    return maps
+
+
+class TestTailMap:
+    """The map from its generators in O(W) against its dense form, and its
+    matrix-free Newton step against the dense one."""
+
+    @pytest.mark.parametrize("exponent", [_iteration.SEGMENT_EXPONENT, 4.0,
+                                          0.1])
+    def test_output_matches_the_dense_form(self, example2_spec, exponent):
+        """At the module's segment exponent, S carried across a segment's
+        end is below 1e-222 of the sum, so smaller exponents (segments of
+        one to 81 entries) check the carry."""
+        rng = np.random.default_rng(7)
+        with mock.patch.object(_iteration, "SEGMENT_EXPONENT", exponent):
+            maps = tail_maps(example2_spec) + random_tail_maps(rng)
+        for m in maps:
+            n = m.u.shape[1]
+            dense = m.dense()
+            assert dense.k_x.shape == (n, n)
+            for z in (rng.normal(size=2 * n), 10.0 * rng.normal(size=2 * n)):
+                out = m(z)
+                phi = np.concatenate([m.f(z[n:]), m.g(z[:n])])
+                size = np.concatenate([np.abs(dense.k_x) @ np.abs(phi[:n]),
+                                       np.abs(dense.k_y) @ np.abs(phi[n:])])
+                assert (np.max(np.abs(out - dense(z)))
+                        <= 1e-13 * max(1.0, np.max(size)))
+                # f and g by their bound array formulas, as called
+                assert out.tobytes() == (
+                    m.c + m._product(m._both, phi)).tobytes()
+                assert out is not m.c and m(z).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("exponent", [_iteration.SEGMENT_EXPONENT, 0.1])
+    def test_newton_step_matches_the_dense_step(self, example2_spec,
+                                                exponent):
+        rng = np.random.default_rng(8)
+        with mock.patch.object(_iteration, "SEGMENT_EXPONENT", exponent):
+            maps = tail_maps(example2_spec) + random_tail_maps(rng)
+        for m in maps:
+            n = m.u.shape[1]
+            z, residual = rng.normal(size=2 * n), rng.normal(size=2 * n)
+            dense = m.dense()
+            assert m.jacobian(z).tobytes() == dense.jacobian(z).tobytes()
+            expected = dense.newton_step(z, residual)
+            assert (np.max(np.abs(m.newton_step(z, residual) - expected))
+                    <= 1e-13 * max(1.0, np.max(np.abs(expected))))
+
+    def test_failed_structured_solve_takes_the_lstsq_step(self,
+                                                          example2_spec):
+        """Where GMRES fails, the step is least squares on the dense
+        Jacobian, the one place that builds it."""
+        m = tail_maps(example2_spec)[0]
+        rng = np.random.default_rng(9)
+        z, residual = rng.normal(size=len(m.c)), rng.normal(size=len(m.c))
+        with mock.patch.object(_iteration, "_gmres",
+                               return_value=None) as gmres:
+            step = m.newton_step(z, residual)
+        assert gmres.call_count == 1
+        expected = np.linalg.lstsq(m.jacobian(z), -residual, rcond=None)[0]
+        assert step.tobytes() == expected.tobytes()
+
+
+class TestGmres:
+    @pytest.mark.parametrize("dim", [1, 3, _iteration.KRYLOV_DIM])
+    def test_restarted_solves_reach_the_tolerance(self, dim):
+        """Nonsymmetric systems of size 1 to 80, with restarts every dim
+        steps: the residual ends at KRYLOV_RTOL of the right-hand side, as
+        far as round-off lets the implicit residual tell."""
+        rng = np.random.default_rng(11)
+        with mock.patch.object(_iteration, "KRYLOV_DIM", dim):
+            for n in (1, 5, 80):
+                a = np.eye(n) + 0.2 * rng.normal(size=(n, n)) / np.sqrt(n)
+                b = rng.normal(size=n)
+                x = _iteration._gmres(lambda v: a @ v, b)
+                assert (np.linalg.norm(b - a @ x)
+                        <= 10 * _iteration.KRYLOV_RTOL * np.linalg.norm(b))
+                assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0,
+                                   atol=1e-12)
+
+    def test_failures_give_none(self):
+        # no better solution in the Krylov space: A b = 0
+        assert _iteration._gmres(lambda v: np.diag([1.0, 1.0, 0.0]) @ v,
+                                 np.array([0.0, 0.0, 1.0])) is None
+        # non-finite data
+        assert _iteration._gmres(lambda v: v, np.array([1.0, np.inf])) is None
+        assert _iteration._gmres(lambda v: v * np.nan, np.ones(3)) is None
+        # a rotation: GMRES(1) stalls, so its restart does not halve
+        # the residual
+        turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with mock.patch.object(_iteration, "KRYLOV_DIM", 1):
+            assert _iteration._gmres(lambda v: turn @ v,
+                                     np.array([1.0, 2.0])) is None
+        assert np.allclose(_iteration._gmres(lambda v: turn @ v,
+                                             np.array([1.0, 2.0])),
+                           [-2.0, 1.0], rtol=0.0, atol=1e-15)
+        # a zero right-hand side: x = 0 and no product
+        assert not _iteration._gmres(None, np.zeros(4)).any()
