@@ -20,6 +20,7 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
+from .kernels import check_settings
 from .sequences import PeriodicSequence
 
 #: The mixing phase stalls after this many steps without a new best update
@@ -56,10 +57,7 @@ class SolverOptions:
     initial_guess: Optional[Tuple[PeriodicSequence, PeriodicSequence]] = None
 
     def __post_init__(self):
-        if not (self.tol > 0.0 and self.residual_tol > 0.0):
-            raise ValueError("tol and residual_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_settings(self, ("tol", "residual_tol"), ("max_iter",))
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must be in (0, 1]")
 

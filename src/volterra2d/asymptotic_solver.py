@@ -4,8 +4,9 @@ In the regime where the full-period products of (1+h) and (1+p) equal 1
 and both kernels are summable, solutions split as x = u + v with u a
 periodic free response (u_n = c / r_n for the reciprocal growth r) and v
 decaying to zero under a certified geometric envelope.  The tail map
-realizes that splitting as a fixed-point equation; here it is reduced to
-a finite window with every discarded tail bounded analytically.
+realizes that splitting as a fixed-point equation, solved on the window
+0..N at whose end the outer cut stops its sums to infinity (the dropped
+tail bounded analytically) and reported on the horizon's 0..H, H <= N.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ class AsymptoticSolveReport:
     residual_max: float
     defects: Tuple[Tuple[float, float], ...]  # (x, y) defect at n < horizon
     truncation_error: float
-    closure_error: float
     converged: bool
     warnings: Tuple[str, ...] = ()
 
@@ -81,7 +81,6 @@ class AsymptoticSolveReport:
             "final_update_norm": self.final_update_norm,
             "residual_max": self.residual_max,
             "truncation_error": self.truncation_error,
-            "closure_error": self.closure_error,
             "converged": self.converged,
             "warnings": list(self.warnings),
         }
@@ -100,65 +99,53 @@ def _outer_cut(ratio: float, nonlin: Nonlinearity, kernel: Kernel,
 
 
 def _tail_block(kernel: Kernel, nonlin: Nonlinearity,
-                growth: PeriodicSequence, ratio: float, c_out: float,
-                c_partner: float, partner_growth: PeriodicSequence,
-                horizon: int, policy: TruncationPolicy
-                ) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
-    """One tail-map component reduced to the window 0..horizon in the
-    coupled form out = c + K @ nonlin(partner window), as the generators of
-    its block K: (U, rate, scale, c, error), with
+                growth: PeriodicSequence, c_out: float, cut: int
+                ) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """One tail-map component on the window 0..cut, out = c + K @
+    nonlin(partner), as the generators (U, rate, scale, c) of its block
     K[n, m] = scale[n] U[max(n, m)] e^{-rate max(n - m, 0)} (see
-    ``TailMap``).  Each is O(horizon) in memory.
+    ``TailMap``), each O(cut) in memory.
 
-    The error bounds the outer cut.  K holds the suffix sums
-    w[n, m] = sum_{i=max(n,m)}^{cut} r_{i+1} a_{i,m} over scale = -1 / r_n,
-    and c folds the drive from outside the window in with the amplitude.
-    For a separable kernel, with lam = e^{-row_rate},
+    K holds w[n, m] = sum_{i=max(n,m)}^{cut} r_{i+1} a_{i,m} over
+    scale = -1 / r_n.  For a separable kernel, with lam = e^{-row_rate},
     w[n, m] = U[max(n, m)] lam^{max(n-m, 0)} by the stable backward
     recursion U[j] = r_{j+1} coef e^{(row_rate-col_rate) j} + lam U[j+1]
-    from U[cut+1] = 0, and rate = row_rate.  The zero history before 0
-    adds f(0) U[n] lam^{n+1} / (1 - lam) to row n, and each column m past
-    the horizon U[m] f(partner_m) to every row: the sums over m are exact,
-    and only the outer cut truncates.
+    from U[cut+1] = 0, and rate = row_rate.  c is the amplitude less the
+    zero history's f(0) U[n] lam^{n+1} / (1 - lam), over r_n: the sums
+    over m are exact, and only the cut truncates the sum over i.
     """
-    cut, error = _outer_cut(ratio, nonlin, kernel, horizon, policy)
-    width = horizon + 1
-    growth_out = growth.take(np.arange(width))
+    j = np.arange(cut + 1)
+    growth_out = growth.take(j)
     scale = -1.0 / growth_out
     if isinstance(kernel, FiniteLag):
         # A nonzero finite-lag kernel has an infinite double tail, so
         # _outer_cut lets one through only with a zero drive: K = 0.
-        return np.zeros(width), 0.0, scale, c_out / growth_out, error
+        return np.zeros(cut + 1), 0.0, scale, c_out / growth_out
     rate = np.longdouble(kernel.row_rate)  # U is summed in long double
-    j = np.arange(cut + 1)
     terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
              * np.exp((rate - kernel.col_rate) * j))
     decay, acc, u = np.exp(-rate), np.longdouble(0.0), np.empty(cut + 1)
     for i in range(cut, -1, -1):
         acc = terms[i] + decay * acc
         u[i] = acc
-    post = c_partner / partner_growth.take(np.arange(width, cut + 1))
-    powers = np.exp(-kernel.row_rate * np.arange(width + 1))  # lam^k
-    drive_outside = (nonlin(0.0) * u[:width] * powers[1:]
-                     / -math.expm1(-kernel.row_rate)
-                     + u[width:] @ nonlin(post))
-    c = (c_out - drive_outside) / growth_out
-    return u[:width], kernel.row_rate, scale, c, error
+    powers = np.exp(-kernel.row_rate * (j + 1))  # lam^{n+1}
+    history = nonlin(0.0) * u * powers / -math.expm1(-kernel.row_rate)
+    return u, kernel.row_rate, scale, (c_out - history) / growth_out
 
 
 class TailMapOperator:
-    """The tail map on the windows 0..horizon of both components, as data.
+    """The tail map of both components on the window 0..N, as data, N >=
+    horizon the larger of their outer cuts; before 0 the history is zero.
 
-    x-component: (c1 - sum_{i>=n} r_{i+1} * drive_a(i)) / r_n with r the
-    reciprocal growth of h and drive_a(i) the kernel-a weighted f(y) row
-    sum; symmetric for y.  ``map`` is that ``TailMap``, held as the
-    generators of its semiseparable blocks: O(horizon) memory, and
-    O(horizon) time per application and per product of its matrix-free
-    Newton step.  ``free`` is the free response [u1; u2] and ``envelope``
-    the pointwise decay bounds [v1_bound; v2_bound] on the deviation from
-    it.  ``truncation_error`` certifies the outer cuts and
-    ``closure_error`` the partner closed with its free response beyond the
-    window; before 0 the history is zero.
+    x-component: (c1 - sum_{i=n}^{N} r_{i+1} * drive_a(i)) / r_n with r
+    the reciprocal growth of h and drive_a(i) the kernel-a weighted f(y)
+    row sum; symmetric for y.  ``map`` is that ``TailMap``, held as the
+    generators of its semiseparable blocks: O(N) memory and time per
+    application and per product of its matrix-free Newton step.  ``free``
+    is the free response [u1; u2] and ``envelope`` the pointwise decay
+    bounds [v1_bound; v2_bound] on the deviation from it.  The terms
+    i > N that the sums drop are bounded by ``truncation_error``, the
+    larger decay envelope at N + 1 (at most tail_tol / 2): the whole error.
     """
 
     def __init__(self, spec: SystemSpec, c1: float, c2: float, horizon: int,
@@ -168,46 +155,36 @@ class TailMapOperator:
         prof = growth_profile(spec)
         sides = tuple(zip(spec.equations, (prof.x, prof.y),
                           (prof.ratio_x, prof.ratio_y), (c1, c2)))
-        window = np.arange(horizon + 1)
-        parts = []
-        for ((_, kernel, nonlin), growth, ratio, c_out), (
-                (_, p_kernel, p_nonlin), p_growth, p_ratio, c_partner) in zip(
-                    sides, sides[::-1]):
-            # Closing the partner with its free response ignores the
-            # partner's own decaying part beyond the horizon; first-order
-            # bound via the partner envelope and the kernel tail there.
-            edge = decay_envelope(p_ratio, p_nonlin, p_kernel, horizon + 1)
-            closure = (ratio * nonlin.lipschitz * edge
-                       * kernel.double_tail(horizon + 1)
-                       if nonlin.bound > 0.0 and edge > 0.0 else 0.0)
-            parts.append((*_tail_block(kernel, nonlin, growth, ratio, c_out,
-                                       c_partner, p_growth, horizon, policy),
-                          c_out / growth.take(window),
-                          decay_envelope(ratio, nonlin, kernel, window),
-                          closure))
-        us, rates, scales, cs, errors, free, envelope, closure = zip(*parts)
+        cut = max(_outer_cut(ratio, nonlin, kernel, horizon, policy)[0]
+                  for (_, kernel, nonlin), _, ratio, _ in sides)
+        window = np.arange(cut + 1)
+        parts = [(*_tail_block(kernel, nonlin, growth, c_out, cut),
+                  c_out / growth.take(window),
+                  decay_envelope(ratio, nonlin, kernel, window),
+                  decay_envelope(ratio, nonlin, kernel, cut + 1))
+                 for (_, kernel, nonlin), growth, ratio, c_out in sides]
+        us, rates, scales, cs, free, envelope, errors = zip(*parts)
         self.map = TailMap(np.concatenate(cs), np.stack(us),
                            np.stack(scales), np.array(rates), spec.f, spec.g)
         self.free = np.concatenate(free)
         self.envelope = np.concatenate(envelope)
-        self.truncation_error = max(errors)
-        self.closure_error = max(closure)
+        self.truncation_error = float(max(errors))
 
 
 def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
                      opts: SolverOptions = SolverOptions(),
                      policy: TruncationPolicy = TruncationPolicy(),
                      ) -> AsymptoticSolveReport:
-    """Drive the tail map to a window fixed point and extract the
-    decomposition x = u + v.
+    """Drive the tail map to a fixed point on 0..N, N >= horizon its outer
+    cut, and extract the decomposition x = u + v on 0..horizon.
 
     Starts from the free response (v = 0), so opts.initial_guess must be
     unset; Anderson-accelerated iteration with a Newton closer, as in the
     periodic solver, its map evaluations counted in ``map_calls``.
-    ``converged`` requires the update norm below opts.tol, the recurrence
-    residual below opts.residual_tol on the whole window, and every |v[n]|
-    within its certified envelope plus 10x the tail tolerance.
-    Non-convergence is a report state.
+    ``converged`` requires the update norm below opts.tol, the truncation
+    error and the recurrence residual on 0..horizon below
+    opts.residual_tol, and every |v[n]| there within its certified
+    envelope plus 10x the tail tolerance; non-convergence is reported.
     """
     T = spec.period
     if opts.initial_guess is not None:
@@ -217,21 +194,21 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     op = TailMapOperator(spec, c1, c2, horizon, policy)
     result = solve_fixed_point(op.map, op.free,
                                newton_step=op.map.newton_step, opts=opts)
-    xw, yw = np.split(result.z, 2)
-    free_x, free_y = np.split(op.free, 2)
-    v = result.z - op.free
-    v1, v2 = np.split(v, 2)
-    bound_x, bound_y = np.split(op.envelope, 2)
-    u1 = PeriodicSequence(T, tuple(free_x[:T].tolist()))
-    u2 = PeriodicSequence(T, tuple(free_y[:T].tolist()))
+    z, free, bound = (a.reshape(2, -1)[:, :horizon + 1]
+                      for a in (result.z, op.free, op.envelope))
+    v = z - free
+    (xw, yw), (v1, v2), (bound_x, bound_y) = z, v, bound
+    u1, u2 = (PeriodicSequence(T, tuple(row[:T].tolist())) for row in free)
 
     pairs = defects(spec, np.concatenate([[0.0], xw]),
                     np.concatenate([[0.0], yw]), horizon, policy)
     residual_max = max(max(pair) for pair in pairs)
 
-    envelope_ok = (np.abs(v) <= op.envelope + 10.0 * policy.tail_tol).all()
+    envelope_ok = (np.abs(v) <= bound + 10.0 * policy.tail_tol).all()
     converged = bool(result.converged
-                     and residual_max <= opts.residual_tol and envelope_ok)
+                     and residual_max <= opts.residual_tol
+                     and op.truncation_error <= opts.residual_tol
+                     and envelope_ok)
 
     decomposition = Decomposition(
         c1=c1, c2=c2, u1=u1, u2=u2,
@@ -248,7 +225,6 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
         residual_max=residual_max,
         defects=pairs,
         truncation_error=op.truncation_error,
-        closure_error=op.closure_error,
         converged=converged,
         warnings=amplitude_warnings(c1, c2),
     )

@@ -56,6 +56,18 @@ def _check_window(values: np.ndarray, start: int, rows: int, past: int):
                          f"past repeating {past}, need {need} values")
 
 
+def check_settings(obj, positive=(), counts=()) -> None:
+    """Refuse, naming it, a field of ``obj`` in ``positive`` that is not
+    finite and positive, or in ``counts`` that is not an integer >= 1."""
+    for name in positive + counts:
+        value = getattr(obj, name)
+        if name in positive and not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
+        if name in counts and (isinstance(value, bool) or not (
+                isinstance(value, (int, np.integer)) and value >= 1)):
+            raise ValueError(f"{name} must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How infinite sums are certified: every kernel drive to within
@@ -66,10 +78,7 @@ class TruncationPolicy:
     max_terms: int = 100_000
 
     def __post_init__(self):
-        if not (self.tail_tol > 0.0 and math.isfinite(self.tail_tol)):
-            raise ValueError("tail_tol must be positive and finite")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        check_settings(self, ("tail_tol",), ("max_terms",))
 
 
 @dataclass(frozen=True)

@@ -534,14 +534,24 @@ def _require(obj: Dict[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
-def _section(config: Dict[str, Any], key: str) -> Dict[str, Any]:
-    """The optional object ``config[key]``; absent or null reads as {}."""
+def _known(obj: Dict[str, Any], path: str, *keys: str) -> Dict[str, Any]:
+    """``obj``, once no key of it lies outside ``keys``; the first that does
+    is refused under its field path (``path`` ends in a dot or is empty)."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}{key}: unknown field")
+    return obj
+
+
+def _section(config: Dict[str, Any], key: str, *keys: str) -> Dict[str, Any]:
+    """The optional object ``config[key]``, with no key but ``keys``;
+    absent or null reads as {}."""
     obj = config.get(key)
     if obj is None:
         return {}
     if not isinstance(obj, dict):
         raise ConfigError(f"{key}: expected an object")
-    return obj
+    return _known(obj, f"{key}.", *keys)
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -594,6 +604,7 @@ def _parse_kernel(obj: Any, path: str) -> Kernel:
         raise ConfigError(f"{path}: expected an object")
     kind = _require(obj, "type", f"{path}.")
     if kind == "separable_exponential":
+        _known(obj, f"{path}.", "type", "coef", "row_rate", "col_rate")
         coef = _as_finite_float(_require(obj, "coef", f"{path}."), f"{path}.coef")
         row = _as_finite_float(_require(obj, "row_rate", f"{path}."),
                                f"{path}.row_rate")
@@ -603,6 +614,7 @@ def _parse_kernel(obj: Any, path: str) -> Kernel:
             raise ConfigError(f"{path}.row_rate: must be positive")
         return SeparableExponential(coef, row, col)
     if kind == "finite_lag":
+        _known(obj, f"{path}.", "type", "weights")
         rows = _require(obj, "weights", f"{path}.")
         if (not isinstance(rows, list) or not rows
                 or not all(isinstance(r, list) and r for r in rows)):
@@ -625,6 +637,7 @@ def _parse_nonlinearity(obj: Any, path: str) -> Nonlinearity:
     kind = _require(obj, "kind", f"{path}.")
     if kind not in NONLINEARITY_KINDS:
         raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    _known(obj, f"{path}.", "kind", "amplitude", "frequency")
     amp = _as_finite_float(_require(obj, "amplitude", f"{path}."),
                            f"{path}.amplitude")
     freq = _as_finite_float(_require(obj, "frequency", f"{path}."),
@@ -689,7 +702,8 @@ def _parse_history(obj: Dict[str, Any]) -> History:
     tail = obj.get("tail")
     if tail in (None, "zero"):
         parsed_tail = None
-    elif isinstance(tail, dict) and "x" in tail and "y" in tail:
+    elif isinstance(tail, dict) and _known(
+            tail, "history.tail.", "x", "y").keys() == {"x", "y"}:
         parsed_tail = (_as_finite_float(tail["x"], "history.tail.x"),
                        _as_finite_float(tail["y"], "history.tail.y"))
     else:
@@ -701,27 +715,25 @@ def _parse_history(obj: Dict[str, Any]) -> History:
         raise ConfigError(f"history: {exc}") from exc
 
 
+#: Each number of the ``solver`` section, with its check.
+_SOLVER_FIELDS = {"tol": _positive, "residual_tol": _positive,
+                  "max_iter": _count, "damping": _fraction}
+
+
 def _parse_solver(obj: Dict[str, Any], period: int) -> SolverOptions:
     guess = obj.get("initial_guess")
     parsed_guess = None
     if guess is not None and guess != "zero":
-        if (not isinstance(guess, dict)
-                or "x" not in guess or "y" not in guess):
+        if not (isinstance(guess, dict) and _known(
+                guess, "solver.initial_guess.", "x", "y").keys() == {"x", "y"}):
             raise ConfigError(
                 'solver.initial_guess: expected "zero" or {"x": [..], "y": [..]}')
         parsed_guess = tuple(
             _period_values(guess[key], f"solver.initial_guess.{key}", period)
             for key in ("x", "y"))
-    return SolverOptions(
-        tol=_positive(obj.get("tol", SolverOptions.tol), "solver.tol"),
-        residual_tol=_positive(obj.get("residual_tol",
-                                       SolverOptions.residual_tol),
-                               "solver.residual_tol"),
-        max_iter=_count(obj.get("max_iter", SolverOptions.max_iter),
-                        "solver.max_iter"),
-        damping=_fraction(obj.get("damping", SolverOptions.damping),
-                          "solver.damping"),
-        initial_guess=parsed_guess)
+    return SolverOptions(initial_guess=parsed_guess, **{
+        key: check(obj.get(key, getattr(SolverOptions, key)), f"solver.{key}")
+        for key, check in _SOLVER_FIELDS.items()})
 
 
 def _parse_truncation(obj: Dict[str, Any]) -> TruncationPolicy:
@@ -735,13 +747,17 @@ def _parse_truncation(obj: Dict[str, Any]) -> TruncationPolicy:
 def parse_scenario(config: Union[str, Dict[str, Any]]) -> Scenario:
     """Validate a whole config document at once: the system, then the
     optional ``history``, ``truncation`` and ``solver`` sections, ``c1``,
-    ``c2`` (default 1) and ``horizon``.  Violations raise ConfigError
-    naming the field path."""
-    config = _document(config)
+    ``c2`` (default 1) and ``horizon``.  Violations, unknown keys among
+    them, raise ConfigError naming the field path."""
+    config = _known(_document(config), "", "period", "h", "p", "kernel_a",
+                    "kernel_b", "f", "g", "c1", "c2", "horizon", "history",
+                    "solver", "truncation")
     spec = parse_system(config)
-    history = _parse_history(_section(config, "history"))
-    policy = _parse_truncation(_section(config, "truncation"))
-    solver = _parse_solver(_section(config, "solver"), spec.period)
+    history = _parse_history(_section(config, "history", "window", "tail"))
+    policy = _parse_truncation(_section(config, "truncation", "tail_tol",
+                                        "max_terms"))
+    solver = _parse_solver(_section(config, "solver", "initial_guess",
+                                    *_SOLVER_FIELDS), spec.period)
     c1, c2 = (_as_finite_float(config.get(key, 1.0), key)
               for key in ("c1", "c2"))
     horizon = config.get("horizon")

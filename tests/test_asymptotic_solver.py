@@ -34,23 +34,16 @@ TAIL_MASS_A = 2.502650301077119
 TAIL_MASS_B = 1.8295839719133922
 
 
-def brute_tail_component(spec, c1, yw, n, outer=200, inner=300):
+def brute_tail_component(spec, c1, yw, n, inner=300):
     """Reference evaluation of the first tail-map component by raw double
-    summation: (c1 - sum_{i>=n} r_{i+1} a_{i,m} f(y_m)) / r_n with window
-    closure values beyond the horizon and zero history."""
+    summation: (c1 - sum_{i=n}^{N} r_{i+1} a_{i,m} f(y_m)) / r_n over the
+    whole window 0..N of yw, with zero history."""
     r = growth_profile(spec).x
-    ry = growth_profile(spec).y
-    horizon = len(yw) - 1
     total = 0.0
-    for i in range(n, n + outer):
+    for i in range(n, len(yw)):
         inner_total = 0.0
         for m in range(i - inner, i + 1):
-            if m < 0:
-                y_m = 0.0
-            elif m <= horizon:
-                y_m = yw[m]
-            else:
-                y_m = 1.0 / ry.get(m)  # c2 = 1 in these tests
+            y_m = yw[m] if m >= 0 else 0.0
             inner_total += spec.kernel_a.weight(i, m) * spec.f(y_m)
         total += r.get(i + 1) * inner_total
     return (c1 - total) / r.get(n)
@@ -68,18 +61,25 @@ def per_term_weight_block(kernel, nonlin, growth, ratio, horizon, policy):
                      for n in range(horizon + 1)])
 
 
-def reference_sides(spec, c1, c2, horizon):
-    """Per component, the _tail_block arguments and tail_block_reference's
-    dense (K, c, error) for them: the x component, then y."""
+def window_end(op):
+    """N, the last index of the window 0..N the operator's map acts on."""
+    return len(op.free) // 2 - 1
+
+
+def reference_sides(spec, c1, c2, cut):
+    """Per component, the _tail_block arguments for the window 0..cut and
+    tail_block_reference's dense (K, c, error) there, its horizon at the
+    cut, so that no column lies past it: the x component, then y."""
     prof = growth_profile(spec)
     sides = ((spec.kernel_a, spec.f, prof.x, prof.ratio_x, c1),
              (spec.kernel_b, spec.g, prof.y, prof.ratio_y, c2))
     out = []
     for (kernel, nonlin, growth, ratio, c_out), (
             _, _, p_growth, _, c_partner) in zip(sides, sides[::-1]):
-        args = (kernel, nonlin, growth, ratio, c_out, c_partner, p_growth,
-                horizon, POLICY)
-        out.append((args, tail_block_reference(*args)))
+        out.append(((kernel, nonlin, growth, c_out, cut),
+                    _outer_cut(ratio, nonlin, kernel, cut, POLICY)[1],
+                    tail_block_reference(kernel, nonlin, growth, ratio, c_out,
+                                         c_partner, p_growth, cut, POLICY)))
     return out
 
 
@@ -143,12 +143,13 @@ class TestTailMap:
                     TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
                 continue
             op = TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
-            # K_x = 0 is held as U = 0, not as a 13 x 13 array of zeros
-            assert op.map.u.shape == (2, 13)
+            width = window_end(op) + 1
+            # K_x = 0 is held as U = 0, not as a square array of zeros
+            assert op.map.u.shape == (2, width)
             assert not op.map.u[0].any() and op.map.u[1].any()
-            assert np.array_equal(op.map.c[:13], op.free[:13])
-            z = np.random.default_rng(4).uniform(-3.0, 3.0, 26)
-            assert np.array_equal(op.map(z)[:13], op.map.c[:13])
+            assert np.array_equal(op.map.c[:width], op.free[:width])
+            z = np.random.default_rng(4).uniform(-3.0, 3.0, 2 * width)
+            assert np.array_equal(op.map(z)[:width], op.map.c[:width])
 
     def test_zero_amplitude_returns_free_response(self, example2_spec):
         spec = SystemSpec(2, example2_spec.h, example2_spec.p,
@@ -168,31 +169,31 @@ class TestTailMap:
         rng = np.random.default_rng(5)
         radius = check_asymptotic_hypotheses(example2_spec).quantities["radius"]
         prof = growth_profile(example2_spec)
-        horizon = 20
-        tail_map = TailMapOperator(example2_spec, 1.0, 1.0, horizon,
-                                   POLICY).map
+        op = TailMapOperator(example2_spec, 1.0, 1.0, 20, POLICY)
+        width = window_end(op) + 1
         for _ in range(10):
-            z = rng.uniform(-radius, radius, 2 * (horizon + 1))
-            nx = tail_map(z)[:horizon + 1]
-            for n in range(horizon + 1):
+            z = rng.uniform(-radius, radius, 2 * width)
+            nx = op.map(z)[:width]
+            for n in range(width):
                 dev = abs(nx[n] - 1.0 / prof.x.get(n))
                 bound = 2.0 * example2_spec.kernel_a.double_tail(n)
                 assert dev <= bound + 10 * POLICY.tail_tol
 
     def test_matches_brute_double_sum(self, example2_spec):
         rng = np.random.default_rng(6)
-        yw = rng.uniform(-2, 2, 13)
-        xw = rng.uniform(-2, 2, 13)
         op = TailMapOperator(example2_spec, 1.0, 1.0, 12, POLICY)
-        nx = op.map(np.concatenate([xw, yw]))[:13]
-        for n in (0, 1, 5, 12):
+        end = window_end(op)
+        yw = rng.uniform(-2, 2, end + 1)
+        xw = rng.uniform(-2, 2, end + 1)
+        nx = op.map(np.concatenate([xw, yw]))[:end + 1]
+        for n in (0, 1, 5, 12, end):
             ref = brute_tail_component(example2_spec, 1.0, yw, n)
             assert nx[n] == pytest.approx(ref, abs=1e-9)
 
     def test_single_point_window(self, example2_spec):
         op = TailMapOperator(example2_spec, 1.0, 1.0, 0, POLICY)
-        out = op.map(np.zeros(2))
-        assert out.shape == (2,)
+        out = op.map(np.zeros(len(op.free)))
+        assert out.shape == op.free.shape
         assert abs(out[0] - 1.0) <= 2.0 * TAIL_MASS_A + 10 * POLICY.tail_tol
 
     def test_nonsummable_kernel_rejected(self, example2_spec):
@@ -217,21 +218,22 @@ class TestTailMap:
         term at a time."""
         spec = random_summable_spec(np.random.default_rng(seed))
         op = TailMapOperator(spec, 1.0, 1.0, 12, POLICY)
+        end = window_end(op)
         prof = growth_profile(spec)
-        blocks = [per_term_weight_block(kernel, nonlin, growth, ratio, 12,
+        blocks = [per_term_weight_block(kernel, nonlin, growth, ratio, end,
                                         POLICY)
                   for kernel, nonlin, growth, ratio in (
                       (spec.kernel_a, spec.f, prof.x, prof.ratio_x),
                       (spec.kernel_b, spec.g, prof.y, prof.ratio_y))]
-        assert op.map.u.shape == (2, 13)
+        assert op.map.u.shape == (2, end + 1)
         assert_map_matches_blocks(op.map, blocks,
                                   np.random.default_rng(seed))
 
     @pytest.mark.parametrize("horizon", [0, 8, 40, 400, 1000])
     def test_tail_block_equals_strided_build(self, example2_spec, horizon):
-        """The generators give the dense strided build's c bit for bit and
-        its error less the flush of tiny entries, and the map applies its
-        K.  The cases: components of different rates; a negative kernel at
+        """On the window 0..N the generators give the dense strided
+        build's c bit for bit and its error less the flush of tiny entries,
+        and the map applies its K.  The cases: components of different rates; a negative kernel at
         rate 2.5, whose lam^{n-m} underflows and whose filter runs in
         segments of 205 from H = 205 on; and rates 2.5 and 0.3 together."""
         steep = SeparableExponential(-0.8, 2.5, 3.0)
@@ -247,14 +249,16 @@ class TestTailMap:
                             slow, example2_spec.f, example2_spec.g),
                  1.0, -0.5)):
             op = TailMapOperator(spec, c1, c2, horizon, POLICY)
+            end = window_end(op)
+            assert end >= horizon
             blocks, errors = [], []
-            for c_map, (args, (k_ref, c_ref, error_ref)) in zip(
+            for c_map, (args, error, (k_ref, c_ref, error_ref)) in zip(
                     np.split(op.map.c, 2),
-                    reference_sides(spec, c1, c2, horizon)):
-                u, rate, scale, c, error = _tail_block(*args)
-                assert u.shape == scale.shape == (horizon + 1,)
+                    reference_sides(spec, c1, c2, end)):
+                u, rate, scale, c = _tail_block(*args)
+                assert u.shape == scale.shape == (end + 1,)
                 assert c.tobytes() == c_ref.tobytes() == c_map.tobytes()
-                flush = (horizon + 1) * REFERENCE_NEGLIGIBLE * args[1].bound
+                flush = (end + 1) * REFERENCE_NEGLIGIBLE * args[1].bound
                 assert error + flush == error_ref
                 blocks.append(k_ref)
                 errors.append(error)
@@ -330,6 +334,35 @@ class TestSolveAsymptotic:
             solve_asymptotic(example2_spec, 1.0, 1.0, 8,
                              SolverOptions(initial_guess=guess), POLICY)
 
+    @pytest.mark.parametrize("seed, horizon", [
+        (None, 8), (None, 10), (None, 40), (0, 40), (1, 40), (2, 40)])
+    def test_reported_window_does_not_depend_on_the_horizon(
+            self, example2_spec, seed, horizon):
+        """On 0..H the solve is the H = 600 solve's to 1e-10, also where the
+        outer cut lies far past H: the window map drops only the sums past
+        the cut, by at most truncation_error.  Cases: example2 (seed None),
+        then seeded unit-product systems."""
+        spec = (example2_spec if seed is None
+                else random_summable_spec(np.random.default_rng(seed)))
+        report = solve_asymptotic(spec, 1.0, 1.0, horizon, policy=POLICY)
+        far = solve_asymptotic(spec, 1.0, 1.0, 600, policy=POLICY)
+        assert report.converged and far.converged
+        for near, ref in ((report.x, far.x), (report.y, far.y)):
+            assert len(near) == horizon + 1
+            assert np.max(np.abs(np.subtract(near, ref[:horizon + 1]))) \
+                <= 1e-10
+
+    def test_truncation_error_gates_converged(self, example2_spec):
+        """A loose tail tolerance leaves a truncation error of 2.07e-7, above
+        residual_tol = 1e-8: the window solves and its defects are small,
+        but the solve is not converged."""
+        report = solve_asymptotic(example2_spec, 1.0, 1.0, 8,
+                                  policy=TruncationPolicy(1e-6))
+        assert report.truncation_error == pytest.approx(2.07e-7, rel=1e-2)
+        assert report.residual_max <= 1e-8
+        assert not report.converged
+        assert not report.decomposition.converged
+
     def test_random_summable_systems(self):
         rng = np.random.default_rng(77)
         converged = 0
@@ -352,29 +385,31 @@ class TestOperatorReuse:
         rng = np.random.default_rng(13)
         op = TailMapOperator(example2_spec, 1.0, 1.0, 15, POLICY)
         for _ in range(3):
-            z = rng.uniform(-3, 3, 32)
+            z = rng.uniform(-3, 3, len(op.free))
             fresh = TailMapOperator(example2_spec, 1.0, 1.0, 15, POLICY)
             assert np.array_equal(op.map(z), fresh.map(z))
 
     def test_jacobian_matches_central_differences(self, example2_spec):
         rng = np.random.default_rng(14)
-        tail_map = TailMapOperator(example2_spec, 1.0, 1.0, 15, POLICY).map
-        z = rng.uniform(-3, 3, 32)
+        op = TailMapOperator(example2_spec, 1.0, 1.0, 15, POLICY)
+        tail_map = op.map
+        z = rng.uniform(-3, 3, len(op.free))
         assert np.allclose(tail_map.jacobian(z),
                            central_difference_jacobian(tail_map, z),
                            rtol=0.0, atol=1e-7)
 
     def test_newton_step_matches_dense_solve(self):
         """The matrix-free step solves the same system as an LU of the
-        dense 2(H+1) x 2(H+1) Jacobian built from the reference blocks, on
+        dense 2(N+1) x 2(N+1) Jacobian built from the reference blocks, on
         random tail maps of H = 10..400 (in filter segments at H = 400)."""
         rng = np.random.default_rng(15)
         for horizon in (10, 37, 80, 141, 200, 400):
             spec = random_summable_spec(rng)
-            tail_map = TailMapOperator(spec, 1.0, 1.0, horizon, POLICY).map
-            (_, (k_x, _, _)), (_, (k_y, _, _)) = reference_sides(
-                spec, 1.0, 1.0, horizon)
-            width = horizon + 1
+            op = TailMapOperator(spec, 1.0, 1.0, horizon, POLICY)
+            tail_map, end = op.map, window_end(op)
+            (_, _, (k_x, _, _)), (_, _, (k_y, _, _)) = reference_sides(
+                spec, 1.0, 1.0, end)
+            width = end + 1
             z = rng.uniform(-3, 3, 2 * width)
             residual = rng.uniform(-1, 1, 2 * width)
             jac = np.eye(2 * width)

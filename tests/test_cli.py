@@ -285,6 +285,23 @@ class TestSolveCommands:
             assert (scenario.c1, scenario.c2, scenario.horizon) == (
                 solve["c1"], solve["c2"], solve["horizon"])
 
+    def test_loose_truncation_is_not_converged(self, example2_path,
+                                               tmp_path):
+        """example2 at H = 8 with tail_tol 1e-6: its truncation error,
+        2.07e-7, exceeds residual_tol, so the solve and verify exit 2."""
+        config = json.loads(example2_path.read_text())
+        config.update(horizon=8, truncation={"tail_tol": 1e-6})
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        assert run(["verify", "--config", str(path), "--mode", "asymptotic",
+                    "--out", str(out)]) == 2
+        solve = json.loads(out.read_text())["report"]["solve"]
+        assert solve["truncation_error"] > solve["residual_max"]
+        assert solve["truncation_error"] > 1e-8
+        assert not solve["converged"]
+        assert "closure_error" not in solve
+
     def test_verify_periodic(self, example1_path, tmp_path):
         code = run(["verify", "--config", str(example1_path),
                     "--mode", "periodic", "--out", str(tmp_path / "r.json")])
@@ -314,6 +331,19 @@ class TestInputErrors:
         path.write_text(json.dumps(config))
         assert run(["check", "--config", str(path), "--mode", "periodic"]) == 1
         assert "h" in capsys.readouterr().err
+
+    def test_unknown_field_names_its_path(self, example2_path, tmp_path,
+                                          capsys):
+        config = json.loads(example2_path.read_text())
+        config["solver"]["residual_tl"] = 1e-12
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        assert run(["verify", "--config", str(path), "--mode", "asymptotic",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: solver.residual_tl: unknown field\n")
+        assert not out.exists()
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1

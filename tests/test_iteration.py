@@ -432,3 +432,22 @@ class TestGmres:
                            [-2.0, 1.0], rtol=0.0, atol=1e-15)
         # a zero right-hand side: x = 0 and no product
         assert not _iteration._gmres(None, np.zeros(4)).any()
+
+
+@pytest.mark.parametrize("settings, field", [
+    (dict(tol=float("inf")), "tol"),
+    (dict(tol=float("nan")), "tol"),
+    (dict(residual_tol=float("inf")), "residual_tol"),
+    (dict(tol=float("inf"), residual_tol=float("inf")), "tol"),
+    (dict(max_iter=2.5), "max_iter"),
+    (dict(max_iter=True), "max_iter"),
+    (dict(max_iter=0), "max_iter"),
+], ids=["tol-inf", "tol-nan", "residual_tol-inf", "both-inf", "max_iter-2.5",
+        "max_iter-bool", "max_iter-0"])
+def test_options_refuse_what_the_config_refuses(settings, field):
+    """Tolerances are finite and positive, and the budget is an integer of
+    at least 1: with tol = residual_tol = inf any iterate would converge,
+    and a fractional budget would fail inside solve_fixed_point."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SolverOptions(**settings)
+

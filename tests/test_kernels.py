@@ -350,6 +350,15 @@ class TestInnerSum:
                     - k.abs_row_sum(2)) for tol in (1e-4, 1e-8, 1e-12)]
         assert gaps[0] == gaps[1] == gaps[2] <= 1e-15 * k.abs_row_sum(2)
 
+    @pytest.mark.parametrize("settings, field", [
+        (dict(max_terms=2.5), "max_terms"),
+        (dict(max_terms=True), "max_terms"),
+        (dict(tail_tol=float("inf")), "tail_tol"),
+    ], ids=["max_terms-2.5", "max_terms-bool", "tail_tol-inf"])
+    def test_policy_refuses_what_the_config_refuses(self, settings, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TruncationPolicy(**settings)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(0.0, 10)

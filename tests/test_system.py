@@ -382,6 +382,37 @@ class TestParseScenario:
         assert str(info.value).startswith(field)
 
 
+    @pytest.mark.parametrize("path, value, field", [pytest.param(
+        *case, id=case[2]) for case in [
+        (("tol",), 1e-9, "tol"),
+        (("solver", "residual_tl"), 1e-8, "solver.residual_tl"),
+        (("solver", "initial_guess"),
+         {"x": [0.0, 0.0], "y": [0.0, 0.0], "z": [0.0, 0.0]},
+         "solver.initial_guess.z"),
+        (("truncation", "tail"), 1e-9, "truncation.tail"),
+        (("history", "depth"), 3, "history.depth"),
+        (("history", "tail"), {"x": 0.0, "y": 0.0, "z": 0.0},
+         "history.tail.z"),
+        (("kernel_a", "colrate"), 2.0, "kernel_a.colrate"),
+        (("kernel_b",), {"type": "finite_lag", "weights": [[0.1]],
+                         "coef": 1.0}, "kernel_b.coef"),
+        (("f", "freq"), 1.0, "f.freq"),
+        (("g", "phase"), 0.0, "g.phase"),
+    ]])
+    def test_unknown_field_is_refused_by_its_path(self, example2_path, path,
+                                                  value, field):
+        """Each object takes only its own keys: a misspelt or removed one
+        is an error under its field path, not a silent default."""
+        config = json.loads(example2_path.read_text())
+        obj = config
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(config)
+        assert str(info.value) == f"{field}: unknown field"
+
+
 class TestPeriodicCheck:
     def test_demo1_passes_with_expected_quantities(self, example1_spec):
         report = check_periodic_hypotheses(example1_spec)
