@@ -24,6 +24,7 @@ written over the previous file and cut to their length.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -56,6 +57,12 @@ from .system import (
 
 CSV_HEADER = ["n", "x", "y", "u1", "v1", "u2", "v2",
               "res_x", "res_y", "bound_v1", "bound_v2"]
+
+#: The report warning of an asymptotic solve or verify whose config holds
+#: a history that is not zero: the solve starts from the zero history.
+ZERO_HISTORY_WARNING = ("history: the asymptotic solve assumes the zero "
+                        "history; the config's nonzero history is read "
+                        "only by simulate")
 
 #: A table by column name, each column from row n = 0 on.
 Columns = Dict[str, Sequence[float]]
@@ -248,6 +255,9 @@ def _solve(mode: str, scenario: Scenario
         report = asymptotic_solver.solve_asymptotic(
             spec, scenario.c1, scenario.c2, horizon, scenario.solver,
             scenario.policy)
+        if not scenario.history.is_zero:
+            report = dataclasses.replace(report, warnings=(
+                *report.warnings, ZERO_HISTORY_WARNING))
         dec = report.decomposition
         length = horizon + 1
         window = np.arange(length)

@@ -10,10 +10,11 @@ past = T).  Two variants are supported:
   is coef * e^{(row_rate-col_rate) n} s_n with the one-state recursion
   s_n = e^{-row_rate} s_{n-1} + phi_n (the discrete linear chain trick),
   seeded in closed form and run in long double under a certified
-  round-off bound.
+  round-off bound, reading the values as Python floats through a
+  memoryview.
 * ``FiniteLag``: a_{n,i} = weights[n mod P][n - i] for lags 0..L, else 0.
   All sums are finite, so tails are exactly zero and each drive is the dot
-  product of its weight row with its L+1 values.
+  product (``ndarray.dot``) of its weight row with its L+1 values.
 
 Anything else would lack computable tail bounds, which every certified
 number in this library relies on.
@@ -152,12 +153,13 @@ class SeparableExponential:
         as Python floats.
 
         ``values[k]`` holds phi at m = k - start, and the values before
-        values[0] repeat values[:past].  Entries are read as the iterator
-        advances, so a march may fill in values[start + n] before asking
-        for row n; only values[:max(past, start)] must be in place at the
-        first step.  ``bound`` bounds every |phi|.  The first step raises,
-        before any row is summed, TailNotCertified where ``drive_error``
-        exceeds ``tol`` and ValueError where the values are too few.
+        values[0] repeat values[:past].  Entries are read, through a
+        memoryview of the array, as the iterator advances, so a march may
+        fill in values[start + n] before asking for row n; only
+        values[:max(past, start)] must be in place at the first step.
+        ``bound`` bounds every |phi|.  The first step raises, before any
+        row is summed, TailNotCertified where ``drive_error`` exceeds
+        ``tol`` and ValueError where the values are too few.
         """
         _check_window(values, start, rows, past)
         error = self.drive_error(np.arange(rows), bound)
@@ -167,18 +169,22 @@ class SeparableExponential:
                 f"round-off bound {error[over[0]]:.3e} of the kernel "
                 f"recursion > {tol:.3e} at row {over[0]}")
         rate = np.longdouble(self.row_rate)
+        # A memoryview reads each entry as a Python float, which a long
+        # double sum takes exactly as it takes a float64, and reads it when
+        # indexed, so the march's later writes are seen.
+        read = memoryview(values)
         # The state just before values[0]: sum_{r<past} decay^(past-1-r)
         # values[r] / (1 - decay^past), the closed-form periodic past.
         decay, s = np.exp(-rate), np.longdouble(0.0)
-        for value in values[:past]:
+        for value in read[:past]:
             s = decay * s + value
         s /= -np.expm1(-rate * past)
-        for value in values[:start]:
+        for value in read[:start]:
             s = decay * s + value
         scales = self.coef * np.exp((rate - self.col_rate)
                                     * np.arange(rows, dtype=np.longdouble))
         for k, scale in zip(count(start), scales):
-            s = decay * s + values[k]
+            s = decay * s + read[k]
             yield float(scale * s)
 
     def is_diagonal_periodic(self, period: int) -> bool:
@@ -247,9 +253,11 @@ class FiniteLag:
     def drives(self, values: np.ndarray, start: int, rows: int, past: int,
                bound: float, tol: float) -> Iterator[float]:
         """The row sums sum_{m<=n} a_{n,m} * phi_m at n = 0..rows-1 as by
-        ``SeparableExponential.drives``, each the dot product of its weight
-        row with its L+1 values: with no memory and no tail, ``bound`` and
-        ``tol`` certify nothing here."""
+        ``SeparableExponential.drives``, each the dot product
+        (``ndarray.dot``, the BLAS ddot of ``@`` without its dispatch) of
+        its weight row with its L+1 values, read when the row is summed:
+        with no memory and no tail, ``bound`` and ``tol`` certify nothing
+        here."""
         _check_window(values, start, rows, past)
         lags = self.max_lag
         weight_rows = cycle(list(
@@ -257,14 +265,15 @@ class FiniteLag:
         before = values[np.arange(-lags, 0) % past]  # entries -L..-1
         for k, weights in zip(range(start, min(start + rows, lags)),
                               weight_rows):
-            yield float(weights @ np.concatenate([before[k:], values[:k + 1]]))
+            yield float(weights.dot(np.concatenate([before[k:],
+                                                     values[:k + 1]])))
         if start + rows > lags:
             # views: each window reads values[k - L..k] when its row is summed
             windows = sliding_window_view(values, lags + 1)
             for window, weights in zip(
                     windows[max(start - lags, 0):start + rows - lags],
                     weight_rows):
-                yield float(weights @ window)
+                yield float(weights.dot(window))
 
     def is_diagonal_periodic(self, period: int) -> bool:
         shift = period % self.lag_period

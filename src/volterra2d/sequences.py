@@ -163,6 +163,12 @@ class History:
         """H: the window covers n = -H..0."""
         return len(self.window) - 1
 
+    @property
+    def is_zero(self) -> bool:
+        """Every value on n <= 0 is zero, the tail's included."""
+        return not any(v for pair in (*self.window, self.tail or (0.0, 0.0))
+                       for v in pair)
+
     def value_at(self, n: int) -> Tuple[float, float]:
         if n > 0:
             raise ValueError(f"history is defined for n <= 0 only, got {n}")

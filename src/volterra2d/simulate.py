@@ -3,10 +3,13 @@ defects of any candidate solution, a simulated trajectory included (the
 march records none of its own).  Both work on arrays: f(y) and g(x) are
 mapped once per value, and each kernel's drives come from its exact
 ``drives`` method (one long double recursion step per row for a separable
-kernel, one window dot for a finite-lag one), so nothing is truncated."""
+kernel, one window dot for a finite-lag one), so nothing is truncated.
+The march maps each new value by the nonlinearities' ``scalar`` formulas
+and writes it through a memoryview into the arrays that the drives read
+as they advance; it gives the bits of the dispatching calls."""
 from __future__ import annotations
 
-from itertools import count, cycle
+from itertools import count
 from typing import Tuple
 
 import numpy as np
@@ -36,24 +39,27 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     # entry 0 holds the tail value at m = -H-1, which the past repeats
     past_x, past_y = np.array(
         [history.value_at(m) for m in range(-depth - 1, 1)]).T
-    f, g = spec.f, spec.g
     # f(y_m) and g(x_m) at entry m + H + 1; past m = 0 the march fills
-    # them in, one f and one g call per step
+    # them in, one call of each scalar formula per step, written through
+    # memoryviews as Python floats
     fy, gx = np.zeros((2, depth + steps + 2))
-    fy[:depth + 2], gx[:depth + 2] = f(past_y), g(past_x)
+    fy[:depth + 2], gx[:depth + 2] = spec.f(past_y), spec.g(past_x)
+    put_fy, put_gx = memoryview(fy), memoryview(gx)
+    f, g = spec.f.scalar, spec.g.scalar
     x, y = float(past_x[-1]), float(past_y[-1])
     traj_x, traj_y = [x], [y]
-    # (1 + h_n, 1 + p_n) in turn, and each equation's drives of its mapped
-    # partner values with m = 0 at entry H + 1
-    gains = zip(*(cycle([1.0 + v for v in seq.values])
-                  for seq, _, _ in spec.equations))
+    # (1 + h_n, 1 + p_n) at slot n mod T, and each equation's drives of
+    # its mapped partner values with m = 0 at entry H + 1
+    period = spec.period
+    gains = [(1.0 + h, 1.0 + p) for h, p in zip(spec.h.values, spec.p.values)]
     drives = [kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
                             policy.tail_tol)
               for (_, kernel, nonlin), mapped in zip(spec.equations, (fy, gx))]
-    for k, (gain_x, gain_y), drive_x, drive_y in zip(
-            count(depth + 2), gains, *drives):
+    for n, k, drive_x, drive_y in zip(range(steps), count(depth + 2),
+                                      *drives):
+        gain_x, gain_y = gains[n % period]
         x, y = gain_x * x + drive_x, gain_y * y + drive_y
-        fy[k], gx[k] = f(y), g(x)
+        put_fy[k], put_gx[k] = f(y), g(x)
         traj_x.append(x)
         traj_y.append(y)
     return Trajectory(traj_x, traj_y, policy.tail_tol)

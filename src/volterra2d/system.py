@@ -101,9 +101,10 @@ class Nonlinearity:
     is deliberately closed.
 
     Calling the nonlinearity takes any number or array.  Its bound
-    formulas take a float64 array only and skip that dispatch: ``apply``
-    gives the values entry by entry, and ``slope`` the derivative (at
-    most ``lipschitz`` in size).
+    formulas skip that dispatch: ``scalar`` takes a Python number and
+    gives a Python float, ``apply`` takes a float64 array and gives the
+    values entry by entry, bit for bit those of ``scalar``, and ``slope``
+    the derivative on such an array (at most ``lipschitz`` in size).
     """
 
     kind: str
@@ -117,7 +118,7 @@ class Nonlinearity:
             raise ValueError("amplitude and frequency must be finite")
         scalar, array, slope = _FORMULAS[self.kind]
         a, k = float(self.amplitude), float(self.frequency)
-        object.__setattr__(self, "_scalar", functools.partial(scalar, a, k))
+        object.__setattr__(self, "scalar", functools.partial(scalar, a, k))
         object.__setattr__(self, "apply", functools.partial(array, a, k))
         object.__setattr__(self, "slope", functools.partial(
             slope, float(self.amplitude * self.frequency), k))
@@ -130,7 +131,7 @@ class Nonlinearity:
         # or IEEE arithmetic as on an array entry, without the cost of a
         # 0-d array.  A float64 array goes to the array formula as it is.
         if type(x) in _SCALAR_TYPES:
-            return self._scalar(x)
+            return self.scalar(x)
         out = self.apply(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 

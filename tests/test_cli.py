@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -302,6 +303,37 @@ class TestSolveCommands:
         assert not solve["converged"]
         assert "closure_error" not in solve
 
+    @pytest.mark.parametrize("command", [["solve-asymptotic"],
+                                         ["verify", "--mode", "asymptotic"]])
+    def test_nonzero_history_gets_a_warning(self, command, example2_path,
+                                            tmp_path):
+        """The asymptotic solve starts from the zero history.  A config
+        with another history gets the same solution and exit code, and a
+        warning that names the assumption; a zero history, however it is
+        written, gets none."""
+        config = json.loads(example2_path.read_text())
+        histories = {
+            "demo": config["history"],
+            "zeros": {"window": [[0.0, -0.0], [0.0, 0.0]],
+                      "tail": {"x": 0.0, "y": 0.0}},
+            "loud": {"window": [[0.7, -0.3]], "tail": {"x": 0.5, "y": 0.2}},
+            "tail": {"window": [[0.0, 0.0]], "tail": {"x": 0.0, "y": 0.2}}}
+        solves = {}
+        for name, history in histories.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(config, history=history)))
+            out = tmp_path / f"{name}.out.json"
+            assert run([*command, "--config", str(path),
+                        "--out", str(out)]) == 0
+            report = json.loads(out.read_text())["report"]
+            solves[name] = report.get("solve", report)
+        for name, solve in solves.items():
+            assert (solve["x"], solve["y"]) == (solves["demo"]["x"],
+                                                solves["demo"]["y"])
+            assert solve["warnings"] == (
+                [cli.ZERO_HISTORY_WARNING] if name in ("loud", "tail")
+                else [])
+
     def test_verify_periodic(self, example1_path, tmp_path):
         code = run(["verify", "--config", str(example1_path),
                     "--mode", "periodic", "--out", str(tmp_path / "r.json")])
@@ -592,6 +624,12 @@ def reference_report(argv, scenario):
                    else scenario.horizon)
         solved = solve_asymptotic(spec, scenario.c1, scenario.c2, horizon,
                                   scenario.solver, policy)
+        # the solve assumes the zero history and warns of any other one
+        history = scenario.history
+        if any(history.value_at(m) != (0.0, 0.0)
+               for m in range(-history.depth - 1, 1)):
+            solved = dataclasses.replace(solved, warnings=(
+                *solved.warnings, cli.ZERO_HISTORY_WARNING))
         config = echo(c1=scenario.c1, c2=scenario.c2, horizon=horizon)
     if argv[0] != "verify":
         return {"command": argv[0], "config": config,

@@ -487,17 +487,56 @@ class TestDrivePlan:
         assert np.array_equal(block, ref)
 
     def test_drives_match_inner_sum(self):
-        # read as a march fills the values in, one entry ahead of each row
-        kernel = SeparableExponential(0.7, 0.3, 0.25)
-        values = np.sin(np.arange(-40, 30))
-        lazy = np.zeros_like(values)
-        lazy[:41] = values[:41]
-        got = []
-        for n, total in enumerate(kernel.drives(lazy, 40, 30, 1, 1.0, 1e-12)):
-            got.append(total)
-            lazy[41 + n:42 + n] = values[41 + n:42 + n]
-        assert got == drives(kernel, values, 40, 30, tol=1e-12)
-        assert all(type(d) is float for d in got)
-        for n, total in enumerate(got):
-            ref = inner_sum_reference(kernel, n, lambda m: values[m + 40], -40)
-            assert abs(total - ref) <= 1e-13
+        # read as a march fills the values in, one entry ahead of each row:
+        # a separable kernel, and finite-lag kernels of 12 lags from entry
+        # 5 (rows n < 7 take the values before the array, the rest a
+        # window of it) and from entry 40 (windows only)
+        lags = np.cos(np.arange(26.0)).reshape(2, 13) / 8.0
+        for kernel, start in [(SeparableExponential(0.7, 0.3, 0.25), 40),
+                              (FiniteLag(lags.tolist()), 5),
+                              (FiniteLag(lags.tolist()), 40)]:
+            values = np.sin(np.arange(-start, 30))
+            lazy = np.zeros_like(values)
+            lazy[:start + 1] = values[:start + 1]
+            got = []
+            for n, total in enumerate(kernel.drives(lazy, start, 30, 1, 1.0,
+                                                    1e-12)):
+                got.append(total)
+                lazy[start + 1 + n:start + 2 + n] = \
+                    values[start + 1 + n:start + 2 + n]
+            assert got == drives(kernel, values, start, 30, tol=1e-12)
+            assert all(type(d) is float for d in got)
+            for n, total in enumerate(got):
+                ref = inner_sum_reference(
+                    kernel, n, lambda m: values[m + start], -start)
+                assert abs(total - ref) <= 1e-13
+
+    def test_drives_equal_their_dispatching_forms(self):
+        # The separable recursion reads each value as a Python float and
+        # the finite-lag rows dot with ndarray.dot: bit for bit the
+        # recursion on float64 reads and the rows by the @ operator.
+        values = np.sin(np.arange(-40.0, 300.0) * 0.7) * 1.3
+        for coef, rate, col in [(0.7, 0.3, 0.25), (-0.05, 0.05, 0.06)]:
+            kernel = SeparableExponential(coef, rate, col)
+            rate = np.longdouble(rate)
+            decay = np.exp(-rate)
+            s = decay * 0.0 + values[0]
+            s /= -np.expm1(-rate)
+            for value in values[:40]:
+                s = decay * s + value
+            ref = []
+            for n, k in enumerate(range(40, 340)):
+                s = decay * s + values[k]
+                ref.append(float(coef * np.exp((rate - col)
+                                               * np.longdouble(n)) * s))
+            assert drives(kernel, values, 40, 300, tol=1e-9) == ref
+        for width in (1, 11, 61):
+            weights = np.cos(np.arange(3.0 * width)).reshape(3, width) / width
+            kernel = FiniteLag(weights.tolist())
+            for start in (0, width // 2, 40):
+                padded = np.concatenate([np.full(width - 1, values[0]),
+                                         values])
+                ref = [float(weights[n % 3, ::-1].copy()
+                             @ padded[start + n:start + n + width])
+                       for n in range(300 - start)]
+                assert drives(kernel, values, start, 300 - start) == ref

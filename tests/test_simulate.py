@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -185,6 +186,69 @@ class TestArrayDrive:
         assert max(k.max_lag for k in kernels
                    if isinstance(k, FiniteLag)) >= 40
         assert any(history.tail is not None for _, history in cases)
+
+
+def dispatching_march(spec, history, steps, policy):
+    """simulate's march in its dispatching form: each new value mapped by
+    calling the nonlinearity, stored by ndarray item assignment, the gains
+    zipped through cycle, and each kernel's drives read lazily from the
+    arrays the march fills in."""
+    depth = history.depth
+    past_x, past_y = np.array(
+        [history.value_at(m) for m in range(-depth - 1, 1)]).T
+    f, g = spec.f, spec.g
+    fy, gx = np.zeros((2, depth + steps + 2))
+    fy[:depth + 2], gx[:depth + 2] = f(past_y), g(past_x)
+    x, y = float(past_x[-1]), float(past_y[-1])
+    traj_x, traj_y = [x], [y]
+    gains = zip(*(itertools.cycle([1.0 + v for v in seq.values])
+                  for seq, _, _ in spec.equations))
+    drives = [kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
+                            policy.tail_tol)
+              for (_, kernel, nonlin), mapped in zip(spec.equations, (fy, gx))]
+    for k, (gain_x, gain_y), drive_x, drive_y in zip(
+            itertools.count(depth + 2), gains, *drives):
+        x, y = gain_x * x + drive_x, gain_y * y + drive_y
+        fy[k], gx[k] = f(y), g(x)
+        traj_x.append(x)
+        traj_y.append(y)
+    return tuple(traj_x), tuple(traj_y)
+
+
+class TestDispatchingMarch:
+    """simulate's march, which calls each scalar formula directly and
+    writes through memoryviews, bit for bit against its dispatching form."""
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    @pytest.mark.parametrize("tail", [None, (0.4, -0.7)])
+    @pytest.mark.parametrize("kinds", ["ss", "sf", "fs", "ff"])
+    def test_equals_dispatching_march(self, kinds, tail, period):
+        rng = np.random.default_rng([period, tail is None,
+                                     "ss sf fs ff".split().index(kinds)])
+
+        def kernel(kind):
+            if kind == "s":
+                rate = float(rng.uniform(0.05, 1.0))
+                return SeparableExponential(
+                    float(rng.uniform(-0.1, 0.1)), rate,
+                    rate + float(rng.uniform(-0.05, 0.1)))
+            lags = int(rng.integers(1, 41))
+            return FiniteLag(tuple(tuple(rng.uniform(-1, 1, lags) / lags)
+                                   for _ in range(int(rng.integers(1, 4)))))
+
+        def coeffs():
+            return PeriodicSequence(period, tuple(rng.uniform(-0.6, 0.0,
+                                                              period)))
+
+        spec = SystemSpec(period, coeffs(), coeffs(), kernel(kinds[0]),
+                          kernel(kinds[1]), random_nonlinearity(rng),
+                          random_nonlinearity(rng))
+        window = tuple(tuple(rng.uniform(-1, 1, 2)) for _ in range(4))
+        history = History(window, tail)
+        t = simulate(spec, history, 300, POLICY)
+        ref_x, ref_y = dispatching_march(spec, history, 300, POLICY)
+        assert np.array(t.x).tobytes() == np.array(ref_x).tobytes()
+        assert np.array(t.y).tobytes() == np.array(ref_y).tobytes()
 
 
 class TestMemory:

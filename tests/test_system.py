@@ -86,16 +86,23 @@ class TestNonlinearity:
     def test_scalar_formula_equals_array_on_dense_grid(self, kind):
         # The scalar formula bound at construction against the array path
         # on a dense grid through the range where tanh saturates and sin
-        # and cos turn, for Python floats, ints and np.float64 arguments.
+        # and cos turn, for Python floats, ints and np.float64 arguments,
+        # called through the nonlinearity and directly as ``scalar``.
         for amplitude, frequency in [(1.7, 0.9), (-2, 3), (0.25, -40.0)]:
             f = Nonlinearity(kind, amplitude, frequency)
             x = np.linspace(-25.0, 25.0, 20001)
             values = f(x).tobytes()
+            assert f.apply(x).tobytes() == values
             assert np.array([f(v) for v in x.tolist()]).tobytes() == values
+            direct = [f.scalar(v) for v in x.tolist()]
+            assert np.array(direct).tobytes() == values
+            assert {type(v) for v in direct} == {float}
             assert np.array([f(v) for v in x]).tobytes() == values
             ints = np.arange(-2000, 2001)
             assert np.array([f(int(v)) for v in ints]).tobytes() \
                 == f(ints.astype(float)).tobytes()
+            assert np.array([f.scalar(int(v)) for v in ints]).tobytes() \
+                == f.apply(ints.astype(float)).tobytes()
             assert {type(f(v)) for v in (1.5, 2, True, np.float64(0.5))} \
                 == {float}
 

@@ -14,6 +14,7 @@ from volterra2d import (
     SeparableExponential,
     SystemSpec,
     TruncationPolicy,
+    check_asymptotic_hypotheses,
     defects,
     solve_asymptotic,
     solve_periodic,
@@ -415,6 +416,28 @@ class TestVerifyDecomposition:
             dec, u1=PeriodicSequence(2, (1.0, 0.5 + 1e-6)))
         ver = verify_decomposition(example2_spec, tampered)
         assert not ver.periodic_part_ok
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 5e-10])
+    def test_products_near_one_verify(self, eps, example2_spec):
+        """h = (-0.5, 1 + 2 eps): the full-period product is 1 + 2 eps,
+        which the asymptotic check accepts.  The periodic u then drifts
+        from the free response by about 2 eps per period, and the verifier
+        grants that drift, but not a u that is 1e-6 off."""
+        near = PeriodicSequence(2, (-0.5, 1.0 + 2.0 * eps))
+        spec = dataclasses.replace(example2_spec, h=near)
+        assert check_asymptotic_hypotheses(spec, 1.0, 1.0).passed
+        report = solve_asymptotic(spec, 1.0, 1.0, 60,
+                                  policy=TruncationPolicy(1e-10))
+        assert report.converged
+        dec = report.decomposition
+        ver = verify_decomposition(spec, dec)
+        assert ver.periodic_part_ok and ver.passed
+        assert ver.max_defect <= 2.0 * eps + 1e-12
+        u1 = dec.u1.values
+        shifted = dataclasses.replace(
+            dec, u1=PeriodicSequence(2, (u1[0], u1[1] + 1e-6)))
+        ver = verify_decomposition(spec, shifted)
+        assert not ver.periodic_part_ok and not ver.passed
 
     def test_zero_decomposition_passes(self, example2_spec):
         spec = SystemSpec(2, example2_spec.h, example2_spec.p,
