@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from .kernels import check_settings
+from .kernels import check_settings, filter_factors, scaled_prefix_sum
 from .sequences import PeriodicSequence
 
 #: The mixing phase stalls after this many steps without a new best update
@@ -31,10 +31,6 @@ ANDERSON_DEPTH = 3
 #: An accelerated step below tol is accepted only if one more Picard step
 #: from it shrinks its residual |map(z) - z| by at least this factor.
 CONTRACTION_FACTOR = 0.5
-#: Each segment of a tail map's first-order filter spans at most this much
-#: decay, row_rate * (length - 1): the factors e^{row_rate j} it scales by
-#: stay below e^512 ~ 1e222, and their reciprocals stay normal.
-SEGMENT_EXPONENT = 512.0
 #: GMRES restarts after this many Krylov vectors, so that a Newton step
 #: of a tail map holds O(KRYLOV_DIM * H) memory.
 KRYLOV_DIM = 32
@@ -182,10 +178,11 @@ class TailMap:
     S[n] = sum_{m<=n} lam_i^{n-m} phi_m and the suffix sum
     P[n] = sum_{m>n} U_i[m] phi_m (Vandebril, Van Barel & Mastronardi,
     Matrix Computations and Semiseparable Matrices, 2008), so the map
-    takes O(W) memory and O(W) time per application.  The filter runs in
-    segments of at most 1 + SEGMENT_EXPONENT / max(rate) entries: inside
-    one it sums lam^{-j} phi from the segment's start, j the offset, and S
-    is carried across each segment's end, so that no factor overflows.  A
+    takes O(W) memory and O(W) time per application.  The filter is
+    ``kernels.first_order_filter`` taken apart: its factors
+    (``filter_factors``, segments of at most 1 + SEGMENT_EXPONENT /
+    max(rate) entries) are fixed with the map, lam^j folded into
+    scale U, and each application runs only ``scaled_prefix_sum``.  A
     zero block is U = 0, at any rate.  Newton steps are matrix-free
     (``newton_step``); ``dense`` builds the blocks, for the least-squares
     fallback and for tests."""
@@ -195,20 +192,15 @@ class TailMap:
         self.c, self.u, self.scale, self.f, self.g = c, u, scale, f, g
         self.rate = rate = np.asarray(rate, dtype=float)
         self._width = width = u.shape[1]
-        top = float(rate.max())
-        self._segment = segment = (
-            width if top * (width - 1) <= SEGMENT_EXPONENT
-            else int(SEGMENT_EXPONENT // top) + 1)
-        offset = rate[:, None] * (np.arange(width) % segment)
-        grow = np.exp(offset).ravel()  # lam^{-j}
+        self._segment, grow, shrink, carry = filter_factors(rate, width)
+        grow = grow.ravel()  # lam^{-j}
         # scale U lam^j: where it underflows, |scale U| is below
         # e^SEGMENT_EXPONENT times the least normal double, so that
         # |scale U S| < 1e-85 max |phi| / (1 - lam)
-        gain = (scale * u * np.exp(-offset)).ravel()
+        gain = (scale * u * shrink).ravel()
         # scale[n] beside U[n + 1] phi_{n+1}, 0 at each block's last row
         next_scale = np.concatenate([scale[:, :-1], np.zeros((2, 1))],
                                     axis=1).ravel()
-        carry = np.exp(-rate * segment)[:, None]  # lam^segment
         flat_u = u.ravel()
 
         def views(first, stop):
@@ -223,14 +215,9 @@ class TailMap:
         (``_both``, ``_x`` or ``_y``), with phi and the result holding W
         entries per block, one block after the other."""
         grow, gain, u, next_scale, carry = blocks
-        width, segment = self._width, self._segment
+        width = self._width
         s = phi * grow
-        rows = s.reshape(-1, width)
-        for start in range(0, width, segment):
-            part = rows[:, start:start + segment]
-            np.add.accumulate(part, axis=1, out=part)
-            if start:  # lam S[start - 1], at a full segment's last entry
-                part += carry * rows[:, start - 1:start]
+        scaled_prefix_sum(s.reshape(-1, width), self._segment, carry)
         s *= gain
         # the suffix sums sum_{m>=n} U[m] phi_m, accumulated from the end
         suffix = phi * u

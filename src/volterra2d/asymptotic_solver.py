@@ -17,9 +17,10 @@ from typing import Tuple
 import numpy as np
 
 from ._iteration import SolverOptions, TailMap, solve_fixed_point
-from .kernels import FiniteLag, Kernel, TailNotCertified, TruncationPolicy
+from .kernels import (FiniteLag, Kernel, TailNotCertified, TruncationPolicy,
+                      first_order_filter)
 from .sequences import PeriodicSequence
-from .simulate import defects
+from .simulate import defect_columns
 from .system import (Nonlinearity, SystemSpec, amplitude_warnings,
                      decay_envelope, envelope_cut, growth_profile)
 
@@ -110,9 +111,16 @@ def _tail_block(kernel: Kernel, nonlin: Nonlinearity,
     scale = -1 / r_n.  For a separable kernel, with lam = e^{-row_rate},
     w[n, m] = U[max(n, m)] lam^{max(n-m, 0)} by the stable backward
     recursion U[j] = r_{j+1} coef e^{(row_rate-col_rate) j} + lam U[j+1]
-    from U[cut+1] = 0, and rate = row_rate.  c is the amplitude less the
-    zero history's f(0) U[n] lam^{n+1} / (1 - lam), over r_n: the sums
-    over m are exact, and only the cut truncates the sum over i.
+    from U[cut+1] = 0, run as ``first_order_filter`` on the reversed terms
+    in double, the precision of the map that U feeds, and rate = row_rate.
+    With u the double unit round-off and d = row_rate - col_rate, U[n]
+    errs by at most (filter_error(row_rate, cut + 1, float64)
+    + (2 |d| cut + 12) u / (1 - lam)) times max_{i>=n} |term_i|: the
+    filter's bound and the rounding of its terms (where they underflow, a
+    few least subnormals more).
+    c is the amplitude less the zero history's f(0) U[n] lam^{n+1} /
+    (1 - lam), over r_n: the sums over m are exact, and only the cut
+    truncates the sum over i.
     """
     j = np.arange(cut + 1)
     growth_out = growth.take(j)
@@ -121,13 +129,9 @@ def _tail_block(kernel: Kernel, nonlin: Nonlinearity,
         # A nonzero finite-lag kernel has an infinite double tail, so
         # _outer_cut lets one through only with a zero drive: K = 0.
         return np.zeros(cut + 1), 0.0, scale, c_out / growth_out
-    rate = np.longdouble(kernel.row_rate)  # U is summed in long double
-    terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
-             * np.exp((rate - kernel.col_rate) * j))
-    decay, acc, u = np.exp(-rate), np.longdouble(0.0), np.empty(cut + 1)
-    for i in range(cut, -1, -1):
-        acc = terms[i] + decay * acc
-        u[i] = acc
+    terms = (kernel.coef * growth.take(j + 1)
+             * np.exp((kernel.row_rate - kernel.col_rate) * j))
+    u = first_order_filter(terms[::-1], kernel.row_rate)[::-1]
     powers = np.exp(-kernel.row_rate * (j + 1))  # lam^{n+1}
     history = nonlin(0.0) * u * powers / -math.expm1(-kernel.row_rate)
     return u, kernel.row_rate, scale, (c_out - history) / growth_out
@@ -200,9 +204,9 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     (xw, yw), (v1, v2), (bound_x, bound_y) = z, v, bound
     u1, u2 = (PeriodicSequence(T, tuple(row[:T].tolist())) for row in free)
 
-    pairs = defects(spec, np.concatenate([[0.0], xw]),
-                    np.concatenate([[0.0], yw]), horizon, policy)
-    residual_max = max(max(pair) for pair in pairs)
+    columns = defect_columns(spec, np.concatenate([[0.0], xw]),
+                             np.concatenate([[0.0], yw]), horizon, policy)
+    residual_max = float(columns.max())
 
     envelope_ok = (np.abs(v) <= bound + 10.0 * policy.tail_tol).all()
     converged = bool(result.converged
@@ -223,7 +227,7 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
         method_used=result.method_used,
         final_update_norm=result.final_update_norm,
         residual_max=residual_max,
-        defects=pairs,
+        defects=tuple(zip(*columns.tolist())),
         truncation_error=op.truncation_error,
         converged=converged,
         warnings=amplitude_warnings(c1, c2),

@@ -41,6 +41,7 @@ from .sequences import (
     History,
     PeriodProductIsOne,
     PeriodProductNotOne,
+    Trajectory,
     ZeroFactor,
 )
 from .simulate import simulate
@@ -217,6 +218,19 @@ def _cmd_check(args, scenario: Scenario) -> int:
     return 0 if report.passed else 2
 
 
+def _non_finite_warnings(trajectory: Trajectory) -> List[str]:
+    """A warning naming the first n whose x or y is not finite, if any: a
+    sum of all the values is finite unless one is not or the sum
+    overflows, so only then are they searched."""
+    if math.isfinite(sum(trajectory.x) + sum(trajectory.y)):
+        return []
+    bad = np.flatnonzero(~np.isfinite([trajectory.x, trajectory.y]).all(
+        axis=0))
+    return [f"simulate: the trajectory is not finite at n = {bad[0]} "
+            f"(x = {trajectory.x[bad[0]]!r}, y = {trajectory.y[bad[0]]!r}); "
+            f"it overflowed"] if len(bad) else []
+
+
 def _cmd_simulate(args, scenario: Scenario) -> int:
     if args.steps < 0:
         raise ConfigError("--steps: must be nonnegative")
@@ -224,17 +238,21 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     trajectory = simulate(spec, history, args.steps, policy)
     cells = _cells({"x": trajectory.x, "y": trajectory.y}, args.csv)
     _write_csv(len(trajectory), cells, args.csv)
+    report = {
+        "x": trajectory.x,
+        "y": trajectory.y,
+        "tail_tolerance_used": trajectory.tail_tolerance_used,
+    }
+    warnings = _non_finite_warnings(trajectory)
+    if warnings:  # a finite run's report keeps its bytes
+        report["warnings"] = warnings
     _write_report({
         "command": "simulate",
         "steps": args.steps,
         "config": _echo_config(spec, history=_history_to_config(history),
                                truncation={"tail_tol": policy.tail_tol,
                                            "max_terms": policy.max_terms}),
-        "report": _share({
-            "x": trajectory.x,
-            "y": trajectory.y,
-            "tail_tolerance_used": trajectory.tail_tolerance_used,
-        }),
+        "report": _share(report),
     }, args.out, cells)
     return 0
 

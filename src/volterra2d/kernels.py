@@ -10,14 +10,20 @@ past = T).  Two variants are supported:
   is coef * e^{(row_rate-col_rate) n} s_n with the one-state recursion
   s_n = e^{-row_rate} s_{n-1} + phi_n (the discrete linear chain trick),
   seeded in closed form and run in long double under a certified
-  round-off bound, reading the values as Python floats through a
-  memoryview.
+  round-off bound: row by row by ``drives``, reading the values as Python
+  floats through a memoryview, for a march, and all rows at once by
+  ``drive_array``, through ``first_order_filter``, for given values.
 * ``FiniteLag``: a_{n,i} = weights[n mod P][n - i] for lags 0..L, else 0.
   All sums are finite, so tails are exactly zero and each drive is the dot
   product (``ndarray.dot``) of its weight row with its L+1 values.
 
 Anything else would lack computable tail bounds, which every certified
 number in this library relies on.
+
+``first_order_filter`` is the one vectorised form of the recursion
+S[n] = lam S[n-1] + phi_n: the separable drives of ``drive_array``, the
+tail map's filter and its backward U recursion all run through it, or
+through its two parts, ``filter_factors`` and ``scaled_prefix_sum``.
 """
 from __future__ import annotations
 
@@ -31,6 +37,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 #: Unit round-off of the long double the separable recursion runs in.
 LONG_DOUBLE_UNIT = float(np.finfo(np.longdouble).eps) / 2.0
+#: Each segment of a first-order filter spans at most this much decay,
+#: rate * (length - 1): the factors e^{rate j} it scales by stay below
+#: e^512 ~ 1e222, and their reciprocals stay normal.
+SEGMENT_EXPONENT = 512.0
 
 
 class NotDiagonalPeriodic(ValueError):
@@ -55,6 +65,117 @@ def _check_window(values: np.ndarray, start: int, rows: int, past: int):
     if past < 1 or start < 0 or len(values) < need:
         raise ValueError(f"drives of {rows} rows from entry {start}, the "
                          f"past repeating {past}, need {need} values")
+
+
+def _spare_bits(dtype) -> int:
+    """How many significand bits ``dtype`` holds beyond a double's."""
+    return int(np.finfo(dtype).nmant) - 52
+
+
+def _segment(top: float, width: int, spare: int = 0) -> int:
+    """The segment length of a filter of ``width`` entries whose fastest
+    rate is ``top``: all of them, or as many as span SEGMENT_EXPONENT;
+    and in a dtype of ``spare`` > 0 more significand bits than a double,
+    at most 2^spare, so that each offset rate * j of a double rate is
+    exact."""
+    span = (max(width, 1) if top * (width - 1) <= SEGMENT_EXPONENT
+            else int(SEGMENT_EXPONENT // top) + 1)
+    return min(span, 2 ** spare) if spare > 0 else span
+
+
+def filter_factors(rate, width: int):
+    """(segment, grow, shrink, carry) of the first-order filter over
+    ``width`` entries at ``rate`` (a scalar, or one rate per row), in the
+    dtype of ``rate``: the segment length (the fastest rate's), lam^{-j}
+    and lam^j with j each entry's offset in its segment, and
+    lam^segment, with lam = e^{-rate}."""
+    rate = np.asarray(rate)
+    segment = _segment(float(rate.max() if rate.ndim else rate), width,
+                       _spare_bits(rate.dtype))
+    j = np.arange(width)
+    if segment < width:
+        j %= segment
+    offset = rate[..., None] * j
+    return (segment, np.exp(offset), np.exp(-offset),
+            np.exp(-rate * segment)[..., None])
+
+
+def scaled_prefix_sum(scaled: np.ndarray, segment: int,
+                      carry: np.ndarray) -> None:
+    """In place along the last axis: turn lam^{-j} phi_n (j the offset of
+    entry n in its segment, as ``filter_factors`` gives it) into
+    lam^{-j} S[n] with S[n] = lam S[n-1] + phi_n.  Each segment is one
+    cumulative sum, and S is carried across each segment's end: lam
+    S[start - 1] is ``carry`` times the last entry before it."""
+    width = scaled.shape[-1]
+    for start in range(0, width, segment):
+        part = scaled[..., start:start + segment]
+        np.add.accumulate(part, axis=-1, out=part)
+        if start:  # lam S[start - 1], at a full segment's last entry
+            part += carry * scaled[..., start - 1:start]
+
+
+def first_order_filter(terms: np.ndarray, rate: float,
+                       seed: float = 0.0) -> np.ndarray:
+    """S[n] = lam S[n-1] + terms[n] at n = 0..len-1 from S[-1] = ``seed``,
+    lam = e^{-rate} > 0, in the dtype of ``terms``: the segmented scaled
+    prefix sum of ``scaled_prefix_sum``, in O(len) time.  Its round-off
+    is bounded by ``filter_error``."""
+    rate = np.asarray(rate, dtype=terms.dtype)
+    segment, grow, shrink, carry = filter_factors(rate, len(terms))
+    s = terms * grow
+    if len(s):
+        s[0] += np.exp(-rate) * seed  # lam^{-0} lam^{0+1} seed
+    scaled_prefix_sum(s, segment, carry)
+    s *= shrink
+    return s
+
+
+def filter_error(rate: float, length: int, dtype) -> float:
+    """A bound on the round-off of ``first_order_filter`` in ``dtype`` over
+    ``length`` entries at a double ``rate``, per unit of a bound B on
+    every |terms[m]| that reaches S[n], the seed counting as the terms
+    before entry 0 that it sums (|seed| <= B / (1 - lam)):
+    |S^[n] - S[n]| <= filter_error * B.  With u the unit round-off, every
+    |S[k]| is at most B / (1 - lam), and:
+
+    * Summation.  A recursive sum errs by at most u times the sum of its
+      partial sums (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., 2002, sec. 4.2).  Each scaled partial sum
+      lam^{-j} S[k] is rounded once by the cumulative sum, and once more
+      where a carry is added, and its error reaches S[n] times
+      lam^{n-k}: at most (1 or 2) u nu B / (1 - lam), nu = min(length,
+      1 / (1 - lam)), over 1 - 2 nu u for the higher orders.
+    * Factors.  A term meets lam^{-j} and lam^j, each an exp of the
+      offset rate * j, and a product with each: 2 e + 2 u of its weight,
+      exp taken as correct to e = 1 ulp (2 u) in a dtype wider than a
+      double (long double, where numpy calls the C library's expl) and to
+      4 ulps otherwise (double, where numpy may use its own vectorised
+      exp); the seed's lam as much.  Where ``dtype`` has no spare bits
+      (``_segment``), the offsets of a segment of l entries are rounded:
+      2 rate l u more.
+    * Carries.  Each segment end a term crosses adds the carry factor's
+      exp and product, e + u (plus rate l u for a rounded offset), to its
+      weight; a term n - m entries back crosses at most (n - m) / l + 1
+      ends, which weigh (1 + 1 / (l (1 - lam))) B / (1 - lam) in all.
+    """
+    unit, spare = float(np.finfo(dtype).eps) / 2.0, _spare_bits(dtype)
+    exp_units = 2.0 if spare > 0 else 8.0
+    gap = -math.expm1(-rate)
+    span = _segment(rate, length, spare)
+    segmented = span < length
+    rounded = 0.0 if spare > 0 else rate * span
+    nu = min(length, 1.0 / gap)
+    summed = (2.0 if segmented else 1.0) * nu / (1.0 - 2.0 * nu * unit)
+    carries = ((exp_units + 1.0 + rounded) * (1.0 + 1.0 / (span * gap))
+               if segmented else 0.0)
+    return unit / gap * (summed + 2.0 * exp_units + 2.0 + 2.0 * rounded
+                         + carries)
+
+
+def _exp_positive(x: float) -> float:
+    """e^max(x, 0), inf where that overflows a double."""
+    return math.exp(max(x, 0.0)) if x < 709.0 else math.inf
 
 
 def check_settings(obj, positive=(), counts=()) -> None:
@@ -187,6 +308,75 @@ class SeparableExponential:
             s = decay * s + read[k]
             yield float(scale * s)
 
+    def drive_array_error(self, start: int, rows: int, past: int,
+                          bound: float) -> float:
+        """Round-off bound of ``drive_array`` over ``rows`` rows from entry
+        ``start`` on, its filter running over the start + rows values after
+        a past repeating ``past`` of them, each bounded by ``bound``, before
+        the rounding of the result to double: the largest over the rows,
+        one scalar.
+
+        With u the long double unit round-off, lam = e^{-row_rate} and
+        d = row_rate - col_rate, row n is coef e^{d n} S[n] with every
+        |S| at most bound / (1 - lam).  Three parts err, each at its own
+        largest row:
+
+        * the filter, by ``filter_error`` times bound, under the largest
+          scale |coef| e^{d n};
+        * the closed-form seed, ``past`` terms each weighed by an exp and a
+          product, summed and divided by an expm1, by (past + 6) u
+          bound / (1 - lam); it reaches row n times e^{d n} lam^{n+1},
+          which is largest at n = 0 or n = rows - 1;
+        * the scale e^{d n} and its two products, by (2 |d| n + 4) u
+          relative (d and d n rounded, exp correct to 1 ulp): where d <= 0
+          e^{d n} (2 |d| n + 4) is at most 2 / e + 4.
+
+        4 u more cover the higher orders."""
+        if not (bound >= 0.0 and math.isfinite(bound)):
+            raise ValueError("bound must be finite and nonnegative")
+        if self.coef == 0.0 or bound == 0.0:
+            return 0.0
+        spread = self.row_rate - self.col_rate
+        last = max(rows - 1, 0)
+        peak = _exp_positive(spread * last)  # the largest e^{d n}
+        if spread > 0.0:
+            scale = peak * (2.0 * spread * last + 8.0)
+        else:
+            scale = 2.0 / math.e + 8.0
+        seed = (math.exp(-self.row_rate) * (past + 6.0)
+                * _exp_positive(-self.col_rate * last))
+        return abs(self.coef) * bound * (
+            peak * filter_error(self.row_rate, start + rows, np.longdouble)
+            + (seed + scale) * LONG_DOUBLE_UNIT
+            / -math.expm1(-self.row_rate))
+
+    def drive_array(self, values: np.ndarray, start: int, rows: int,
+                    past: int, bound: float, tol: float) -> np.ndarray:
+        """The drives of ``drives``, as one float64 array, for values that
+        are all in place: ``first_order_filter`` in long double over
+        values[:start + rows], seeded with the closed-form periodic past.
+        Raises TailNotCertified where ``drive_array_error`` exceeds
+        ``tol`` and ValueError where the values are too few."""
+        _check_window(values, start, rows, past)
+        length = start + rows
+        error = self.drive_array_error(start, rows, past, bound)
+        if error > tol:
+            raise TailNotCertified(
+                f"round-off bound {error:.3e} of the kernel filter > "
+                f"{tol:.3e}")
+        rate = np.longdouble(self.row_rate)
+        terms = values[:max(length, past)].astype(np.longdouble)
+        # the state just before values[0], as in ``drives``
+        seed = (terms[:past]
+                @ np.exp(rate * np.arange(1 - past, 1, dtype=np.longdouble))
+                / -np.expm1(-rate * past))
+        s = first_order_filter(terms[:length], rate, seed)[start:]
+        spread = rate - self.col_rate
+        if spread:
+            s *= np.exp(spread * np.arange(rows, dtype=np.longdouble))
+        s *= self.coef
+        return s.astype(float)
+
     def is_diagonal_periodic(self, period: int) -> bool:
         return self.row_rate == self.col_rate
 
@@ -274,6 +464,12 @@ class FiniteLag:
                     windows[max(start - lags, 0):start + rows - lags],
                     weight_rows):
                 yield float(weights.dot(window))
+
+    def drive_array(self, values: np.ndarray, start: int, rows: int,
+                    past: int, bound: float, tol: float) -> np.ndarray:
+        """The drives of ``drives``, collected into one float64 array."""
+        return np.fromiter(self.drives(values, start, rows, past, bound, tol),
+                           float, count=rows)
 
     def is_diagonal_periodic(self, period: int) -> bool:
         shift = period % self.lag_period

@@ -21,7 +21,7 @@ import numpy as np
 from ._iteration import CoupledMap, SolverOptions, solve_fixed_point
 from .kernels import TruncationPolicy
 from .sequences import PeriodicSequence, cycle_gain, running_products
-from .simulate import defects
+from .simulate import defect_columns
 from .system import SystemSpec
 
 State = Tuple[PeriodicSequence, PeriodicSequence]
@@ -117,9 +117,9 @@ def solve_periodic(spec: SystemSpec,
     solution = (PeriodicSequence(T, tuple(result.z[:T])),
                 PeriodicSequence(T, tuple(result.z[T:])))
     extension = np.arange(T + 1) % T
-    pairs = defects(spec, result.z[:T][extension], result.z[T:][extension],
-                    T, policy, past=T)
-    residual_max = max(max(pair) for pair in pairs)
+    columns = defect_columns(spec, result.z[:T][extension],
+                             result.z[T:][extension], T, policy, past=T)
+    residual_max = float(columns.max())
     converged = result.converged and residual_max <= opts.residual_tol
     return PeriodicSolveReport(
         solution=solution,
@@ -130,7 +130,7 @@ def solve_periodic(spec: SystemSpec,
         method_used=result.method_used,
         final_update_norm=result.final_update_norm,
         residual_max=residual_max,
-        defects=pairs,
+        defects=tuple(zip(*columns.tolist())),
         converged=converged,
     )
 

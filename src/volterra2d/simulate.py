@@ -1,12 +1,15 @@
 """Forward iteration of the initial-value problem, and the recurrence
 defects of any candidate solution, a simulated trajectory included (the
-march records none of its own).  Both work on arrays: f(y) and g(x) are
-mapped once per value, and each kernel's drives come from its exact
-``drives`` method (one long double recursion step per row for a separable
-kernel, one window dot for a finite-lag one), so nothing is truncated.
-The march maps each new value by the nonlinearities' ``scalar`` formulas
-and writes it through a memoryview into the arrays that the drives read
-as they advance; it gives the bits of the dispatching calls."""
+march records none of its own).  Both sum each kernel exactly, nothing
+truncated.  The march is sequential: it takes each kernel's drives row by
+row from its ``drives`` generator (one long double recursion step per row
+for a separable kernel, one window dot for a finite-lag one), maps each
+new value by the nonlinearities' ``scalar`` formulas and writes it
+through a memoryview into the arrays that the drives read as they
+advance; it gives the bits of the dispatching calls.  ``defects`` has
+every value in place, so it maps f(y) and g(x) once per array and takes
+all of a kernel's drives at once from ``drive_array`` (the long double
+first-order filter for a separable kernel)."""
 from __future__ import annotations
 
 from itertools import count
@@ -55,14 +58,35 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     drives = [kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
                             policy.tail_tol)
               for (_, kernel, nonlin), mapped in zip(spec.equations, (fy, gx))]
-    for n, k, drive_x, drive_y in zip(range(steps), count(depth + 2),
-                                      *drives):
-        gain_x, gain_y = gains[n % period]
-        x, y = gain_x * x + drive_x, gain_y * y + drive_y
-        put_fy[k], put_gx[k] = f(y), g(x)
-        traj_x.append(x)
-        traj_y.append(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, k, drive_x, drive_y in zip(range(steps), count(depth + 2),
+                                          *drives):
+            gain_x, gain_y = gains[n % period]
+            x, y = gain_x * x + drive_x, gain_y * y + drive_y
+            put_fy[k], put_gx[k] = f(y), g(x)
+            traj_x.append(x)
+            traj_y.append(y)
     return Trajectory(traj_x, traj_y, policy.tail_tol)
+
+
+def defect_columns(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray,
+                   rows: int, policy: TruncationPolicy, past: int = 1
+                   ) -> np.ndarray:
+    """The defects of ``defects`` as a (2, rows) array: the x column, then
+    the y column."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) <= rows:
+        raise ValueError(f"x and y must be equal-length arrays on m <= {rows}")
+    start = len(xs) - 1 - rows  # entry of m = 0
+    n = np.arange(rows)
+    columns = np.empty((2, rows))
+    for (seq, kernel, nonlin), own, partner, column in zip(
+            spec.equations, (xs, ys), (ys, xs), columns):
+        drive = kernel.drive_array(nonlin(partner), start, rows, past,
+                                   nonlin.bound, policy.tail_tol)
+        np.abs(own[start + 1:] - (1.0 + seq.take(n)) * own[start:-1] - drive,
+               out=column)
+    return columns
 
 
 def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,
@@ -76,20 +100,9 @@ def defects(spec: SystemSpec, xs: np.ndarray, ys: np.ndarray, rows: int,
     last entry is at m = rows; the values before their first entry repeat
     their first ``past`` entries (1 for a constant or zero history, T for
     the periodic extension).  The sums are exact, up to a certified
-    round-off of at most tail_tol, so an exact solution shows a defect of
-    at most that plus the round-off of the recurrence itself.
+    round-off of at most tail_tol (``drive_array``), so an exact solution
+    shows a defect of at most that plus the round-off of the recurrence
+    itself.
     """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) <= rows:
-        raise ValueError(f"x and y must be equal-length arrays on m <= {rows}")
-    start = len(xs) - 1 - rows  # entry of m = 0
-    n = np.arange(rows)
-    columns = []
-    for (seq, kernel, nonlin), own, partner in zip(spec.equations, (xs, ys),
-                                                   (ys, xs)):
-        drive = np.fromiter(kernel.drives(nonlin(partner), start, rows, past,
-                                          nonlin.bound, policy.tail_tol),
-                            float, count=rows)
-        columns.append(np.abs(own[start + 1:] - (1.0 + seq.take(n))
-                              * own[start:-1] - drive).tolist())
-    return tuple(zip(*columns))
+    return tuple(zip(*defect_columns(spec, xs, ys, rows, policy,
+                                     past).tolist()))

@@ -8,9 +8,11 @@ of a period window, row n's drive is sum_k w[n,k] phi[slot[n,k]] over
 one period of mapped values phi: a separable kernel has one column per
 r < T that sums its lags r + jT, j >= 0, as a geometric series, and a
 finite-lag kernel has one column per lag.  After the zero history of a
-decomposition, a separable kernel's row sums are the convolution of phi
-with the decay e^{-row_rate lag} plus the history's geometric sum, and a
-finite-lag kernel dots its window, padded with phi(0).
+decomposition, a separable kernel's row sums come from a recursion of
+the verifier's own, over blocks of WINDOW_BLOCK rows: inside a block the
+convolution of phi with the decay e^{-row_rate lag}, and across its end
+the state carried on, which starts as the history's geometric sum; a
+finite-lag kernel dots its window, padded with phi(0).  Each is O(H).
 
 A periodic candidate z = [x; y] is certified by a Newton-Kantorovich
 existence radius.  Over one period the T-periodic solutions are the zeros
@@ -46,12 +48,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotic_solver import Decomposition
 from .kernels import Kernel, SeparableExponential, TruncationPolicy
-from .sequences import PeriodicSequence, product_one_plus
+from .sequences import PeriodicSequence
 from .system import SystemSpec
 
 #: Estimated floating-point error of F per unit of the magnitudes summed in
 #: each of its rows: twice the unit round-off.
 ROUNDING = 2.0 ** -52
+#: Rows per block of the separable window sums: each block is one direct
+#: convolution, O(WINDOW_BLOCK) per row, and one carried state.
+WINDOW_BLOCK = 256
 
 
 def _defect(seq: PeriodicSequence, own: np.ndarray,
@@ -81,16 +86,29 @@ def _period_terms(kernel: Kernel, period: int):
 
 
 def _window_sums(kernel: Kernel, mapped: np.ndarray,
-                   at_zero: float) -> np.ndarray:
+                 at_zero: float) -> np.ndarray:
     """The row sums sum_{m<=n} a_{n,m} * phi_m at n = 0..N-1 of the N
     mapped values phi_m = mapped[m] after a zero history, whose mapped
-    value phi_m = ``at_zero`` at every m < 0."""
+    value phi_m = ``at_zero`` at every m < 0.  For a separable kernel the
+    memory M_n = sum_{m<=n} e^{-row_rate (n-m)} phi_m is summed block by
+    block: M on a block of rows start..start+b-1 is the convolution of
+    its own phi with the decay, plus the state M_{start-1} carried in
+    times e^{-row_rate (n-start+1)}; before row 0 the state is the
+    history's at_zero / (1 - e^{-row_rate}).  Every weight is at most 1,
+    so nothing overflows."""
     n = np.arange(len(mapped))
     if isinstance(kernel, SeparableExponential):
         rate = kernel.row_rate
-        decay = np.exp(-rate * n)
-        memory = (np.convolve(mapped, decay)[:len(n)]
-                  + at_zero * math.exp(-rate) / -math.expm1(-rate) * decay)
+        decay = np.exp(-rate * np.arange(min(len(n), WINDOW_BLOCK) + 1))
+        memory = np.empty(len(n))
+        state = at_zero / -math.expm1(-rate)
+        for start in range(0, len(n), WINDOW_BLOCK):
+            block = mapped[start:start + WINDOW_BLOCK]
+            size = len(block)
+            memory[start:start + size] = (
+                np.convolve(block, decay[:size])[:size]
+                + state * decay[1:size + 1])
+            state = memory[start + size - 1]
         return kernel.coef * np.exp((rate - kernel.col_rate) * n) * memory
     lags = kernel.max_lag
     # row n of the windows holds phi_m for m = n-L..n
@@ -238,9 +256,36 @@ def _decay_check(v, bound, ratio: float, period: int) -> bool:
     resolvable = int(np.count_nonzero(np.asarray(bound) > 1e-12))
     if resolvable < 2 * period:
         return True
-    peaks = sliding_window_view(np.abs(v[:resolvable]), period).max(axis=1)
+    size = np.abs(v[:resolvable])
+    # peaks[k] = max |v[k..k+T)|, one shifted slice per offset in a period
+    peaks = size[:resolvable - period + 1].copy()
+    for offset in range(1, period):
+        np.maximum(peaks, size[offset:resolvable - period + 1 + offset],
+                   out=peaks)
     return bool((peaks[period:]
                  <= 10.0 * ratio ** period * peaks[:-period] + 1e-15).all())
+
+
+def _periodic_part_ok(seq: PeriodicSequence, c: float,
+                      u: PeriodicSequence) -> bool:
+    """Whether u agrees on ten periods with the free response
+    c prod_{j<n} (1 + seq_j), to 1e-12 max(1, |free|), plus the drift
+    |free| |P^q - 1| over the q whole periods in n: the asymptotic check
+    grants a full-period product P within PRODUCT_ONE_TOL of one, so the
+    periodic u drifts from the free response by that much.  The products
+    are ``product_one_plus``'s, factor by factor: row q of the table
+    starts at P^q and multiplies on 1 + seq_0, 1 + seq_1, ... in turn."""
+    T = seq.period
+    product = seq.full_period_product_one_plus()
+    powers = np.array([product ** q if q else 1.0 for q in range(10)])
+    table = np.empty((10, T))
+    table[:, 0] = powers
+    table[:, 1:] = 1.0 + np.array(seq.values[:-1])
+    free = c * np.multiply.accumulate(table, axis=1).ravel()
+    drift = np.abs(free) * np.abs(np.repeat(powers, T) - 1.0)
+    gap = np.abs(u.take(np.arange(10 * T)) - free)
+    # a NaN compares false here, as it did in the loop
+    return not (gap > 1e-12 * np.maximum(1.0, np.abs(free)) + drift).any()
 
 
 def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
@@ -263,16 +308,7 @@ def verify_decomposition(spec: SystemSpec, dec: Decomposition, *,
     max_defect = 0.0
     for (seq, kernel, phi), (c, u, v, bound), own, partner in zip(
             spec.equations, parts, values, values[::-1]):
-        product = seq.full_period_product_one_plus()
-        for n in range(10 * spec.period):
-            free = c * product_one_plus(seq, 0, n - 1)
-            # the asymptotic check grants a full-period product P within
-            # PRODUCT_ONE_TOL of one, so the periodic u drifts from the free
-            # response by |free| |P^q - 1| over the q whole periods in n
-            drift = abs(free) * abs(product ** (n // spec.period) - 1.0)
-            if abs(u.get(n) - free) > 1e-12 * max(1.0, abs(free)) + drift:
-                periodic_part_ok = False
-                break
+        periodic_part_ok = periodic_part_ok and _periodic_part_ok(seq, c, u)
         # a NaN in v or in a bound compares false and fails the check
         envelope_ok = envelope_ok and bool((np.abs(v) <= bound + slack).all())
         drive = _window_sums(kernel, phi(partner), phi(0.0))

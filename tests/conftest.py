@@ -454,6 +454,70 @@ def defects_reference(spec, xs, ys, rows, policy, past=1):
                                           *drives))
 
 
+def tail_u_reference(kernel, growth, cut):
+    """U of a separable tail-map block on the window 0..cut, one row at a
+    time in long double by the backward recursion
+    U[j] = r_{j+1} coef e^{(row-col) j} + e^{-row} U[j+1], U[cut+1] = 0,
+    each entry rounded to double."""
+    rate = np.longdouble(kernel.row_rate)
+    j = np.arange(cut + 1)
+    terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
+             * np.exp((rate - kernel.col_rate) * j))
+    decay, acc, u = np.exp(-rate), np.longdouble(0.0), np.empty(cut + 1)
+    for i in range(cut, -1, -1):
+        acc = terms[i] + decay * acc
+        u[i] = acc
+    return u
+
+
+def tail_u_bound(kernel, growth, cut):
+    """Entry by entry, how far ``_tail_block``'s U may lie from
+    ``tail_u_reference``: its stated bound, (filter_error(row, cut + 1,
+    float64) + (2 |row - col| cut + 12) u / (1 - lam)) max_{i>=n} |term_i|
+    with u the double unit round-off, plus the reference's long double
+    recursion error, 8 u_ld max_{i>=n} |term_i| / (1 - lam)^2, and its
+    rounding to double.  Where the terms underflow each of about 16
+    operations an entry takes errs by up to the least subnormal eta
+    instead, weighed by 1 / (1 - lam) over the entries it reaches."""
+    from volterra2d.kernels import LONG_DOUBLE_UNIT, filter_error
+
+    unit = float(np.finfo(float).eps) / 2.0
+    rate, spread = kernel.row_rate, abs(kernel.row_rate - kernel.col_rate)
+    gap = -math.expm1(-rate)
+    j = np.arange(cut + 1)
+    terms = np.abs(kernel.coef * growth.take(j + 1)
+                   * np.exp((kernel.row_rate - kernel.col_rate) * j))
+    reach = np.maximum.accumulate(terms[::-1])[::-1]
+    stated = (filter_error(rate, cut + 1, np.float64)
+              + (2.0 * spread * cut + 12.0) * unit / gap) * reach
+    underflow = 16.0 * np.nextafter(0.0, 1.0) / gap
+    return (stated + underflow + 8.0 * LONG_DOUBLE_UNIT * reach / gap ** 2
+            + np.spacing(np.abs(tail_u_reference(kernel, growth, cut))))
+
+
+def defects_slack(spec, xs, ys, rows, policy, past, got, want):
+    """How far ``defects`` output ``got`` may lie from the
+    ``defects_reference`` output ``want``, row by row as (x, y) pairs: the
+    stated round-off of the filtered drive (``drive_array_error``, zero
+    for a finite-lag kernel, whose rows are the generator's own) and of
+    the reference's recursion (``drive_error``), each drive's rounding to
+    double, and the last subtraction's rounding on either side."""
+    start = len(xs) - 1 - rows
+    columns = []
+    for (_, kernel, nonlin), partner in zip(spec.equations, (ys, xs)):
+        mapped = nonlin(np.asarray(partner, dtype=float))
+        drive = np.array(list(kernel.drives(mapped, start, rows, past,
+                                            nonlin.bound, policy.tail_tol)))
+        error = np.zeros(rows)
+        if isinstance(kernel, v.SeparableExponential):
+            error += (kernel.drive_array_error(start, rows, past,
+                                               nonlin.bound)
+                      + kernel.drive_error(np.arange(rows), nonlin.bound))
+        columns.append(error + 2.0 * np.spacing(np.abs(drive)))
+    size = np.maximum(np.abs(np.array(got)), np.abs(np.array(want)))
+    return np.array(columns).T.reshape(size.shape) + 2.0 * np.spacing(size)
+
+
 #: Magnitude below which tail_block_reference flushes block entries to
 #: zero, with their bound added to its error.
 REFERENCE_NEGLIGIBLE = math.sqrt(np.finfo(float).tiny)
@@ -473,14 +537,7 @@ def tail_block_reference(kernel, nonlin, growth, ratio, c_out, c_partner,
     growth_out = growth.take(np.arange(width))
     if isinstance(kernel, v.FiniteLag):
         return np.zeros((width, width)), c_out / growth_out, error
-    rate = np.longdouble(kernel.row_rate)
-    j = np.arange(cut + 1)
-    terms = (kernel.coef * growth.take(j + 1).astype(np.longdouble)
-             * np.exp((rate - kernel.col_rate) * j))
-    decay, acc, u = np.exp(-rate), np.longdouble(0.0), np.empty(cut + 1)
-    for i in range(cut, -1, -1):
-        acc = terms[i] + decay * acc
-        u[i] = acc
+    u = tail_u_reference(kernel, growth, cut)
     powers = np.exp(-kernel.row_rate * np.arange(width + 1))
     lower = sliding_window_view(np.concatenate(
         [powers[width - 1::-1], np.zeros(horizon)]), width)[::-1]
@@ -515,3 +572,43 @@ def parse_reference(argv):
         return None, _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code, None
+
+
+def window_sums_reference(kernel, mapped, at_zero):
+    """The verifier's separable window sums as one O(N^2) ``np.convolve``
+    of all N mapped values with the decay e^{-row_rate lag}, plus the
+    zero history's geometric sum at_zero e^{-row_rate (n+1)} /
+    (1 - e^{-row_rate})."""
+    n = np.arange(len(mapped))
+    rate = kernel.row_rate
+    decay = np.exp(-rate * n)
+    memory = (np.convolve(mapped, decay)[:len(n)]
+              + at_zero * math.exp(-rate) / -math.expm1(-rate) * decay)
+    return kernel.coef * np.exp((rate - kernel.col_rate) * n) * memory
+
+
+def periodic_part_ok_reference(spec, dec):
+    """The periodic-part verdict of a decomposition, one n at a time over
+    ten periods by ``product_one_plus``: |u_n - free_n| within
+    1e-12 max(1, |free_n|) plus the drift |free_n| |P^q - 1|."""
+    for seq, c, u in ((spec.h, dec.c1, dec.u1), (spec.p, dec.c2, dec.u2)):
+        product = seq.full_period_product_one_plus()
+        for n in range(10 * spec.period):
+            free = c * v.product_one_plus(seq, 0, n - 1)
+            drift = abs(free) * abs(product ** (n // spec.period) - 1.0)
+            if abs(u.get(n) - free) > 1e-12 * max(1.0, abs(free)) + drift:
+                return False
+    return True
+
+
+def decay_check_reference(v_values, bound, ratio, period):
+    """The decay verdict from strided windows: the peak |v| of every whole
+    period against the one a period before, at 10 ratio^T plus 1e-15,
+    where the envelope exceeds 1e-12."""
+    resolvable = int(np.count_nonzero(np.asarray(bound) > 1e-12))
+    if resolvable < 2 * period:
+        return True
+    peaks = sliding_window_view(np.abs(np.asarray(v_values)[:resolvable]),
+                                period).max(axis=1)
+    return bool((peaks[period:]
+                 <= 10.0 * ratio ** period * peaks[:-period] + 1e-15).all())

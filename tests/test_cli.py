@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,39 @@ class TestSimulateCommand:
     def test_negative_steps_rejected(self, example2_path):
         assert run(["simulate", "--config", str(example2_path),
                     "--steps", "-1", "--out", "/dev/null"]) == 1
+
+    def test_overflow_is_reported(self, example1_path, tmp_path, capsys):
+        """example1's h = (2, 0) and p = (0, 2) triple the trajectory every
+        period: from this history it overflows at n = 1292, and the march
+        goes on in inf and nan.  The report says where, no floating-point
+        warning reaches stderr, and the run still exits 0 with every value
+        in its table; a finite run's report has no warnings key."""
+        config = json.loads(example1_path.read_text())
+        config["history"] = {"window": [[0.7, -0.3]],
+                             "tail": {"x": 0.5, "y": 0.2}}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config))
+        out, table = tmp_path / "r.json", tmp_path / "t.csv"
+        for steps, first in (("1000", None), ("20000", 1292)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["simulate", "--config", str(path), "--steps",
+                            steps, "--out", str(out), "--csv",
+                            str(table)]) == 0
+            assert capsys.readouterr().err == ""
+            report = json.loads(out.read_text())["report"]
+            _, rows = read_csv(table)
+            assert len(rows) == int(steps) + 1
+            if first is None:
+                assert "warnings" not in report
+                continue
+            x, y = report["x"], report["y"]
+            assert [n for n in range(len(x))
+                    if x[n] is None or y[n] is None][0] == first
+            assert report["warnings"] == [
+                f"simulate: the trajectory is not finite at n = {first} "
+                f"(x = {x[first]!r}, y = nan); it overflowed"]
+            assert rows[first][1:3] == [repr(x[first]), "nan"]
 
     @pytest.mark.parametrize("rate", [1e-12, 1e-200, 1e-300])
     def test_vanishing_rate_stops_at_the_cap(self, rate, example2_path,
@@ -606,6 +640,15 @@ def reference_report(argv, scenario):
         history, steps = scenario.history, int(argv[2])
         trajectory = simulate(spec, history, steps, policy)
         tail = history.tail
+        body = {"x": list(trajectory.x), "y": list(trajectory.y),
+                "tail_tolerance_used": trajectory.tail_tolerance_used}
+        # an overflowing run names its first step with a non-finite value
+        for n, (x, y) in enumerate(zip(trajectory.x, trajectory.y)):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                body["warnings"] = [
+                    f"simulate: the trajectory is not finite at n = {n} "
+                    f"(x = {x!r}, y = {y!r}); it overflowed"]
+                break
         return {"command": "simulate", "steps": steps,
                 "config": echo(
                     history={"window": [[a, b] for a, b in history.window],
@@ -613,9 +656,7 @@ def reference_report(argv, scenario):
                              else {"x": tail[0], "y": tail[1]}},
                     truncation={"tail_tol": policy.tail_tol,
                                 "max_terms": policy.max_terms}),
-                "report": {"x": list(trajectory.x), "y": list(trajectory.y),
-                           "tail_tolerance_used":
-                               trajectory.tail_tolerance_used}}
+                "report": body}
     if argv[0] == "solve-periodic" or mode == "periodic":
         solved = solve_periodic(spec, scenario.solver, policy)
         config = echo()

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volterra2d import Nonlinearity, SolverOptions, TruncationPolicy
-from volterra2d import _iteration
+from volterra2d import _iteration, kernels
 from volterra2d._iteration import CoupledMap, TailMap, solve_fixed_point
 from volterra2d.asymptotic_solver import TailMapOperator
 from volterra2d.periodic_solver import _cycle_map_vec
@@ -342,14 +342,14 @@ class TestTailMap:
     """The map from its generators in O(W) against its dense form, and its
     matrix-free Newton step against the dense one."""
 
-    @pytest.mark.parametrize("exponent", [_iteration.SEGMENT_EXPONENT, 4.0,
+    @pytest.mark.parametrize("exponent", [kernels.SEGMENT_EXPONENT, 4.0,
                                           0.1])
     def test_output_matches_the_dense_form(self, example2_spec, exponent):
         """At the module's segment exponent, S carried across a segment's
         end is below 1e-222 of the sum, so smaller exponents (segments of
         one to 81 entries) check the carry."""
         rng = np.random.default_rng(7)
-        with mock.patch.object(_iteration, "SEGMENT_EXPONENT", exponent):
+        with mock.patch.object(kernels, "SEGMENT_EXPONENT", exponent):
             maps = tail_maps(example2_spec) + random_tail_maps(rng)
         for m in maps:
             n = m.u.shape[1]
@@ -367,11 +367,11 @@ class TestTailMap:
                     m.c + m._product(m._both, phi)).tobytes()
                 assert out is not m.c and m(z).tobytes() == out.tobytes()
 
-    @pytest.mark.parametrize("exponent", [_iteration.SEGMENT_EXPONENT, 0.1])
+    @pytest.mark.parametrize("exponent", [kernels.SEGMENT_EXPONENT, 0.1])
     def test_newton_step_matches_the_dense_step(self, example2_spec,
                                                 exponent):
         rng = np.random.default_rng(8)
-        with mock.patch.object(_iteration, "SEGMENT_EXPONENT", exponent):
+        with mock.patch.object(kernels, "SEGMENT_EXPONENT", exponent):
             maps = tail_maps(example2_spec) + random_tail_maps(rng)
         for m in maps:
             n = m.u.shape[1]

@@ -19,7 +19,7 @@ from volterra2d import (
     simulate,
 )
 
-from conftest import (defects_reference, inner_sum_reference,
+from conftest import (defects_reference, defects_slack, inner_sum_reference,
                       random_nonlinearity)
 
 POLICY = TruncationPolicy(1e-10, 100_000)
@@ -284,6 +284,21 @@ def threshold_rate(coef, tol):
     return hi
 
 
+def filter_threshold_rate(coef, tol, start, rows, past=1):
+    """The smallest row rate (to 1e-9 relative) whose ``drive_array``
+    round-off bound over ``rows`` rows from entry ``start`` on, of values
+    bounded by 1, is <= tol."""
+    lo, hi = 1e-300, 1.0  # refused, accepted
+    while hi > lo * (1.0 + 1e-9):
+        mid = math.sqrt(lo * hi)
+        if SeparableExponential(coef, mid, mid).drive_array_error(
+                start, rows, past, 1.0) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def accurate_drive(kernel, values, start, n):
     """sum_{m<=n} a_{n,m} phi_m with values[k] at m = k - start and the past
     repeating values[0], to long double accuracy: the terms in long double,
@@ -351,15 +366,16 @@ class TestRoundOff:
 
 
 class TestDefectsOnArrays:
-    """``defects`` computes every row in one array expression, with the
-    operands of the row-by-row loop in the same order: the same floats,
-    bit for bit."""
+    """``defects`` computes every row in one array expression, a separable
+    kernel's drives by the long double filter of ``drive_array`` and a
+    finite-lag kernel's by its own generator: the floats of the
+    row-by-row loop, within the stated round-off of both drives."""
 
     @staticmethod
-    def assert_same(got, want):
+    def assert_same(got, want, slack):
         assert all(type(d) is float for pair in got for d in pair)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
         assert len(got) == len(want)
+        assert np.all(np.abs(np.array(got) - np.array(want)) <= slack)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_row_by_row_defects(self, seed):
@@ -371,9 +387,11 @@ class TestDefectsOnArrays:
         for xs, ys in (march, candidate):
             for rows in (0, 1, 40):
                 for past in (1, spec.period):
-                    self.assert_same(
-                        defects(spec, xs, ys, rows, POLICY, past),
-                        defects_reference(spec, xs, ys, rows, POLICY, past))
+                    got = defects(spec, xs, ys, rows, POLICY, past)
+                    want = defects_reference(spec, xs, ys, rows, POLICY,
+                                             past)
+                    self.assert_same(got, want, defects_slack(
+                        spec, xs, ys, rows, POLICY, past, got, want))
 
     def test_equals_row_by_row_defects_on_a_periodic_extension(
             self, cosine_spec):
@@ -381,17 +399,25 @@ class TestDefectsOnArrays:
         T = cosine_spec.period
         values = np.random.default_rng(3).uniform(-1.0, 1.0, (2, T))
         xs, ys = values[:, np.arange(T + 1) % T]
-        self.assert_same(defects(cosine_spec, xs, ys, T, POLICY, T),
-                         defects_reference(cosine_spec, xs, ys, T, POLICY, T))
+        got = defects(cosine_spec, xs, ys, T, POLICY, T)
+        want = defects_reference(cosine_spec, xs, ys, T, POLICY, T)
+        self.assert_same(got, want, defects_slack(
+            cosine_spec, xs, ys, T, POLICY, T, got, want))
 
     def test_uncertified_drive_raises_as_before(self):
-        rate = 0.5 * threshold_rate(0.05, POLICY.tail_tol)
-        kernel = SeparableExponential(0.05, rate, rate)
+        """Each form refuses a drive whose own stated bound exceeds
+        tail_tol: the filter of ``defects`` by ``drive_array_error``, and
+        the row-by-row generators by ``drive_error``."""
         half = PeriodicSequence(1, (-0.5,))
-        spec = SystemSpec(1, half, half, kernel, kernel,
-                          Nonlinearity("cos", 1.0, 1.0),
-                          Nonlinearity("sin", 1.0, 2.0))
         xs = np.linspace(-1.0, 1.0, 12)
-        for defect in (defects, defects_reference):
+        for defect, threshold in (
+                (defects, filter_threshold_rate(0.05, POLICY.tail_tol, 1,
+                                                10)),
+                (defects_reference, threshold_rate(0.05, POLICY.tail_tol))):
+            kernel = SeparableExponential(0.05, 0.5 * threshold,
+                                          0.5 * threshold)
+            spec = SystemSpec(1, half, half, kernel, kernel,
+                              Nonlinearity("cos", 1.0, 1.0),
+                              Nonlinearity("sin", 1.0, 2.0))
             with pytest.raises(TailNotCertified, match="round-off bound"):
                 defect(spec, xs, xs[::-1], 10, POLICY)

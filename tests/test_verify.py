@@ -22,8 +22,11 @@ from volterra2d import (
     verify_periodic,
 )
 
-from conftest import (envelope_ok_reference, inner_sum_reference,
-                      periodic_reference,
+from volterra2d.verify import _window_sums
+
+from conftest import (decay_check_reference, envelope_ok_reference,
+                      inner_sum_reference, periodic_part_ok_reference,
+                      periodic_reference, window_sums_reference,
                       random_hard_periodic_spec, random_periodic_spec,
                       random_summable_spec)
 
@@ -548,6 +551,84 @@ class TestArraySums:
                                          range(horizon), lead, 1)
         got = verify_decomposition(spec, dec).max_defect
         assert abs(got - expected) <= 1e-14 * scale
+
+
+class TestVerifierOwnSums:
+    """The verifier's block recursion for the separable window sums, and
+    its whole-array periodic-part and decay checks, against the forms
+    they replaced: one O(H^2) ``np.convolve``, a ``product_one_plus``
+    loop over ten periods and strided windows."""
+
+    @pytest.mark.parametrize("horizon", [0, 1, 40, 400, 5000])
+    @pytest.mark.parametrize("kernel", [
+        SeparableExponential(-0.8, 2.5, 3.0),
+        SeparableExponential(0.5, 0.05, 0.1),
+        SeparableExponential(1.3, 0.7, 0.7)],
+        ids=["steep", "slow", "unit"])
+    def test_window_sums_match_the_convolution(self, kernel, horizon):
+        """Blocks of WINDOW_BLOCK rows: H = 400 and 5000 carry the state
+        across 1 and 19 block ends; the steep rate's decay underflows
+        inside one block."""
+        rng = np.random.default_rng(horizon)
+        mapped = rng.uniform(-1.5, 1.5, horizon + 1)
+        for at_zero in (0.0, 0.9):
+            got = _window_sums(kernel, mapped, at_zero)
+            want = window_sums_reference(kernel, mapped, at_zero)
+            size = kernel.abs_row_sum(np.arange(horizon + 1)) * 1.5
+            assert got.shape == want.shape == (horizon + 1,)
+            assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+    @staticmethod
+    def near_one_cases(example2_spec):
+        """Decompositions of example2 with h = (-0.5, 1 + 2 eps), solved,
+        and each with u1 shifted by 1e-6, u2 shifted by -1e-6 and v1
+        grown 2x per period."""
+        cases = []
+        for eps in (0.0, 1e-12, 1e-10, 5e-10):
+            near = PeriodicSequence(2, (-0.5, 1.0 + 2.0 * eps))
+            spec = dataclasses.replace(example2_spec, h=near)
+            for c1, c2 in ((1.0, 1.0), (1.0, 2.0), (-0.7, 0.3)):
+                dec = solve_asymptotic(spec, c1, c2, 60,
+                                       policy=TruncationPolicy(1e-10)
+                                       ).decomposition
+                u1, u2 = dec.u1.values, dec.u2.values
+                cases += [(spec, dec),
+                          (spec, dataclasses.replace(dec, u1=PeriodicSequence(
+                              2, (u1[0], u1[1] + 1e-6)))),
+                          (spec, dataclasses.replace(dec, u2=PeriodicSequence(
+                              2, (u2[0] - 1e-6, u2[1])))),
+                          (spec, dataclasses.replace(dec, v1=tuple(
+                              1e-9 * 2.0 ** (n / 2)
+                              for n in range(len(dec.v1)))))]
+        return cases
+
+    def test_verdicts_match_the_loops(self, example2_spec):
+        cases = self.near_one_cases(example2_spec)
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            spec = random_summable_spec(rng)
+            dec = solve_asymptotic(spec, 1.0, -0.5, 24,
+                                   policy=TruncationPolicy(1e-10)
+                                   ).decomposition
+            cases.append((spec, dec))
+        verdicts = []
+        for spec, dec in cases:
+            ver = verify_decomposition(spec, dec)
+            assert ver.periodic_part_ok == periodic_part_ok_reference(spec,
+                                                                      dec)
+            decay = all(decay_check_reference(
+                v_values, bound, math.exp(kernel.row_rate - kernel.col_rate),
+                spec.period)
+                for v_values, bound, kernel in (
+                    (dec.v1, dec.v1_bound, spec.kernel_a),
+                    (dec.v2, dec.v2_bound, spec.kernel_b)))
+            assert ver.decay_ok == decay
+            verdicts.append((ver.periodic_part_ok, ver.decay_ok))
+        # every solved near-one case passes both; each shift fails the
+        # periodic part and each growth the decay
+        assert verdicts[:48:4] == [(True, True)] * 12
+        assert verdicts[1:48:4] == verdicts[2:48:4] == [(False, True)] * 12
+        assert verdicts[3:48:4] == [(True, False)] * 12
 
 
 class TestVerificationDicts:
