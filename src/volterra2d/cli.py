@@ -9,10 +9,14 @@ non-convergence, 1 on input errors (reported to stderr with field paths).
 Every setting of the run -- tolerances, amplitudes c1/c2, horizon --
 comes from the config; the flags name only the files, the mode and
 simulate's step count, and each command takes only the flags it reads.
-The command word picks its subcommand's parser, which parses the rest of
-the arguments; arguments it leaves over, a flag of another command among
-them, get the top-level usage and error, and an argument list that names
-no command goes to the top-level parser.
+A line of the command word and then pairs of its flags and their values
+is read straight from the flag table that builds the parsers, to the
+Namespace argparse would build.  Every other line goes to argparse, so
+argparse writes every usage, help and error: the command word picks its
+subcommand's parser, which parses the rest of the arguments; arguments it
+leaves over, a flag of another command among them, get the top-level
+usage and error, and an argument list that names no command goes to the
+top-level parser.
 
 Each command turns every value of its table into text once, with
 float.__repr__: the shortest text that reads back as the same double.
@@ -191,16 +195,21 @@ def _write_report(report: Dict[str, Any], out_path: Optional[str],
 def _write_csv(length: int, cells: Cells, csv_path: Optional[str]) -> None:
     """Write the table of rows n = 0..length-1 under CSV_HEADER, each row
     its cells joined; a column that is missing or shorter than the table
-    leaves empty cells."""
+    leaves empty cells.  The missing columns after the last one there
+    are the same empty cells on every row: their commas end each row."""
     if not csv_path:
         return
+    names = CSV_HEADER[1:]
+    while names and names[-1] not in cells:
+        names = names[:-1]
     padded = []
-    for name in CSV_HEADER[1:]:
+    for name in names:
         column = cells.get(name, [])[:length]
         padded.append(column + [""] * (length - len(column)))
     rows = map(",".join, zip(map(str, range(length)), *padded))
-    _write_text(csv_path, "\r\n".join([",".join(CSV_HEADER), *rows, ""]),
-                "--csv")
+    end = "," * (len(CSV_HEADER) - 1 - len(names)) + "\r\n"
+    _write_text(csv_path, ",".join(CSV_HEADER) + "\r\n"
+                + end.join([*rows, ""]), "--csv")
 
 
 def _cmd_check(args, scenario: Scenario) -> int:
@@ -322,8 +331,13 @@ def _cmd_verify(args, scenario: Scenario) -> int:
     return 0 if solve_report.converged and verification.passed else 2
 
 
-#: Every flag that a command may take besides --config and --out.
+#: Every flag that a command may take; every command takes --config and
+#: --out.
 _FLAGS = {
+    "--config": dict(required=True, metavar="PATH",
+                     help="JSON scenario config"),
+    "--out": dict(metavar="PATH",
+                  help="write the JSON report here instead of stdout"),
     "--csv": dict(metavar="PATH", help="write the table here"),
     "--mode": dict(choices=["periodic", "asymptotic"], required=True),
     "--steps": dict(type=int, required=True),
@@ -338,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "periodic solutions of two-component Volterra difference "
                     "systems with infinite delay.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # (command, help, handler, mode, the flags it takes)
+    # (command, help, handler, mode, the flags it takes besides --config
+    # and --out)
     commands = [
         ("check", "run the hypothesis checkers", _cmd_check, None,
          ("--mode",)),
@@ -352,28 +367,64 @@ def _build_parser() -> argparse.ArgumentParser:
          ("--csv", "--mode")),
     ]
     for name, help_text, handler, mode, flags in commands:
+        flags = ("--config", "--out", *flags)
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler, mode=mode)
-        p.add_argument("--config", required=True, metavar="PATH",
-                       help="JSON scenario config")
-        p.add_argument("--out", metavar="PATH", help="write the JSON report "
-                       "here instead of stdout")
+        # Each flag's action, and the Namespace in argparse's order: the
+        # command, each flag's default, then the parser defaults that no
+        # flag sets.
+        actions, namespace = {}, {"command": name}
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            actions[flag] = action = p.add_argument(flag, **_FLAGS[flag])
+            namespace[action.dest] = action.default
+        namespace["handler"] = handler
+        namespace.setdefault("mode", mode)
+        p.pairs = (actions, {flag for flag, action in actions.items()
+                             if action.required}, namespace)
     parser.commands = sub.choices  # each command word's parser
     return parser
 
 
+def _read_pairs(command: argparse.ArgumentParser,
+                argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The Namespace that argparse builds from ``argv`` when it is the
+    command word and then pairs of one of its flags and a value: no flag
+    twice, every required flag there, no value that starts with - and
+    each value of its flag's type and choices.  None for any other line."""
+    actions, required, namespace = command.pairs
+    given = argv[1::2]
+    if (len(argv) % 2 == 0 or len(set(given)) < len(given)
+            or not required.issubset(given)):
+        return None
+    namespace = dict(namespace)
+    for flag, text in zip(given, argv[2::2]):
+        action = actions.get(flag)
+        if action is None or text[:1] == "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        namespace[action.dest] = value
+    return argparse.Namespace(**namespace)
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The arguments as the top-level parser reads them.  That parser
-    would only pick the command word's parser and hand it the rest, so the
-    command's parser takes the rest directly, and arguments it leaves over
-    get the top-level usage and error.  An argument list that names no
-    command goes to the top-level parser whole."""
+    """The arguments as the top-level parser reads them.  A line of the
+    command word and pairs of its flags and values is read directly from
+    the flag table.  Any other line that names a command goes to that
+    command's parser, which is all the top-level parser would call, and
+    arguments it leaves over get the top-level usage and error.  A line
+    that names no command goes to the top-level parser whole."""
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _read_pairs(command, argv)
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))

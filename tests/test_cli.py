@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -924,15 +926,16 @@ class TestWriters:
                           for cell, value in zip(cells["x"], values)]
 
 
-def _outcome(call, argv, capsys):
+def _outcome(call, argv):
     """(exit code, result, stdout, stderr) of ``call(argv)``, the code None
     where it returned and the result None where it exited."""
-    try:
-        code, result = None, call(argv)
-    except SystemExit as exc:
-        code, result = exc.code, None
-    out, err = capsys.readouterr()
-    return code, result, out, err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, result = None, call(argv)
+        except SystemExit as exc:
+            code, result = exc.code, None
+    return code, result, out.getvalue(), err.getvalue()
 
 
 #: Each command's options besides -h, in its parser's order.
@@ -1000,6 +1003,19 @@ def _dispatch_cases(example1, example2, tmp_path):
         "flags-first": ["--config", c1, "check"],
         "top-help": ["-h"],
         "top-long-help": ["--help"],
+        "config-starts-with-dash": ["check", "--mode", "periodic",
+                                    "--config", "-x"],
+        "config-twice": ["check", "--mode", "periodic", "--config", c1,
+                         "--config", c2],
+        "config-empty": ["check", "--mode", "periodic", "--config", ""],
+        "steps-negative": ["simulate", "--config", c1, "--steps", "-3"],
+        "steps-leading-space": ["simulate", "--config", c1, "--steps", " 5"],
+        "steps-underscore": ["simulate", "--config", c1, "--steps", "1_000"],
+        "steps-empty": ["simulate", "--config", c1, "--steps", ""],
+        "double-dash": ["check", "--mode", "periodic", "--config", c1, "--"],
+        "mode-without-value": ["check", "--config", c1, "--mode"],
+        "help-after-a-whole-line": ["check", "--mode", "periodic",
+                                    "--config", c1, "-h"],
     }
     for command in ("check", "simulate", "solve-periodic",
                     "solve-asymptotic", "verify"):
@@ -1009,6 +1025,82 @@ def _dispatch_cases(example1, example2, tmp_path):
 
 DISPATCH_CASES = list(_dispatch_cases("a", "b", Path("t")))
 
+#: The dispatch cases that are the command word and then pairs of its
+#: flags and values of their type and choices, each flag once and every
+#: required flag there: the lines read from the flag table.
+PAIR_CASES = {"check", "simulate", "solve-periodic", "solve-asymptotic",
+              "verify", "config-empty", "steps-leading-space",
+              "steps-underscore"}
+
+#: Words that argument lists are drawn from: command words, prefixes of
+#: them and unknown words; every command's flags, abbreviations, help and
+#: other words that start with -; values of the flags' types and choices,
+#: and values that are not or that start with -.
+_COMMAND_WORDS = ["check", "simulate", "solve-periodic", "solve-asymptotic",
+                  "verify", "ver", "solve", "nosuch", ""]
+_FLAG_WORDS = ["--config", "--out", "--csv", "--mode", "--steps", "--conf",
+               "--c", "--o", "--mo", "--st", "--tol", "--bogus", "-h",
+               "--help", "--", "-"]
+_VALUE_WORDS = ["a", "b", "periodic", "asymptotic", "bogus", "5", "0",
+                "-3", " 5", "1_000", "", "-x", "x y", "--config"]
+#: Values that each flag takes; a path flag takes any of _PATHS.
+_GOOD_VALUES = {"--mode": ["periodic", "asymptotic"],
+                "--steps": ["5", "0", " 5", "1_000"]}
+_PATHS = ["a", "b", "", "x y"]
+
+_WORD = st.one_of(st.sampled_from(_FLAG_WORDS),
+                  st.sampled_from(_VALUE_WORDS),
+                  st.builds("{}={}".format, st.sampled_from(_FLAG_WORDS),
+                            st.sampled_from(_VALUE_WORDS)))
+
+
+def _value(flag):
+    """A value that the flag takes, most of the time, or any drawn one."""
+    good = st.sampled_from(_GOOD_VALUES.get(flag, _PATHS))
+    return st.one_of(good, good, st.sampled_from(_VALUE_WORDS))
+
+
+@st.composite
+def _argvs(draw):
+    """A command word, most of the time, then a pair of each of its flags
+    in any order, each with a value drawn by _value; then up to two
+    edits, each one of: a pair left out, a pair of any drawn flag put
+    in, a pair joined as flag=value, or a drawn word put in."""
+    command = draw(st.sampled_from(list(OPTIONS))
+                   | st.sampled_from([*_COMMAND_WORDS, None]))
+    items = [[flag, draw(_value(flag))]
+             for flag in draw(st.permutations(OPTIONS.get(command, [])))]
+    for edit in draw(st.lists(st.integers(0, 3), max_size=2)):
+        at = draw(st.integers(0, len(items)))
+        if edit == 1:
+            flag = draw(st.sampled_from(_FLAG_WORDS))
+            items.insert(at, [flag, draw(_value(flag))])
+        elif at == len(items) or edit == 3:
+            items.insert(at, [draw(_WORD)])
+        elif edit == 0:
+            del items[at]
+        else:
+            items[at] = ["=".join(items[at])]
+    return [command] * (command is not None) + [word for item in items
+                                                for word in item]
+
+
+def _reference(argv):
+    """The Namespace of the top-level parser alone, or a SystemExit."""
+    code, args = parse_reference(argv)
+    if args is None:
+        raise SystemExit(code)
+    return args
+
+
+def _assert_parses_as_reference(argv):
+    """``cli._parse`` gives the top-level parser's exit code, Namespace,
+    attribute order, stdout and stderr."""
+    got, reference = _outcome(cli._parse, argv), _outcome(_reference, argv)
+    assert got == reference
+    if got[1] is not None:
+        assert list(vars(got[1])) == list(vars(reference[1]))
+
 
 class TestDispatch:
     """The command word's own parser gives what the top-level parser gave:
@@ -1016,24 +1108,18 @@ class TestDispatch:
 
     @pytest.mark.parametrize("name", DISPATCH_CASES)
     def test_parse_equals_top_level_parse(self, name, example1_path,
-                                          example2_path, tmp_path, capsys):
-        argv = _dispatch_cases(example1_path, example2_path, tmp_path)[name]
-        got = _outcome(cli._parse, argv, capsys)
-        code, args = parse_reference(argv)
-        reference = (code, args, *capsys.readouterr())
-        assert got == reference
-        if args is not None:
-            assert list(vars(got[1])) == list(vars(args))
+                                          example2_path, tmp_path):
+        _assert_parses_as_reference(
+            _dispatch_cases(example1_path, example2_path, tmp_path)[name])
 
     @pytest.mark.parametrize("name", DISPATCH_CASES)
     def test_run_equals_top_level_run(self, name, example1_path,
-                                      example2_path, tmp_path, capsys,
-                                      monkeypatch):
+                                      example2_path, tmp_path, monkeypatch):
         argv = _dispatch_cases(example1_path, example2_path, tmp_path)[name]
         outputs = [tmp_path / "r.json", tmp_path / "t.csv"]
 
         def outcome():
-            result = _outcome(run, argv, capsys)
+            result = _outcome(run, argv)
             files = [p.read_bytes() if p.exists() else None for p in outputs]
             for p in outputs:
                 p.unlink(missing_ok=True)
@@ -1043,6 +1129,33 @@ class TestDispatch:
         monkeypatch.setattr(cli, "_parse",
                             lambda argv: cli._build_parser().parse_args(argv))
         assert got == outcome()
+
+    @pytest.mark.parametrize("name", DISPATCH_CASES)
+    def test_pairs_are_read_from_the_flag_table(self, name, example1_path,
+                                                example2_path, tmp_path):
+        """A line of pairs is read without argparse, to the Namespace
+        argparse builds; every other line is left to argparse."""
+        argv = _dispatch_cases(example1_path, example2_path, tmp_path)[name]
+        command = cli._build_parser().commands.get(argv[0] if argv else "")
+        args = None if command is None else cli._read_pairs(command, argv)
+        if name not in PAIR_CASES:
+            assert args is None
+            return
+        reference = parse_reference(argv)[1]
+        assert args == reference
+        assert list(vars(args)) == list(vars(reference))
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_argvs())
+    @example(argv=["check", "--mode", "periodic", "--config", "a"])
+    @example(argv=["simulate", "--steps", "5", "--config", "a", "--csv",
+                   "b", "--out", "b"])
+    @example(argv=["verify", "--config", "a", "--mode", "asymptotic",
+                   "--csv", "b"])
+    def test_drawn_lines_parse_as_the_top_level_parser(self, argv):
+        """Lines drawn from command words, flags, abbreviations, the
+        --flag=value form, help and good and bad values."""
+        _assert_parses_as_reference(argv)
 
     def test_extras_get_the_top_level_usage(self, example1_path, capsys):
         code = run(["check", "--mode", "periodic", "--config",
