@@ -189,6 +189,8 @@ def solve_asymptotic(spec: SystemSpec, c1: float, c2: float, horizon: int,
     error and the recurrence residual on 0..horizon below
     opts.residual_tol, and every |v[n]| there within its certified
     envelope plus 10x the tail tolerance; non-convergence is reported.
+    The tail map can have several fixed points that all certify (example2
+    has two), and the start picks one; no uniqueness is claimed.
     """
     T = spec.period
     if opts.initial_guess is not None:

@@ -23,7 +23,8 @@ float.__repr__: the shortest text that reads back as the same double.
 The CSV table joins that text row by row, and the JSON report, one line
 of strict JSON from json's C encoder with every non-finite float written
 as null, splices in the same text for each column it repeats.  Both are
-written over the previous file and cut to their length.
+written over the previous file, and cut to their length where it was
+longer.
 """
 from __future__ import annotations
 
@@ -84,17 +85,31 @@ _REPORT_KEYS = {"x": "x", "y": "y", "v1": "v1", "v2": "v2",
 _SLOT = "\x00"
 _SLOT_TOKEN = '"\\u0000'
 
+#: The encoder of every report: strict JSON, so a non-finite float raises.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
 _DOMAIN_ERRORS = (PeriodProductIsOne, PeriodProductNotOne, ZeroFactor,
                   NotDiagonalPeriodic, TailNotCertified)
 
 
 def _load_config(path: str) -> Any:
+    """The JSON document of the UTF-8 file at ``path``; a byte order mark
+    is invalid JSON.  The error of invalid JSON counts lines, columns and
+    characters as a text-mode read would, with every \\r\\n and \\r read
+    as \\n."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
+        if "\r" in text:
+            try:
+                json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+            except json.JSONDecodeError as newline_exc:
+                exc = newline_exc
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -123,11 +138,13 @@ def _finite_or_none(value: Any) -> Any:
 
 def _write_text(path: str, text: str, flag: str) -> None:
     """Write ``text`` as UTF-8 over the file at ``path``, created with mode
-    0o666 less the umask, and cut a regular file to the new length.  The
-    old bytes are overwritten rather than truncated to zero first, which
-    on ext4 costs a flush at close; a device or pipe, which cannot be
-    cut, is only written to.  A path that cannot be written raises
-    ConfigError under the ``flag`` that named it."""
+    0o666 less the umask, and cut a regular file that was longer to the
+    new length.  The old bytes are overwritten rather than truncated to
+    zero first, which on ext4 costs a flush at close, and a file no longer
+    than the text is not cut at all: a truncate costs a metadata update
+    even when it changes nothing.  A device or pipe, which cannot be cut,
+    is only written to.  A path that cannot be written raises ConfigError
+    under the ``flag`` that named it."""
     data = text.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -135,7 +152,8 @@ def _write_text(path: str, text: str, flag: str) -> None:
             rest = memoryview(data)
             while rest:
                 rest = rest[os.write(fd, rest):]
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            status = os.fstat(fd)
+            if stat.S_ISREG(status.st_mode) and status.st_size > len(data):
                 os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
@@ -177,9 +195,9 @@ def _write_report(report: Dict[str, Any], out_path: Optional[str],
     column becomes the array of its ``cells``, the text json writes for
     the floats themselves."""
     try:
-        text = json.dumps(report, allow_nan=False)
+        text = _ENCODER.encode(report)
     except ValueError:
-        text = json.dumps(_finite_or_none(report), allow_nan=False)
+        text = _ENCODER.encode(_finite_or_none(report))
     head, *slots = text.split(_SLOT_TOKEN)
     parts = [head]
     for slot in slots:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, cycle
+from itertools import chain, count, cycle
 from typing import Iterator, Tuple, Union
 
 import numpy as np
@@ -403,15 +403,14 @@ class FiniteLag:
     weights: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(float(w) for w in row) for row in self.weights)
+        rows = tuple(tuple(map(float, row)) for row in self.weights)
         if not rows:
             raise ValueError("weights must have at least one row")
         width = len(rows[0])
-        if width < 1 or any(len(row) != width for row in rows):
+        if width < 1 or set(map(len, rows)) != {width}:
             raise ValueError("weight rows must be nonempty and equal length")
-        for row in rows:
-            if not all(math.isfinite(w) for w in row):
-                raise ValueError("weights must all be finite")
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            raise ValueError("weights must all be finite")
         object.__setattr__(self, "weights", rows)
 
     @property

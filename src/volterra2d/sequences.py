@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,11 +42,11 @@ class PeriodicSequence:
     def __post_init__(self):
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if len(vals) != self.period:
             raise ValueError(
                 f"expected {self.period} values, got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("values must all be finite")
         object.__setattr__(self, "values", vals)
 
@@ -144,12 +145,11 @@ class History:
         win = tuple((float(a), float(b)) for a, b in self.window)
         if not win:
             raise ValueError("history window must contain the value at n = 0")
-        for a, b in win:
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("history window values must be finite")
+        if not all(map(math.isfinite, chain.from_iterable(win))):
+            raise ValueError("history window values must be finite")
         if self.tail is not None:
             t = (float(self.tail[0]), float(self.tail[1]))
-            if not (math.isfinite(t[0]) and math.isfinite(t[1])):
+            if not all(map(math.isfinite, t)):
                 raise ValueError("constant tail values must be finite")
             object.__setattr__(self, "tail", t)
         object.__setattr__(self, "window", win)

@@ -8,7 +8,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from itertools import chain
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -555,29 +557,67 @@ def _section(config: Dict[str, Any], key: str, *keys: str) -> Dict[str, Any]:
     return _known(obj, f"{key}.", *keys)
 
 
-def _as_int(value: Any, path: str) -> int:
+#: The types of a JSON number; a bool is not one.
+_NUMBERS = frozenset({int, float})
+
+# Each check below takes a value and its field path as ``path`` and
+# ``key``, joined into one string only to refuse the value.
+
+
+def _as_int(value: Any, path: str, key: str = "") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
+        raise ConfigError(f"{path}{key}: expected an integer")
     return value
 
 
-def _as_finite_float(value: Any, path: str) -> float:
+def _as_finite_float(value: Any, path: str, key: str = "") -> float:
+    """``value`` as a finite float.  An integer beyond double range is
+    refused as not finite, without its digits."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
+        raise ConfigError(f"{path}{key}: expected a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}{key}: must be finite, got an integer "
+                          f"beyond double range") from None
     if not math.isfinite(out):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
+        raise ConfigError(f"{path}{key}: must be finite, got {value!r}")
     return out
 
 
-def _ranged(parse: Callable[[Any, str], Any], ok: Callable[[Any], bool],
-            rule: str) -> Callable[[Any, str], Any]:
+def _floats(raw: Sequence[Any]) -> Optional[Tuple[float, ...]]:
+    """The entries of ``raw`` as floats when each is a JSON number of
+    finite double value, else None: one pass for their types, one to
+    convert them and one to check them finite, each in C."""
+    if set(map(type, raw)) <= _NUMBERS:
+        try:
+            values = tuple(map(float, raw))
+        except OverflowError:  # an integer beyond double range
+            return None
+        if all(map(math.isfinite, values)):
+            return values
+    return None
+
+
+def _finite_floats(raw: List[Any], path: str) -> Tuple[float, ...]:
+    """The entries of the list ``raw`` as finite floats.  When the C-level
+    passes of ``_floats`` refuse them, the check of each entry in turn
+    finds the first bad one and refuses it under ``path[j]``."""
+    values = _floats(raw)
+    if values is None:
+        values = tuple(_as_finite_float(v, path, f"[{j}]")
+                       for j, v in enumerate(raw))
+    return values
+
+
+def _ranged(parse: Callable[[Any, str, str], Any], ok: Callable[[Any], bool],
+            rule: str) -> Callable[[Any, str, str], Any]:
     """``parse``, then a refusal of values failing ``ok`` as not ``rule``."""
 
-    def check(value: Any, path: str) -> Any:
-        out = parse(value, path)
+    def check(value: Any, path: str, key: str = "") -> Any:
+        out = parse(value, path, key)
         if not ok(out):
-            raise ConfigError(f"{path}: must be {rule}, got {out!r}")
+            raise ConfigError(f"{path}{key}: must be {rule}, got {out!r}")
         return out
 
     return check
@@ -588,11 +628,17 @@ _count = _ranged(_as_int, lambda v: v >= 1, "at least 1")
 _fraction = _ranged(_as_finite_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
+def _finite_field(obj: Dict[str, Any], key: str, path: str) -> float:
+    """The required field ``obj[key]`` as a finite float (``path`` ends in
+    a dot)."""
+    return _as_finite_float(_require(obj, key, path), path, key)
+
+
 def _period_values(raw: Any, path: str, period: int) -> PeriodicSequence:
     """One value per slot of the period, from a list of finite numbers."""
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: expected a list of numbers")
-    vals = tuple(_as_finite_float(v, f"{path}[{j}]") for j, v in enumerate(raw))
+    vals = _finite_floats(raw, path)
     if len(vals) != period:
         raise ConfigError(
             f"{path}: expected {period} entries to match period, "
@@ -603,28 +649,27 @@ def _period_values(raw: Any, path: str, period: int) -> PeriodicSequence:
 def _parse_kernel(obj: Any, path: str) -> Kernel:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    kind = _require(obj, "type", f"{path}.")
+    prefix = path + "."
+    kind = _require(obj, "type", prefix)
     if kind == "separable_exponential":
-        _known(obj, f"{path}.", "type", "coef", "row_rate", "col_rate")
-        coef = _as_finite_float(_require(obj, "coef", f"{path}."), f"{path}.coef")
-        row = _as_finite_float(_require(obj, "row_rate", f"{path}."),
-                               f"{path}.row_rate")
-        col = _as_finite_float(_require(obj, "col_rate", f"{path}."),
-                               f"{path}.col_rate")
+        _known(obj, prefix, "type", "coef", "row_rate", "col_rate")
+        coef = _finite_field(obj, "coef", prefix)
+        row = _finite_field(obj, "row_rate", prefix)
+        col = _finite_field(obj, "col_rate", prefix)
         if row <= 0.0:
             raise ConfigError(f"{path}.row_rate: must be positive")
         return SeparableExponential(coef, row, col)
     if kind == "finite_lag":
-        _known(obj, f"{path}.", "type", "weights")
-        rows = _require(obj, "weights", f"{path}.")
+        _known(obj, prefix, "type", "weights")
+        rows = _require(obj, "weights", prefix)
         if (not isinstance(rows, list) or not rows
                 or not all(isinstance(r, list) and r for r in rows)):
             raise ConfigError(
                 f"{path}.weights: expected a nonempty list of nonempty rows")
-        parsed = tuple(
-            tuple(_as_finite_float(w, f"{path}.weights[{k}][{r}]")
-                  for r, w in enumerate(row))
-            for k, row in enumerate(rows))
+        parsed = tuple(map(_floats, rows))
+        if None in parsed:
+            parsed = tuple(_finite_floats(row, f"{path}.weights[{k}]")
+                           for k, row in enumerate(rows))
         width = len(parsed[0])
         if any(len(row) != width for row in parsed):
             raise ConfigError(f"{path}.weights: rows must have equal length")
@@ -635,15 +680,13 @@ def _parse_kernel(obj: Any, path: str) -> Kernel:
 def _parse_nonlinearity(obj: Any, path: str) -> Nonlinearity:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    kind = _require(obj, "kind", f"{path}.")
+    prefix = path + "."
+    kind = _require(obj, "kind", prefix)
     if kind not in NONLINEARITY_KINDS:
         raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-    _known(obj, f"{path}.", "kind", "amplitude", "frequency")
-    amp = _as_finite_float(_require(obj, "amplitude", f"{path}."),
-                           f"{path}.amplitude")
-    freq = _as_finite_float(_require(obj, "frequency", f"{path}."),
-                            f"{path}.frequency")
-    return Nonlinearity(kind, amp, freq)
+    _known(obj, prefix, "kind", "amplitude", "frequency")
+    return Nonlinearity(kind, _finite_field(obj, "amplitude", prefix),
+                        _finite_field(obj, "frequency", prefix))
 
 
 def _document(config: Union[str, Dict[str, Any]]) -> Dict[str, Any]:
@@ -691,27 +734,34 @@ class Scenario:
 
 
 def _parse_history(obj: Dict[str, Any]) -> History:
+    if not obj:  # no section, or an empty one
+        return History.zero()
     raw_window = obj.get("window", [[0.0, 0.0]])
     if not isinstance(raw_window, list) or not raw_window:
         raise ConfigError("history.window: expected a nonempty list of pairs")
-    window = []
-    for j, pair in enumerate(raw_window):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"history.window[{j}]: expected a pair [x, y]")
-        window.append((_as_finite_float(pair[0], f"history.window[{j}][0]"),
-                       _as_finite_float(pair[1], f"history.window[{j}][1]")))
+    flat = None
+    if (set(map(type, raw_window)) <= {list}
+            and set(map(len, raw_window)) == {2}):
+        flat = _floats(list(chain.from_iterable(raw_window)))
+    if flat is None:  # the first bad pair or entry, by its field path
+        flat = []
+        for j, pair in enumerate(raw_window):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(
+                    f"history.window[{j}]: expected a pair [x, y]")
+            flat += _finite_floats(pair, f"history.window[{j}]")
     tail = obj.get("tail")
     if tail in (None, "zero"):
         parsed_tail = None
     elif isinstance(tail, dict) and _known(
             tail, "history.tail.", "x", "y").keys() == {"x", "y"}:
-        parsed_tail = (_as_finite_float(tail["x"], "history.tail.x"),
-                       _as_finite_float(tail["y"], "history.tail.y"))
+        parsed_tail = (_as_finite_float(tail["x"], "history.tail.", "x"),
+                       _as_finite_float(tail["y"], "history.tail.", "y"))
     else:
         raise ConfigError(
             'history.tail: expected null, "zero", or {"x": .., "y": ..}')
     try:
-        return History(tuple(window), parsed_tail)
+        return History(tuple(zip(flat[::2], flat[1::2])), parsed_tail)
     except ValueError as exc:
         raise ConfigError(f"history: {exc}") from exc
 
@@ -733,15 +783,15 @@ def _parse_solver(obj: Dict[str, Any], period: int) -> SolverOptions:
             _period_values(guess[key], f"solver.initial_guess.{key}", period)
             for key in ("x", "y"))
     return SolverOptions(initial_guess=parsed_guess, **{
-        key: check(obj.get(key, getattr(SolverOptions, key)), f"solver.{key}")
+        key: check(obj.get(key, getattr(SolverOptions, key)), "solver.", key)
         for key, check in _SOLVER_FIELDS.items()})
 
 
 def _parse_truncation(obj: Dict[str, Any]) -> TruncationPolicy:
     tail_tol = _positive(obj.get("tail_tol", TruncationPolicy.tail_tol),
-                         "truncation.tail_tol")
+                         "truncation.", "tail_tol")
     max_terms = _count(obj.get("max_terms", TruncationPolicy.max_terms),
-                       "truncation.max_terms")
+                       "truncation.", "max_terms")
     return TruncationPolicy(tail_tol, max_terms)
 
 
@@ -759,10 +809,12 @@ def parse_scenario(config: Union[str, Dict[str, Any]]) -> Scenario:
                                         "max_terms"))
     solver = _parse_solver(_section(config, "solver", "initial_guess",
                                     *_SOLVER_FIELDS), spec.period)
-    c1, c2 = (_as_finite_float(config.get(key, 1.0), key)
+    c1, c2 = (_as_finite_float(config.get(key, 1.0), "", key)
               for key in ("c1", "c2"))
     horizon = config.get("horizon")
     if horizon is not None:
+        # an integer beyond double range is refused as not finite
+        _as_finite_float(_as_int(horizon, "horizon"), "horizon")
         least = 4 * spec.period
         horizon = _ranged(_as_int, lambda v: v >= least,
                           f"at least 4 periods ({least})")(horizon, "horizon")

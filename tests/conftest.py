@@ -425,6 +425,27 @@ def finite_or_none_reference(value):
     return value
 
 
+def finite_floats_reference(raw, path):
+    """A config list of numbers checked one entry at a time: the tuple of
+    its floats, or the ConfigError message of the first entry that is not
+    a JSON number (an int or a float, never a bool) of finite double
+    value, under its field path ``path[j]``."""
+    values = []
+    for j, value in enumerate(raw):
+        where = f"{path}[{j}]"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"{where}: expected a number, got {value!r}"
+        try:
+            number = float(value)
+        except OverflowError:
+            return (f"{where}: must be finite, got an integer beyond double "
+                    f"range")
+        if not math.isfinite(number):
+            return f"{where}: must be finite, got {value!r}"
+        values.append(number)
+    return tuple(values)
+
+
 def report_reference(report, path):
     """Reference report writer for a report whose columns are lists of
     floats: one line of json.dumps(report, allow_nan=False), or of the

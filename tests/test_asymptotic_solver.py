@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,8 +21,10 @@ from volterra2d import (
     check_asymptotic_hypotheses,
     growth_profile,
     solve_asymptotic,
+    verify_decomposition,
 )
 
+from volterra2d._iteration import solve_fixed_point
 from volterra2d.asymptotic_solver import _outer_cut, _tail_block
 from volterra2d.system import decay_envelope, default_horizon
 
@@ -294,6 +297,55 @@ class TestSolveAsymptotic:
         # envelopes decrease strictly toward zero
         assert all(a > b for a, b in zip(dec.v1_bound, dec.v1_bound[1:]))
         assert dec.v1_bound[-1] < 1e-20
+
+    @pytest.mark.parametrize("horizon", [60, 150])
+    def test_example2_has_a_second_certified_decomposition(
+            self, example2_spec, horizon):
+        """No uniqueness is claimed.  solve_fixed_point, run from the free
+        response on the reduced map x -> c_x + K_x f(c_y + K_y g(x)) (y
+        eliminated, Newton on the Schur complement I - A B), reaches a
+        second fixed point of the tail map, 1.43 away in x and 2.28 in y.
+        Both decompositions have recurrence defects at round-off and both
+        verify.  The solver reports the first: pinned, so that a change in
+        which one it reports shows up."""
+        spec = example2_spec
+        report = solve_asymptotic(spec, 1.0, 1.0, horizon, policy=POLICY)
+        op = TailMapOperator(spec, 1.0, 1.0, horizon, POLICY)
+        dense = op.map.dense()
+        width = len(dense.k_x)
+        c_x, c_y = dense.c[:width], dense.c[width:]
+
+        def partner(x):
+            return c_y + dense.k_y @ spec.g.apply(x)
+
+        def reduced(x):
+            return c_x + dense.k_x @ spec.f.apply(partner(x))
+
+        def newton_step(x, residual):
+            a = dense.k_x * spec.f.slope(partner(x))
+            b = dense.k_y * spec.g.slope(x)
+            return np.linalg.solve(np.eye(width) - a @ b, -residual)
+
+        result = solve_fixed_point(reduced, op.free[:width],
+                                   newton_step=newton_step,
+                                   opts=SolverOptions())
+        assert report.converged and result.converged
+        z = np.concatenate([result.z, partner(result.z)])
+        assert np.abs(op.map(z) - z).max() <= 1e-14
+        x, y = z.reshape(2, -1)[:, :horizon + 1]
+        assert report.x[0] == pytest.approx(-2.581438, abs=1e-6)
+        assert x[0] == pytest.approx(-1.1501, abs=1e-4)
+        assert np.abs(x - report.x).max() == pytest.approx(1.4313, abs=1e-4)
+        assert np.abs(y - report.y).max() == pytest.approx(2.2840, abs=1e-4)
+        free_x, free_y = op.free.reshape(2, -1)[:, :horizon + 1]
+        second = dataclasses.replace(
+            report.decomposition, v1=tuple((x - free_x).tolist()),
+            v2=tuple((y - free_y).tolist()))
+        for dec in (report.decomposition, second):
+            verification = verify_decomposition(spec, dec,
+                                                tail_tol=POLICY.tail_tol)
+            assert verification.passed
+            assert verification.max_defect <= 1e-15
 
     def test_free_response_agrees_with_running_products(self, example2_spec):
         from volterra2d import product_one_plus

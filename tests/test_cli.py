@@ -388,6 +388,34 @@ class TestInputErrors:
         assert run(["check", "--config", str(bad), "--mode", "periodic"]) == 1
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, data", [
+        pytest.param(*case, id=case[0]) for case in [
+            ("bom", b"\xef\xbb\xbf{}"),
+            ("crlf", b'{\r\n  "period": 2,\r\n  h: [1, 2]\r\n}\r\n'),
+            ("cr", b'{\r"period": 2,\r\r"h" [1, 2]}'),
+            ("crlf-string", b'{"period": "a\r\nb"}'),
+            ("empty", b""),
+            ("bad-utf-8", b'{"period": "\xff"}'),
+            ("utf-16", '{"period": 2}'.encode("utf-16"))]])
+    def test_config_errors_read_as_a_text_mode_load(self, tmp_path, capsys,
+                                                    name, data):
+        """The config is read as bytes and decoded as UTF-8, and its error
+        is the one a text-mode json.load would give: a byte order mark is
+        invalid JSON, and line, column and offset count every \\r\\n and
+        \\r as one \\n."""
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+        except json.JSONDecodeError as exc:
+            want = f"error: {path}: invalid JSON: {exc}\n"
+        except ValueError as exc:
+            want = f"error: {exc}\n"
+        assert run(["check", "--mode", "periodic", "--config",
+                    str(path)]) == 1
+        assert capsys.readouterr().err == want
+
     def test_schema_violation_names_field(self, tmp_path, capsys):
         config = {
             "period": 2, "h": [1.0], "p": [0.0, 0.0],
@@ -464,6 +492,15 @@ class TestInputErrors:
         pytest.param({"solver": {"damping": 2}},
                      "solver.damping: must be in (0, 1], got 2.0",
                      id="change4-solver.damping"),
+        # an integer too large for a double: refused as not finite, not
+        # an OverflowError out of run
+        *[pytest.param({key: value}, f"{field}: must be finite, got an "
+                       f"integer beyond double range", id=f"huge-{field}")
+          for key, value, field in [
+              ("h", [0.5, int("9" * 400)], "h[1]"),
+              ("c1", int("9" * 400), "c1"),
+              ("solver", {"tol": int("9" * 400)}, "solver.tol"),
+              ("horizon", int("9" * 400), "horizon")]],
     ])
     def test_check_validates_whole_document(self, example1_path, tmp_path,
                                             capsys, change, message):
@@ -768,6 +805,33 @@ class TestWriters:
         fresh = outputs(25, "fresh")
         assert all(len(old) > len(new) for old, new in zip(longer, fresh))
         assert outputs(25, "reused") == fresh
+
+    def test_only_a_longer_file_is_cut(self, example2_path, tmp_path,
+                                       monkeypatch):
+        """A report or table is cut only where the old file was longer
+        than the new text: a new file, or an old one as long or shorter,
+        is written over and never truncated."""
+        cuts = []
+        truncate = os.ftruncate
+
+        def counted(fd, length):
+            cuts.append(length)
+            truncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", counted)
+
+        def outputs(steps):
+            out, table = tmp_path / "r.json", tmp_path / "t.csv"
+            assert run(["simulate", "--steps", str(steps), "--config",
+                        str(example2_path), "--out", str(out),
+                        "--csv", str(table)]) == 0
+            return out.read_bytes(), table.read_bytes()
+
+        short = outputs(5)  # new files
+        long = outputs(25)  # over shorter ones
+        assert outputs(25) == long and cuts == []  # over as long ones
+        assert outputs(5) == short  # over longer ones
+        assert sorted(cuts) == sorted(map(len, short))
 
     def test_outputs_to_dev_null(self, example1_path):
         assert run(["simulate", "--steps", "5", "--config",

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra2d import (
     ConfigError,
@@ -31,11 +33,62 @@ from volterra2d.system import NONLINEARITY_KINDS, _weight_bound
 
 from conftest import (
     derivative_reference,
+    finite_floats_reference,
     nonlinearity_reference,
     random_periodic_spec,
     running_products_reference,
     weight_bound_reference,
 )
+
+#: A JSON integer too large for a double, and how its refusal reads.
+HUGE = int("9" * 400)
+BEYOND = "must be finite, got an integer beyond double range"
+
+#: Entries of a JSON list: finite floats, ints within and beyond double
+#: range (2**1024 - 2**971 is the largest that rounds to a double), bools,
+#: null, strings and the NaN and Infinity literals of json.loads.
+JSON_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+    st.integers(-(10 ** 400), 10 ** 400),
+    st.sampled_from([2 ** 1024 - 2 ** 971, 2 ** 1024 - 2 ** 970, HUGE,
+                     -(2 ** 1024 - 2 ** 971), -(2 ** 1024 - 2 ** 970)]),
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.sampled_from([json.loads(word)
+                     for word in ("NaN", "Infinity", "-Infinity")]))
+
+#: An integer beyond double range in each kind of float field, and the
+#: refusal as not finite, without its digits, under its field path.
+HUGE_CASES = [
+    ("h", [0.5, HUGE], f"h[1]: {BEYOND}"),
+    ("p", [-HUGE, 0.5], f"p[0]: {BEYOND}"),
+    ("kernel_a", {"type": "separable_exponential", "coef": HUGE,
+                  "row_rate": 1.0, "col_rate": 2.0},
+     f"kernel_a.coef: {BEYOND}"),
+    ("kernel_b", {"type": "separable_exponential", "coef": 1.0,
+                  "row_rate": 2.0, "col_rate": -HUGE},
+     f"kernel_b.col_rate: {BEYOND}"),
+    ("kernel_a", {"type": "finite_lag", "weights": [[0.5], [HUGE]]},
+     f"kernel_a.weights[1][0]: {BEYOND}"),
+    ("f", {"kind": "cos", "amplitude": HUGE, "frequency": 1.0},
+     f"f.amplitude: {BEYOND}"),
+    ("g", {"kind": "cos", "amplitude": 1.0, "frequency": -HUGE},
+     f"g.frequency: {BEYOND}"),
+    ("c1", HUGE, f"c1: {BEYOND}"),
+    ("c2", -HUGE, f"c2: {BEYOND}"),
+    ("history", {"window": [[0.0, 0.0], [0.5, HUGE]]},
+     f"history.window[1][1]: {BEYOND}"),
+    ("history", {"tail": {"x": 0.0, "y": HUGE}},
+     f"history.tail.y: {BEYOND}"),
+    ("solver", {"tol": HUGE}, f"solver.tol: {BEYOND}"),
+    ("solver", {"residual_tol": HUGE}, f"solver.residual_tol: {BEYOND}"),
+    ("solver", {"damping": -HUGE}, f"solver.damping: {BEYOND}"),
+    ("solver", {"initial_guess": {"x": [0.0, 0.0], "y": [0.0, -HUGE]}},
+     f"solver.initial_guess.y[1]: {BEYOND}"),
+    ("truncation", {"tail_tol": HUGE}, f"truncation.tail_tol: {BEYOND}"),
+    ("horizon", HUGE, f"horizon: {BEYOND}"),
+    ("horizon", -HUGE, f"horizon: {BEYOND}"),
+]
 
 WEIGHT_BOUND_DEMO1 = 3.163953413738653  # 2 * e / (e - 1), frozen from the oracle
 TAIL_MASS_A = 2.502650301077119
@@ -379,7 +432,8 @@ class TestParseScenario:
         ("horizon", 2.5, "horizon: expected an integer"),
         ("truncation", {"tail_tol": math.nan},
          "truncation.tail_tol: must be finite"),
-    ])
+    ] + [pytest.param(*case, id=case[2].split(":")[0] + "-huge")
+          for case in HUGE_CASES])
     def test_field_errors_keep_their_path(self, example2_path, key, value,
                                           field):
         config = json.loads(example2_path.read_text())
@@ -387,6 +441,50 @@ class TestParseScenario:
         with pytest.raises(ConfigError) as info:
             parse_scenario(config)
         assert str(info.value).startswith(field)
+        assert "9" * 20 not in str(info.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(JSON_ENTRIES, min_size=1, max_size=6),
+           where=st.sampled_from(["h", "weights", "window"]))
+    def test_lists_match_the_per_entry_reference(self, example2_path,
+                                                 entries, where):
+        """A list of numbers gives the floats of the per-entry reference,
+        or its error message: for h, for a finite-lag weight row (the
+        second) and for a history window, whose pairs the drawn entries
+        fill in turn (an odd last one paired with 0.0)."""
+        config = json.loads(example2_path.read_text())
+        width = len(entries)
+        if where == "h":
+            config.update(period=width, h=entries, p=[0.0] * width)
+            path, want = "h", finite_floats_reference(entries, "h")
+        elif where == "weights":
+            config["kernel_a"] = {"type": "finite_lag",
+                                  "weights": [[0.0] * width, entries]}
+            path = "kernel_a.weights[1]"
+            want = finite_floats_reference(entries, path)
+        else:
+            pairs = [[*entries[j:j + 2], 0.0][:2]
+                     for j in range(0, width, 2)]
+            config["history"] = {"window": pairs}
+            want = ()
+            for j, pair in enumerate(pairs):
+                checked = finite_floats_reference(
+                    pair, f"history.window[{j}]")
+                if isinstance(checked, str):
+                    want = checked
+                    break
+                want += (checked,)
+        # the document as json.loads gives it: NaN and Infinity as floats
+        config = json.loads(json.dumps(config))
+        try:
+            scenario = parse_scenario(config)
+        except ConfigError as exc:
+            assert str(exc) == want
+            return
+        got = {"h": lambda: scenario.spec.h.values,
+               "weights": lambda: scenario.spec.kernel_a.weights[1],
+               "window": lambda: scenario.history.window}[where]()
+        assert repr(got) == repr(want)
 
 
     @pytest.mark.parametrize("path, value, field", [pytest.param(
