@@ -36,7 +36,8 @@ import math
 import os
 import stat
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -70,8 +71,17 @@ ZERO_HISTORY_WARNING = ("history: the asymptotic solve assumes the zero "
                         "history; the config's nonzero history is read "
                         "only by simulate")
 
+
+class Period(NamedTuple):
+    """A table column of ``length`` rows that repeats one period of
+    ``values``: row n holds values[n mod T]."""
+
+    values: Sequence[float]
+    length: int
+
+
 #: A table by column name, each column from row n = 0 on.
-Columns = Dict[str, Sequence[float]]
+Columns = Dict[str, Union[Sequence[float], Period]]
 #: The same table as text, one string per value.
 Cells = Dict[str, List[str]]
 
@@ -161,13 +171,21 @@ def _write_text(path: str, text: str, flag: str) -> None:
         raise ConfigError(f"{flag}: cannot write {path!r}: {exc}") from exc
 
 
+def _text(column: Union[Sequence[float], Period]) -> List[str]:
+    """Each value of the column as text, by float.__repr__; a Period's
+    values once each, their text repeated down its rows."""
+    if isinstance(column, Period):
+        period = list(map(float.__repr__, column.values))
+        return (period * -(-column.length // len(period)))[:column.length]
+    return list(map(float.__repr__, column))
+
+
 def _cells(columns: Columns, csv_path: Optional[str]) -> Cells:
     """Each value of the columns as text, by float.__repr__ (inf, -inf and
     nan where it is not finite): every column when there is a table to
     write, else those the report repeats.  This is the one place where a
     table value becomes text."""
-    return {name: list(map(float.__repr__, column))
-            for name, column in columns.items()
+    return {name: _text(column) for name, column in columns.items()
             if csv_path or name in _REPORT_KEYS}
 
 
@@ -305,10 +323,9 @@ def _solve(mode: str, scenario: Scenario
                 *report.warnings, ZERO_HISTORY_WARNING))
         dec = report.decomposition
         length = horizon + 1
-        window = np.arange(length)
         columns = {"x": report.x, "y": report.y,
-                   "u1": dec.u1.take(window).tolist(), "v1": dec.v1,
-                   "u2": dec.u2.take(window).tolist(), "v2": dec.v2,
+                   "u1": Period(dec.u1.values, length), "v1": dec.v1,
+                   "u2": Period(dec.u2.values, length), "v2": dec.v2,
                    "bound_v1": dec.v1_bound, "bound_v2": dec.v2_bound}
         extras = {"c1": scenario.c1, "c2": scenario.c2, "horizon": horizon}
     # the (x, y) defects at n = 0, 1, ... as the res_x/res_y columns
@@ -464,6 +481,9 @@ def run(argv) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -10,12 +10,16 @@ past = T).  Two variants are supported:
   is coef * e^{(row_rate-col_rate) n} s_n with the one-state recursion
   s_n = e^{-row_rate} s_{n-1} + phi_n (the discrete linear chain trick),
   seeded in closed form and run in long double under a certified
-  round-off bound: row by row by ``drives``, reading the values as Python
-  floats through a memoryview, for a march, and all rows at once by
-  ``drive_array``, through ``first_order_filter``, for given values.
+  round-off bound: row by row by ``drives``, for a march, and all rows at
+  once by ``drive_array``, through ``first_order_filter``, for given
+  values.  Where row_rate == col_rate every scale is coef.
 * ``FiniteLag``: a_{n,i} = weights[n mod P][n - i] for lags 0..L, else 0.
   All sums are finite, so tails are exactly zero and each drive is the dot
   product (``ndarray.dot``) of its weight row with its L+1 values.
+
+Each kernel's ``drives`` is a generator that a march feeds: every value
+sent to it is phi of its next row, so a march sends each value as it maps
+it, and a row advanced by ``next`` reads the value array instead.
 
 Anything else would lack computable tail bounds, which every certified
 number in this library relies on.
@@ -29,8 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count, cycle
-from typing import Iterator, Tuple, Union
+from itertools import chain, count, cycle, repeat
+from typing import Generator, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -173,6 +177,14 @@ def filter_error(rate: float, length: int, dtype) -> float:
                          + carries)
 
 
+def is_finite(value) -> bool:
+    """math.isfinite, and False for an integer beyond double range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _exp_positive(x: float) -> float:
     """e^max(x, 0), inf where that overflows a double."""
     return math.exp(max(x, 0.0)) if x < 709.0 else math.inf
@@ -217,7 +229,7 @@ class SeparableExponential:
 
     def __post_init__(self):
         for name in ("coef", "row_rate", "col_rate"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.row_rate <= 0.0:
             raise ValueError("row_rate must be positive")
@@ -269,18 +281,20 @@ class SeparableExponential:
                     * (9.0 / gap + 2.0 * spread * np.asarray(n) + 9.0))
 
     def drives(self, values: np.ndarray, start: int, rows: int, past: int,
-               bound: float, tol: float) -> Iterator[float]:
+               bound: float, tol: float) -> Generator[float, float, None]:
         """The row sums sum_{m<=n} a_{n,m} * phi_m at n = 0..rows-1, in turn,
         as Python floats.
 
         ``values[k]`` holds phi at m = k - start, and the values before
-        values[0] repeat values[:past].  Entries are read, through a
-        memoryview of the array, as the iterator advances, so a march may
-        fill in values[start + n] before asking for row n; only
-        values[:max(past, start)] must be in place at the first step.
-        ``bound`` bounds every |phi|.  The first step raises, before any
-        row is summed, TailNotCertified where ``drive_error`` exceeds
-        ``tol`` and ValueError where the values are too few.
+        values[0] repeat values[:past].  Row 0 reads values[start].  Each
+        later row takes its phi_n as the value sent to the generator
+        (``send``), so a march sends each value it has just mapped; a row
+        advanced by ``next`` reads values[start + n] instead, through a
+        memoryview, when it is summed.  So only values[:max(past, start +
+        1)] must be in place at the first step, and none after it for a
+        march.  ``bound`` bounds every |phi|.  The first step raises,
+        before any row is summed, TailNotCertified where ``drive_error``
+        exceeds ``tol`` and ValueError where the values are too few.
         """
         _check_window(values, start, rows, past)
         error = self.drive_error(np.arange(rows), bound)
@@ -291,8 +305,7 @@ class SeparableExponential:
                 f"recursion > {tol:.3e} at row {over[0]}")
         rate = np.longdouble(self.row_rate)
         # A memoryview reads each entry as a Python float, which a long
-        # double sum takes exactly as it takes a float64, and reads it when
-        # indexed, so the march's later writes are seen.
+        # double sum takes exactly as it takes a float64 (or a sent float).
         read = memoryview(values)
         # The state just before values[0]: sum_{r<past} decay^(past-1-r)
         # values[r] / (1 - decay^past), the closed-form periodic past.
@@ -302,11 +315,16 @@ class SeparableExponential:
         s /= -np.expm1(-rate * past)
         for value in read[:start]:
             s = decay * s + value
-        scales = self.coef * np.exp((rate - self.col_rate)
-                                    * np.arange(rows, dtype=np.longdouble))
+        if self.row_rate == self.col_rate:
+            # e^{0 n} = 1: every scale is coef, exactly
+            scales = repeat(np.longdouble(self.coef), rows)
+        else:
+            scales = self.coef * np.exp(
+                (rate - self.col_rate) * np.arange(rows, dtype=np.longdouble))
+        phi = None
         for k, scale in zip(count(start), scales):
-            s = decay * s + read[k]
-            yield float(scale * s)
+            s = decay * s + (read[k] if phi is None else phi)
+            phi = yield float(scale * s)
 
     def drive_array_error(self, start: int, rows: int, past: int,
                           bound: float) -> float:
@@ -403,7 +421,10 @@ class FiniteLag:
     weights: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(float, row)) for row in self.weights)
+        try:
+            rows = tuple(tuple(map(float, row)) for row in self.weights)
+        except OverflowError:  # an integer beyond double range
+            raise ValueError("weights must all be finite") from None
         if not rows:
             raise ValueError("weights must have at least one row")
         width = len(rows[0])
@@ -440,29 +461,31 @@ class FiniteLag:
         return _constant(n, 0.0 if zero else math.inf)
 
     def drives(self, values: np.ndarray, start: int, rows: int, past: int,
-               bound: float, tol: float) -> Iterator[float]:
+               bound: float, tol: float) -> Generator[float, float, None]:
         """The row sums sum_{m<=n} a_{n,m} * phi_m at n = 0..rows-1 as by
-        ``SeparableExponential.drives``, each the dot product
-        (``ndarray.dot``, the BLAS ddot of ``@`` without its dispatch) of
-        its weight row with its L+1 values, read when the row is summed:
-        with no memory and no tail, ``bound`` and ``tol`` certify nothing
-        here."""
+        ``SeparableExponential.drives``, a sent value or values[start + n]
+        each row's phi_n, each the dot product (``ndarray.dot``, the BLAS
+        ddot of ``@`` without its dispatch) of its weight row with its
+        L+1 values: with no memory and no tail, ``bound`` and ``tol``
+        certify nothing here.  The values are kept in a window array of
+        the generator's own, entries -L..start+rows-1 with the periodic
+        past first, so a sent value is stored there and never in
+        ``values``."""
         _check_window(values, start, rows, past)
         lags = self.max_lag
         weight_rows = cycle(list(
             np.ascontiguousarray(np.array(self.weights)[:, ::-1])))
-        before = values[np.arange(-lags, 0) % past]  # entries -L..-1
-        for k, weights in zip(range(start, min(start + rows, lags)),
-                              weight_rows):
-            yield float(weights.dot(np.concatenate([before[k:],
-                                                     values[:k + 1]])))
-        if start + rows > lags:
-            # views: each window reads values[k - L..k] when its row is summed
-            windows = sliding_window_view(values, lags + 1)
-            for window, weights in zip(
-                    windows[max(start - lags, 0):start + rows - lags],
-                    weight_rows):
-                yield float(weights.dot(window))
+        # own[lags + k] holds entry k; each window is entries k - L..k
+        own = np.empty(lags + start + rows)
+        own[:lags] = values[np.arange(-lags, 0) % past]
+        own[lags:lags + start] = values[:start]
+        read, put = memoryview(values), memoryview(own)
+        windows = sliding_window_view(own, lags + 1)
+        phi = None
+        for k, window, weights in zip(range(start, start + rows),
+                                      windows[start:], weight_rows):
+            put[lags + k] = read[k] if phi is None else phi
+            phi = yield float(weights.dot(window))
 
     def drive_array(self, values: np.ndarray, start: int, rows: int,
                     past: int, bound: float, tol: float) -> np.ndarray:

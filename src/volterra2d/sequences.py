@@ -42,7 +42,10 @@ class PeriodicSequence:
     def __post_init__(self):
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        vals = tuple(map(float, self.values))
+        try:
+            vals = tuple(map(float, self.values))
+        except OverflowError:  # an integer beyond double range
+            raise ValueError("values must all be finite") from None
         if len(vals) != self.period:
             raise ValueError(
                 f"expected {self.period} values, got {len(vals)}")
@@ -142,13 +145,20 @@ class History:
     tail: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
-        win = tuple((float(a), float(b)) for a, b in self.window)
+        try:
+            win = tuple((float(a), float(b)) for a, b in self.window)
+        except OverflowError:  # an integer beyond double range
+            raise ValueError("history window values must be finite") from None
         if not win:
             raise ValueError("history window must contain the value at n = 0")
         if not all(map(math.isfinite, chain.from_iterable(win))):
             raise ValueError("history window values must be finite")
         if self.tail is not None:
-            t = (float(self.tail[0]), float(self.tail[1]))
+            try:
+                t = (float(self.tail[0]), float(self.tail[1]))
+            except OverflowError:
+                raise ValueError("constant tail values must be finite"
+                                 ) from None
             if not all(map(math.isfinite, t)):
                 raise ValueError("constant tail values must be finite")
             object.__setattr__(self, "tail", t)

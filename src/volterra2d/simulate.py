@@ -1,18 +1,18 @@
 """Forward iteration of the initial-value problem, and the recurrence
 defects of any candidate solution, a simulated trajectory included (the
 march records none of its own).  Both sum each kernel exactly, nothing
-truncated.  The march is sequential: it takes each kernel's drives row by
-row from its ``drives`` generator (one long double recursion step per row
-for a separable kernel, one window dot for a finite-lag one), maps each
-new value by the nonlinearities' ``scalar`` formulas and writes it
-through a memoryview into the arrays that the drives read as they
-advance; it gives the bits of the dispatching calls.  ``defects`` has
+truncated.  The march is sequential: one loop over the period's gains,
+in which each step takes each kernel's next drive from its ``drives``
+generator (one long double recursion step per row for a separable
+kernel, one window dot for a finite-lag one) by sending it the value
+that the step before has just mapped by the nonlinearities' ``scalar``
+formulas; it gives the bits of the dispatching calls.  ``defects`` has
 every value in place, so it maps f(y) and g(x) once per array and takes
 all of a kernel's drives at once from ``drive_array`` (the long double
 first-order filter for a separable kernel)."""
 from __future__ import annotations
 
-from itertools import count
+from itertools import cycle, islice
 from typing import Tuple
 
 import numpy as np
@@ -42,28 +42,29 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     # entry 0 holds the tail value at m = -H-1, which the past repeats
     past_x, past_y = np.array(
         [history.value_at(m) for m in range(-depth - 1, 1)]).T
-    # f(y_m) and g(x_m) at entry m + H + 1; past m = 0 the march fills
-    # them in, one call of each scalar formula per step, written through
-    # memoryviews as Python floats
+    # f(y_m) and g(x_m) at entry m + H + 1: the history's, up to m = 0;
+    # each later one is sent to its drive, and no entry past m = 0 is read
+    # (the arrays span every row only because the drives' window check
+    # asks it of a pull-mode caller)
     fy, gx = np.zeros((2, depth + steps + 2))
     fy[:depth + 2], gx[:depth + 2] = spec.f(past_y), spec.g(past_x)
-    put_fy, put_gx = memoryview(fy), memoryview(gx)
     f, g = spec.f.scalar, spec.g.scalar
     x, y = float(past_x[-1]), float(past_y[-1])
     traj_x, traj_y = [x], [y]
-    # (1 + h_n, 1 + p_n) at slot n mod T, and each equation's drives of
-    # its mapped partner values with m = 0 at entry H + 1
-    period = spec.period
-    gains = [(1.0 + h, 1.0 + p) for h, p in zip(spec.h.values, spec.p.values)]
-    drives = [kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
-                            policy.tail_tol)
-              for (_, kernel, nonlin), mapped in zip(spec.equations, (fy, gx))]
+    # (1 + h_n, 1 + p_n) in turn, and each equation's drives of its mapped
+    # partner values with m = 0 at entry H + 1
+    gains = islice(cycle(zip([1.0 + h for h in spec.h.values],
+                             [1.0 + p for p in spec.p.values])), steps)
+    send_x, send_y = (kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
+                                    policy.tail_tol).send
+                      for (_, kernel, nonlin), mapped
+                      in zip(spec.equations, (fy, gx)))
+    # the first send (None) reads f(y_0) and g(x_0) from the history
+    phi_x = phi_y = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, k, drive_x, drive_y in zip(range(steps), count(depth + 2),
-                                          *drives):
-            gain_x, gain_y = gains[n % period]
-            x, y = gain_x * x + drive_x, gain_y * y + drive_y
-            put_fy[k], put_gx[k] = f(y), g(x)
+        for gain_x, gain_y in gains:
+            x, y = gain_x * x + send_x(phi_x), gain_y * y + send_y(phi_y)
+            phi_x, phi_y = f(y), g(x)
             traj_x.append(x)
             traj_y.append(y)
     return Trajectory(traj_x, traj_y, policy.tail_tol)

@@ -21,6 +21,7 @@ from .kernels import (
     SeparableExponential,
     TailNotCertified,
     TruncationPolicy,
+    is_finite,
 )
 from .sequences import (
     PRODUCT_ONE_TOL,
@@ -116,7 +117,7 @@ class Nonlinearity:
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
+        if not (is_finite(self.amplitude) and is_finite(self.frequency)):
             raise ValueError("amplitude and frequency must be finite")
         scalar, array, slope = _FORMULAS[self.kind]
         a, k = float(self.amplitude), float(self.frequency)
@@ -795,6 +796,14 @@ def _parse_truncation(obj: Dict[str, Any]) -> TruncationPolicy:
     return TruncationPolicy(tail_tol, max_terms)
 
 
+def max_horizon(policy: TruncationPolicy) -> int:
+    """The largest horizon H whose window numpy can size: the tail map
+    holds both components of its window 0..N, N <= H + max_terms, as one
+    float64 array of 2 (N + 1) entries, and numpy sizes no array of more
+    bytes than the largest intp (2^63 - 1 on a 64-bit machine)."""
+    return np.iinfo(np.intp).max // 16 - 1 - policy.max_terms
+
+
 def parse_scenario(config: Union[str, Dict[str, Any]]) -> Scenario:
     """Validate a whole config document at once: the system, then the
     optional ``history``, ``truncation`` and ``solver`` sections, ``c1``,
@@ -818,6 +827,10 @@ def parse_scenario(config: Union[str, Dict[str, Any]]) -> Scenario:
         least = 4 * spec.period
         horizon = _ranged(_as_int, lambda v: v >= least,
                           f"at least 4 periods ({least})")(horizon, "horizon")
+        most = max_horizon(policy)
+        if horizon > most:
+            raise ConfigError(f"horizon: must be at most {most}, the largest "
+                              f"window numpy can size, got {horizon}")
     return Scenario(spec, history, policy, solver, c1, c2, horizon)
 
 

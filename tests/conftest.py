@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from itertools import count
+from itertools import count, cycle
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +473,55 @@ def defects_reference(spec, xs, ys, rows, policy, past=1):
          float(abs(ys[k + 1] - (1.0 + spec.p.get(n)) * ys[k] - drive_y)))
         for n, k, drive_x, drive_y in zip(range(rows), count(start),
                                           *drives))
+
+
+def pull_march_reference(spec, history, steps, policy):
+    """simulate's march over pull-mode drives: each new value mapped by
+    calling the nonlinearity and stored by ndarray item assignment into
+    the arrays that each kernel's drives, advanced by ``next``, read as
+    they advance; the gains zipped through cycle.  The bits of simulate,
+    which sends each drive the value instead."""
+    depth = history.depth
+    past_x, past_y = np.array(
+        [history.value_at(m) for m in range(-depth - 1, 1)]).T
+    f, g = spec.f, spec.g
+    fy, gx = np.zeros((2, depth + steps + 2))
+    fy[:depth + 2], gx[:depth + 2] = f(past_y), g(past_x)
+    x, y = float(past_x[-1]), float(past_y[-1])
+    traj_x, traj_y = [x], [y]
+    gains = zip(*(cycle([1.0 + v for v in seq.values])
+                  for seq, _, _ in spec.equations))
+    drives = [kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
+                            policy.tail_tol)
+              for (_, kernel, nonlin), mapped in zip(spec.equations, (fy, gx))]
+    for k, (gain_x, gain_y), drive_x, drive_y in zip(
+            count(depth + 2), gains, *drives):
+        x, y = gain_x * x + drive_x, gain_y * y + drive_y
+        fy[k], gx[k] = f(y), g(x)
+        traj_x.append(x)
+        traj_y.append(y)
+    return tuple(traj_x), tuple(traj_y)
+
+
+def separable_drives_reference(kernel, values, start, rows, past=1):
+    """``SeparableExponential.drives`` in pull mode, each row's scale
+    taken from the array coef * e^{(row_rate - col_rate) n} in long double
+    over n = 0..rows-1, as a list of floats (no round-off gate)."""
+    rate = np.longdouble(kernel.row_rate)
+    values = [float(value) for value in values]
+    decay, s = np.exp(-rate), np.longdouble(0.0)
+    for value in values[:past]:
+        s = decay * s + value
+    s /= -np.expm1(-rate * past)
+    for value in values[:start]:
+        s = decay * s + value
+    scales = kernel.coef * np.exp((rate - kernel.col_rate)
+                                  * np.arange(rows, dtype=np.longdouble))
+    out = []
+    for k, scale in zip(count(start), scales):
+        s = decay * s + values[k]
+        out.append(float(scale * s))
+    return out
 
 
 def tail_u_reference(kernel, growth, cut):

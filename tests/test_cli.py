@@ -37,13 +37,14 @@ from volterra2d import cli
 from volterra2d.cli import (
     _DOMAIN_ERRORS,
     CSV_HEADER,
+    Period,
     _cells,
     _share,
     _write_csv,
     _write_report,
     run,
 )
-from volterra2d.system import default_horizon
+from volterra2d.system import default_horizon, max_horizon
 
 from conftest import csv_reference, parse_reference, report_reference
 
@@ -568,6 +569,54 @@ class TestInputErrors:
         assert header == CSV_HEADER and len(rows) == 4
 
 
+@pytest.mark.parametrize("horizon", [2 ** 63, 10 ** 20])
+def test_horizon_numpy_cannot_size_names_its_field(horizon, example2_path,
+                                                   tmp_path, capsys):
+    config = json.loads(example2_path.read_text())
+    config["horizon"] = horizon
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["solve-asymptotic", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: horizon: must be at most "
+                   f"{max_horizon(TruncationPolicy())}, the largest window "
+                   f"numpy can size, got {horizon}\n")
+
+
+def test_memory_error_exits_1(example1_path, monkeypatch, capsys):
+    """A MemoryError out of a command is an error line and exit 1 (here
+    raised, not provoked by an allocation)."""
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simulate", exhausted)
+    assert run(["simulate", "--steps", "3",
+                "--config", str(example1_path)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_window_beyond_memory_exits_1(example2_path, tmp_path):
+    """A horizon of 10**12 parses, and numpy then fails to allocate its
+    window: under a 1 GiB address-space limit, set in a subprocess, the
+    command exits 1 with numpy's error line and no traceback."""
+    pytest.importorskip("resource")
+    config = json.loads(example2_path.read_text())
+    config["horizon"] = 10 ** 12
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, {(2 ** 30,) * 2})\n"
+              "from volterra2d.cli import run\n"
+              "sys.exit(run(sys.argv[1:]))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, "solve-asymptotic",
+         "--config", str(path)], capture_output=True, text=True,
+        cwd=SRC_DIR, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: Unable to allocate")
+    assert "Traceback" not in result.stderr
+
+
 def test_finite_lag_config_end_to_end(tmp_path):
     config = {
         "period": 2, "h": [0.5, 0.2], "p": [0.3, 0.4],
@@ -962,6 +1011,37 @@ class TestWriters:
         assert {"inf", "-inf", "nan"} <= set(cells)
         assert tokens == [None if cell in ("inf", "-inf", "nan") else cell
                           for cell in cells]
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_period_columns_are_the_text_of_take(self, period, example1_path,
+                                                  example2_path, tmp_path):
+        """u1 and u2 are formatted once per period value: their cells
+        are float.__repr__ of the column over the window, on a horizon
+        that is no multiple of the period, and a Period column gives them
+        at every length."""
+        horizon = 4 * period + 2 if period > 1 else 7
+        config = _demo_config(f"example2-t{period}-h{horizon}",
+                              example1_path, example2_path)
+        path, table = tmp_path / "config.json", tmp_path / "table.csv"
+        path.write_text(json.dumps(config))
+        assert run(["solve-asymptotic", "--config", str(path),
+                    "--csv", str(table),
+                    "--out", str(tmp_path / "r.json")]) == 0
+        scenario = parse_scenario(config)
+        dec = solve_asymptotic(scenario.spec, scenario.c1, scenario.c2,
+                               horizon, scenario.solver,
+                               scenario.policy).decomposition
+        header, rows = read_csv(table)
+        for name in ("u1", "u2"):
+            seq = getattr(dec, name)
+            column = [row[header.index(name)] for row in rows]
+            assert column == list(map(float.__repr__, seq.take(
+                np.arange(horizon + 1)).tolist()))
+            for length in range(3 * period + 2):
+                assert _cells({name: Period(seq.values, length)},
+                              "table.csv")[name] == list(map(
+                                  float.__repr__,
+                                  seq.take(np.arange(length)).tolist()))
 
     @given(st.lists(st.floats(allow_nan=False), max_size=20))
     @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,

@@ -13,7 +13,7 @@ from volterra2d import (
 )
 from volterra2d.asymptotic_solver import _outer_cut
 
-from conftest import inner_sum_reference
+from conftest import inner_sum_reference, separable_drives_reference
 
 # Frozen from the geometric-series oracles below (brute-force partial sums
 # agree to 1e-14 relative).
@@ -540,3 +540,57 @@ class TestDrivePlan:
                              @ padded[start + n:start + n + width])
                        for n in range(300 - start)]
                 assert drives(kernel, values, start, 300 - start) == ref
+
+
+class TestSendFedDrives:
+    """A march sends each drive the value of its next row; a row advanced
+    by ``next`` reads the value array.  The checks stay at the first step,
+    and a diagonal kernel's one scale gives the array of scales' floats."""
+
+    START, ROWS = 6, 30
+
+    KERNELS = [SeparableExponential(-0.37, 0.6, 0.6),
+               SeparableExponential(0.8, 0.45, 0.9),
+               FiniteLag(((0.5, -0.25, 0.125), (0.3, 0.2, -0.1))),
+               FiniteLag(((0.25,) * 12,))]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_sent_values_equal_the_read_ones(self, kernel):
+        rng = np.random.default_rng(7)
+        values = rng.uniform(-1.0, 1.0, self.START + self.ROWS)
+        want = drives(kernel, values, self.START, self.ROWS, past=2)
+        # past row 0 nothing is read: the array holds NaN there
+        unread = values.copy()
+        unread[self.START + 1:] = np.nan
+        drive = kernel.drives(unread, self.START, self.ROWS, 2, 1.0, 1e-10)
+        got = [drive.send(None)] + [
+            drive.send(float(value)) for value in values[self.START + 1:]]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.isnan(unread[self.START + 1:]).all()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_short_window_refused_at_the_first_step(self, kernel):
+        drive = kernel.drives(np.ones(3), 2, 4, 1, 1.0, 1e-10)
+        with pytest.raises(ValueError, match="need 6 values"):
+            drive.send(None)
+        assert list(drive) == []  # no row was summed
+
+    def test_uncertified_recursion_refused_at_the_first_step(self):
+        kernel = SeparableExponential(1.0, 1e-9, 1e-9)
+        drive = kernel.drives(np.ones(8), 2, 6, 1, 1.0, 1e-10)
+        with pytest.raises(TailNotCertified, match="round-off bound"):
+            drive.send(None)
+        assert list(drive) == []
+
+    @pytest.mark.parametrize("rate", [1e-3, 0.05, 0.7, 3.0, 20.0])
+    @pytest.mark.parametrize("past", [1, 3])
+    def test_constant_scale_equals_the_array_of_scales(self, rate, past):
+        rng = np.random.default_rng([past, int(rate * 1000)])
+        values = rng.uniform(-1.0, 1.0, self.START + self.ROWS)
+        for coef in (-0.37, 1.0, 2.5e-3, float(rng.uniform(-3.0, 3.0))):
+            kernel = SeparableExponential(coef, rate, rate)
+            got = drives(kernel, values, self.START, self.ROWS, past=past,
+                         tol=1.0)
+            want = separable_drives_reference(kernel, values, self.START,
+                                              self.ROWS, past)
+            assert np.array(got).tobytes() == np.array(want).tobytes()

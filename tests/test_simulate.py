@@ -1,9 +1,10 @@
-import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra2d import (
     FiniteLag,
@@ -18,9 +19,10 @@ from volterra2d import (
     defects,
     simulate,
 )
+from volterra2d.system import NONLINEARITY_KINDS
 
 from conftest import (defects_reference, defects_slack, inner_sum_reference,
-                      random_nonlinearity)
+                      pull_march_reference, random_nonlinearity)
 
 POLICY = TruncationPolicy(1e-10, 100_000)
 
@@ -188,36 +190,10 @@ class TestArrayDrive:
         assert any(history.tail is not None for _, history in cases)
 
 
-def dispatching_march(spec, history, steps, policy):
-    """simulate's march in its dispatching form: each new value mapped by
-    calling the nonlinearity, stored by ndarray item assignment, the gains
-    zipped through cycle, and each kernel's drives read lazily from the
-    arrays the march fills in."""
-    depth = history.depth
-    past_x, past_y = np.array(
-        [history.value_at(m) for m in range(-depth - 1, 1)]).T
-    f, g = spec.f, spec.g
-    fy, gx = np.zeros((2, depth + steps + 2))
-    fy[:depth + 2], gx[:depth + 2] = f(past_y), g(past_x)
-    x, y = float(past_x[-1]), float(past_y[-1])
-    traj_x, traj_y = [x], [y]
-    gains = zip(*(itertools.cycle([1.0 + v for v in seq.values])
-                  for seq, _, _ in spec.equations))
-    drives = [kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
-                            policy.tail_tol)
-              for (_, kernel, nonlin), mapped in zip(spec.equations, (fy, gx))]
-    for k, (gain_x, gain_y), drive_x, drive_y in zip(
-            itertools.count(depth + 2), gains, *drives):
-        x, y = gain_x * x + drive_x, gain_y * y + drive_y
-        fy[k], gx[k] = f(y), g(x)
-        traj_x.append(x)
-        traj_y.append(y)
-    return tuple(traj_x), tuple(traj_y)
-
-
 class TestDispatchingMarch:
     """simulate's march, which calls each scalar formula directly and
-    writes through memoryviews, bit for bit against its dispatching form."""
+    sends each drive its value, bit for bit against its dispatching form
+    over pull-mode drives."""
 
     @pytest.mark.parametrize("period", [1, 2, 3])
     @pytest.mark.parametrize("tail", [None, (0.4, -0.7)])
@@ -246,9 +222,74 @@ class TestDispatchingMarch:
         window = tuple(tuple(rng.uniform(-1, 1, 2)) for _ in range(4))
         history = History(window, tail)
         t = simulate(spec, history, 300, POLICY)
-        ref_x, ref_y = dispatching_march(spec, history, 300, POLICY)
+        ref_x, ref_y = pull_march_reference(spec, history, 300, POLICY)
         assert np.array(t.x).tobytes() == np.array(ref_x).tobytes()
         assert np.array(t.y).tobytes() == np.array(ref_y).tobytes()
+
+
+@st.composite
+def march_cases(draw):
+    """A system, history and step count for the send-fed march: separable
+    kernels, diagonal or not, and finite-lag kernels of 1-3 weight rows
+    and up to 30 lags, periods 1-3, and history depths 0-20 with a zero
+    or a constant tail."""
+    period = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+
+    def kernel():
+        if draw(st.booleans()):
+            rate = draw(st.floats(0.05, 3.0))
+            col = rate + (0.0 if draw(st.booleans())
+                          else draw(st.floats(-0.05, 1.0)))
+            return SeparableExponential(draw(st.floats(-0.3, 0.3)), rate,
+                                        col)
+        lags, rows = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+        return FiniteLag(tuple(tuple(draw(st.lists(
+            unit, min_size=lags, max_size=lags))) for _ in range(rows)))
+
+    def coeffs():
+        return PeriodicSequence(period, tuple(draw(st.lists(
+            st.floats(-0.6, 0.0), min_size=period, max_size=period))))
+
+    def nonlinearity():
+        return Nonlinearity(draw(st.sampled_from(NONLINEARITY_KINDS)),
+                            draw(st.floats(-2.0, 2.0)),
+                            draw(st.floats(0.1, 3.0)))
+
+    spec = SystemSpec(period, coeffs(), coeffs(), kernel(), kernel(),
+                      nonlinearity(), nonlinearity())
+    depth = draw(st.integers(0, 20))
+    window = tuple((draw(unit), draw(unit)) for _ in range(depth + 1))
+    tail = draw(st.one_of(st.none(), st.tuples(unit, unit)))
+    return spec, History(window, tail), draw(st.integers(0, 60))
+
+
+class TestSendFedMarch:
+    """simulate sends each drive the value it has just mapped; the march
+    of the pull protocol writes it into the arrays the drives read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(march_cases())
+    def test_equals_the_pull_march(self, case):
+        spec, history, steps = case
+        t = simulate(spec, history, steps, POLICY)
+        ref_x, ref_y = pull_march_reference(spec, history, steps, POLICY)
+        assert np.array(t.x).tobytes() == np.array(ref_x).tobytes()
+        assert np.array(t.y).tobytes() == np.array(ref_y).tobytes()
+
+    def test_refusal_comes_at_the_first_step(self):
+        """A separable drive too slow to certify is refused by the first
+        step, before any row is summed: a march of no steps asks for
+        none, so it returns the history point."""
+        half = PeriodicSequence(1, (-0.5,))
+        kernel = SeparableExponential(1.0, 1e-9, 1e-9)
+        spec = SystemSpec(1, half, half, kernel, kernel,
+                          Nonlinearity("cos", 1.0, 1.0),
+                          Nonlinearity("sin", 1.0, 2.0))
+        history = History(((0.2, -0.1),), (0.1, 0.3))
+        assert simulate(spec, history, 0, POLICY).x == (0.2,)
+        with pytest.raises(TailNotCertified, match="at row 0$"):
+            simulate(spec, history, 1, POLICY)
 
 
 class TestMemory:

@@ -29,7 +29,8 @@ from volterra2d import (
     spec_to_config,
 )
 from volterra2d.sequences import running_products
-from volterra2d.system import NONLINEARITY_KINDS, _weight_bound
+from volterra2d.system import (NONLINEARITY_KINDS, _weight_bound,
+                               max_horizon)
 
 from conftest import (
     derivative_reference,
@@ -93,6 +94,22 @@ HUGE_CASES = [
 WEIGHT_BOUND_DEMO1 = 3.163953413738653  # 2 * e / (e - 1), frozen from the oracle
 TAIL_MASS_A = 2.502650301077119
 TAIL_MASS_B = 1.8295839719133922
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PeriodicSequence(1, (10 ** 400,)),
+    lambda: FiniteLag(((10 ** 400,),)),
+    lambda: History(((10 ** 400, 0.0),)),
+    lambda: History(((0.0, 0.0),), (0.0, -10 ** 400)),
+    lambda: Nonlinearity("sin", 10 ** 400, 1.0),
+    lambda: SeparableExponential(10 ** 400, 1.0, 2.0),
+], ids=["sequence", "finite-lag", "history", "history-tail", "nonlinearity",
+        "separable"])
+def test_value_objects_refuse_integers_beyond_double_range(build):
+    """A library caller that catches ValueError for bad input catches an
+    integer too large for a double too, refused as not finite."""
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestNonlinearity:
@@ -442,6 +459,25 @@ class TestParseScenario:
             parse_scenario(config)
         assert str(info.value).startswith(field)
         assert "9" * 20 not in str(info.value)
+
+    @pytest.mark.parametrize("max_terms", [1, 100_000])
+    def test_horizon_is_one_numpy_can_size(self, example2_path, max_terms):
+        """The largest horizon whose window of both components, N + 1
+        entries each with N up to H + max_terms, numpy can size as one
+        float64 array parses; one more is refused under its field."""
+        config = json.loads(example2_path.read_text())
+        config["truncation"] = {"max_terms": max_terms}
+        most = max_horizon(TruncationPolicy(max_terms=max_terms))
+        assert 16 * (most + max_terms + 1) <= np.iinfo(np.intp).max
+        assert 16 * (most + max_terms + 2) > np.iinfo(np.intp).max
+        config["horizon"] = most
+        assert parse_scenario(config).horizon == most
+        for horizon in (most + 1, 10 ** 20, 2 ** 63):
+            config["horizon"] = horizon
+            with pytest.raises(ConfigError, match=(
+                    f"^horizon: must be at most {most}, the largest window "
+                    f"numpy can size, got {horizon}$")):
+                parse_scenario(config)
 
     @settings(max_examples=300, deadline=None)
     @given(entries=st.lists(JSON_ENTRIES, min_size=1, max_size=6),
