@@ -30,7 +30,6 @@ from .sequences import (
     Trajectory,
     ZeroFactor,
     cycle_gain,
-    product_one_plus,
     reciprocal_growth,
 )
 from .simulate import defects, simulate
@@ -92,7 +91,6 @@ __all__ = [
     "growth_profile",
     "parse_scenario",
     "parse_system",
-    "product_one_plus",
     "reciprocal_growth",
     "simulate",
     "solve_asymptotic",

@@ -17,12 +17,11 @@ past = T).  Two variants are supported:
   All sums are finite, so tails are exactly zero and each drive is the dot
   product (``ndarray.dot``) of its weight row with its L+1 values.
 
-Each kernel's ``drives`` is a generator that a march feeds: every value
-sent to it is phi of its next row, so a march sends each value as it maps
-it, and a row advanced by ``next`` reads the value array instead.
-
 Anything else would lack computable tail bounds, which every certified
 number in this library relies on.
+
+A march primes each kernel's ``drives`` coroutine with the values before
+row 0 and sends it each row's phi_n; ``drive_array`` takes them all.
 
 ``first_order_filter`` is the one vectorised form of the recursion
 S[n] = lam S[n-1] + phi_n: the separable drives of ``drive_array``, the
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count, cycle, repeat
+from itertools import chain, cycle, repeat
 from typing import Generator, Tuple, Union
 
 import numpy as np
@@ -69,6 +68,12 @@ def _check_window(values: np.ndarray, start: int, rows: int, past: int):
     if past < 1 or start < 0 or len(values) < need:
         raise ValueError(f"drives of {rows} rows from entry {start}, the "
                          f"past repeating {past}, need {need} values")
+
+
+def _check_history(values: np.ndarray):
+    """Reject a march's drive that has no value before row 0."""
+    if not len(values):
+        raise ValueError("a march's drives need a value before row 0")
 
 
 def _spare_bits(dtype) -> int:
@@ -269,6 +274,10 @@ class SeparableExponential:
         (2 |d| n + 4) u relative.  With one more u per term for the
         second-order terms, the bound is |coef| e^{d n} S u
         (9 / (1 - lam) + 2 |d| n + 9): it grows as 1 / (1 - lam)^2.
+
+        It covers the march's stepwise recursion, row by row, so a refusal
+        names the row; ``drive_array_error`` covers the segmented filter,
+        and neither is proved to cover the other's evaluation order.
         """
         if not (bound >= 0.0 and math.isfinite(bound)):
             raise ValueError("bound must be finite and nonnegative")
@@ -280,23 +289,20 @@ class SeparableExponential:
             return (LONG_DOUBLE_UNIT * bound * self.abs_row_sum(n)
                     * (9.0 / gap + 2.0 * spread * np.asarray(n) + 9.0))
 
-    def drives(self, values: np.ndarray, start: int, rows: int, past: int,
-               bound: float, tol: float) -> Generator[float, float, None]:
+    def drives(self, values: np.ndarray, rows: int, bound: float,
+               tol: float) -> Generator[float, float, None]:
         """The row sums sum_{m<=n} a_{n,m} * phi_m at n = 0..rows-1, in turn,
-        as Python floats.
+        as Python floats, for a march.
 
-        ``values[k]`` holds phi at m = k - start, and the values before
-        values[0] repeat values[:past].  Row 0 reads values[start].  Each
-        later row takes its phi_n as the value sent to the generator
-        (``send``), so a march sends each value it has just mapped; a row
-        advanced by ``next`` reads values[start + n] instead, through a
-        memoryview, when it is summed.  So only values[:max(past, start +
-        1)] must be in place at the first step, and none after it for a
-        march.  ``bound`` bounds every |phi|.  The first step raises,
-        before any row is summed, TailNotCertified where ``drive_error``
-        exceeds ``tol`` and ValueError where the values are too few.
+        ``values`` holds phi before row 0, in order, and values[0] stands
+        for every value before them.  ``next`` primes the coroutine; each
+        ``send(phi_n)`` then returns row n's drive, so a march sends each
+        value it has just mapped.  ``bound`` bounds every |phi|.  Priming
+        raises, before any row is summed, TailNotCertified where
+        ``drive_error`` exceeds ``tol`` at some row (naming the first) and
+        ValueError where ``values`` is empty.
         """
-        _check_window(values, start, rows, past)
+        _check_history(values)
         error = self.drive_error(np.arange(rows), bound)
         over = np.flatnonzero(error > tol)
         if len(over):
@@ -304,16 +310,12 @@ class SeparableExponential:
                 f"round-off bound {error[over[0]]:.3e} of the kernel "
                 f"recursion > {tol:.3e} at row {over[0]}")
         rate = np.longdouble(self.row_rate)
-        # A memoryview reads each entry as a Python float, which a long
-        # double sum takes exactly as it takes a float64 (or a sent float).
-        read = memoryview(values)
-        # The state just before values[0]: sum_{r<past} decay^(past-1-r)
-        # values[r] / (1 - decay^past), the closed-form periodic past.
+        # The state just before values[0]: values[0] / (1 - decay), the
+        # closed-form constant past summed from zero as the rest are, each
+        # read as a Python float, which a long double sum takes exactly.
         decay, s = np.exp(-rate), np.longdouble(0.0)
-        for value in read[:past]:
-            s = decay * s + value
-        s /= -np.expm1(-rate * past)
-        for value in read[:start]:
+        s = (decay * s + values[0]) / -np.expm1(-rate)
+        for value in values.tolist():
             s = decay * s + value
         if self.row_rate == self.col_rate:
             # e^{0 n} = 1: every scale is coef, exactly
@@ -321,9 +323,9 @@ class SeparableExponential:
         else:
             scales = self.coef * np.exp(
                 (rate - self.col_rate) * np.arange(rows, dtype=np.longdouble))
-        phi = None
-        for k, scale in zip(count(start), scales):
-            s = decay * s + (read[k] if phi is None else phi)
+        phi = yield
+        for scale in scales:
+            s = decay * s + phi
             phi = yield float(scale * s)
 
     def drive_array_error(self, start: int, rows: int, past: int,
@@ -349,7 +351,10 @@ class SeparableExponential:
           relative (d and d n rounded, exp correct to 1 ulp): where d <= 0
           e^{d n} (2 |d| n + 4) is at most 2 / e + 4.
 
-        4 u more cover the higher orders."""
+        4 u more cover the higher orders.  It covers the filter, with a
+        periodic past and a ``start``, and not the march's recursion,
+        which ``drive_error`` covers: neither is proved to cover the other's
+        evaluation order."""
         if not (bound >= 0.0 and math.isfinite(bound)):
             raise ValueError("bound must be finite and nonnegative")
         if self.coef == 0.0 or bound == 0.0:
@@ -370,8 +375,10 @@ class SeparableExponential:
 
     def drive_array(self, values: np.ndarray, start: int, rows: int,
                     past: int, bound: float, tol: float) -> np.ndarray:
-        """The drives of ``drives``, as one float64 array, for values that
-        are all in place: ``first_order_filter`` in long double over
+        """The row sums sum_{m<=n} a_{n,m} * phi_m at n = 0..rows-1 as one
+        float64 array, for values that are all in place: values[k] holds
+        phi at m = k - start, and the values before values[0] repeat
+        values[:past].  ``first_order_filter`` in long double over
         values[:start + rows], seeded with the closed-form periodic past.
         Raises TailNotCertified where ``drive_array_error`` exceeds
         ``tol`` and ValueError where the values are too few."""
@@ -384,7 +391,7 @@ class SeparableExponential:
                 f"{tol:.3e}")
         rate = np.longdouble(self.row_rate)
         terms = values[:max(length, past)].astype(np.longdouble)
-        # the state just before values[0], as in ``drives``
+        # the state just before values[0]: the closed-form periodic past
         seed = (terms[:past]
                 @ np.exp(rate * np.arange(1 - past, 1, dtype=np.longdouble))
                 / -np.expm1(-rate * past))
@@ -460,38 +467,45 @@ class FiniteLag:
         zero = all(w == 0.0 for row in self.weights for w in row)
         return _constant(n, 0.0 if zero else math.inf)
 
-    def drives(self, values: np.ndarray, start: int, rows: int, past: int,
-               bound: float, tol: float) -> Generator[float, float, None]:
-        """The row sums sum_{m<=n} a_{n,m} * phi_m at n = 0..rows-1 as by
-        ``SeparableExponential.drives``, a sent value or values[start + n]
-        each row's phi_n, each the dot product (``ndarray.dot``, the BLAS
-        ddot of ``@`` without its dispatch) of its weight row with its
-        L+1 values: with no memory and no tail, ``bound`` and ``tol``
-        certify nothing here.  The values are kept in a window array of
-        the generator's own, entries -L..start+rows-1 with the periodic
-        past first, so a sent value is stored there and never in
-        ``values``."""
-        _check_window(values, start, rows, past)
-        lags = self.max_lag
-        weight_rows = cycle(list(
+    def _reversed_rows(self):
+        """Row n mod P of the weights in turn, reversed to dot with the
+        window of entries n - L..n, and contiguous."""
+        return cycle(list(
             np.ascontiguousarray(np.array(self.weights)[:, ::-1])))
-        # own[lags + k] holds entry k; each window is entries k - L..k
-        own = np.empty(lags + start + rows)
-        own[:lags] = values[np.arange(-lags, 0) % past]
-        own[lags:lags + start] = values[:start]
-        read, put = memoryview(values), memoryview(own)
-        windows = sliding_window_view(own, lags + 1)
-        phi = None
-        for k, window, weights in zip(range(start, start + rows),
-                                      windows[start:], weight_rows):
-            put[lags + k] = read[k] if phi is None else phi
+
+    def drives(self, values: np.ndarray, rows: int, bound: float,
+               tol: float) -> Generator[float, float, None]:
+        """The drives of a march as ``SeparableExponential.drives`` gives
+        them, each the dot product (``ndarray.dot``, the BLAS ddot of ``@``
+        without its dispatch) of its weight row with its L+1 values, kept
+        in a window array of the coroutine's own: values[0] L times, then
+        ``values`` and each sent value.  With no memory and no tail,
+        ``bound`` and ``tol`` certify nothing here."""
+        _check_history(values)
+        lags, given = self.max_lag, len(values)
+        own = np.concatenate((np.full(lags, values[0]), values,
+                              np.empty(rows)))
+        put = memoryview(own)
+        # row n's window is entries n - L..n, the last at own[lags + given + n]
+        windows = sliding_window_view(own, lags + 1)[given:]
+        phi = yield
+        for k, window, weights in zip(range(lags + given, len(own)), windows,
+                                      self._reversed_rows()):
+            put[k] = phi
             phi = yield float(weights.dot(window))
 
     def drive_array(self, values: np.ndarray, start: int, rows: int,
                     past: int, bound: float, tol: float) -> np.ndarray:
-        """The drives of ``drives``, collected into one float64 array."""
-        return np.fromiter(self.drives(values, start, rows, past, bound, tol),
-                           float, count=rows)
+        """The drives of ``drives`` as one float64 array, for values all in
+        place as ``SeparableExponential.drive_array`` takes them: each row
+        the same dot with its window of the values after the past's last
+        L."""
+        _check_window(values, start, rows, past)
+        lags = self.max_lag
+        padded = np.concatenate((values[np.arange(-lags, 0) % past], values))
+        windows = sliding_window_view(padded, lags + 1)[start:start + rows]
+        return np.array([weights.dot(window) for window, weights
+                         in zip(windows, self._reversed_rows())], dtype=float)
 
     def is_diagonal_periodic(self, period: int) -> bool:
         shift = period % self.lag_period

@@ -65,21 +65,6 @@ class PeriodicSequence:
         return math.prod(1.0 + v for v in self.values)
 
 
-def product_one_plus(seq: PeriodicSequence, a: int, b: int) -> float:
-    """prod_{l=a}^{b} (1 + seq_l), with the empty-product convention 1 for a > b.
-
-    Windows spanning whole periods reuse the single full-period product, so
-    the product over [n, n+T-1] is bitwise identical for every n.
-    """
-    if a > b:
-        return 1.0
-    q, r = divmod(b - a + 1, seq.period)
-    out = seq.full_period_product_one_plus() ** q if q else 1.0
-    for l in range(a, a + r):
-        out *= 1.0 + seq.get(l)
-    return out
-
-
 def running_products(seq: PeriodicSequence) -> np.ndarray:
     """T x T table prods[n, j] = prod_{l=n+j+1}^{n+T-1} (1 + seq_l): the
     product carried from step n + j to the end of the period starting at n

@@ -3,12 +3,12 @@ defects of any candidate solution, a simulated trajectory included (the
 march records none of its own).  Both sum each kernel exactly, nothing
 truncated.  The march is sequential: one loop over the period's gains,
 in which each step takes each kernel's next drive from its ``drives``
-generator (one long double recursion step per row for a separable
+coroutine (one long double recursion step per row for a separable
 kernel, one window dot for a finite-lag one) by sending it the value
 that the step before has just mapped by the nonlinearities' ``scalar``
-formulas; it gives the bits of the dispatching calls.  ``defects`` has
-every value in place, so it maps f(y) and g(x) once per array and takes
-all of a kernel's drives at once from ``drive_array`` (the long double
+formulas, which give the array formula's bits.  ``defects`` has every
+value in place, so it maps f(y) and g(x) once per array and takes all of
+a kernel's drives at once from ``drive_array`` (the long double
 first-order filter for a separable kernel)."""
 from __future__ import annotations
 
@@ -39,29 +39,24 @@ def simulate(spec: SystemSpec, history: History, steps: int,
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     depth = history.depth
-    # entry 0 holds the tail value at m = -H-1, which the past repeats
     past_x, past_y = np.array(
         [history.value_at(m) for m in range(-depth - 1, 1)]).T
-    # f(y_m) and g(x_m) at entry m + H + 1: the history's, up to m = 0;
-    # each later one is sent to its drive, and no entry past m = 0 is read
-    # (the arrays span every row only because the drives' window check
-    # asks it of a pull-mode caller)
-    fy, gx = np.zeros((2, depth + steps + 2))
-    fy[:depth + 2], gx[:depth + 2] = spec.f(past_y), spec.g(past_x)
     f, g = spec.f.scalar, spec.g.scalar
     x, y = float(past_x[-1]), float(past_y[-1])
     traj_x, traj_y = [x], [y]
-    # (1 + h_n, 1 + p_n) in turn, and each equation's drives of its mapped
-    # partner values with m = 0 at entry H + 1
+    # (1 + h_n, 1 + p_n) in turn, and each equation's drive, primed with
+    # the mapped history before m = 0, whose first value is the tail's
     gains = islice(cycle(zip([1.0 + h for h in spec.h.values],
                              [1.0 + p for p in spec.p.values])), steps)
-    send_x, send_y = (kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
-                                    policy.tail_tol).send
-                      for (_, kernel, nonlin), mapped
-                      in zip(spec.equations, (fy, gx)))
-    # the first send (None) reads f(y_0) and g(x_0) from the history
-    phi_x = phi_y = None
+    drives = [kernel.drives(nonlin(partner[:-1]), steps, nonlin.bound,
+                            policy.tail_tol)
+              for (_, kernel, nonlin), partner
+              in zip(spec.equations, (past_y, past_x))]
+    for drive in drives:
+        next(drive)
+    send_x, send_y = (drive.send for drive in drives)
     with np.errstate(over="ignore", invalid="ignore"):
+        phi_x, phi_y = f(y), g(x)
         for gain_x, gain_y in gains:
             x, y = gain_x * x + send_x(phi_x), gain_y * y + send_y(phi_y)
             phi_x, phi_y = f(y), g(x)

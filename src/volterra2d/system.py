@@ -45,11 +45,6 @@ NONLINEARITY_KINDS = ("sin", "cos", "tanh", "rational_bounded")
 ILL_CONDITIONED_GAIN = 1e6
 
 
-#: The argument types that take a nonlinearity's scalar formula; anything
-#: else, a numpy scalar included, goes through a float array.
-_SCALAR_TYPES = frozenset({float, int, bool})
-
-
 def _sin(a: float, k: float, x: float) -> float:
     return a * float(np.sin(k * x))
 
@@ -103,11 +98,11 @@ class Nonlinearity:
     A general expression parser could not certify the bound, so the family
     is deliberately closed.
 
-    Calling the nonlinearity takes any number or array.  Its bound
-    formulas skip that dispatch: ``scalar`` takes a Python number and
-    gives a Python float, ``apply`` takes a float64 array and gives the
-    values entry by entry, bit for bit those of ``scalar``, and ``slope``
-    the derivative on such an array (at most ``lipschitz`` in size).
+    Calling the nonlinearity takes any number or array, through the array
+    formula.  Its bound formulas skip that conversion: ``scalar`` takes a
+    Python number and gives a Python float, ``apply`` takes a float64
+    array and gives its values, bit for bit those of ``scalar``, and
+    ``slope`` the derivative on one (at most ``lipschitz`` in size).
     """
 
     kind: str
@@ -130,11 +125,6 @@ class Nonlinearity:
         return Nonlinearity, (self.kind, self.amplitude, self.frequency)
 
     def __call__(self, x):
-        # A Python number takes its kind's scalar formula: the same ufunc
-        # or IEEE arithmetic as on an array entry, without the cost of a
-        # 0-d array.  A float64 array goes to the array formula as it is.
-        if type(x) in _SCALAR_TYPES:
-            return self.scalar(x)
         out = self.apply(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
@@ -667,10 +657,8 @@ def _parse_kernel(obj: Any, path: str) -> Kernel:
                 or not all(isinstance(r, list) and r for r in rows)):
             raise ConfigError(
                 f"{path}.weights: expected a nonempty list of nonempty rows")
-        parsed = tuple(map(_floats, rows))
-        if None in parsed:
-            parsed = tuple(_finite_floats(row, f"{path}.weights[{k}]")
-                           for k, row in enumerate(rows))
+        parsed = tuple(_finite_floats(row, f"{path}.weights[{k}]")
+                       for k, row in enumerate(rows))
         width = len(parsed[0])
         if any(len(row) != width for row in parsed):
             raise ConfigError(f"{path}.weights: rows must have equal length")

@@ -273,8 +273,8 @@ def _periodic_part_ok(seq: PeriodicSequence, c: float,
     |free| |P^q - 1| over the q whole periods in n: the asymptotic check
     grants a full-period product P within PRODUCT_ONE_TOL of one, so the
     periodic u drifts from the free response by that much.  The products
-    are ``product_one_plus``'s, factor by factor: row q of the table
-    starts at P^q and multiplies on 1 + seq_0, 1 + seq_1, ... in turn."""
+    go factor by factor: row q of the table starts at P^q and multiplies
+    on 1 + seq_0, 1 + seq_1, ... in turn."""
     T = seq.period
     product = seq.full_period_product_one_plus()
     powers = np.array([product ** q if q else 1.0 for q in range(10)])

@@ -457,56 +457,27 @@ def report_reference(report, path):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def defects_reference(spec, xs, ys, rows, policy, past=1):
-    """The recurrence defects one row at a time, each kernel's drives
-    taken from its iterator in step:
-    (|x_{k+1} - (1 + h_n) x_k - drive_x|, the y counterpart) as Python
-    floats at n = 0..rows-1, with k the entry of m = n."""
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    start = len(xs) - 1 - rows
-    drives = (spec.kernel_a.drives(spec.f(ys), start, rows, past,
-                                   spec.f.bound, policy.tail_tol),
-              spec.kernel_b.drives(spec.g(xs), start, rows, past,
-                                   spec.g.bound, policy.tail_tol))
-    return tuple(
-        (float(abs(xs[k + 1] - (1.0 + spec.h.get(n)) * xs[k] - drive_x)),
-         float(abs(ys[k + 1] - (1.0 + spec.p.get(n)) * ys[k] - drive_y)))
-        for n, k, drive_x, drive_y in zip(range(rows), count(start),
-                                          *drives))
-
-
-def pull_march_reference(spec, history, steps, policy):
-    """simulate's march over pull-mode drives: each new value mapped by
-    calling the nonlinearity and stored by ndarray item assignment into
-    the arrays that each kernel's drives, advanced by ``next``, read as
-    they advance; the gains zipped through cycle.  The bits of simulate,
-    which sends each drive the value instead."""
-    depth = history.depth
-    past_x, past_y = np.array(
-        [history.value_at(m) for m in range(-depth - 1, 1)]).T
-    f, g = spec.f, spec.g
-    fy, gx = np.zeros((2, depth + steps + 2))
-    fy[:depth + 2], gx[:depth + 2] = f(past_y), g(past_x)
-    x, y = float(past_x[-1]), float(past_y[-1])
-    traj_x, traj_y = [x], [y]
-    gains = zip(*(cycle([1.0 + v for v in seq.values])
-                  for seq, _, _ in spec.equations))
-    drives = [kernel.drives(mapped, depth + 1, steps, 1, nonlin.bound,
-                            policy.tail_tol)
-              for (_, kernel, nonlin), mapped in zip(spec.equations, (fy, gx))]
-    for k, (gain_x, gain_y), drive_x, drive_y in zip(
-            count(depth + 2), gains, *drives):
-        x, y = gain_x * x + drive_x, gain_y * y + drive_y
-        fy[k], gx[k] = f(y), g(x)
-        traj_x.append(x)
-        traj_y.append(y)
-    return tuple(traj_x), tuple(traj_y)
+def product_one_plus(seq, a, b):
+    """prod_{l=a}^{b} (1 + seq_l), with the empty-product convention 1 for
+    a > b.  Windows spanning whole periods reuse the single full-period
+    product, so the product over [n, n+T-1] is bitwise identical for
+    every n."""
+    if a > b:
+        return 1.0
+    q, r = divmod(b - a + 1, seq.period)
+    out = seq.full_period_product_one_plus() ** q if q else 1.0
+    for l in range(a, a + r):
+        out *= 1.0 + seq.get(l)
+    return out
 
 
 def separable_drives_reference(kernel, values, start, rows, past=1):
-    """``SeparableExponential.drives`` in pull mode, each row's scale
-    taken from the array coef * e^{(row_rate - col_rate) n} in long double
-    over n = 0..rows-1, as a list of floats (no round-off gate)."""
+    """A separable kernel's drives at n = 0..rows-1, row by row, as a list
+    of floats (no round-off gate): values[k] holds phi at m = k - start
+    and the past repeats values[:past].  The long double recursion is
+    seeded with the past's closed form, reads each value as a Python
+    float, and takes each row's scale from the array
+    coef * e^{(row_rate - col_rate) n} over n = 0..rows-1."""
     rate = np.longdouble(kernel.row_rate)
     values = [float(value) for value in values]
     decay, s = np.exp(-rate), np.longdouble(0.0)
@@ -522,6 +493,108 @@ def separable_drives_reference(kernel, values, start, rows, past=1):
         s = decay * s + values[k]
         out.append(float(scale * s))
     return out
+
+
+def lag_drives_reference(kernel, values, start, rows, past=1):
+    """A finite-lag kernel's drives at n = 0..rows-1, row by row, with the
+    arguments of ``separable_drives_reference``: weight row n mod P,
+    reversed and copied, times its L+1 values by ``@``, the values padded
+    before values[0] by the last L entries of the repeating past."""
+    lags = kernel.max_lag
+    weights = np.array(kernel.weights)
+    values = np.asarray(values, dtype=float)
+    padded = np.concatenate([values[np.arange(-lags, 0) % past], values])
+    return [float(weights[n % kernel.lag_period, ::-1].copy()
+                  @ padded[start + n:start + n + lags + 1])
+            for n in range(rows)]
+
+
+def drives_reference(kernel, values, start, rows, past, bound, tol):
+    """Each kernel's drives by its row-by-row reference, a separable one
+    refused, as the march refuses it, where ``drive_error`` exceeds
+    ``tol`` at some row."""
+    if isinstance(kernel, v.FiniteLag):
+        return lag_drives_reference(kernel, values, start, rows, past)
+    if np.any(kernel.drive_error(np.arange(rows), bound) > tol):
+        raise v.TailNotCertified("round-off bound of the kernel recursion")
+    return separable_drives_reference(kernel, values, start, rows, past)
+
+
+def defects_reference(spec, xs, ys, rows, policy, past=1):
+    """The recurrence defects one row at a time, each kernel's drives
+    taken from ``drives_reference``:
+    (|x_{k+1} - (1 + h_n) x_k - drive_x|, the y counterpart) as Python
+    floats at n = 0..rows-1, with k the entry of m = n."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    start = len(xs) - 1 - rows
+    drives = (drives_reference(kernel, nonlin(partner), start, rows, past,
+                               nonlin.bound, policy.tail_tol)
+              for (_, kernel, nonlin), partner
+              in zip(spec.equations, (ys, xs)))
+    return tuple(
+        (float(abs(xs[k + 1] - (1.0 + spec.h.get(n)) * xs[k] - drive_x)),
+         float(abs(ys[k + 1] - (1.0 + spec.p.get(n)) * ys[k] - drive_y)))
+        for n, k, drive_x, drive_y in zip(range(rows), count(start),
+                                          *drives))
+
+
+def march_step_reference(kernel, history, steps):
+    """One kernel's drives for a march of ``steps`` rows, stepped here in
+    the library's order of operations: a function that takes row n's
+    phi_n, in turn, and returns row n's drive.  ``history`` holds the
+    mapped values before row 0, its first standing for all before it.
+    A separable kernel runs the long double recursion from the constant
+    past's closed form, each row scaled by the array coef e^{(row - col)
+    n}; a finite-lag kernel dots each reversed weight row by ``@`` with
+    its last L+1 values."""
+    history = [float(value) for value in history]
+    if isinstance(kernel, v.FiniteLag):
+        window = [history[0]] * kernel.max_lag + history
+        rows = cycle(np.array(kernel.weights)[:, ::-1].copy())
+
+        def step(phi):
+            window.append(phi)
+            return float(next(rows) @ np.array(window[-kernel.max_lag - 1:]))
+        return step
+    rate = np.longdouble(kernel.row_rate)
+    decay, s = np.exp(-rate), np.longdouble(0.0)
+    s = (decay * s + history[0]) / -np.expm1(-rate)
+    for value in history:
+        s = decay * s + value
+    scales = iter(kernel.coef * np.exp(
+        (rate - kernel.col_rate) * np.arange(steps, dtype=np.longdouble)))
+
+    def step(phi):
+        nonlocal s
+        s = decay * s + phi
+        return float(next(scales) * s)
+    return step
+
+
+def march_reference(spec, history, steps):
+    """simulate's trajectory (x, y) as tuples, its march stepped by
+    ``march_step_reference``: the history before m = 0 mapped as one
+    array, each later value mapped by calling the nonlinearity on a
+    Python float, and the gains zipped through cycle.  No round-off
+    gate."""
+    depth = history.depth
+    past_x, past_y = np.array(
+        [history.value_at(m) for m in range(-depth - 1, 1)]).T
+    f, g = spec.f, spec.g
+    x, y = float(past_x[-1]), float(past_y[-1])
+    traj_x, traj_y = [x], [y]
+    gains = zip(*(cycle([1.0 + value for value in seq.values])
+                  for seq, _, _ in spec.equations))
+    step_x, step_y = (
+        march_step_reference(kernel, nonlin(partner[:-1]), steps)
+        for (_, kernel, nonlin), partner in zip(spec.equations,
+                                                 (past_y, past_x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, (gain_x, gain_y) in zip(range(steps), gains):
+            x, y = (gain_x * x + step_x(f(y)), gain_y * y + step_y(g(x)))
+            traj_x.append(x)
+            traj_y.append(y)
+    return tuple(traj_x), tuple(traj_y)
 
 
 def tail_u_reference(kernel, growth, cut):
@@ -569,15 +642,15 @@ def defects_slack(spec, xs, ys, rows, policy, past, got, want):
     """How far ``defects`` output ``got`` may lie from the
     ``defects_reference`` output ``want``, row by row as (x, y) pairs: the
     stated round-off of the filtered drive (``drive_array_error``, zero
-    for a finite-lag kernel, whose rows are the generator's own) and of
+    for a finite-lag kernel, whose rows are the reference's dots) and of
     the reference's recursion (``drive_error``), each drive's rounding to
     double, and the last subtraction's rounding on either side."""
     start = len(xs) - 1 - rows
     columns = []
     for (_, kernel, nonlin), partner in zip(spec.equations, (ys, xs)):
         mapped = nonlin(np.asarray(partner, dtype=float))
-        drive = np.array(list(kernel.drives(mapped, start, rows, past,
-                                            nonlin.bound, policy.tail_tol)))
+        drive = np.array(drives_reference(kernel, mapped, start, rows, past,
+                                          nonlin.bound, policy.tail_tol))
         error = np.zeros(rows)
         if isinstance(kernel, v.SeparableExponential):
             error += (kernel.drive_array_error(start, rows, past,
@@ -664,7 +737,7 @@ def periodic_part_ok_reference(spec, dec):
     for seq, c, u in ((spec.h, dec.c1, dec.u1), (spec.p, dec.c2, dec.u2)):
         product = seq.full_period_product_one_plus()
         for n in range(10 * spec.period):
-            free = c * v.product_one_plus(seq, 0, n - 1)
+            free = c * product_one_plus(seq, 0, n - 1)
             drift = abs(free) * abs(product ** (n // spec.period) - 1.0)
             if abs(u.get(n) - free) > 1e-12 * max(1.0, abs(free)) + drift:
                 return False

@@ -29,8 +29,9 @@ from volterra2d.asymptotic_solver import _outer_cut, _tail_block
 from volterra2d.system import decay_envelope, default_horizon
 
 from conftest import (REFERENCE_NEGLIGIBLE, central_difference_jacobian,
-                      defects_reference, defects_slack, random_summable_spec,
-                      tail_block_reference, tail_u_bound)
+                      defects_reference, defects_slack, product_one_plus,
+                      random_summable_spec, tail_block_reference,
+                      tail_u_bound)
 
 POLICY = TruncationPolicy(1e-10, 100_000)
 TAIL_MASS_A = 2.502650301077119
@@ -348,7 +349,6 @@ class TestSolveAsymptotic:
             assert verification.max_defect <= 1e-15
 
     def test_free_response_agrees_with_running_products(self, example2_spec):
-        from volterra2d import product_one_plus
         report = solve_asymptotic(example2_spec, 1.0, 1.0, 8, policy=POLICY)
         u1 = report.decomposition.u1
         for n in range(20):

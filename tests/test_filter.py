@@ -30,8 +30,8 @@ from volterra2d.asymptotic_solver import _tail_block
 from volterra2d.kernels import (LONG_DOUBLE_UNIT, filter_error,
                                 first_order_filter)
 
-from conftest import (defects_reference, defects_slack, tail_u_bound,
-                      tail_u_reference)
+from conftest import (defects_reference, defects_slack,
+                      lag_drives_reference, tail_u_bound, tail_u_reference)
 from test_simulate import filter_threshold_rate, threshold_rate
 
 DOUBLE_UNIT = float(np.finfo(float).eps) / 2.0
@@ -219,12 +219,22 @@ class TestDriveArray:
             assert recursion == pytest.approx(7.0e-5, rel=0.01)
 
     def test_finite_lag_rows_are_the_generators(self):
+        """A finite-lag kernel's rows, from entry 0, after a periodic past
+        and none at all, are the reference's dots bit for bit, and where
+        a march can take them (a constant past, values before row 0) the
+        rows its drives send back."""
         kernel = FiniteLag(((0.5, -0.25, 0.125), (1.0, 0.0, -2.0)))
         values = np.random.default_rng(4).uniform(-1.0, 1.0, 30)
-        for start, rows, past in ((0, 29, 1), (5, 25, 3), (10, 0, 2)):
+        for start, rows, past in ((0, 29, 1), (5, 25, 3), (10, 0, 2),
+                                  (7, 23, 1), (0, 12, 3), (1, 20, 4)):
             got = kernel.drive_array(values, start, rows, past, 1.0, 1e-10)
-            want = list(kernel.drives(values, start, rows, past, 1.0, 1e-10))
+            want = lag_drives_reference(kernel, values, start, rows, past)
             assert got.tobytes() == np.array(want, dtype=float).tobytes()
+            if start and past == 1:
+                drive = kernel.drives(values[:start], rows, 1.0, 1e-10)
+                next(drive)
+                sent = [drive.send(phi) for phi in values[start:].tolist()]
+                assert got.tolist() == sent
 
 
 class TestTailU:

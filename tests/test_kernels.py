@@ -214,10 +214,22 @@ class TestFoldedWeights:
             FiniteLag(((1.0,), (2.0,))).folded_weights(1)
 
 
-def drives(kernel, values, start, rows, past=1, bound=1.0, tol=1e-10):
-    """The kernel's drives at n = 0..rows-1 as a list."""
-    return list(kernel.drives(np.asarray(values, dtype=float), start, rows,
-                              past, bound, tol))
+def drives(kernel, values, start, rows, bound=1.0, tol=1e-10):
+    """The kernel's drives at n = 0..rows-1 as a list, as a march takes
+    them: primed with values[:start], the values before row 0, then sent
+    values[start + n] for row n."""
+    values = np.asarray(values, dtype=float)
+    assert len(values) >= start + rows
+    drive = kernel.drives(values[:start], rows, bound, tol)
+    next(drive)
+    return [drive.send(phi) for phi in values[start:start + rows].tolist()]
+
+
+def array_drives(kernel, values, start, rows, past=1, bound=1.0, tol=1e-10):
+    """The kernel's ``drive_array`` at n = 0..rows-1 as a list: row 0 at
+    values[start], the values before values[0] repeating values[:past]."""
+    return kernel.drive_array(np.asarray(values, dtype=float), start, rows,
+                              past, bound, tol).tolist()
 
 
 def impulse_drives(kernel, m, rows, first=-10):
@@ -238,12 +250,21 @@ class TestInnerSum:
 
     def test_constant_callback_recovers_row_sum(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
-        total, = drives(k, np.ones(1), 0, 1)
+        total, = array_drives(k, np.ones(1), 0, 1)
         assert total == pytest.approx(ROW_SUM_UNIT_RATE, rel=1e-15)
 
     def test_zero_callback(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
         assert drives(k, np.zeros(8), 2, 6, bound=0.0) == [0.0] * 6
+
+    @pytest.mark.parametrize("k", [SeparableExponential(1.0, 1.0, 1.0),
+                                   FiniteLag(((2.0, -1.0, 0.5),))])
+    def test_no_rows_give_an_empty_array(self, k):
+        # a window view of a finite-lag kernel's padded values needs one
+        # value past its L pad entries, even for no rows
+        for values, start in ((np.ones(1), 0), (np.ones(3), 3)):
+            got = k.drive_array(values, start, 0, 1, 1.0, 1e-10)
+            assert got.shape == (0,) and got.dtype == np.float64
 
     def test_finite_lag_is_exact(self):
         k = FiniteLag(((2.0, -1.0, 0.5),))
@@ -254,12 +275,14 @@ class TestInnerSum:
     def test_cap_raises_when_tail_uncertified(self):
         k = SeparableExponential(1.0, 1.0, 1.0)
         with pytest.raises(TailNotCertified, match="round-off bound"):
-            drives(k, np.ones(self.DEPTH), 0, 3, tol=1e-60)
+            drives(k, np.ones(self.DEPTH), 1, 3, tol=1e-60)
 
     def test_cap_tolerated_when_weights_vanish(self):
         # a finite-lag window has no memory to certify, at any tolerance
         k = FiniteLag(((2.0, 0.0, 0.0),))
-        assert drives(k, np.ones(self.DEPTH), 0, 1, tol=1e-300) == [2.0]
+        assert drives(k, np.ones(self.DEPTH), 1, 1, tol=1e-300) == [2.0]
+        assert array_drives(k, np.ones(self.DEPTH), 0, 1,
+                            tol=1e-300) == [2.0]
 
     def test_cap_counts_terms(self):
         # max_terms caps the tail map's outer cut only, counted in terms
@@ -275,12 +298,13 @@ class TestInnerSum:
             _outer_cut(1.0, f, kernel, 0, TruncationPolicy(1e-12, cut - 1))
 
     def test_too_few_values_rejected(self):
-        k = FiniteLag(((2.0, -1.0, 0.5),))
-        assert len(drives(k, np.ones(3), 2, 1)) == 1
-        with pytest.raises(ValueError, match="need 3 values"):
-            drives(k, np.ones(2), 2, 1)
-        with pytest.raises(ValueError, match="need 4 values"):
-            drives(k, np.ones(3), 0, 1, past=4)
+        for k in (FiniteLag(((2.0, -1.0, 0.5),)),
+                  SeparableExponential(1.0, 1.0, 1.0)):
+            assert len(array_drives(k, np.ones(3), 2, 1)) == 1
+            with pytest.raises(ValueError, match="need 3 values"):
+                array_drives(k, np.ones(2), 2, 1)
+            with pytest.raises(ValueError, match="need 4 values"):
+                array_drives(k, np.ones(3), 0, 1, past=4)
 
     def test_matches_per_term_reference(self):
         rng = np.random.default_rng(8)
@@ -338,15 +362,15 @@ class TestInnerSum:
                                           rng.uniform(-1, 1, 3))
                                     for _ in range(2))) for _ in range(5)]
         for k in kernels:
-            for n, total in enumerate(drives(k, np.ones(3), 0, 3,
-                                             tol=policy.tail_tol)):
+            for n, total in enumerate(array_drives(k, np.ones(3), 0, 3,
+                                                   tol=policy.tail_tol)):
                 assert abs(total) <= k.abs_row_sum(n) + policy.tail_tol
 
     def test_unit_callback_converges_to_row_sum(self):
         # single-signed rows, so the absolute sum is attained exactly, and
         # with nothing truncated the tolerance no longer moves the sum
         k = SeparableExponential(-1.3, 0.7, 1.1)
-        gaps = [abs(abs(drives(k, np.ones(3), 0, 3, tol=tol)[2])
+        gaps = [abs(abs(array_drives(k, np.ones(3), 0, 3, tol=tol)[2])
                     - k.abs_row_sum(2)) for tol in (1e-4, 1e-8, 1e-12)]
         assert gaps[0] == gaps[1] == gaps[2] <= 1e-15 * k.abs_row_sum(2)
 
@@ -364,9 +388,9 @@ class TestInnerSum:
             TruncationPolicy(0.0, 10)
         with pytest.raises(ValueError):
             TruncationPolicy(1e-10, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bound must be"):
             drives(SeparableExponential(1.0, 1.0, 1.0),
-                   np.ones(TestInnerSum.DEPTH), 0, 1, bound=-1.0)
+                   np.ones(TestInnerSum.DEPTH), 1, 1, bound=-1.0)
 
 
 def random_plan_case(rng):
@@ -443,7 +467,7 @@ class TestDrivePlan:
         uncertified = 0
         for kernel, bound, tol in cases:
             try:
-                drives(kernel, np.zeros(self.ROWS), 0, self.ROWS,
+                drives(kernel, np.zeros(self.ROWS + 1), 1, self.ROWS,
                        bound=bound, tol=tol)
             except TailNotCertified:
                 uncertified += 1
@@ -453,9 +477,9 @@ class TestDrivePlan:
         kernel = SeparableExponential(1.0, 0.01, 0.01)
         error = kernel.drive_error(np.arange(2), 1.0)
         assert error.tolist() == [error[0]] * 2 and error[0] > 0.0
-        assert len(drives(kernel, np.ones(2), 0, 2, tol=error[0])) == 2
+        assert len(drives(kernel, np.ones(3), 1, 2, tol=error[0])) == 2
         with pytest.raises(TailNotCertified):
-            drives(kernel, np.ones(2), 0, 2,
+            drives(kernel, np.ones(3), 1, 2,
                    tol=float(np.nextafter(error[0], 0.0)))
 
     def test_compact_weights_match_per_term_weight(self):
@@ -487,24 +511,16 @@ class TestDrivePlan:
         assert np.array_equal(block, ref)
 
     def test_drives_match_inner_sum(self):
-        # read as a march fills the values in, one entry ahead of each row:
-        # a separable kernel, and finite-lag kernels of 12 lags from entry
-        # 5 (rows n < 7 take the values before the array, the rest a
-        # window of it) and from entry 40 (windows only)
+        # sent one value per row: a separable kernel, and finite-lag
+        # kernels of 12 lags after 5 values (rows n < 7 take the values
+        # before them, the rest a window of them) and after 40 (windows
+        # only)
         lags = np.cos(np.arange(26.0)).reshape(2, 13) / 8.0
         for kernel, start in [(SeparableExponential(0.7, 0.3, 0.25), 40),
                               (FiniteLag(lags.tolist()), 5),
                               (FiniteLag(lags.tolist()), 40)]:
             values = np.sin(np.arange(-start, 30))
-            lazy = np.zeros_like(values)
-            lazy[:start + 1] = values[:start + 1]
-            got = []
-            for n, total in enumerate(kernel.drives(lazy, start, 30, 1, 1.0,
-                                                    1e-12)):
-                got.append(total)
-                lazy[start + 1 + n:start + 2 + n] = \
-                    values[start + 1 + n:start + 2 + n]
-            assert got == drives(kernel, values, start, 30, tol=1e-12)
+            got = drives(kernel, values, start, 30, tol=1e-12)
             assert all(type(d) is float for d in got)
             for n, total in enumerate(got):
                 ref = inner_sum_reference(
@@ -514,7 +530,9 @@ class TestDrivePlan:
     def test_drives_equal_their_dispatching_forms(self):
         # The separable recursion reads each value as a Python float and
         # the finite-lag rows dot with ndarray.dot: bit for bit the
-        # recursion on float64 reads and the rows by the @ operator.
+        # recursion on float64 reads and the rows by the @ operator, in
+        # the march's drives and in ``drive_array``, which also starts at
+        # entry 0.
         values = np.sin(np.arange(-40.0, 300.0) * 0.7) * 1.3
         for coef, rate, col in [(0.7, 0.3, 0.25), (-0.05, 0.05, 0.06)]:
             kernel = SeparableExponential(coef, rate, col)
@@ -539,13 +557,16 @@ class TestDrivePlan:
                 ref = [float(weights[n % 3, ::-1].copy()
                              @ padded[start + n:start + n + width])
                        for n in range(300 - start)]
-                assert drives(kernel, values, start, 300 - start) == ref
+                assert array_drives(kernel, values, start,
+                                    300 - start) == ref
+                if start:
+                    assert drives(kernel, values, start, 300 - start) == ref
 
 
 class TestSendFedDrives:
-    """A march sends each drive the value of its next row; a row advanced
-    by ``next`` reads the value array.  The checks stay at the first step,
-    and a diagonal kernel's one scale gives the array of scales' floats."""
+    """A march primes each drive with the values before row 0, then sends
+    it the value of each row.  The checks stay at priming, and a diagonal
+    kernel's one scale gives the array of scales' floats."""
 
     START, ROWS = 6, 30
 
@@ -556,41 +577,67 @@ class TestSendFedDrives:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_sent_values_equal_the_read_ones(self, kernel):
+        """The drives of sent values against ``drive_array``'s, which reads
+        them from the array: bit for bit for a finite-lag kernel's dots,
+        and within both stated round-off bounds for a separable one."""
         rng = np.random.default_rng(7)
         values = rng.uniform(-1.0, 1.0, self.START + self.ROWS)
-        want = drives(kernel, values, self.START, self.ROWS, past=2)
-        # past row 0 nothing is read: the array holds NaN there
-        unread = values.copy()
-        unread[self.START + 1:] = np.nan
-        drive = kernel.drives(unread, self.START, self.ROWS, 2, 1.0, 1e-10)
-        got = [drive.send(None)] + [
-            drive.send(float(value)) for value in values[self.START + 1:]]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert np.isnan(unread[self.START + 1:]).all()
+        got = np.array(drives(kernel, values, self.START, self.ROWS))
+        want = kernel.drive_array(values, self.START, self.ROWS, 1, 1.0,
+                                  1e-10)
+        if isinstance(kernel, FiniteLag):
+            assert got.tobytes() == want.tobytes()
+            return
+        slack = (kernel.drive_error(np.arange(self.ROWS), 1.0)
+                 + kernel.drive_array_error(self.START, self.ROWS, 1, 1.0)
+                 + np.spacing(np.abs(want)) + np.spacing(np.abs(got)))
+        assert np.all(np.abs(got - want) <= slack)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_short_window_refused_at_the_first_step(self, kernel):
-        drive = kernel.drives(np.ones(3), 2, 4, 1, 1.0, 1e-10)
-        with pytest.raises(ValueError, match="need 6 values"):
-            drive.send(None)
+        """A drive with no value before row 0 is refused at priming."""
+        drive = kernel.drives(np.ones(0), 4, 1.0, 1e-10)
+        with pytest.raises(ValueError, match="a value before row 0"):
+            next(drive)
         assert list(drive) == []  # no row was summed
 
     def test_uncertified_recursion_refused_at_the_first_step(self):
         kernel = SeparableExponential(1.0, 1e-9, 1e-9)
-        drive = kernel.drives(np.ones(8), 2, 6, 1, 1.0, 1e-10)
-        with pytest.raises(TailNotCertified, match="round-off bound"):
-            drive.send(None)
+        drive = kernel.drives(np.ones(2), 6, 1.0, 1e-10)
+        with pytest.raises(TailNotCertified, match="at row 0$"):
+            next(drive)
         assert list(drive) == []
+
+    def test_no_rows_prime_without_a_refusal(self):
+        """A drive of no rows asks for no certificate: an uncertifiable
+        rate primes, and sends nothing back."""
+        for kernel in (SeparableExponential(1.0, 1e-9, 1e-9),
+                       FiniteLag(((1.0, 2.0),))):
+            drive = kernel.drives(np.ones(2), 0, 1.0, 1e-10)
+            assert next(drive) is None
+            with pytest.raises(StopIteration):
+                drive.send(1.0)
 
     @pytest.mark.parametrize("rate", [1e-3, 0.05, 0.7, 3.0, 20.0])
     @pytest.mark.parametrize("past", [1, 3])
     def test_constant_scale_equals_the_array_of_scales(self, rate, past):
+        """Bit for bit in the march's drives (a constant past); within
+        the stated round-off bounds in ``drive_array``, whose periodic
+        past of ``past`` values the march has no form for."""
         rng = np.random.default_rng([past, int(rate * 1000)])
         values = rng.uniform(-1.0, 1.0, self.START + self.ROWS)
         for coef in (-0.37, 1.0, 2.5e-3, float(rng.uniform(-3.0, 3.0))):
             kernel = SeparableExponential(coef, rate, rate)
-            got = drives(kernel, values, self.START, self.ROWS, past=past,
-                         tol=1.0)
-            want = separable_drives_reference(kernel, values, self.START,
-                                              self.ROWS, past)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+            want = np.array(separable_drives_reference(
+                kernel, values, self.START, self.ROWS, past))
+            if past == 1:
+                got = np.array(drives(kernel, values, self.START, self.ROWS,
+                                      tol=1.0))
+                assert got.tobytes() == want.tobytes()
+            got = kernel.drive_array(values, self.START, self.ROWS, past,
+                                     1.0, 1.0)
+            slack = (kernel.drive_error(np.arange(self.ROWS), 1.0)
+                     + kernel.drive_array_error(self.START, self.ROWS, past,
+                                                1.0)
+                     + np.spacing(np.abs(want)) + np.spacing(np.abs(got)))
+            assert np.all(np.abs(got - want) <= slack)

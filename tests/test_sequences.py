@@ -14,10 +14,11 @@ from volterra2d import (
     Trajectory,
     ZeroFactor,
     cycle_gain,
-    product_one_plus,
     reciprocal_growth,
 )
 from volterra2d.sequences import running_products
+
+from conftest import product_one_plus
 
 ULP = 2.220446049250313e-16
 
@@ -64,6 +65,9 @@ class TestPeriodicSequence:
 
 
 class TestProductOnePlus:
+    """The reference product that the running-products table and the
+    verifier's periodic-part check are compared against."""
+
     def test_demo_values(self):
         assert product_one_plus(seq(2.0, 0.0), 0, 1) == 3.0
         assert product_one_plus(seq(-0.5, 1.0), 0, 1) == 1.0

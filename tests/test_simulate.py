@@ -22,7 +22,7 @@ from volterra2d import (
 from volterra2d.system import NONLINEARITY_KINDS
 
 from conftest import (defects_reference, defects_slack, inner_sum_reference,
-                      pull_march_reference, random_nonlinearity)
+                      march_reference, random_nonlinearity)
 
 POLICY = TruncationPolicy(1e-10, 100_000)
 
@@ -193,7 +193,7 @@ class TestArrayDrive:
 class TestDispatchingMarch:
     """simulate's march, which calls each scalar formula directly and
     sends each drive its value, bit for bit against its dispatching form
-    over pull-mode drives."""
+    over the kernels stepped by ``march_reference``."""
 
     @pytest.mark.parametrize("period", [1, 2, 3])
     @pytest.mark.parametrize("tail", [None, (0.4, -0.7)])
@@ -222,7 +222,7 @@ class TestDispatchingMarch:
         window = tuple(tuple(rng.uniform(-1, 1, 2)) for _ in range(4))
         history = History(window, tail)
         t = simulate(spec, history, 300, POLICY)
-        ref_x, ref_y = pull_march_reference(spec, history, 300, POLICY)
+        ref_x, ref_y = march_reference(spec, history, 300)
         assert np.array(t.x).tobytes() == np.array(ref_x).tobytes()
         assert np.array(t.y).tobytes() == np.array(ref_y).tobytes()
 
@@ -265,22 +265,22 @@ def march_cases(draw):
 
 
 class TestSendFedMarch:
-    """simulate sends each drive the value it has just mapped; the march
-    of the pull protocol writes it into the arrays the drives read."""
+    """simulate sends each drive the value it has just mapped, bit for bit
+    the march of ``march_reference``, which steps each kernel itself."""
 
     @settings(max_examples=150, deadline=None)
     @given(march_cases())
-    def test_equals_the_pull_march(self, case):
+    def test_equals_the_march_reference(self, case):
         spec, history, steps = case
         t = simulate(spec, history, steps, POLICY)
-        ref_x, ref_y = pull_march_reference(spec, history, steps, POLICY)
+        ref_x, ref_y = march_reference(spec, history, steps)
         assert np.array(t.x).tobytes() == np.array(ref_x).tobytes()
         assert np.array(t.y).tobytes() == np.array(ref_y).tobytes()
 
     def test_refusal_comes_at_the_first_step(self):
-        """A separable drive too slow to certify is refused by the first
-        step, before any row is summed: a march of no steps asks for
-        none, so it returns the history point."""
+        """A separable drive too slow to certify is refused when it is
+        primed, before any row is summed: a march of no steps asks for
+        no row, so it returns the history point."""
         half = PeriodicSequence(1, (-0.5,))
         kernel = SeparableExponential(1.0, 1e-9, 1e-9)
         spec = SystemSpec(1, half, half, kernel, kernel,
@@ -369,7 +369,9 @@ class TestRoundOff:
                   "random": np.random.default_rng(5).uniform(-1, 1, count),
                   }[kind]
         kernel = SeparableExponential(1.0, rate, rate)
-        got = list(kernel.drives(values, start, rows, 1, 1.0, 1.0))
+        drive = kernel.drives(values[:start], rows, 1.0, 1.0)
+        next(drive)
+        got = [drive.send(phi) for phi in values[start:].tolist()]
         bound = kernel.drive_error(np.arange(rows), 1.0)
         for n in (0, 1, 7, 99, 500, rows - 1):
             ref = accurate_drive(kernel, values, start, n)
@@ -409,8 +411,8 @@ class TestRoundOff:
 class TestDefectsOnArrays:
     """``defects`` computes every row in one array expression, a separable
     kernel's drives by the long double filter of ``drive_array`` and a
-    finite-lag kernel's by its own generator: the floats of the
-    row-by-row loop, within the stated round-off of both drives."""
+    finite-lag kernel's by a dot per window: the floats of the row-by-row
+    loop, within the stated round-off of both drives."""
 
     @staticmethod
     def assert_same(got, want, slack):
@@ -448,7 +450,7 @@ class TestDefectsOnArrays:
     def test_uncertified_drive_raises_as_before(self):
         """Each form refuses a drive whose own stated bound exceeds
         tail_tol: the filter of ``defects`` by ``drive_array_error``, and
-        the row-by-row generators by ``drive_error``."""
+        the row-by-row recursion by ``drive_error``."""
         half = PeriodicSequence(1, (-0.5,))
         xs = np.linspace(-1.0, 1.0, 12)
         for defect, threshold in (
