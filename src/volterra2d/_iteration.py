@@ -20,8 +20,9 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from .kernels import check_settings, filter_factors, scaled_prefix_sum
-from .sequences import PeriodicSequence
+from .kernels import filter_factors, scaled_prefix_sum
+from .sequences import (PeriodicSequence, _above_zero, _at_least_one,
+                        _unit_fraction)
 
 #: The mixing phase stalls after this many steps without a new best update
 #: norm.
@@ -53,9 +54,11 @@ class SolverOptions:
     initial_guess: Optional[Tuple[PeriodicSequence, PeriodicSequence]] = None
 
     def __post_init__(self):
-        check_settings(self, ("tol", "residual_tol"), ("max_iter",))
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must be in (0, 1]")
+        for name, rule in (("tol", _above_zero),
+                           ("residual_tol", _above_zero),
+                           ("max_iter", _at_least_one),
+                           ("damping", _unit_fraction)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,7 +111,7 @@ def _load_config(path: str) -> Any:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path!r}", str(exc)) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -120,7 +120,7 @@ def _load_config(path: str) -> Any:
                 json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
             except json.JSONDecodeError as newline_exc:
                 exc = newline_exc
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        raise ConfigError(path, f"invalid JSON: {exc}") from exc
 
 
 def _history_to_config(history: History) -> Dict[str, Any]:
@@ -168,7 +168,7 @@ def _write_text(path: str, text: str, flag: str) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise ConfigError(f"{flag}: cannot write {path!r}: {exc}") from exc
+        raise ConfigError(flag, f"cannot write {path!r}: {exc}") from exc
 
 
 def _text(column: Union[Sequence[float], Period]) -> List[str]:
@@ -278,7 +278,7 @@ def _non_finite_warnings(trajectory: Trajectory) -> List[str]:
 
 def _cmd_simulate(args, scenario: Scenario) -> int:
     if args.steps < 0:
-        raise ConfigError("--steps: must be nonnegative")
+        raise ConfigError("--steps", "must be nonnegative")
     spec, history, policy = scenario.spec, scenario.history, scenario.policy
     trajectory = simulate(spec, history, args.steps, policy)
     cells = _cells({"x": trajectory.x, "y": trajectory.y}, args.csv)

@@ -32,11 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, cycle, repeat
+from itertools import cycle, repeat
 from typing import Generator, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .sequences import (_SEQUENCES, ConfigError, _above_zero, _at_least_one,
+                        _finite, _finite_list)
 
 #: Unit round-off of the long double the separable recursion runs in.
 LONG_DOUBLE_UNIT = float(np.finfo(np.longdouble).eps) / 2.0
@@ -182,29 +185,9 @@ def filter_error(rate: float, length: int, dtype) -> float:
                          + carries)
 
 
-def is_finite(value) -> bool:
-    """math.isfinite, and False for an integer beyond double range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _exp_positive(x: float) -> float:
     """e^max(x, 0), inf where that overflows a double."""
     return math.exp(max(x, 0.0)) if x < 709.0 else math.inf
-
-
-def check_settings(obj, positive=(), counts=()) -> None:
-    """Refuse, naming it, a field of ``obj`` in ``positive`` that is not
-    finite and positive, or in ``counts`` that is not an integer >= 1."""
-    for name in positive + counts:
-        value = getattr(obj, name)
-        if name in positive and not (value > 0.0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite")
-        if name in counts and (isinstance(value, bool) or not (
-                isinstance(value, (int, np.integer)) and value >= 1)):
-            raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -217,7 +200,10 @@ class TruncationPolicy:
     max_terms: int = 100_000
 
     def __post_init__(self):
-        check_settings(self, ("tail_tol",), ("max_terms",))
+        object.__setattr__(self, "tail_tol",
+                           _above_zero(self.tail_tol, "tail_tol"))
+        object.__setattr__(self, "max_terms",
+                           _at_least_one(self.max_terms, "max_terms"))
 
 
 @dataclass(frozen=True)
@@ -234,10 +220,8 @@ class SeparableExponential:
 
     def __post_init__(self):
         for name in ("coef", "row_rate", "col_rate"):
-            if not is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.row_rate <= 0.0:
-            raise ValueError("row_rate must be positive")
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        _above_zero(self.row_rate, "row_rate")
 
     def weight(self, n: int, i: int) -> float:
         """Kernel value at (n, i); i > n is rejected (never evaluated)."""
@@ -428,17 +412,16 @@ class FiniteLag:
     weights: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self):
-        try:
-            rows = tuple(tuple(map(float, row)) for row in self.weights)
-        except OverflowError:  # an integer beyond double range
-            raise ValueError("weights must all be finite") from None
-        if not rows:
-            raise ValueError("weights must have at least one row")
-        width = len(rows[0])
-        if width < 1 or set(map(len, rows)) != {width}:
-            raise ValueError("weight rows must be nonempty and equal length")
-        if not all(map(math.isfinite, chain.from_iterable(rows))):
-            raise ValueError("weights must all be finite")
+        weights = self.weights
+        if (not isinstance(weights, _SEQUENCES) or not len(weights)
+                or not all(isinstance(row, _SEQUENCES) and len(row)
+                           for row in weights)):
+            raise ConfigError(
+                "weights", "expected a nonempty list of nonempty rows")
+        rows = tuple(_finite_list(row, f"weights[{k}]")
+                     for k, row in enumerate(weights))
+        if set(map(len, rows)) != {len(rows[0])}:
+            raise ConfigError("weights", "rows must have equal length")
         object.__setattr__(self, "weights", rows)
 
     @property

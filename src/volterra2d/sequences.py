@@ -1,13 +1,27 @@
 """Integer-indexed sequence primitives: periodic sequences, initial histories,
-and the running-product conventions the rest of the library is built on."""
+and the running-product conventions the rest of the library is built on;
+and the rules every value object checks its fields by, each refusal a
+ConfigError that names the field."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """A value that breaks the rule of its field.  ``field`` names it,
+    relative to the value object that refused it (``coef``, ``[1]``,
+    ``window[0]``, ``tail.y``), or under its path in a config document
+    (``kernel_a.coef``, ``h[1]``); ``rule`` says what it breaks.  The
+    message is "field: rule"."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field}: {rule}" if field else rule)
+        self.field, self.rule = field, rule
 
 
 class PeriodProductIsOne(ValueError):
@@ -26,6 +40,83 @@ class ZeroFactor(ValueError):
 #: |product - 1| at or below this counts as "product equals one".
 PRODUCT_ONE_TOL = 1e-9
 
+#: What a field of numbers may be given as.
+_SEQUENCES = (list, tuple, np.ndarray)
+#: The types a list of numbers converts in C with no check of each entry.
+_PLAIN_NUMBERS = frozenset({float, int, np.float64})
+
+
+def _finite(value: Any, field: str) -> float:
+    """``value`` as a finite float.  A bool or a string is not a number,
+    and an integer beyond double range is refused as not finite, without
+    its digits."""
+    if value.__class__ is float and value - value == 0.0:
+        return value
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigError(field, f"expected a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ConfigError(field, "must be finite, got an integer beyond "
+                                 "double range") from None
+    if not math.isfinite(out):
+        raise ConfigError(field, f"must be finite, got {value!r}")
+    return out
+
+
+def _integer(value: Any, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(field, "expected an integer")
+    return int(value)
+
+
+def _refuse_unless(ok: bool, out: Any, field: str, rule: str) -> Any:
+    """``out``, or a refusal of it as not ``rule``."""
+    if not ok:
+        raise ConfigError(field, f"must be {rule}, got {out!r}")
+    return out
+
+
+def _above_zero(value: Any, field: str) -> float:
+    out = _finite(value, field)
+    return _refuse_unless(out > 0.0, out, field, "positive")
+
+
+def _at_least_one(value: Any, field: str) -> int:
+    if value.__class__ is int and value >= 1:
+        return value
+    out = _integer(value, field)
+    return _refuse_unless(out >= 1, out, field, "at least 1")
+
+
+def _unit_fraction(value: Any, field: str) -> float:
+    out = _finite(value, field)
+    return _refuse_unless(0.0 < out <= 1.0, out, field, "in (0, 1]")
+
+
+def _finite_list(values: Any, field: str = "") -> Tuple[float, ...]:
+    """The entries of the list ``values`` as finite floats: one C-level
+    pass each for their types, their conversion and their finiteness, or,
+    where those refuse, ``_finite`` on each entry in turn, which refuses
+    the first bad one as ``field[j]``."""
+    if set(map(type, values)) <= _PLAIN_NUMBERS:
+        try:
+            out = tuple(map(float, values))
+        except OverflowError:  # an integer beyond double range, named below
+            pass
+        else:
+            if all(map(math.isfinite, out)):
+                return out
+    return tuple(_finite(v, f"{field}[{j}]") for j, v in enumerate(values))
+
+
+def _pair(value: Any, field: str, rule: str) -> Any:
+    """``value``, a list of two entries, or a refusal of it as not one."""
+    if not isinstance(value, _SEQUENCES) or len(value) != 2:
+        raise ConfigError(field, rule)
+    return value
+
 
 @dataclass(frozen=True)
 class PeriodicSequence:
@@ -40,17 +131,14 @@ class PeriodicSequence:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        try:
-            vals = tuple(map(float, self.values))
-        except OverflowError:  # an integer beyond double range
-            raise ValueError("values must all be finite") from None
-        if len(vals) != self.period:
-            raise ValueError(
-                f"expected {self.period} values, got {len(vals)}")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("values must all be finite")
+        period = _at_least_one(self.period, "period")
+        if not isinstance(self.values, _SEQUENCES):
+            raise ConfigError("", "expected a list of numbers")
+        vals = _finite_list(self.values)
+        if len(vals) != period:
+            raise ConfigError("", f"expected {period} entries to match "
+                                  f"period, got {len(vals)}")
+        object.__setattr__(self, "period", period)
         object.__setattr__(self, "values", vals)
 
     def get(self, n: int) -> float:
@@ -130,24 +218,23 @@ class History:
     tail: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
-        try:
-            win = tuple((float(a), float(b)) for a, b in self.window)
-        except OverflowError:  # an integer beyond double range
-            raise ValueError("history window values must be finite") from None
-        if not win:
-            raise ValueError("history window must contain the value at n = 0")
-        if not all(map(math.isfinite, chain.from_iterable(win))):
-            raise ValueError("history window values must be finite")
+        window = self.window
+        if not isinstance(window, _SEQUENCES) or not len(window):
+            raise ConfigError("window", "expected a nonempty list of pairs")
+        try:  # one pass over the entries, where every pair is a pair
+            flat = (_finite_list(list(chain.from_iterable(window)))
+                    if set(map(len, window)) == {2} else None)
+        except (TypeError, ConfigError):
+            flat = None
+        if flat is None:  # the first bad pair or entry, in order
+            for j, pair in enumerate(window):
+                _finite_list(_pair(pair, f"window[{j}]",
+                                   "expected a pair [x, y]"), f"window[{j}]")
+        object.__setattr__(self, "window", tuple(zip(flat[::2], flat[1::2])))
         if self.tail is not None:
-            try:
-                t = (float(self.tail[0]), float(self.tail[1]))
-            except OverflowError:
-                raise ValueError("constant tail values must be finite"
-                                 ) from None
-            if not all(map(math.isfinite, t)):
-                raise ValueError("constant tail values must be finite")
-            object.__setattr__(self, "tail", t)
-        object.__setattr__(self, "window", win)
+            x, y = _pair(self.tail, "tail", "expected None or a pair (x, y)")
+            object.__setattr__(self, "tail", (_finite(x, "tail.x"),
+                                              _finite(y, "tail.y")))
 
     @classmethod
     def zero(cls) -> "History":

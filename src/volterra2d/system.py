@@ -1,16 +1,17 @@
 """The full problem statement: coefficient sequences, kernels, a closed
 family of nonlinearities with certified bounds, the hypothesis checkers
 that route a system to the periodic or asymptotic solver, and the one
-config layer that turns a scenario document into validated values."""
+config layer that turns a scenario document into values.  The layer checks
+only the document's shape (objects, required and unknown keys, the kernel
+type); each value object refuses its own bad fields, and the layer puts
+the section path in front of the field a refusal names."""
 from __future__ import annotations
 
 import functools
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,20 +22,20 @@ from .kernels import (
     SeparableExponential,
     TailNotCertified,
     TruncationPolicy,
-    is_finite,
 )
 from .sequences import (
     PRODUCT_ONE_TOL,
+    ConfigError,
     History,
     PeriodicSequence,
+    _at_least_one,
+    _finite,
+    _integer,
+    _refuse_unless,
     cycle_gain,
     reciprocal_growth,
     running_products,
 )
-
-
-class ConfigError(ValueError):
-    """Config document violates the schema; the message carries the field path."""
 
 
 NONLINEARITY_KINDS = ("sin", "cos", "tanh", "rational_bounded")
@@ -111,11 +112,10 @@ class Nonlinearity:
 
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
-            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if not (is_finite(self.amplitude) and is_finite(self.frequency)):
-            raise ValueError("amplitude and frequency must be finite")
+            raise ConfigError("kind", f"unknown kind {self.kind!r}")
         scalar, array, slope = _FORMULAS[self.kind]
-        a, k = float(self.amplitude), float(self.frequency)
+        a = _finite(self.amplitude, "amplitude")
+        k = _finite(self.frequency, "frequency")
         object.__setattr__(self, "scalar", functools.partial(scalar, a, k))
         object.__setattr__(self, "apply", functools.partial(array, a, k))
         object.__setattr__(self, "slope", functools.partial(
@@ -180,8 +180,7 @@ class SystemSpec:
     g: Nonlinearity
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("period must be a positive integer")
+        _at_least_one(self.period, "period")
         if self.h.period != self.period or self.p.period != self.period:
             raise ValueError(
                 f"h and p must have period {self.period}, got "
@@ -524,7 +523,7 @@ def check_asymptotic_hypotheses(spec: SystemSpec, c1: float = 1.0,
 
 def _require(obj: Dict[str, Any], key: str, path: str) -> Any:
     if key not in obj:
-        raise ConfigError(f"{path}{key}: missing required field")
+        raise ConfigError(f"{path}{key}", "missing required field")
     return obj[key]
 
 
@@ -533,7 +532,7 @@ def _known(obj: Dict[str, Any], path: str, *keys: str) -> Dict[str, Any]:
     is refused under its field path (``path`` ends in a dot or is empty)."""
     for key in obj:
         if key not in keys:
-            raise ConfigError(f"{path}{key}: unknown field")
+            raise ConfigError(f"{path}{key}", "unknown field")
     return obj
 
 
@@ -544,138 +543,44 @@ def _section(config: Dict[str, Any], key: str, *keys: str) -> Dict[str, Any]:
     if obj is None:
         return {}
     if not isinstance(obj, dict):
-        raise ConfigError(f"{key}: expected an object")
+        raise ConfigError(key, "expected an object")
     return _known(obj, f"{key}.", *keys)
 
 
-#: The types of a JSON number; a bool is not one.
-_NUMBERS = frozenset({int, float})
-
-# Each check below takes a value and its field path as ``path`` and
-# ``key``, joined into one string only to refuse the value.
-
-
-def _as_int(value: Any, path: str, key: str = "") -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}{key}: expected an integer")
-    return value
-
-
-def _as_finite_float(value: Any, path: str, key: str = "") -> float:
-    """``value`` as a finite float.  An integer beyond double range is
-    refused as not finite, without its digits."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}{key}: expected a number, got {value!r}")
+def _build(path: str, make: Callable[..., Any], *args: Any,
+           **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``: a value object read from the section at
+    ``path``, whose refusal of a field is named under that path."""
     try:
-        out = float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}{key}: must be finite, got an integer "
-                          f"beyond double range") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{path}{key}: must be finite, got {value!r}")
-    return out
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        where = exc.field
+        if where and not where.startswith("["):
+            where = "." + where
+        raise ConfigError(path + where, exc.rule) from None
 
 
-def _floats(raw: Sequence[Any]) -> Optional[Tuple[float, ...]]:
-    """The entries of ``raw`` as floats when each is a JSON number of
-    finite double value, else None: one pass for their types, one to
-    convert them and one to check them finite, each in C."""
-    if set(map(type, raw)) <= _NUMBERS:
-        try:
-            values = tuple(map(float, raw))
-        except OverflowError:  # an integer beyond double range
-            return None
-        if all(map(math.isfinite, values)):
-            return values
-    return None
-
-
-def _finite_floats(raw: List[Any], path: str) -> Tuple[float, ...]:
-    """The entries of the list ``raw`` as finite floats.  When the C-level
-    passes of ``_floats`` refuse them, the check of each entry in turn
-    finds the first bad one and refuses it under ``path[j]``."""
-    values = _floats(raw)
-    if values is None:
-        values = tuple(_as_finite_float(v, path, f"[{j}]")
-                       for j, v in enumerate(raw))
-    return values
-
-
-def _ranged(parse: Callable[[Any, str, str], Any], ok: Callable[[Any], bool],
-            rule: str) -> Callable[[Any, str, str], Any]:
-    """``parse``, then a refusal of values failing ``ok`` as not ``rule``."""
-
-    def check(value: Any, path: str, key: str = "") -> Any:
-        out = parse(value, path, key)
-        if not ok(out):
-            raise ConfigError(f"{path}{key}: must be {rule}, got {out!r}")
-        return out
-
-    return check
-
-
-_positive = _ranged(_as_finite_float, lambda v: v > 0.0, "positive")
-_count = _ranged(_as_int, lambda v: v >= 1, "at least 1")
-_fraction = _ranged(_as_finite_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-
-
-def _finite_field(obj: Dict[str, Any], key: str, path: str) -> float:
-    """The required field ``obj[key]`` as a finite float (``path`` ends in
-    a dot)."""
-    return _as_finite_float(_require(obj, key, path), path, key)
-
-
-def _period_values(raw: Any, path: str, period: int) -> PeriodicSequence:
-    """One value per slot of the period, from a list of finite numbers."""
-    if not isinstance(raw, list):
-        raise ConfigError(f"{path}: expected a list of numbers")
-    vals = _finite_floats(raw, path)
-    if len(vals) != period:
-        raise ConfigError(
-            f"{path}: expected {period} entries to match period, "
-            f"got {len(vals)}")
-    return PeriodicSequence(period, vals)
+def _fields(obj: Any, path: str, keys: Tuple[str, ...],
+            *extra: str) -> Tuple[Any, ...]:
+    """The values of the required ``keys`` of the object ``obj`` at
+    ``path``, which has no key but those and ``extra``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
+    _known(obj, path + ".", *extra, *keys)
+    return tuple(_require(obj, key, path + ".") for key in keys)
 
 
 def _parse_kernel(obj: Any, path: str) -> Kernel:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    prefix = path + "."
-    kind = _require(obj, "type", prefix)
+        raise ConfigError(path, "expected an object")
+    kind = _require(obj, "type", path + ".")
     if kind == "separable_exponential":
-        _known(obj, prefix, "type", "coef", "row_rate", "col_rate")
-        coef = _finite_field(obj, "coef", prefix)
-        row = _finite_field(obj, "row_rate", prefix)
-        col = _finite_field(obj, "col_rate", prefix)
-        if row <= 0.0:
-            raise ConfigError(f"{path}.row_rate: must be positive")
-        return SeparableExponential(coef, row, col)
-    if kind == "finite_lag":
-        _known(obj, prefix, "type", "weights")
-        rows = _require(obj, "weights", prefix)
-        if (not isinstance(rows, list) or not rows
-                or not all(isinstance(r, list) and r for r in rows)):
-            raise ConfigError(
-                f"{path}.weights: expected a nonempty list of nonempty rows")
-        parsed = tuple(_finite_floats(row, f"{path}.weights[{k}]")
-                       for k, row in enumerate(rows))
-        width = len(parsed[0])
-        if any(len(row) != width for row in parsed):
-            raise ConfigError(f"{path}.weights: rows must have equal length")
-        return FiniteLag(parsed)
-    raise ConfigError(f"{path}.type: unknown kernel type {kind!r}")
-
-
-def _parse_nonlinearity(obj: Any, path: str) -> Nonlinearity:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    prefix = path + "."
-    kind = _require(obj, "kind", prefix)
-    if kind not in NONLINEARITY_KINDS:
-        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-    _known(obj, prefix, "kind", "amplitude", "frequency")
-    return Nonlinearity(kind, _finite_field(obj, "amplitude", prefix),
-                        _finite_field(obj, "frequency", prefix))
+        make, keys = SeparableExponential, ("coef", "row_rate", "col_rate")
+    elif kind == "finite_lag":
+        make, keys = FiniteLag, ("weights",)
+    else:
+        raise ConfigError(f"{path}.type", f"unknown kernel type {kind!r}")
+    return _build(path, make, *_fields(obj, path, keys, "type"))
 
 
 def _document(config: Union[str, Dict[str, Any]]) -> Dict[str, Any]:
@@ -683,9 +588,9 @@ def _document(config: Union[str, Dict[str, Any]]) -> Dict[str, Any]:
         try:
             config = json.loads(config)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
+            raise ConfigError("", f"invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
-        raise ConfigError("top level: expected an object")
+        raise ConfigError("top level", "expected an object")
     return config
 
 
@@ -694,16 +599,15 @@ def parse_system(config: Union[str, Dict[str, Any]]) -> SystemSpec:
     already-decoded object).  Violations raise ConfigError naming the
     offending field path."""
     config = _document(config)
-    period = _count(_require(config, "period", ""), "period")
-    return SystemSpec(
-        period=period,
-        h=_period_values(_require(config, "h", ""), "h", period),
-        p=_period_values(_require(config, "p", ""), "p", period),
-        kernel_a=_parse_kernel(_require(config, "kernel_a", ""), "kernel_a"),
-        kernel_b=_parse_kernel(_require(config, "kernel_b", ""), "kernel_b"),
-        f=_parse_nonlinearity(_require(config, "f", ""), "f"),
-        g=_parse_nonlinearity(_require(config, "g", ""), "g"),
-    )
+    period = _at_least_one(_require(config, "period", ""), "period")
+    h, p = (_build(key, PeriodicSequence, period, _require(config, key, ""))
+            for key in ("h", "p"))
+    kernel_a, kernel_b = (_parse_kernel(_require(config, key, ""), key)
+                          for key in ("kernel_a", "kernel_b"))
+    f, g = (_build(key, Nonlinearity, *_fields(
+        _require(config, key, ""), key, ("kind", "amplitude", "frequency")))
+        for key in ("f", "g"))
+    return SystemSpec(period, h, p, kernel_a, kernel_b, f, g)
 
 
 @dataclass(frozen=True)
@@ -725,63 +629,31 @@ class Scenario:
 def _parse_history(obj: Dict[str, Any]) -> History:
     if not obj:  # no section, or an empty one
         return History.zero()
-    raw_window = obj.get("window", [[0.0, 0.0]])
-    if not isinstance(raw_window, list) or not raw_window:
-        raise ConfigError("history.window: expected a nonempty list of pairs")
-    flat = None
-    if (set(map(type, raw_window)) <= {list}
-            and set(map(len, raw_window)) == {2}):
-        flat = _floats(list(chain.from_iterable(raw_window)))
-    if flat is None:  # the first bad pair or entry, by its field path
-        flat = []
-        for j, pair in enumerate(raw_window):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(
-                    f"history.window[{j}]: expected a pair [x, y]")
-            flat += _finite_floats(pair, f"history.window[{j}]")
     tail = obj.get("tail")
-    if tail in (None, "zero"):
-        parsed_tail = None
-    elif isinstance(tail, dict) and _known(
-            tail, "history.tail.", "x", "y").keys() == {"x", "y"}:
-        parsed_tail = (_as_finite_float(tail["x"], "history.tail.", "x"),
-                       _as_finite_float(tail["y"], "history.tail.", "y"))
-    else:
-        raise ConfigError(
-            'history.tail: expected null, "zero", or {"x": .., "y": ..}')
-    try:
-        return History(tuple(zip(flat[::2], flat[1::2])), parsed_tail)
-    except ValueError as exc:
-        raise ConfigError(f"history: {exc}") from exc
-
-
-#: Each number of the ``solver`` section, with its check.
-_SOLVER_FIELDS = {"tol": _positive, "residual_tol": _positive,
-                  "max_iter": _count, "damping": _fraction}
+    if tail == "zero":
+        tail = None
+    elif tail is not None:
+        if not (isinstance(tail, dict) and _known(
+                tail, "history.tail.", "x", "y").keys() == {"x", "y"}):
+            raise ConfigError(
+                "history.tail", 'expected null, "zero", or {"x": .., "y": ..}')
+        tail = (tail["x"], tail["y"])
+    return _build("history", History, obj.get("window", [[0.0, 0.0]]), tail)
 
 
 def _parse_solver(obj: Dict[str, Any], period: int) -> SolverOptions:
-    guess = obj.get("initial_guess")
-    parsed_guess = None
-    if guess is not None and guess != "zero":
+    settings = dict(obj)
+    guess = settings.pop("initial_guess", None)
+    if guess == "zero":
+        guess = None
+    elif guess is not None:
         if not (isinstance(guess, dict) and _known(
                 guess, "solver.initial_guess.", "x", "y").keys() == {"x", "y"}):
-            raise ConfigError(
-                'solver.initial_guess: expected "zero" or {"x": [..], "y": [..]}')
-        parsed_guess = tuple(
-            _period_values(guess[key], f"solver.initial_guess.{key}", period)
-            for key in ("x", "y"))
-    return SolverOptions(initial_guess=parsed_guess, **{
-        key: check(obj.get(key, getattr(SolverOptions, key)), "solver.", key)
-        for key, check in _SOLVER_FIELDS.items()})
-
-
-def _parse_truncation(obj: Dict[str, Any]) -> TruncationPolicy:
-    tail_tol = _positive(obj.get("tail_tol", TruncationPolicy.tail_tol),
-                         "truncation.", "tail_tol")
-    max_terms = _count(obj.get("max_terms", TruncationPolicy.max_terms),
-                       "truncation.", "max_terms")
-    return TruncationPolicy(tail_tol, max_terms)
+            raise ConfigError("solver.initial_guess",
+                              'expected "zero" or {"x": [..], "y": [..]}')
+        guess = tuple(_build(f"solver.initial_guess.{key}", PeriodicSequence,
+                             period, guess[key]) for key in ("x", "y"))
+    return _build("solver", SolverOptions, initial_guess=guess, **settings)
 
 
 def max_horizon(policy: TruncationPolicy) -> int:
@@ -802,23 +674,22 @@ def parse_scenario(config: Union[str, Dict[str, Any]]) -> Scenario:
                     "solver", "truncation")
     spec = parse_system(config)
     history = _parse_history(_section(config, "history", "window", "tail"))
-    policy = _parse_truncation(_section(config, "truncation", "tail_tol",
-                                        "max_terms"))
-    solver = _parse_solver(_section(config, "solver", "initial_guess",
-                                    *_SOLVER_FIELDS), spec.period)
-    c1, c2 = (_as_finite_float(config.get(key, 1.0), "", key)
-              for key in ("c1", "c2"))
+    policy = _build("truncation", TruncationPolicy, **_section(
+        config, "truncation", "tail_tol", "max_terms"))
+    solver = _parse_solver(_section(
+        config, "solver", "initial_guess", "tol", "residual_tol", "max_iter",
+        "damping"), spec.period)
+    c1, c2 = (_finite(config.get(key, 1.0), key) for key in ("c1", "c2"))
     horizon = config.get("horizon")
     if horizon is not None:
         # an integer beyond double range is refused as not finite
-        _as_finite_float(_as_int(horizon, "horizon"), "horizon")
-        least = 4 * spec.period
-        horizon = _ranged(_as_int, lambda v: v >= least,
-                          f"at least 4 periods ({least})")(horizon, "horizon")
-        most = max_horizon(policy)
-        if horizon > most:
-            raise ConfigError(f"horizon: must be at most {most}, the largest "
-                              f"window numpy can size, got {horizon}")
+        horizon = _integer(horizon, "horizon")
+        _finite(horizon, "horizon")
+        least, most = 4 * spec.period, max_horizon(policy)
+        _refuse_unless(horizon >= least, horizon, "horizon",
+                       f"at least 4 periods ({least})")
+        _refuse_unless(horizon <= most, horizon, "horizon",
+                       f"at most {most}, the largest window numpy can size")
     return Scenario(spec, history, policy, solver, c1, c2, horizon)
 
 
@@ -838,8 +709,8 @@ def spec_to_config(spec: SystemSpec) -> Dict[str, Any]:
         "p": list(spec.p.values),
         "kernel_a": _kernel_to_config(spec.kernel_a),
         "kernel_b": _kernel_to_config(spec.kernel_b),
-        "f": {"kind": spec.f.kind, "amplitude": spec.f.amplitude,
-              "frequency": spec.f.frequency},
-        "g": {"kind": spec.g.kind, "amplitude": spec.g.amplitude,
-              "frequency": spec.g.frequency},
+        # a nonlinearity keeps its numbers as given: echo them as floats
+        **{key: {"kind": nonlin.kind, "amplitude": float(nonlin.amplitude),
+                 "frequency": float(nonlin.frequency)}
+           for key, nonlin in (("f", spec.f), ("g", spec.g))},
     }

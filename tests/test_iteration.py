@@ -448,6 +448,7 @@ def test_options_refuse_what_the_config_refuses(settings, field):
     """Tolerances are finite and positive, and the budget is an integer of
     at least 1: with tol = residual_tol = inf any iterate would converge,
     and a fractional budget would fail inside solve_fixed_point."""
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    with pytest.raises(ValueError, match=(
+            f"^{field}: (must be|expected an integer)")):
         SolverOptions(**settings)
 

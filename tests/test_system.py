@@ -112,6 +112,126 @@ def test_value_objects_refuse_integers_beyond_double_range(build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PeriodicSequence(True, (0.5,)), "period: expected an integer"),
+    (lambda: PeriodicSequence(1, ("0.5",)),
+     "[0]: expected a number, got '0.5'"),
+    (lambda: SeparableExponential(True, 1.0, 1.0),
+     "coef: expected a number, got True"),
+    (lambda: Nonlinearity("sin", "1", 1.0),
+     "amplitude: expected a number, got '1'"),
+    (lambda: TruncationPolicy(tail_tol="1e-10"),
+     "tail_tol: expected a number, got '1e-10'"),
+    (lambda: SolverOptions(damping="0.5"),
+     "damping: expected a number, got '0.5'"),
+    (lambda: History(((0.0, 0.0),), (1.0,)),
+     "tail: expected None or a pair (x, y)"),
+    (lambda: History(((0.0, 0.0, 0.0),)),
+     "window[0]: expected a pair [x, y]"),
+    (lambda: FiniteLag(((0.5,), (math.inf,))),
+     "weights[1][0]: must be finite, got inf"),
+], ids=["period-bool", "sequence-string", "coef-bool", "amplitude-string",
+        "tail_tol-string", "damping-string", "tail-single", "window-triple",
+        "weight-inf"])
+def test_value_objects_refuse_naming_the_field(build, message):
+    """A value object refuses a bad field itself, as a ConfigError that
+    names the field relative to the object and the rule it breaks."""
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert str(info.value) == message
+    assert f"{info.value.field}: {info.value.rule}" == message
+
+
+def test_value_objects_take_numpy_scalars():
+    one, two, half = np.int64(1), np.int64(2), np.float64(0.5)
+    assert PeriodicSequence(two, (half, one)).values == (0.5, 1.0)
+    assert PeriodicSequence(two, np.array([0.5, 1.0])).period == 2
+    assert SeparableExponential(half, two, half) == SeparableExponential(
+        0.5, 2.0, 0.5)
+    assert FiniteLag(((half, one),)).weights == ((0.5, 1.0),)
+    assert History(((half, one),), (two, half)) == History(((0.5, 1.0),),
+                                                           (2.0, 0.5))
+    assert Nonlinearity("sin", half, two)(1.0) == Nonlinearity(
+        "sin", 0.5, 2.0)(1.0)
+    assert TruncationPolicy(np.float64(1e-9), two) == TruncationPolicy(1e-9, 2)
+    assert SolverOptions(np.float64(1e-9), np.float64(1e-8), two,
+                         half) == SolverOptions(1e-9, 1e-8, 2, 0.5)
+
+
+#: (section of configs/example1.json, its new keys, and the path the
+#: config puts before the value object's refusal).
+CROSS_CASES = [
+    ("kernel_a", {"coef": "a"}, "kernel_a."),
+    ("kernel_a", {"row_rate": 0.0}, "kernel_a."),
+    ("kernel_a", {"col_rate": math.inf}, "kernel_a."),
+    ("kernel_a", {"coef": HUGE}, "kernel_a."),
+    ("kernel_a", {"type": "finite_lag", "weights": [[0.5], [math.inf]]},
+     "kernel_a."),
+    ("kernel_a", {"type": "finite_lag", "weights": [[0.5, 0.1], [0.2]]},
+     "kernel_a."),
+    ("kernel_a", {"type": "finite_lag", "weights": []}, "kernel_a."),
+    ("f", {"kind": "exp"}, "f."),
+    ("f", {"amplitude": "1"}, "f."),
+    ("f", {"frequency": True}, "f."),
+    ("history", {"window": [[0.0, 0.0, 0.0]]}, "history."),
+    ("history", {"window": [[0.0, 0.0], [0.0, "a"]]}, "history."),
+    ("history", {"window": []}, "history."),
+    ("history", {"tail": {"x": 0.0, "y": "a"}}, "history."),
+    ("solver", {"tol": -1}, "solver."),
+    ("solver", {"residual_tol": math.inf}, "solver."),
+    ("solver", {"max_iter": 2.5}, "solver."),
+    ("solver", {"max_iter": True}, "solver."),
+    ("solver", {"max_iter": 0}, "solver."),
+    ("solver", {"damping": 2}, "solver."),
+    ("solver", {"damping": "0.5"}, "solver."),
+    ("truncation", {"tail_tol": 0}, "truncation."),
+    ("truncation", {"tail_tol": math.nan}, "truncation."),
+    ("truncation", {"max_terms": 0}, "truncation."),
+    ("truncation", {"max_terms": 1.5}, "truncation."),
+    ("h", [0.5, "x"], "h"),
+    ("h", [0.5, -HUGE], "h"),
+    ("h", [0.5, 0.5, 0.5], "h: "),
+]
+
+
+def _library_object(section, obj, period):
+    """The value object of a config section, built from the library."""
+    if section == "h":
+        return PeriodicSequence(period, obj)
+    if section == "history":
+        tail = obj.get("tail")
+        return History(obj["window"], tail if tail in (None, "zero")
+                       else (tail["x"], tail["y"]))
+    if section == "kernel_a":
+        obj = dict(obj)
+        kind = obj.pop("type")
+        return {"separable_exponential": SeparableExponential,
+                "finite_lag": FiniteLag}[kind](**obj)
+    return {"f": Nonlinearity, "solver": SolverOptions,
+            "truncation": TruncationPolicy}[section](**obj)
+
+
+@pytest.mark.parametrize("section, value, path", CROSS_CASES,
+                         ids=[f"{case[0]}-{i}"
+                              for i, case in enumerate(CROSS_CASES)])
+def test_config_refuses_what_the_value_object_refuses(example1_path, section,
+                                                      value, path):
+    """Each bad field is refused once, by its value object: built from the
+    library it reads "field: rule", and the same value in a config reads
+    that refusal under the section's path."""
+    config = json.loads(example1_path.read_text())
+    if isinstance(value, dict) and "type" not in value:
+        value = {**config[section], **value}
+    if section == "history" and value.get("tail") == "zero":
+        value["tail"] = None
+    with pytest.raises(ConfigError) as library:
+        _library_object(section, value, config["period"])
+    config[section] = value
+    with pytest.raises(ConfigError) as parsed:
+        parse_scenario(config)
+    assert str(parsed.value) == path + str(library.value)
+
+
 class TestNonlinearity:
     def test_point_values(self):
         assert Nonlinearity("sin", 1.0, 2.0)(math.pi / 4) \
