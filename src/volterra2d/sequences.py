@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Optional, Tuple
 
 import numpy as np
@@ -221,16 +220,9 @@ class History:
         window = self.window
         if not isinstance(window, _SEQUENCES) or not len(window):
             raise ConfigError("window", "expected a nonempty list of pairs")
-        try:  # one pass over the entries, where every pair is a pair
-            flat = (_finite_list(list(chain.from_iterable(window)))
-                    if set(map(len, window)) == {2} else None)
-        except (TypeError, ConfigError):
-            flat = None
-        if flat is None:  # the first bad pair or entry, in order
-            for j, pair in enumerate(window):
-                _finite_list(_pair(pair, f"window[{j}]",
-                                   "expected a pair [x, y]"), f"window[{j}]")
-        object.__setattr__(self, "window", tuple(zip(flat[::2], flat[1::2])))
+        object.__setattr__(self, "window", tuple(
+            _finite_list(_pair(pair, f"window[{j}]", "expected a pair [x, y]"),
+                         f"window[{j}]") for j, pair in enumerate(window)))
         if self.tail is not None:
             x, y = _pair(self.tail, "tail", "expected None or a pair (x, y)")
             object.__setattr__(self, "tail", (_finite(x, "tail.x"),

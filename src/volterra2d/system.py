@@ -116,10 +116,11 @@ class Nonlinearity:
         scalar, array, slope = _FORMULAS[self.kind]
         a = _finite(self.amplitude, "amplitude")
         k = _finite(self.frequency, "frequency")
+        object.__setattr__(self, "_a", a)  # the bounds read the floats, so
+        object.__setattr__(self, "_k", k)  # an integer field cannot overflow
         object.__setattr__(self, "scalar", functools.partial(scalar, a, k))
         object.__setattr__(self, "apply", functools.partial(array, a, k))
-        object.__setattr__(self, "slope", functools.partial(
-            slope, float(self.amplitude * self.frequency), k))
+        object.__setattr__(self, "slope", functools.partial(slope, a * k, k))
 
     def __reduce__(self):  # rebuilt, so the bound formulas never pickle
         return Nonlinearity, (self.kind, self.amplitude, self.frequency)
@@ -132,13 +133,13 @@ class Nonlinearity:
     def bound(self) -> float:
         """Certified sup of |value| over the reals."""
         if self.kind == "rational_bounded":
-            return abs(self.amplitude) / 2.0
-        return abs(self.amplitude)
+            return abs(self._a) / 2.0
+        return abs(self._a)
 
     @property
     def lipschitz(self) -> float:
         """Certified Lipschitz constant (sup of |derivative|)."""
-        return abs(self.amplitude * self.frequency)
+        return abs(self._a * self._k)
 
     @property
     def curvature(self) -> float:
@@ -149,7 +150,7 @@ class Nonlinearity:
         shape = {"tanh": 4.0 / (3.0 * math.sqrt(3.0)),
                  "rational_bounded": (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
                  }.get(self.kind, 1.0)
-        return abs(self.amplitude) * self.frequency ** 2 * shape
+        return abs(self._a) * (self._k * self._k) * shape
 
     @property
     def monotone(self) -> bool:
@@ -159,7 +160,7 @@ class Nonlinearity:
         kind satisfies the absolute-value inequality but decreases beyond
         |k*x| = 1, so it cannot be routed through the monotone theorems.
         """
-        return self.kind == "tanh" and self.amplitude * self.frequency > 0.0
+        return self.kind == "tanh" and self._a * self._k > 0.0
 
 
 @dataclass(frozen=True)

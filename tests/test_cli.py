@@ -648,6 +648,25 @@ def test_bad_history_value_reports_field_path(tmp_path, capsys, example1_path):
     assert "history.window[0][1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude, frequency", [
+    (10 ** 200, 10 ** 200), (1.0, 10 ** 200), (1.0, 1e200)],
+    ids=["integers", "integer-frequency", "float-frequency"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--mode", "periodic"], ["check", "--mode", "asymptotic"],
+    ["verify", "--mode", "periodic"], ["simulate", "--steps", "3"]])
+def test_huge_nonlinearity_fields_end_without_an_exception(
+        amplitude, frequency, argv, tmp_path, example1_path):
+    """Finite fields whose products overflow a double, integers among
+    them, give infinite bounds and an exit code, never an exception."""
+    config = json.loads(example1_path.read_text())
+    config["f"] = {"kind": "sin", "amplitude": amplitude,
+                   "frequency": frequency}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    assert run([*argv, "--config", str(path),
+                "--out", str(tmp_path / "r.json")]) in (0, 1, 2)
+
+
 def test_console_entry_point(example1_path, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "volterra2d.cli", "check",

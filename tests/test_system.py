@@ -128,11 +128,14 @@ def test_value_objects_refuse_integers_beyond_double_range(build):
      "tail: expected None or a pair (x, y)"),
     (lambda: History(((0.0, 0.0, 0.0),)),
      "window[0]: expected a pair [x, y]"),
+    (lambda: History(({0.0, 1.0},)), "window[0]: expected a pair [x, y]"),
+    (lambda: History(({0.0: 1.0, 1.0: 0.0},)),
+     "window[0]: expected a pair [x, y]"),
     (lambda: FiniteLag(((0.5,), (math.inf,))),
      "weights[1][0]: must be finite, got inf"),
 ], ids=["period-bool", "sequence-string", "coef-bool", "amplitude-string",
         "tail_tol-string", "damping-string", "tail-single", "window-triple",
-        "weight-inf"])
+        "window-set", "window-dict", "weight-inf"])
 def test_value_objects_refuse_naming_the_field(build, message):
     """A value object refuses a bad field itself, as a ConfigError that
     names the field relative to the object and the rule it breaks."""
@@ -233,6 +236,19 @@ def test_config_refuses_what_the_value_object_refuses(example1_path, section,
 
 
 class TestNonlinearity:
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_integer_fields_give_the_float_bounds(self, kind):
+        """The bounds read the fields as floats: integers give the bounds
+        of their floats, and products beyond double range are infinite."""
+        given, floats = Nonlinearity(kind, -2, 3), Nonlinearity(kind, -2.0, 3.0)
+        assert repr(given) == f"Nonlinearity(kind={kind!r}, amplitude=-2, " \
+                              "frequency=3)"
+        for bound in ("bound", "lipschitz", "curvature", "monotone"):
+            assert type(getattr(given, bound)) is type(getattr(floats, bound))
+            assert getattr(given, bound) == getattr(floats, bound)
+        huge = Nonlinearity(kind, 10 ** 200, 10 ** 200)
+        assert huge.lipschitz == huge.curvature == math.inf
+
     def test_point_values(self):
         assert Nonlinearity("sin", 1.0, 2.0)(math.pi / 4) \
             == pytest.approx(1.0, rel=1e-15)
