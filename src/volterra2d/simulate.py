@@ -6,7 +6,10 @@ in which each step takes each kernel's next drive from its ``drives``
 coroutine (one long double recursion step per row for a separable
 kernel, one window dot for a finite-lag one) by sending it the value
 that the step before has just mapped by the nonlinearities' ``scalar``
-formulas, which give the array formula's bits.  ``defects`` has every
+formulas, which give the array formula's bits (sin and cos by ``math``,
+the C library's functions that numpy's ufuncs call too, tanh by numpy's
+ufunc, whose tanh is not ``math``'s; an overflowed value maps to nan, as
+in the array).  ``defects`` has every
 value in place, so it maps f(y) and g(x) once per array and takes all of
 a kernel's drives at once from ``drive_array`` (the long double
 first-order filter for a separable kernel)."""

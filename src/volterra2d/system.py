@@ -47,11 +47,17 @@ ILL_CONDITIONED_GAIN = 1e6
 
 
 def _sin(a: float, k: float, x: float) -> float:
-    return a * float(np.sin(k * x))
+    u = k * x
+    if math.isfinite(u):
+        return a * math.sin(u)
+    return a * float(np.sin(u))  # nan at +-inf, where math.sin raises
 
 
 def _cos(a: float, k: float, x: float) -> float:
-    return a * float(np.cos(k * x))
+    u = k * x
+    if math.isfinite(u):
+        return a * math.cos(u)
+    return a * float(np.cos(u))  # nan at +-inf, where math.cos raises
 
 
 def _tanh(a: float, k: float, x: float) -> float:
@@ -70,11 +76,18 @@ def _rational_slope(ak: float, k: float, x: np.ndarray) -> np.ndarray:
     return (w * 2.0 * w - w) * ak
 
 
-#: Per kind: A * shape(k*x) for a Python number x, as a Python float (the
-#: ufunc of the array path on a float, never ``math``, whose tanh differs
-#: from numpy's in the last bit, and IEEE arithmetic in the array's
-#: order); the same on a float64 array; and A*k * shape'(k*x) on one.
-#: Each is bound at construction to (A, k), the slope to (A*k, k).
+#: Per kind: A * shape(k*x) for a Python number x, as a Python float,
+#: bit for bit the array path's value; the same on a float64 array; and
+#: A*k * shape'(k*x) on one.  Each is bound at construction to (A, k), the
+#: slope to (A*k, k).  The scalar sin and cos call ``math``: numpy's
+#: float64 sin and cos are the C library's (a test checks it bit for
+#: bit), which ``math`` calls without the ufunc's dispatch.  ``math``
+#: raises at +-inf, so a k*x that is not finite (an overflowed march, or
+#: a finite x whose product with k overflows) takes the ufunc and gives
+#: its nan, as the array does, though sin and cos are bounded at every
+#: finite x.  tanh stays on the ufunc, since ``math.tanh`` differs from
+#: numpy's in the last bit; the rational kind is IEEE arithmetic in the
+#: array's order.
 _FORMULAS = {
     "sin": (_sin, lambda a, k, x: np.sin(x * k) * a,
             lambda ak, k, x: np.cos(x * k) * ak),
@@ -104,6 +117,10 @@ class Nonlinearity:
     Python number and gives a Python float, ``apply`` takes a float64
     array and gives its values, bit for bit those of ``scalar``, and
     ``slope`` the derivative on one (at most ``lipschitz`` in size).
+    ``scalar`` takes sin and cos from ``math``, the C library's functions
+    that numpy's float64 ufuncs call too, and tanh from numpy, whose tanh
+    is not ``math``'s.  Where k*x is not finite (an overflowing k*x of a
+    finite x included), sin and cos give the array's nan.
     """
 
     kind: str

@@ -498,14 +498,15 @@ def separable_drives_reference(kernel, values, start, rows, past=1):
 def lag_drives_reference(kernel, values, start, rows, past=1):
     """A finite-lag kernel's drives at n = 0..rows-1, row by row, with the
     arguments of ``separable_drives_reference``: weight row n mod P,
-    reversed and copied, times its L+1 values by ``@``, the values padded
-    before values[0] by the last L entries of the repeating past."""
+    reversed and copied, dotted (``ndarray.dot``, as the library does)
+    with its L+1 values, the values padded before values[0] by the last L
+    entries of the repeating past."""
     lags = kernel.max_lag
     weights = np.array(kernel.weights)
     values = np.asarray(values, dtype=float)
     padded = np.concatenate([values[np.arange(-lags, 0) % past], values])
     return [float(weights[n % kernel.lag_period, ::-1].copy()
-                  @ padded[start + n:start + n + lags + 1])
+                  .dot(padded[start + n:start + n + lags + 1]))
             for n in range(rows)]
 
 
@@ -545,8 +546,8 @@ def march_step_reference(kernel, history, steps):
     mapped values before row 0, its first standing for all before it.
     A separable kernel runs the long double recursion from the constant
     past's closed form, each row scaled by the array coef e^{(row - col)
-    n}; a finite-lag kernel dots each reversed weight row by ``@`` with
-    its last L+1 values."""
+    n}; a finite-lag kernel dots each reversed weight row
+    (``ndarray.dot``, as the library does) with its last L+1 values."""
     history = [float(value) for value in history]
     if isinstance(kernel, v.FiniteLag):
         window = [history[0]] * kernel.max_lag + history
@@ -554,7 +555,8 @@ def march_step_reference(kernel, history, steps):
 
         def step(phi):
             window.append(phi)
-            return float(next(rows) @ np.array(window[-kernel.max_lag - 1:]))
+            return float(next(rows).dot(
+                np.array(window[-kernel.max_lag - 1:])))
         return step
     rate = np.longdouble(kernel.row_rate)
     decay, s = np.exp(-rate), np.longdouble(0.0)

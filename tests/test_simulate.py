@@ -292,6 +292,23 @@ class TestSendFedMarch:
             simulate(spec, history, 1, POLICY)
 
 
+def test_signed_zero_drive_equals_the_march_reference():
+    """A case of ``march_cases`` pinned: zero weights and a zero amplitude
+    over a history of negative zeros.  ``ndarray.dot`` gives 0.0 * -0.0 =
+    -0.0 where ``@`` sums from +0.0, so a reference that dots by ``@``
+    gives x_1 = 0.0 against the march's -0.0."""
+    zero = PeriodicSequence(1, (0.0,))
+    kernel = FiniteLag(((0.0,),))
+    mute = Nonlinearity("sin", 0.0, 1.0)
+    spec = SystemSpec(1, zero, zero, kernel, kernel, mute, mute)
+    history = History(((-0.0, -0.0),), None)
+    t = simulate(spec, history, 2, POLICY)
+    ref_x, ref_y = march_reference(spec, history, 2)
+    assert np.array(t.x).tobytes() == np.array(ref_x).tobytes() \
+        == np.array([-0.0, -0.0, -0.0]).tobytes()
+    assert np.array(t.y).tobytes() == np.array(ref_y).tobytes()
+
+
 class TestMemory:
     def test_long_slow_march_keeps_storage_linear(self):
         # Rate 0.01 over 3,000 steps: a dense (steps x steps) weight band

@@ -312,6 +312,50 @@ class TestNonlinearity:
             assert {type(f(v)) for v in (1.5, 2, True, np.float64(0.5))} \
                 == {float}
 
+    def test_math_sin_and_cos_are_numpys(self):
+        # The scalar sin and cos formulas call ``math``, their array
+        # formulas numpy's ufuncs: the two agree bit for bit only where
+        # numpy's float64 sin and cos are the C library's.  Random finite
+        # bit patterns, signed zeros, subnormals, |x| up to the largest
+        # double and the dense grid of the scalar tests.
+        rng = np.random.default_rng(34)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        patterns = bits.view(np.float64)
+        subnormal = rng.integers(1, 2 ** 52, 2000, dtype=np.uint64)
+        x = np.concatenate([
+            patterns[np.isfinite(patterns)],
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+             np.finfo(float).max, -np.finfo(float).max],
+            subnormal.view(np.float64), -subnormal.view(np.float64),
+            rng.choice([-1.0, 1.0], 20_000)
+            * 10.0 ** rng.uniform(-308, 308, 20_000),
+            np.linspace(-25.0, 25.0, 20001)])
+        for name in ("sin", "cos"):
+            ours = np.array(list(map(getattr(math, name), x.tolist())))
+            theirs = getattr(np, name)(x)
+            wrong = np.flatnonzero(ours.view(np.uint64)
+                                   != theirs.view(np.uint64))
+            assert not len(wrong), (
+                f"numpy {np.__version__}'s float64 {name} is not the C "
+                f"library's: math.{name} differs from np.{name} at "
+                f"{len(wrong)} of {len(x)} values, first at "
+                f"x = {float(x[wrong[0]])!r}; the scalar formulas of "
+                f"Nonlinearity would not give the array's bits")
+
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_scalar_formula_equals_array_where_k_x_is_not_finite(self, kind):
+        # At +-inf and nan, and where k*x overflows, the scalar formula
+        # raises nothing (math.sin and math.cos would raise at +-inf) and
+        # gives the array's value bit for bit: nan for sin and cos.
+        f = Nonlinearity(kind, -1.5, 3.0)
+        x = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = f.apply(x)
+            scalars = np.array([f.scalar(v) for v in x.tolist()])
+        assert scalars.tobytes() == values.tobytes()
+        if kind in ("sin", "cos"):
+            assert np.isnan(scalars).all()
+
     @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_bound_formulas_equal_written_out_formulas(self, kind):
         # The value and slope formulas bound at construction against the
